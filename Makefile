@@ -8,7 +8,7 @@ GO ?= go
 # the same check the workflow runs.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck ci
+.PHONY: build test race bench bench-module bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ race:
 # of the ms/artifact trajectory recorded in BENCH.json.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+
+# The benchmark module (benchmark/, a Go module of its own) drives the
+# stack through its public entry points; its smoke test is the only
+# thing that compiles it, so a signature change there fails here.
+bench-module:
+	cd benchmark && $(GO) test ./...
 
 # Regenerate the hot-path perf trajectory (ns/op + allocs/op for the VLP
 # GEMM, decode step, proxy loss, simulator pass, cold/warm serving runs,
@@ -91,4 +97,4 @@ docs-check: doccheck
 	$(GO) run ./tools/docscheck
 
 ci: STRICT = 1
-ci: lint build race bench minuteserve analyze docs-check
+ci: lint build race bench bench-module minuteserve analyze docs-check

@@ -14,11 +14,14 @@
 // completions, boot completions and fixed-width policy ticks — over the
 // same pure step costs the serving scheduler prices, so a run is
 // byte-identical at any runner parallelism, including under the race
-// detector. Per-replica scheduling reproduces internal/serve's
-// Orca-style continuous batching exactly: a replica's "round" admits
-// queued requests while batch slots and KV budget allow (one prefill
-// pass each), then runs one padded decode step for the running batch at
-// the longest bucketed context.
+// detector. It runs on internal/serve's engine: one serve.Engine holds
+// the request arena and the shared admission queue, each owned replica
+// is one of its batches, and a replica's "round" is serve.Engine.Round
+// at the replica's operating point — admit queued requests while batch
+// slots and KV budget allow (one prefill pass each), then one padded
+// decode step at the longest bucketed context. The controller itself
+// keeps only the power-state machine, the DVFS ladder, leakage accrual,
+// crash disposal and the policy loop.
 //
 // Compare runs the same trace through the static PR 5 plan (every owned
 // replica always on, at full speed) and through the controller, and
@@ -34,9 +37,7 @@ import (
 	"mugi/internal/arch"
 	"mugi/internal/faults"
 	"mugi/internal/fleet"
-	"mugi/internal/model"
 	"mugi/internal/noc"
-	"mugi/internal/runner"
 	"mugi/internal/serve"
 	"mugi/internal/sim"
 )
@@ -201,6 +202,9 @@ func (c Config) withDefaults() Config {
 	if c.Replica.Mesh.Nodes() == 0 {
 		c.Replica.Mesh = noc.Single
 	}
+	if c.Replica.MaxBatch == 0 {
+		c.Replica.MaxBatch = serve.DefaultMaxBatch
+	}
 	if c.MaxRedispatch == 0 {
 		c.MaxRedispatch = serve.DefaultMaxRedispatch
 	}
@@ -279,31 +283,14 @@ type Report struct {
 	PerReplicaRate float64
 }
 
-// request is one in-flight request in the controller's pooled arena.
-type reqState struct {
-	req       serve.Request
-	generated int
-	firstAt   float64
-}
-
-// stepShape keys the workload memo, exactly as in internal/serve.
-type stepShape struct {
-	model  model.Config
-	decode bool
-	batch  int
-	ctx    int
-}
-
 // replica is one replica's controller-side state.
 type replica struct {
 	state     PowerState
 	point     int     // ladder index applied from the next round on
-	busy      bool    // a round is in flight until busyUntil
-	busyUntil float64 // round end (valid while busy)
+	busyUntil float64 // end of the round in flight: busy while now < busyUntil
 	bootReady float64 // boot completion (valid while Booting)
 	accrued   float64 // wall clock up to which static power is billed
-	kvInUse   int64
-	active    []int32 // running batch: arena indices
+	batch     *serve.Batch
 
 	// Fault state (zero when the run injects none).
 	slow      float64         // straggler step multiplier (1 when healthy)
@@ -313,109 +300,30 @@ type replica struct {
 	repairAt  float64 // repair completion (valid while Repairing)
 }
 
-// controller is the pooled run state.
+// controller is the pooled run state around the serving engine.
 type controller struct {
-	states []reqState
-	free   []int32
-	queue  []int32
-	qhead  int
-	reps   []replica
+	reps []replica
 
 	params   []sim.Params // per ladder point
 	idleLeak []float64    // static watts per ladder point
 
 	tickArrivals []int // prescanned arrivals per tick window
-
-	ttft, lat serve.Hist
-
-	workloads map[stepShape]model.Workload
 }
 
-var ctrlPool = sync.Pool{
-	New: func() any {
-		return &controller{workloads: make(map[stepShape]model.Workload)}
-	},
-}
+var ctrlPool = sync.Pool{New: func() any { return new(controller) }}
 
-// getController borrows a reset controller; the workload memo survives
-// resets deliberately (shapes are config-keyed and reusable forever).
+// getController borrows a reset controller.
 func getController(replicas int) *controller {
 	c := ctrlPool.Get().(*controller)
-	c.states = c.states[:0]
-	c.free = c.free[:0]
-	c.queue = c.queue[:0]
-	c.qhead = 0
 	if cap(c.reps) < replicas {
 		c.reps = make([]replica, replicas)
-	} else {
-		c.reps = c.reps[:replicas]
 	}
-	for i := range c.reps {
-		act := c.reps[i].active
-		if act == nil {
-			act = []int32{}
-		}
-		c.reps[i] = replica{active: act[:0]}
-	}
+	c.reps = c.reps[:replicas]
+	clear(c.reps)
 	c.params = c.params[:0]
 	c.idleLeak = c.idleLeak[:0]
 	c.tickArrivals = c.tickArrivals[:0]
-	c.ttft.Reset()
-	c.lat.Reset()
 	return c
-}
-
-// alloc places a request in the arena and returns its index.
-func (c *controller) alloc(r serve.Request) int32 {
-	if n := len(c.free); n > 0 {
-		idx := c.free[n-1]
-		c.free = c.free[:n-1]
-		c.states[idx] = reqState{req: r}
-		return idx
-	}
-	c.states = append(c.states, reqState{req: r})
-	return int32(len(c.states) - 1)
-}
-
-func (c *controller) release(idx int32) { c.free = append(c.free, idx) }
-
-func (c *controller) qlen() int { return len(c.queue) - c.qhead }
-
-// qpush/qpop/qpeek: the amortized-O(1) FIFO of internal/serve.
-func (c *controller) qpush(idx int32) {
-	if c.qhead == len(c.queue) {
-		c.queue = c.queue[:0]
-		c.qhead = 0
-	} else if c.qhead > 32 && c.qhead > len(c.queue)/2 {
-		n := copy(c.queue, c.queue[c.qhead:])
-		c.queue = c.queue[:n]
-		c.qhead = 0
-	}
-	c.queue = append(c.queue, idx)
-}
-
-func (c *controller) qpeek() int32 { return c.queue[c.qhead] }
-
-func (c *controller) qpop() int32 {
-	idx := c.queue[c.qhead]
-	c.qhead++
-	return idx
-}
-
-// workload memoizes operator-list construction per quantized step shape.
-func (c *controller) workload(m model.Config, decode bool, batch, ctx int) model.Workload {
-	k := stepShape{model: m, decode: decode, batch: batch, ctx: ctx}
-	if w, ok := c.workloads[k]; ok {
-		return w
-	}
-	var w model.Workload
-	if decode {
-		w = m.DecodeOps(batch, ctx)
-	} else {
-		w = m.PrefillOps(batch, ctx)
-	}
-	c.workloads[k] = w
-	return w
 }
 
 // calibrate measures the full-speed single-replica capacity the policies
@@ -454,12 +362,7 @@ func Run(cfg Config, tc serve.TraceConfig) (Report, error) {
 	}
 	c := getController(cfg.MaxReplicas)
 	defer ctrlPool.Put(c)
-
-	rep, err := c.run(cfg, tc, perReplicaRate)
-	if err != nil {
-		return Report{}, err
-	}
-	return rep, nil
+	return c.run(cfg, tc, perReplicaRate)
 }
 
 // validateConfig checks the controller-specific invariants.
@@ -470,7 +373,7 @@ func validateConfig(cfg Config) error {
 	if !cfg.Replica.DVFS.IsNominal() {
 		return fmt.Errorf("autoscale: Replica.DVFS must be nominal — the controller owns the operating point")
 	}
-	if cfg.Replica.Admission != nil || cfg.Replica.Brownout != nil || cfg.Replica.ClientRetry.Enabled() {
+	if cfg.Replica.OverloadOn() {
 		return fmt.Errorf("autoscale: Replica admission/brownout/client-retry must be unset — overload control and autoscaling both steer capacity, compose them through fleet.Run")
 	}
 	if cfg.MinReplicas < 1 {
@@ -527,37 +430,14 @@ func (c *controller) prescan(cfg Config, tc serve.TraceConfig) (lastArrival floa
 // bookkeeping (admission, energy, completions) happens at round *start*,
 // with busyUntil marking when the results become visible.
 func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float64) (Report, error) {
-	mdl := cfg.Replica.Model
-	if err := mdl.Validate(); err != nil {
-		return Report{}, err
-	}
-	stepFn := cfg.Replica.Simulate
-	if stepFn == nil {
-		stepFn = runner.Simulate
-	}
-	maxBatch := cfg.Replica.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = serve.DefaultMaxBatch
-	}
-	kvBudget := cfg.Replica.KVBudgetBytes
-	if kvBudget == 0 {
-		kvBudget = serve.DefaultKVBudgetBytes
-	}
-	bucket := cfg.Replica
-	if bucket.CtxBucket == 0 {
-		bucket.CtxBucket = serve.DefaultCtxBucket
-	}
-
 	// Per-ladder-point simulation params and idle static power. A busy or
 	// idle replica at point i leaks idleLeak[i]; a booting replica leaks
 	// at the nominal point (index 0) — it is powering up the full rail.
 	nodes := cfg.Replica.Mesh.SpeedupFactor()
+	params := cfg.Replica.Params()
 	for _, p := range cfg.Ladder {
-		c.params = append(c.params, sim.Params{
-			Design: cfg.Replica.Design, Mesh: cfg.Replica.Mesh,
-			Bandwidth: cfg.Replica.Bandwidth, NoCBandwidth: cfg.Replica.NoCBandwidth,
-			DVFS: p,
-		})
+		params.DVFS = p
+		c.params = append(c.params, params)
 		cost := arch.Cost45nm.AtDVFS(p)
 		c.idleLeak = append(c.idleLeak,
 			cfg.Replica.Design.LeakageWatts(cost)*nodes+cfg.Replica.Mesh.LeakageWatts(cost))
@@ -590,7 +470,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	total := src.Len()
 
 	rep := Report{
-		Model: mdl.Name, Design: cfg.Replica.Design.Name, Mesh: cfg.Replica.Mesh.String(),
+		Model: cfg.Replica.Model.Name, Design: cfg.Replica.Design.Name, Mesh: cfg.Replica.Mesh.String(),
 		Trace: src.Info(), Policy: cfg.Policy.Name(),
 		Requests: total, MinReplicas: cfg.MinReplicas, MaxReplicas: cfg.MaxReplicas,
 		PerReplicaRate: perReplicaRate,
@@ -599,27 +479,20 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	wins.Reserve(lastArrival)
 	rep.Windows = wins
 
-	perToken := serve.KVBytesPerToken(mdl)
-	need := func(r serve.Request) int64 { return perToken * int64(r.Prompt+r.Output) }
-	validate := func(r serve.Request) error {
-		if r.Prompt < 1 || r.Output < 1 {
-			return fmt.Errorf("autoscale: request %d has empty prompt or output", r.ID)
-		}
-		if mdl.MaxSeq > 0 && r.Prompt+r.Output-1 > mdl.MaxSeq {
-			return fmt.Errorf("autoscale: request %d spans %d tokens, model %q holds %d", r.ID, r.Prompt+r.Output, mdl.Name, mdl.MaxSeq)
-		}
-		if need(r) > kvBudget {
-			return fmt.Errorf("autoscale: request %d needs %d KV bytes, budget %d", r.ID, need(r), kvBudget)
-		}
-		return nil
+	// One serving engine, one batch per owned replica behind its shared
+	// queue; completions feed the windowed SLO accounting.
+	ecfg := cfg.Replica
+	ecfg.Observe = wins.Observe
+	eng, err := serve.NewEngine(ecfg, cfg.MaxReplicas)
+	if err != nil {
+		return Report{}, err
 	}
+	defer eng.Release()
 
 	var (
 		now        float64
-		batchSum   int
 		busyTick   float64 // busy replica-seconds attributed to the current tick
 		arrivals   int     // arrivals in the current tick
-		dynEnergy  float64
 		leakEnergy float64
 	)
 
@@ -654,77 +527,22 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		}
 	}
 
-	complete := func(rp *replica, st *reqState, doneAt float64) {
-		rp.kvInUse -= need(st.req)
-		c.lat.Add(doneAt - st.req.Arrival)
-		c.ttft.Add(st.firstAt - st.req.Arrival)
-		wins.Observe(st.req, st.firstAt, doneAt)
-		rep.Completed++
-	}
-
-	// startRound runs one scheduler round on rp beginning at t: admit
-	// (Active only) with one prefill pass per admission, then one padded
-	// decode step. All costs and completions are computed here; the
-	// round's wall span [t, end] is what the replica is busy for.
-	startRound := func(rp *replica, t float64) {
-		start := t
-		pt := rp.point
-		if rp.state == Active {
-			for c.qlen() > 0 && len(rp.active) < maxBatch {
-				st := &c.states[c.qpeek()]
-				if rp.kvInUse+need(st.req) > kvBudget {
-					break
-				}
-				idx := c.qpop()
-				rp.kvInUse += need(st.req)
-				res := stepFn(c.params[pt], c.workload(mdl, false, 1, bucket.BucketCtx(st.req.Prompt)))
-				t += res.Seconds * rp.slow
-				dynEnergy += res.DynamicEnergy
-				rep.PrefillSteps++
-				st.firstAt = t
-				st.generated = 1
-				if st.generated == st.req.Output {
-					complete(rp, st, t)
-					c.release(idx)
-				} else {
-					rp.active = append(rp.active, idx)
-				}
-			}
+	// startRound runs one engine round on rp beginning at t — admissions
+	// only while Active, never while Draining — at rp's operating point
+	// and straggler factor. All costs and completions are computed here;
+	// the round's wall span [t, end] is what the replica is busy for.
+	startRound := func(rp *replica, t float64) error {
+		end, err := eng.Round(rp.batch, t, &c.params[rp.point], rp.slow, rp.state == Active)
+		if err != nil {
+			return err
 		}
-		if len(rp.active) > 0 {
-			maxCtx := 0
-			for _, idx := range rp.active {
-				st := &c.states[idx]
-				if ctx := st.req.Prompt + st.generated; ctx > maxCtx {
-					maxCtx = ctx
-				}
-			}
-			res := stepFn(c.params[pt], c.workload(mdl, true, len(rp.active), bucket.BucketCtx(maxCtx)))
-			t += res.Seconds * rp.slow
-			dynEnergy += res.DynamicEnergy
-			rep.DecodeSteps++
-			batchSum += len(rp.active)
-			remaining := rp.active[:0]
-			for _, idx := range rp.active {
-				st := &c.states[idx]
-				st.generated++
-				if st.generated >= st.req.Output {
-					complete(rp, st, t)
-					c.release(idx)
-				} else {
-					remaining = append(remaining, idx)
-				}
-			}
-			rp.active = remaining
+		if end > t {
+			rp.busyUntil, rp.accrued = end, end
+			busyTick += end - t
+			rep.ActiveSeconds += end - t
+			leakEnergy += c.idleLeak[rp.point] * (end - t)
 		}
-		if t > start {
-			rp.busy = true
-			rp.busyUntil = t
-			busyTick += t - start
-			rep.ActiveSeconds += t - start
-			leakEnergy += c.idleLeak[pt] * (t - start)
-			rp.accrued = t
-		}
+		return nil
 	}
 
 	// Initial fleet: MinReplicas idle and warm at t=0 (a deployment
@@ -732,6 +550,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// straggler factor (1 when healthy — ×1.0 is bit-exact, so the
 	// fault-free path reproduces the pre-faults bytes).
 	for i := range c.reps {
+		c.reps[i].batch = eng.Batch(i)
 		c.reps[i].slow = 1
 		if faulty {
 			if s := scheds[i].Slowdown(); s > 1 {
@@ -747,7 +566,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 
 	pending, havePending := src.Next()
 	if havePending {
-		if err := validate(pending); err != nil {
+		if err := eng.Validate(pending); err != nil {
 			return Report{}, err
 		}
 	}
@@ -766,12 +585,12 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			case Off, Failed, Repairing:
 				// Unpowered (or dead): counts toward no pool.
 			}
-			inflight += len(c.reps[i].active)
+			inflight += c.reps[i].batch.Len()
 		}
 		return
 	}
 
-	for rep.Completed+rep.Shed < total {
+	for eng.Completed()+rep.Shed < total {
 		// Next event time: the earliest of pending arrival, any boot
 		// completion, any round end, any repair completion, any due
 		// crash, and the policy tick.
@@ -784,13 +603,13 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			if rp.state == Booting && rp.bootReady < t {
 				t = rp.bootReady
 			}
-			if rp.busy && rp.busyUntil < t {
+			if rp.busyUntil > now && rp.busyUntil < t {
 				t = rp.busyUntil
 			}
 			if rp.state == Repairing && rp.repairAt < t {
 				t = rp.repairAt
 			}
-			if faulty && !rp.busy && rp.haveDown && poweredState(rp.state) && rp.down.Start < t {
+			if faulty && rp.busyUntil <= now && rp.haveDown && poweredState(rp.state) && rp.down.Start < t {
 				// A due crash never sits in the past across events (step
 				// 3½ fires it), but clamp defensively so time cannot
 				// rewind.
@@ -827,24 +646,18 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		// 2. Arrivals.
 		for havePending && pending.Arrival <= now {
 			arrivals++
-			c.qpush(c.alloc(pending))
-			if q := c.qlen(); q > rep.PeakQueue {
+			eng.Enqueue(pending)
+			if q := eng.QueueLen(); q > rep.PeakQueue {
 				rep.PeakQueue = q
 			}
 			pending, havePending = src.Next()
 			if havePending {
-				if err := validate(pending); err != nil {
+				if err := eng.Validate(pending); err != nil {
 					return Report{}, err
 				}
 			}
 		}
-		// 3. Round ends become visible.
-		for i := range c.reps {
-			rp := &c.reps[i]
-			if rp.busy && rp.busyUntil <= now {
-				rp.busy = false
-			}
-		}
+		// 3. Round ends become visible as now reaches busyUntil.
 		// 3½. Crashes: a powered replica whose down window has opened
 		// fails stop — its in-flight batch is orphaned back to the
 		// controller queue (or shed once its re-dispatch budget is
@@ -859,26 +672,14 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 				for rp.haveDown && rp.down.End <= now && !poweredState(rp.state) {
 					rp.down, rp.haveDown = scheds[i].DownAfter(rp.down.End)
 				}
-				if rp.haveDown && rp.down.Start <= now && poweredState(rp.state) && !rp.busy {
+				if rp.haveDown && rp.down.Start <= now && poweredState(rp.state) && rp.busyUntil <= now {
 					accrue(rp, now)
 					rep.Crashes++
-					for _, idx := range rp.active {
-						st := &c.states[idx]
-						if st.req.Retries >= cfg.MaxRedispatch {
-							rep.Shed++
-							c.release(idx)
-							continue
-						}
-						st.req.Retries++
-						rep.Redispatched++
-						st.generated = 0
-						st.firstAt = 0
-						c.qpush(idx)
-					}
-					rp.active = rp.active[:0]
-					rp.kvInUse = 0
+					requeued, shed := eng.Requeue(rp.batch, cfg.MaxRedispatch)
+					rep.Redispatched += requeued
+					rep.Shed += shed
 					rp.state = Failed
-					if q := c.qlen(); q > rep.PeakQueue {
+					if q := eng.QueueLen(); q > rep.PeakQueue {
 						rep.PeakQueue = q
 					}
 				}
@@ -907,14 +708,13 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			ready, booting, draining, inflight := countStates()
 			obs := Observation{
 				Now: now, Tick: cfg.Tick,
-				QueueLen: c.qlen(), InFlight: inflight,
+				QueueLen: eng.QueueLen(), InFlight: inflight,
 				Ready: ready, Booting: booting, Draining: draining,
 				Powered:     ready + booting,
 				MinReplicas: cfg.MinReplicas, MaxReplicas: cfg.MaxReplicas,
-				BatchCap: maxBatch, Ladder: cfg.Ladder,
-				ArrivalRate:    float64(arrivals) / cfg.Tick,
-				ReplicaRate:    perReplicaRate,
-				PerReplicaRate: perReplicaRate,
+				BatchCap: cfg.Replica.MaxBatch, Ladder: cfg.Ladder,
+				ArrivalRate: float64(arrivals) / cfg.Tick,
+				ReplicaRate: perReplicaRate,
 			}
 			if ready > 0 {
 				obs.Utilization = busyTick / (float64(ready) * cfg.Tick)
@@ -923,7 +723,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 				obs.NextArrivalRate = float64(c.tickArrivals[n]) / cfg.Tick
 			}
 			dec := cfg.Policy.Decide(obs)
-			c.apply(cfg, dec, now, accrue, &rep)
+			c.apply(cfg, dec, obs.Powered, now, accrue, &rep)
 			busyTick = 0
 			arrivals = 0
 			rep.Ticks++
@@ -933,34 +733,38 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		// 5. Work scan, in replica-index order.
 		for i := range c.reps {
 			rp := &c.reps[i]
-			if rp.busy {
+			if rp.busyUntil > now {
 				continue
 			}
+			var err error
 			switch rp.state {
 			case Draining:
-				if len(rp.active) > 0 {
-					startRound(rp, now)
+				if rp.batch.Len() > 0 {
+					err = startRound(rp, now)
 				} else {
 					accrue(rp, now)
 					rp.state = Off
 				}
 			case Active:
-				if len(rp.active) > 0 || c.qlen() > 0 {
-					startRound(rp, now)
+				if rp.batch.Len() > 0 || eng.QueueLen() > 0 {
+					err = startRound(rp, now)
 				} else {
 					accrue(rp, now)
 					rp.state = Idle
 				}
 			case Idle:
-				if c.qlen() > 0 {
+				if eng.QueueLen() > 0 {
 					accrue(rp, now)
 					rp.state = Active
-					startRound(rp, now)
+					err = startRound(rp, now)
 				}
 			case Off, Booting, Failed, Repairing:
 				// No work to scan: Off has nothing resident, Booting
 				// replicas join the fleet at their bootReady event, and
 				// Failed/Repairing silicon is dead.
+			}
+			if err != nil {
+				return Report{}, err
 			}
 		}
 	}
@@ -969,7 +773,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// replica's final round is already billed through its round end;
 	// extend the horizon to cover it, then bill everyone's tail state.
 	for i := range c.reps {
-		if rp := &c.reps[i]; rp.busy && rp.busyUntil > now {
+		if rp := &c.reps[i]; rp.busyUntil > now {
 			now = rp.busyUntil
 		}
 	}
@@ -977,19 +781,17 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		accrue(&c.reps[i], now)
 	}
 
+	served := eng.Report()
+	rep.Completed = served.Completed
+	rep.TTFT, rep.Latency = served.TTFT, served.Latency
+	rep.PrefillSteps, rep.DecodeSteps, rep.MeanBatch = served.PrefillSteps, served.DecodeSteps, served.MeanBatch
 	rep.Horizon = now
-	rep.TTFT = c.ttft.Percentiles()
-	rep.Latency = c.lat.Percentiles()
 	rep.ViolationMinutes = wins.ViolationMinutes()
-	if rep.DecodeSteps > 0 {
-		rep.MeanBatch = float64(batchSum) / float64(rep.DecodeSteps)
-	}
 	if rep.Horizon > 0 {
 		rep.MeanActiveReplicas = rep.ActiveSeconds / rep.Horizon
 	}
-	rep.DynamicEnergy = dynEnergy
-	rep.LeakageEnergy = leakEnergy
-	rep.TotalEnergy = dynEnergy + leakEnergy
+	rep.DynamicEnergy, rep.LeakageEnergy = served.DynamicEnergy, leakEnergy
+	rep.TotalEnergy = served.DynamicEnergy + leakEnergy
 	rep.FaultsOn = faulty
 	if faulty {
 		if rep.Requests > 0 {
@@ -1006,23 +808,18 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	return rep, nil
 }
 
-// apply executes one policy decision: un-drain, boot, drain or power
-// off replicas toward the target, and move every powered replica to the
-// chosen operating point. Selection order is deterministic: scale-up
-// revives draining replicas (lowest index first — they are warm), then
-// boots off replicas; scale-down cancels boots first, then drains idle
-// replicas, then active ones, highest index first.
+// apply executes one policy decision over the powered (Booting, Idle or
+// Active) replicas: un-drain, boot, drain or power off replicas toward
+// the target, and move every powered replica to the chosen operating
+// point. Selection order is deterministic: scale-up revives draining
+// replicas (lowest index first — they are warm), then boots off
+// replicas; scale-down cancels boots first (nothing in flight), then
+// drains idle replicas, then active ones, highest index first.
 //
 //mugi:noalloc
-func (c *controller) apply(cfg Config, dec Decision, now float64,
+func (c *controller) apply(cfg Config, dec Decision, powered int, now float64,
 	accrue func(*replica, float64), rep *Report) {
-	target := dec.Replicas
-	if target < cfg.MinReplicas {
-		target = cfg.MinReplicas
-	}
-	if target > cfg.MaxReplicas {
-		target = cfg.MaxReplicas
-	}
+	target := min(max(dec.Replicas, cfg.MinReplicas), cfg.MaxReplicas)
 	point := 0
 	for i, p := range cfg.Ladder {
 		if p == dec.Point {
@@ -1031,102 +828,46 @@ func (c *controller) apply(cfg Config, dec Decision, now float64,
 		}
 	}
 
-	powered := 0
-	for i := range c.reps {
-		switch c.reps[i].state {
-		case Booting, Idle, Active:
-			powered++
-		case Off, Draining, Failed, Repairing:
-			// Off was never powered; Draining is already being charged
-			// down; Failed/Repairing silicon is dead until repair returns
-			// it to Off. None count toward the policy's target.
+	for ; powered < target; powered++ {
+		i := c.find(Draining, false)
+		if i < 0 {
+			i = c.find(Off, false)
 		}
+		if i < 0 {
+			break // everything is already powered or dead
+		}
+		rp := &c.reps[i]
+		accrue(rp, now)
+		switch {
+		case rp.state == Draining:
+			rp.state = Active
+		case dec.InstantBoot || cfg.ScaleUpLag == 0:
+			rp.state, rp.point = Idle, point
+		default:
+			rp.state, rp.point = Booting, point
+			rp.bootReady = now + cfg.ScaleUpLag
+		}
+		rep.ScaleUps++
 	}
 
-	for powered < target {
-		// Revive a draining replica first: it is warm and serving its
-		// tail already.
-		revived := false
-		for i := range c.reps {
-			rp := &c.reps[i]
-			if rp.state == Draining {
-				accrue(rp, now)
-				rp.state = Active
-				powered++
-				rep.ScaleUps++
-				revived = true
-				break
-			}
+	for ; powered > target; powered-- {
+		i := c.find(Booting, true)
+		if i < 0 {
+			i = c.find(Idle, true)
 		}
-		if revived {
-			continue
+		if i < 0 {
+			i = c.find(Active, true)
 		}
-		booted := false
-		for i := range c.reps {
-			rp := &c.reps[i]
-			if rp.state == Off {
-				accrue(rp, now)
-				if dec.InstantBoot || cfg.ScaleUpLag == 0 {
-					rp.state = Idle
-				} else {
-					rp.state = Booting
-					rp.bootReady = now + cfg.ScaleUpLag
-				}
-				rp.point = point
-				powered++
-				rep.ScaleUps++
-				booted = true
-				break
-			}
-		}
-		if !booted {
-			break // everything is already powered or draining
-		}
-	}
-
-	for powered > target {
-		victim := -1
-		// Cancel a boot first (nothing in flight), then drain the
-		// highest-index idle replica, then the highest-index active one.
-		for i := len(c.reps) - 1; i >= 0; i-- {
-			if c.reps[i].state == Booting {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			for i := len(c.reps) - 1; i >= 0; i-- {
-				if c.reps[i].state == Idle {
-					victim = i
-					break
-				}
-			}
-		}
-		if victim < 0 {
-			for i := len(c.reps) - 1; i >= 0; i-- {
-				if c.reps[i].state == Active {
-					victim = i
-					break
-				}
-			}
-		}
-		if victim < 0 {
+		if i < 0 {
 			break
 		}
-		rp := &c.reps[victim]
+		rp := &c.reps[i]
 		accrue(rp, now)
-		switch rp.state {
-		case Booting, Idle:
-			// Nothing in flight: straight to off. (An idle replica by
-			// definition has an empty batch.)
-			rp.state = Off
-		case Active:
+		if rp.state == Active {
 			rp.state = Draining
-		default:
-			// The victim scans above only select Booting, Idle or Active.
-			panic("autoscale: scale-down victim in state " + rp.state.String())
+		} else {
+			rp.state = Off // a booting or idle replica holds no batch
 		}
-		powered--
 		rep.ScaleDowns++
 	}
 
@@ -1149,6 +890,21 @@ func (c *controller) apply(cfg Config, dec Decision, now float64,
 			// silicon has no clock to shift.
 		}
 	}
+}
+
+// find returns the lowest index of a replica in state s (the highest
+// with last set), or -1 when none is.
+func (c *controller) find(s PowerState, last bool) int {
+	for j := range c.reps {
+		i := j
+		if last {
+			i = len(c.reps) - 1 - j
+		}
+		if c.reps[i].state == s {
+			return i
+		}
+	}
+	return -1
 }
 
 // poweredState reports whether a state has its rail up — the states an

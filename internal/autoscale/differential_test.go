@@ -1,9 +1,13 @@
 package autoscale
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"mugi/internal/model"
 	"mugi/internal/serve"
+	"mugi/internal/sim"
 )
 
 // TestSingleReplicaMatchesServe is the differential check between the
@@ -56,4 +60,63 @@ func TestSingleReplicaMatchesServe(t *testing.T) {
 			t.Errorf("%s: peak queue %d, serve %d", tc.Kind, got.PeakQueue, want.PeakQueue)
 		}
 	}
+}
+
+// TestRejectsBadStepCosts: a step function that returns a negative or
+// non-finite latency or energy must fail the run with an error naming
+// the step shape — through serve.RunStream and through the controller
+// alike — instead of yielding NaN or negative report numbers.
+func TestRejectsBadStepCosts(t *testing.T) {
+	tc := serve.TraceConfig{Kind: serve.Poisson, Rate: 0.3, Requests: 60, Seed: 3}
+	bad := []struct {
+		name string
+		mut  func(*sim.Result)
+	}{
+		{"NaN seconds", func(r *sim.Result) { r.Seconds = math.NaN() }},
+		{"negative seconds", func(r *sim.Result) { r.Seconds = -1 }},
+		{"infinite seconds", func(r *sim.Result) { r.Seconds = math.Inf(1) }},
+		{"NaN energy", func(r *sim.Result) { r.DynamicEnergy = math.NaN() }},
+		{"negative energy", func(r *sim.Result) { r.DynamicEnergy = -1 }},
+		{"infinite energy", func(r *sim.Result) { r.DynamicEnergy = math.Inf(1) }},
+	}
+	for _, tt := range bad {
+		cfg := baseCfg()
+		cfg.Replica.Simulate = func(p sim.Params, w model.Workload) sim.Result {
+			res := sim.Simulate(p, w)
+			tt.mut(&res)
+			return res
+		}
+		src, err := serve.NewStream(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := serve.RunStream(cfg.Replica, src); err == nil || !strings.Contains(err.Error(), "step (batch 1, context") {
+			t.Errorf("%s: serve.RunStream error %v, want one naming the step shape", tt.name, err)
+		}
+		if _, err := Run(cfg, tc); err == nil || !strings.Contains(err.Error(), "step (batch 1, context") {
+			t.Errorf("%s: Run error %v, want one naming the step shape", tt.name, err)
+		}
+		// A cost that turns bad only off the nominal point passes the
+		// calibration search and must fail the controller's own rounds
+		// once the policy slows the fleet down.
+		cfg.Replica.Simulate = func(p sim.Params, w model.Workload) sim.Result {
+			res := sim.Simulate(p, w)
+			if !p.DVFS.IsNominal() {
+				tt.mut(&res)
+			}
+			return res
+		}
+		cfg.Policy = slowestPolicy{}
+		if _, err := Run(cfg, tc); err == nil || !strings.Contains(err.Error(), "step (batch") {
+			t.Errorf("%s off nominal: Run error %v, want one naming the step shape", tt.name, err)
+		}
+	}
+}
+
+// slowestPolicy holds one replica at the ladder's slowest point.
+type slowestPolicy struct{}
+
+func (slowestPolicy) Name() string { return "slowest" }
+func (slowestPolicy) Decide(o Observation) Decision {
+	return Decision{Replicas: 1, Point: o.Ladder[len(o.Ladder)-1]}
 }

@@ -33,9 +33,9 @@ type Observation struct {
 	// NextArrivalRate is the *coming* tick's rate from the trace prescan
 	// — foreknowledge only Oracle is entitled to use.
 	ArrivalRate, NextArrivalRate float64
-	// ReplicaRate (alias PerReplicaRate) is the calibrated full-speed
-	// single-replica capacity in req/s.
-	ReplicaRate, PerReplicaRate float64
+	// ReplicaRate is the calibrated full-speed single-replica capacity
+	// in req/s.
+	ReplicaRate float64
 	// Ladder is the configured DVFS ladder, fastest first.
 	Ladder []arch.DVFSPoint
 }

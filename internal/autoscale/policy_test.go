@@ -10,8 +10,8 @@ func obs() Observation {
 	return Observation{
 		Tick: 60, Powered: 2, Ready: 2,
 		MinReplicas: 1, MaxReplicas: 8, BatchCap: 32,
-		ReplicaRate: 1, PerReplicaRate: 1,
-		Ladder: arch.DVFSLadder(),
+		ReplicaRate: 1,
+		Ladder:      arch.DVFSLadder(),
 	}
 }
 

@@ -443,25 +443,13 @@ func Run(cfg Config, src serve.Stream) (Report, error) {
 	fl.Requests = originals
 	fl.Shed += shedFailover
 	fl.Redispatched += redispatched
-	if lastArrival > 0 {
-		fl.OfferedRate = float64(fl.Requests) / lastArrival
-	}
-	fl.Makespan = end - firstArrival
-	if fl.Makespan > 0 {
-		fl.SustainedRate = float64(fl.Completed) / fl.Makespan
-		fl.TokensPerSecond = float64(fl.OutputTokens) / fl.Makespan
-	}
 	if fl.DecodeSteps > 0 {
 		fl.MeanBatch = batchSum / float64(fl.DecodeSteps)
 	}
 	fl.TTFT = ttft.Percentiles()
 	fl.TPOT = tpot.Percentiles()
 	fl.Latency = lat.Percentiles()
-	fl.TotalEnergy = fl.DynamicEnergy + leakEnergy
-	if fl.Completed > 0 {
-		fl.JoulesPerRequest = fl.TotalEnergy / float64(fl.Completed)
-	}
-	overloadOn := cfg.Replica.Admission != nil || cfg.Replica.Brownout != nil || cfg.Replica.ClientRetry.Enabled()
+	overloadOn := cfg.Replica.OverloadOn()
 	fl.OverloadOn = overloadOn
 	fl.TenantsOn = info.Tenants != "" || overloadOn
 	if fl.TenantsOn {
@@ -475,15 +463,10 @@ func Run(cfg Config, src serve.Stream) (Report, error) {
 		}
 	}
 	fl.FaultsOn = faulty || cfg.Replica.MaxQueue > 0 || overloadOn
-	if fl.FaultsOn {
-		if fl.Slowdown == 0 {
-			fl.Slowdown = 1
-		}
-		if fl.Requests > 0 {
-			fl.Availability = float64(fl.Completed) / float64(fl.Requests)
-		}
-		fl.Nines = faults.Nines(fl.Availability)
+	if fl.FaultsOn && fl.Slowdown == 0 {
+		fl.Slowdown = 1
 	}
+	fl.Settle(firstArrival, lastArrival, end, leakEnergy)
 	return out, nil
 }
 

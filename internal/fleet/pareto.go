@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"mugi/internal/arch"
@@ -28,17 +27,6 @@ type SLO struct {
 	TTFTP99 float64
 	// LatencyP99 caps the p99 request latency, in seconds.
 	LatencyP99 float64
-}
-
-// met reports whether a fleet report holds the SLO.
-func (s SLO) met(rep serve.Report) bool {
-	if s.TTFTP99 > 0 && rep.TTFT.P99 > s.TTFTP99 {
-		return false
-	}
-	if s.LatencyP99 > 0 && rep.Latency.P99 > s.LatencyP99 {
-		return false
-	}
-	return true
 }
 
 // Cell is one (design, mesh, replica-count) point of a fleet sweep.
@@ -136,8 +124,8 @@ type CellResult struct {
 }
 
 // Plan searches every cell's SLO-compliant capacity and prices it,
-// sharding cells across the runner pool. Each cell runs the same
-// geometric-bracket + log-bisection search as serve.FindCapacity, with
+// sharding cells across the runner pool. Each cell runs
+// serve.MaxPassingRate, the search serve.FindCapacity runs, with
 // fleet.Run as the probe and "goodput held AND SLO met" as the pass
 // criterion. Results are collected by cell index, so output order —
 // and every byte of every report — is independent of parallelism.
@@ -153,10 +141,6 @@ func Plan(spec PlanSpec) []CellResult {
 // planCell searches one cell.
 func planCell(spec PlanSpec, cell Cell) CellResult {
 	res := CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas}
-	if spec.MinRate <= 0 || spec.MaxRate < spec.MinRate {
-		res.Err = fmt.Errorf("fleet: capacity bracket [%g, %g] invalid", spec.MinRate, spec.MaxRate)
-		return res
-	}
 	if spec.Goodput <= 0 || spec.Goodput > 1 {
 		res.Err = fmt.Errorf("fleet: goodput %g must be in (0, 1]", spec.Goodput)
 		return res
@@ -181,51 +165,14 @@ func planCell(spec PlanSpec, cell Cell) CellResult {
 		if err != nil {
 			return Report{}, false, err
 		}
-		pass := rep.Fleet.SustainedRate >= spec.Goodput*rep.Fleet.OfferedRate && spec.SLO.met(rep.Fleet)
-		return rep, pass, nil
+		return rep, rep.Fleet.Holds(spec.Goodput, spec.SLO.TTFTP99, spec.SLO.LatencyP99), nil
 	}
 
-	rep, ok, err := probe(spec.MinRate)
-	res.Probes++
+	var err error
+	res.Capacity, res.At, res.Probes, err = serve.MaxPassingRate(spec.MinRate, spec.MaxRate, spec.Iters, probe)
 	if err != nil {
 		res.Err = err
 		return res
-	}
-	if ok {
-		res.Capacity, res.At = spec.MinRate, rep
-		// Geometric doubling until a rate fails (or the bracket tops out).
-		hi := spec.MinRate
-		for ok && hi < spec.MaxRate {
-			hi = math.Min(hi*2, spec.MaxRate)
-			rep, ok, err = probe(hi)
-			res.Probes++
-			if err != nil {
-				res.Err = err
-				return res
-			}
-			if ok {
-				res.Capacity, res.At = hi, rep
-			}
-		}
-		if !ok {
-			// Log-space bisection between last passing and first failing.
-			lo := res.Capacity
-			for i := 0; i < spec.Iters; i++ {
-				mid := math.Sqrt(lo * hi)
-				rep, ok, err = probe(mid)
-				res.Probes++
-				if err != nil {
-					res.Err = err
-					return res
-				}
-				if ok {
-					lo = mid
-					res.Capacity, res.At = mid, rep
-				} else {
-					hi = mid
-				}
-			}
-		}
 	}
 	if res.Capacity == 0 {
 		return res

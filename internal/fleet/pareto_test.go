@@ -82,7 +82,7 @@ func TestPlanHonorsSLO(t *testing.T) {
 	if bound.Capacity == unconstrained.Capacity {
 		t.Errorf("quartered TTFT SLO did not bind (capacity %v)", bound.Capacity)
 	}
-	if bound.Capacity > 0 && !base.SLO.met(bound.At.Fleet) {
+	if bound.Capacity > 0 && !bound.At.Fleet.Holds(0, base.SLO.TTFTP99, base.SLO.LatencyP99) {
 		t.Error("reported operating point violates the (empty) base SLO")
 	}
 }

@@ -69,16 +69,18 @@ func Policies() []Policy { return []Policy{RoundRobin, JSQ, Affinity} }
 
 // estimator prices a request's service demand for the JSQ virtual clock.
 // Costs come from the replica's own StepFunc at batch 1 on the quantized
-// step-shape grid, memoized locally per shape, so routing a long trace
-// prices O(MaxSeq/CtxBucket) shapes, not O(requests). Batch-1 pricing
+// step-shape grid — operator lists from the scheduler's shared workload
+// memo, step seconds memoized locally per shape — so routing a long
+// trace prices O(MaxSeq/CtxBucket) shapes, not O(requests). Batch-1 pricing
 // overestimates batched decode throughput, but every replica is
 // overestimated identically, which is all a load comparison needs.
 type estimator struct {
-	cfg       serve.Config
-	params    sim.Params
-	step      serve.StepFunc
-	prefill   map[int]float64 // bucketed prompt -> prefill seconds
-	decodeSec map[int]float64 // bucketed total ctx -> one decode-step seconds
+	cfg    serve.Config
+	params sim.Params
+	step   serve.StepFunc
+	// seconds maps a bucketed context to one batch-1 pass's seconds:
+	// [0] prefills over that prompt, [1] decode steps at that context.
+	seconds [2]map[int]float64
 }
 
 func newEstimator(cfg serve.Config) *estimator {
@@ -89,34 +91,26 @@ func newEstimator(cfg serve.Config) *estimator {
 	if step == nil {
 		step = runner.Simulate
 	}
-	return &estimator{
-		cfg: cfg,
-		params: sim.Params{
-			Design: cfg.Design, Mesh: cfg.Mesh,
-			Bandwidth: cfg.Bandwidth, NoCBandwidth: cfg.NoCBandwidth,
-			DVFS: cfg.DVFS,
-		},
-		step:      step,
-		prefill:   map[int]float64{},
-		decodeSec: map[int]float64{},
+	return &estimator{cfg: cfg, params: cfg.Params(), step: step, seconds: [2]map[int]float64{{}, {}}}
+}
+
+// pass prices one batch-1 pass.
+func (e *estimator) pass(decode bool, ctx int) float64 {
+	memo, ctx := e.seconds[0], e.cfg.BucketCtx(ctx)
+	if decode {
+		memo = e.seconds[1]
 	}
+	s, ok := memo[ctx]
+	if !ok {
+		s = e.step(e.params, serve.StepWorkload(e.cfg.Model, decode, 1, ctx)).Seconds
+		memo[ctx] = s
+	}
+	return s
 }
 
 // demand estimates one request's service seconds on an idle replica.
 func (e *estimator) demand(r serve.Request) float64 {
-	p := e.cfg.BucketCtx(r.Prompt)
-	pre, ok := e.prefill[p]
-	if !ok {
-		pre = e.step(e.params, e.cfg.Model.PrefillOps(1, p)).Seconds
-		e.prefill[p] = pre
-	}
-	c := e.cfg.BucketCtx(r.Prompt + r.Output)
-	dec, ok := e.decodeSec[c]
-	if !ok {
-		dec = e.step(e.params, e.cfg.Model.DecodeOps(1, c)).Seconds
-		e.decodeSec[c] = dec
-	}
-	return pre + float64(r.Output-1)*dec
+	return e.pass(false, r.Prompt) + float64(r.Output-1)*e.pass(true, r.Prompt+r.Output)
 }
 
 // sessionMix spreads session ids across replicas with a splitmix-style

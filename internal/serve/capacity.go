@@ -104,9 +104,6 @@ type CapacityResult struct {
 func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
 	cfg = cfg.withDefaults()
 	spec = spec.withDefaults()
-	if spec.MinRate <= 0 || spec.MaxRate < spec.MinRate {
-		return CapacityResult{}, fmt.Errorf("serve: capacity bracket [%g, %g] invalid", spec.MinRate, spec.MaxRate)
-	}
 	if spec.Goodput <= 0 || spec.Goodput > 1 {
 		return CapacityResult{}, fmt.Errorf("serve: goodput %g must be in (0, 1]", spec.Goodput)
 	}
@@ -122,62 +119,69 @@ func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
 		if err != nil {
 			return Report{}, false, err
 		}
-		pass := rep.SustainedRate >= spec.Goodput*rep.OfferedRate
-		if spec.TTFTP99 > 0 && rep.TTFT.P99 > spec.TTFTP99 {
-			pass = false
-		}
-		if spec.LatencyP99 > 0 && rep.Latency.P99 > spec.LatencyP99 {
-			pass = false
-		}
-		return rep, pass, nil
+		return rep, rep.Holds(spec.Goodput, spec.TTFTP99, spec.LatencyP99), nil
 	}
 
-	rep, ok, err := probe(spec.MinRate)
-	res.Probes++
-	if err != nil {
-		return res, err
+	var err error
+	res.Capacity, res.AtCapacity, res.Probes, err = MaxPassingRate(spec.MinRate, spec.MaxRate, spec.Iters, probe)
+	return res, err
+}
+
+// MaxPassingRate is the capacity search loop, generic over the probe's
+// report type so the single-replica search and the fleet planner share
+// it. Geometric doubling from minRate brackets the capacity between a
+// passing and a failing rate (or saturates at maxRate), then iters
+// log-space bisections narrow it. It returns the highest passing rate (0
+// when minRate already fails), that probe's report and the number of
+// probes spent; an invalid bracket, or a probe error, stops the search
+// with the results so far.
+func MaxPassingRate[R any](minRate, maxRate float64, iters int, probe func(rate float64) (R, bool, error)) (capacity float64, at R, probes int, err error) {
+	if minRate <= 0 || maxRate < minRate {
+		return 0, at, 0, fmt.Errorf("serve: capacity bracket [%g, %g] invalid", minRate, maxRate)
 	}
-	if !ok {
-		// Even the lower bracket overloads the cell.
-		return res, nil
+	rep, ok, err := probe(minRate)
+	probes++
+	if err != nil || !ok {
+		// An error, or even the lower bracket overloads the cell.
+		return 0, at, probes, err
 	}
-	res.Capacity, res.AtCapacity = spec.MinRate, rep
+	capacity, at = minRate, rep
 
 	// Geometric doubling until a rate fails (or the bracket tops out).
-	hi := spec.MinRate
-	for ok && hi < spec.MaxRate {
-		hi = math.Min(hi*2, spec.MaxRate)
+	hi := minRate
+	for ok && hi < maxRate {
+		hi = math.Min(hi*2, maxRate)
 		rep, ok, err = probe(hi)
-		res.Probes++
+		probes++
 		if err != nil {
-			return res, err
+			return capacity, at, probes, err
 		}
 		if ok {
-			res.Capacity, res.AtCapacity = hi, rep
+			capacity, at = hi, rep
 		}
 	}
 	if ok {
-		// Sustained at MaxRate itself; the search saturates there.
-		return res, nil
+		// Sustained at maxRate itself; the search saturates there.
+		return capacity, at, probes, nil
 	}
 
 	// Log-space bisection between the last passing and first failing rate.
-	lo := res.Capacity
-	for i := 0; i < spec.Iters; i++ {
+	lo := capacity
+	for i := 0; i < iters; i++ {
 		mid := math.Sqrt(lo * hi)
 		rep, ok, err = probe(mid)
-		res.Probes++
+		probes++
 		if err != nil {
-			return res, err
+			return capacity, at, probes, err
 		}
 		if ok {
 			lo = mid
-			res.Capacity, res.AtCapacity = mid, rep
+			capacity, at = mid, rep
 		} else {
 			hi = mid
 		}
 	}
-	return res, nil
+	return capacity, at, probes, nil
 }
 
 // CapacityCell is one (design, mesh) point of a sharded capacity search.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"mugi/internal/arch"
 	"mugi/internal/faults"
@@ -179,19 +178,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// OverloadOn reports whether the admission controller, the brownout
+// ladder or client retries are armed.
+func (c Config) OverloadOn() bool {
+	return c.Admission != nil || c.Brownout != nil || c.ClientRetry.Enabled()
+}
+
+// Params is the simulator input of one step on this configuration.
+func (c Config) Params() sim.Params {
+	return sim.Params{Design: c.Design, Mesh: c.Mesh, Bandwidth: c.Bandwidth, NoCBandwidth: c.NoCBandwidth, DVFS: c.DVFS}
+}
+
 // BucketCtx rounds a token count up to the CtxBucket boundary, clamped to
 // the model's context window (the validation invariant guarantees no
 // request exceeds it). A zero CtxBucket (an un-defaulted Config) leaves n
 // unrounded; callers outside the scheduler (internal/fleet's demand
 // estimator) should default CtxBucket first so their step shapes land on
 // the same quantized grid the scheduler prices.
-func (c Config) BucketCtx(n int) int {
-	b := c.CtxBucket
+func (c Config) BucketCtx(n int) int { return bucketCtx(n, c.CtxBucket, c.Model.MaxSeq) }
+
+// bucketCtx rounds n up to a multiple of b (b ≤ 1: unrounded), clamped
+// to maxSeq when the model sets one.
+func bucketCtx(n, b, maxSeq int) int {
 	if b > 1 {
 		n = (n + b - 1) / b * b
 	}
-	if c.Model.MaxSeq > 0 && n > c.Model.MaxSeq {
-		n = c.Model.MaxSeq
+	if maxSeq > 0 && n > maxSeq {
+		n = maxSeq
 	}
 	return n
 }
@@ -319,6 +332,42 @@ type Report struct {
 	Classes [overload.NumClasses]ClassStats
 }
 
+// Settle derives the report's rates, energy totals and availability from
+// its counters and the run's envelope: arrivals from firstArrival to
+// lastArrival, the last completion at end, and leakEnergy joules of
+// static power. Hand-off orphans leave the availability denominator:
+// their fate is decided by the fleet router, which settles the merged
+// fleet report the same way.
+func (r *Report) Settle(firstArrival, lastArrival, end, leakEnergy float64) {
+	if lastArrival > 0 {
+		r.OfferedRate = float64(r.Requests) / lastArrival
+	}
+	r.Makespan = end - firstArrival
+	if r.Makespan > 0 {
+		r.SustainedRate = float64(r.Completed) / r.Makespan
+		r.TokensPerSecond = float64(r.OutputTokens) / r.Makespan
+	}
+	r.TotalEnergy = r.DynamicEnergy + leakEnergy
+	if r.Completed > 0 {
+		r.JoulesPerRequest = r.TotalEnergy / float64(r.Completed)
+	}
+	if r.FaultsOn {
+		if n := r.Requests - r.Orphaned; n > 0 {
+			r.Availability = float64(r.Completed) / float64(n)
+		}
+		r.Nines = faults.Nines(r.Availability)
+	}
+}
+
+// Holds reports whether a probe run kept up — sustained at least goodput
+// of its offered rate — and held each positive p99 bound (seconds): the
+// pass criterion of every capacity search.
+func (r Report) Holds(goodput, ttftP99, latencyP99 float64) bool {
+	return r.SustainedRate >= goodput*r.OfferedRate &&
+		!(ttftP99 > 0 && r.TTFT.P99 > ttftP99) &&
+		!(latencyP99 > 0 && r.Latency.P99 > latencyP99)
+}
+
 // ClassStats is one priority class's slice of a report.
 type ClassStats struct {
 	// Requests counts the class's arrivals; the invariant
@@ -394,184 +443,6 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// reqState tracks one admitted request in the scheduler's pooled arena.
-type reqState struct {
-	req         Request
-	generated   int     // output tokens produced so far
-	firstAt     float64 // completion time of the prefill (first token)
-	deferred    bool    // already counted as a KV-budget deferral
-	clientTries int     // client retry attempts already spent (overload)
-}
-
-// stepShape keys the scheduler's workload memo: with CtxBucket
-// quantization the set of distinct shapes is small and reused across
-// steps, runs, and pooled scheduler generations, so the hot loop never
-// rebuilds an operator list.
-type stepShape struct {
-	model  model.Config
-	decode bool
-	batch  int
-	ctx    int
-}
-
-// scheduler is the reusable run state: request arenas, index-based
-// active/queue lists, latency histograms, and the workload memo. Runs
-// borrow one from schedPool, so a warmed steady-state step allocates
-// nothing.
-type scheduler struct {
-	states []reqState // arena; active/queue hold indices into it
-	free   []int32    // freed arena slots for reuse
-	queue  []int32    // FIFO of queued (arrived, unadmitted) requests
-	qhead  int        // queue's consumed prefix
-	active []int32    // running decode batch
-
-	ttft, tpot, lat Hist
-	// cttft/clat are the per-class latency populations, maintained (and
-	// reset) only on tenant-accounted runs so untagged runs pay nothing.
-	cttft, clat [overload.NumClasses]Hist
-
-	workloads map[stepShape]model.Workload
-}
-
-var schedPool = sync.Pool{
-	New: func() any {
-		return &scheduler{workloads: make(map[stepShape]model.Workload)}
-	},
-}
-
-// getScheduler borrows a reset scheduler; the workload memo survives
-// resets deliberately (shapes are config-keyed and reusable forever).
-func getScheduler() *scheduler {
-	sc := schedPool.Get().(*scheduler)
-	sc.states = sc.states[:0]
-	sc.free = sc.free[:0]
-	sc.queue = sc.queue[:0]
-	sc.qhead = 0
-	sc.active = sc.active[:0]
-	sc.ttft.Reset()
-	sc.tpot.Reset()
-	sc.lat.Reset()
-	return sc
-}
-
-// alloc places a request in the arena and returns its index (amortized
-// arena growth via append is not a heap escape; steady state reuses the
-// freelist).
-//
-//mugi:noalloc
-func (sc *scheduler) alloc(r Request) int32 {
-	if n := len(sc.free); n > 0 {
-		idx := sc.free[n-1]
-		sc.free = sc.free[:n-1]
-		sc.states[idx] = reqState{req: r}
-		return idx
-	}
-	sc.states = append(sc.states, reqState{req: r})
-	return int32(len(sc.states) - 1)
-}
-
-// release returns an arena slot to the freelist.
-func (sc *scheduler) release(idx int32) { sc.free = append(sc.free, idx) }
-
-// qlen is the current queue depth.
-func (sc *scheduler) qlen() int { return len(sc.queue) - sc.qhead }
-
-// qpush/qpop/qpeek implement the FIFO over the reusable backing slice.
-// The consumed prefix is reclaimed whenever it dominates the slice (not
-// just when the queue drains), so the backing array stays O(backlog) even
-// on sustained-overload streams whose queue never empties — amortized
-// O(1) per operation.
-//
-//mugi:noalloc
-func (sc *scheduler) qpush(idx int32) {
-	if sc.qhead == len(sc.queue) {
-		sc.queue = sc.queue[:0]
-		sc.qhead = 0
-	} else if sc.qhead > 32 && sc.qhead > len(sc.queue)/2 {
-		n := copy(sc.queue, sc.queue[sc.qhead:])
-		sc.queue = sc.queue[:n]
-		sc.qhead = 0
-	}
-	sc.queue = append(sc.queue, idx)
-}
-
-func (sc *scheduler) qpeek() int32 { return sc.queue[sc.qhead] }
-
-// qpushPri inserts idx keeping the queue ordered by class priority,
-// stable within a class (FIFO among equals). Overload mode only:
-// strict-priority dispatch is what makes an evicted slot worth anything
-// to the class that claimed it — eviction frees space, this hands the
-// freed space to the front of the line.
-//
-//mugi:noalloc
-func (sc *scheduler) qpushPri(idx int32) {
-	sc.qpush(idx)
-	p := sc.states[idx].req.Class.Priority()
-	for i := len(sc.queue) - 1; i > sc.qhead; i-- {
-		if sc.states[sc.queue[i-1]].req.Class.Priority() <= p {
-			break
-		}
-		sc.queue[i], sc.queue[i-1] = sc.queue[i-1], sc.queue[i]
-	}
-}
-
-func (sc *scheduler) qpop() int32 {
-	idx := sc.queue[sc.qhead]
-	sc.qhead++
-	return idx
-}
-
-// lowerQueued reports whether some queued request ranks strictly below
-// class c — an eviction victim exists.
-func (sc *scheduler) lowerQueued(c overload.Class) bool {
-	p := c.Priority()
-	for _, idx := range sc.queue[sc.qhead:] {
-		if sc.states[idx].req.Class.Priority() > p {
-			return true
-		}
-	}
-	return false
-}
-
-// evictVictim removes and returns the arena index of the youngest
-// queued request with the lowest priority strictly below class c, or -1
-// when no victim exists. "Youngest lowest-priority first" sacrifices the
-// least-invested, least-important work.
-func (sc *scheduler) evictVictim(c overload.Class) int32 {
-	p := c.Priority()
-	best, bestP := -1, p
-	for i := len(sc.queue) - 1; i >= sc.qhead; i-- {
-		if q := sc.states[sc.queue[i]].req.Class.Priority(); q > bestP {
-			best, bestP = i, q
-		}
-	}
-	if best < 0 {
-		return -1
-	}
-	idx := sc.queue[best]
-	copy(sc.queue[best:], sc.queue[best+1:])
-	sc.queue = sc.queue[:len(sc.queue)-1]
-	return idx
-}
-
-// workload memoizes operator-list construction per quantized step shape.
-//
-//mugi:noalloc
-func (sc *scheduler) workload(m model.Config, decode bool, batch, ctx int) model.Workload {
-	k := stepShape{model: m, decode: decode, batch: batch, ctx: ctx}
-	if w, ok := sc.workloads[k]; ok {
-		return w
-	}
-	var w model.Workload
-	if decode {
-		w = m.DecodeOps(batch, ctx)
-	} else {
-		w = m.PrefillOps(batch, ctx)
-	}
-	sc.workloads[k] = w
-	return w
-}
-
 // Run drives the trace through the continuous-batching scheduler and
 // returns the request-level report. It is RunStream over the
 // materialized trace.
@@ -624,11 +495,6 @@ type Orphan struct {
 	At float64
 }
 
-// RunStreamStats is RunStream returning the full RunStats.
-func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
-	return runStream(cfg, src)
-}
-
 // RunStream drives a request stream through the continuous-batching
 // scheduler and returns the request-level report. Because requests are
 // pulled lazily and metrics accumulate into fixed-size histograms, memory
@@ -644,45 +510,24 @@ func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
 // pulled from the stream; an invalid request aborts the run with a zero
 // Report.
 func RunStream(cfg Config, src Stream) (Report, error) {
-	st, err := runStream(cfg, src)
+	st, err := RunStreamStats(cfg, src)
 	return st.Report, err
 }
 
-// runStream is the scheduler loop shared by RunStream and RunStreamStats.
-func runStream(cfg Config, src Stream) (RunStats, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Model.Validate(); err != nil {
+// RunStreamStats is RunStream returning the full RunStats: one engine
+// batch behind the admission queue, plus the serving-side concerns the
+// engine leaves to its caller — arrival pulls, overload admission and
+// brownout, client retries, and crash disposal.
+func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
+	e, err := NewEngine(cfg, 1)
+	if err != nil {
 		return RunStats{}, err
 	}
+	defer e.Release()
+	cfg = e.cfg
 	total := src.Len()
 	if total == 0 {
 		return RunStats{}, fmt.Errorf("serve: empty trace")
-	}
-	if cfg.MaxBatch < 1 {
-		return RunStats{}, fmt.Errorf("serve: max batch %d must be positive", cfg.MaxBatch)
-	}
-	if cfg.KVBudgetBytes < 1 {
-		return RunStats{}, fmt.Errorf("serve: KV budget %d bytes must be positive", cfg.KVBudgetBytes)
-	}
-	if cfg.CtxBucket < 1 {
-		return RunStats{}, fmt.Errorf("serve: context bucket %d must be positive", cfg.CtxBucket)
-	}
-	if cfg.Bandwidth < 0 || cfg.NoCBandwidth < 0 {
-		return RunStats{}, fmt.Errorf("serve: bandwidth must be non-negative (off-chip %g, NoC %g)", cfg.Bandwidth, cfg.NoCBandwidth)
-	}
-	if cfg.MaxQueue < 0 {
-		return RunStats{}, fmt.Errorf("serve: max queue %d must be non-negative", cfg.MaxQueue)
-	}
-	if cfg.Retry.MaxRedispatch < 0 || cfg.Retry.Delay < 0 {
-		return RunStats{}, fmt.Errorf("serve: retry policy must be non-negative (max redispatch %d, delay %g)", cfg.Retry.MaxRedispatch, cfg.Retry.Delay)
-	}
-	if cfg.Admission != nil {
-		if err := cfg.Admission.Validate(); err != nil {
-			return RunStats{}, err
-		}
-	}
-	if err := cfg.ClientRetry.Validate(); err != nil {
-		return RunStats{}, err
 	}
 	clientRetry := cfg.ClientRetry.WithDefaults()
 	var (
@@ -706,7 +551,7 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 	// overloadOn arms the unified admission path; classed additionally
 	// turns on per-class accounting. Both off is the pre-overload code
 	// path, byte-identical to earlier releases.
-	overloadOn := cfg.Admission != nil || cfg.Brownout != nil || clientRetry.Enabled()
+	overloadOn := cfg.OverloadOn()
 	var adm *overload.Admission
 	if overloadOn {
 		var aspec overload.AdmissionSpec
@@ -715,68 +560,35 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 		}
 		adm = overload.NewAdmission(aspec)
 	}
-	perToken := KVBytesPerToken(cfg.Model)
-	need := func(r Request) int64 { return perToken * int64(r.Prompt+r.Output) }
-	validate := func(r Request) error {
-		if r.Prompt < 1 || r.Output < 1 {
-			return fmt.Errorf("serve: request %d has empty prompt or output", r.ID)
-		}
-		// The deepest decode step attends over prompt+output-1 cached
-		// tokens; a model can't serve a request past its context window.
-		if cfg.Model.MaxSeq > 0 && r.Prompt+r.Output-1 > cfg.Model.MaxSeq {
-			return fmt.Errorf("serve: request %d spans %d tokens, model %q holds %d — use a shorter length profile",
-				r.ID, r.Prompt+r.Output, cfg.Model.Name, cfg.Model.MaxSeq)
-		}
-		if need(r) > cfg.KVBudgetBytes {
-			return fmt.Errorf("serve: request %d needs %d KV bytes, budget %d — it can never be scheduled",
-				r.ID, need(r), cfg.KVBudgetBytes)
-		}
-		return nil
-	}
-	params := sim.Params{
-		Design: cfg.Design, Mesh: cfg.Mesh,
-		Bandwidth: cfg.Bandwidth, NoCBandwidth: cfg.NoCBandwidth,
-		DVFS: cfg.DVFS,
-	}
+	params := cfg.Params()
 
-	rep := Report{
-		Model: cfg.Model.Name, Design: cfg.Design.Name, Mesh: cfg.Mesh.String(),
-		Trace: src.Info(), Requests: total,
-	}
+	rep := &e.rep
+	rep.Model, rep.Design, rep.Mesh = cfg.Model.Name, cfg.Design.Name, cfg.Mesh.String()
+	rep.Trace, rep.Requests = src.Info(), total
 
 	// Fault state: the schedule's nil-safe accessors make the fault-free
 	// path identical to before, and a zero-rate schedule is inert too
 	// (Active is false), so zero-fault injection reproduces the existing
 	// goldens byte for byte.
-	retry := cfg.Retry.withDefaults()
 	faulty := cfg.Faults.Active()
 	slowdown := 1.0
-	var spec faults.Spec
 	if faulty {
-		spec = cfg.Faults.Spec()
+		e.transient, e.spec = true, cfg.Faults.Spec()
 		slowdown = cfg.Faults.Slowdown()
 	}
 	rep.FaultsOn = faulty || cfg.MaxQueue > 0 || overloadOn
 	rep.OverloadOn = overloadOn
 	classed := rep.Trace.Tenants != "" || overloadOn
-	rep.TenantsOn = classed
+	e.classed, rep.TenantsOn = classed, classed
 	rep.Slowdown = slowdown
 	curDown, haveDown := cfg.Faults.DownAfter(0)
 	var orphans []Orphan
-
-	sc := getScheduler()
-	defer schedPool.Put(sc)
-	if classed {
-		for i := range sc.cttft {
-			sc.cttft[i].Reset()
-			sc.clat[i].Reset()
-		}
-	}
+	b := e.Batch(0)
 
 	// One-request lookahead over the stream.
 	pending, havePending := src.Next()
 	if havePending {
-		if err := validate(pending); err != nil {
+		if err := e.Validate(pending); err != nil {
 			return RunStats{}, err
 		}
 	}
@@ -784,32 +596,11 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 		firstArrival = pending.Arrival
 		lastArrival  float64
 		now          float64
-		kvInUse      int64
-		batchSum     int
-		leakage      float64
 		lastObserve  float64
 	)
-	// retryEntry schedules a failed dispatch for re-delivery at readyAt.
-	// Entries are kept in readyAt order by insertion (failures are rare
-	// events; the linear shift is bounded by the pending-retry count).
-	type retryEntry struct {
-		idx     int32
-		readyAt float64
-	}
-	var (
-		retries []retryEntry
-		rhead   int
-	)
-	pushRetry := func(idx int32, readyAt float64) {
-		retries = append(retries, retryEntry{idx: idx, readyAt: readyAt})
-		for i := len(retries) - 1; i > rhead && retries[i].readyAt < retries[i-1].readyAt; i-- {
-			retries[i], retries[i-1] = retries[i-1], retries[i]
-		}
-	}
-	retriesPending := func() bool { return rhead < len(retries) }
 
-	// clientEntry schedules a shed request's client-side re-arrival.
-	// Mirrors retryEntry: kept in readyAt order by insertion.
+	// clientEntry schedules a shed request's client-side re-arrival, kept
+	// in readyAt order by insertion like the engine's retry queue.
 	type clientEntry struct {
 		req      Request
 		attempts int
@@ -825,52 +616,33 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 			clientQ[i], clientQ[i-1] = clientQ[i-1], clientQ[i]
 		}
 	}
-	clientPending := func() bool { return chead < len(clientQ) }
 
-	// addTokens/discard keep the token totals (overall and per class)
-	// counting only work this run actually delivers (or will deliver
-	// after a local retry): hand-offs and sheds return theirs.
-	addTokens := func(r Request) {
-		rep.PromptTokens += int64(r.Prompt)
-		rep.OutputTokens += int64(r.Output)
-		if classed {
-			rep.Classes[r.Class].PromptTokens += int64(r.Prompt)
-			rep.Classes[r.Class].OutputTokens += int64(r.Output)
-		}
-	}
-	discard := func(r Request) {
-		rep.PromptTokens -= int64(r.Prompt)
-		rep.OutputTokens -= int64(r.Output)
-		if classed {
-			rep.Classes[r.Class].PromptTokens -= int64(r.Prompt)
-			rep.Classes[r.Class].OutputTokens -= int64(r.Output)
-		}
-	}
-	// shedFinal disposes one arrival for good; shedArrival first offers
-	// it back to the client when retries are modeled.
-	shedFinal := func(r Request) {
-		rep.Shed++
-		rep.ShedOverload++
-		if classed {
-			rep.Classes[r.Class].Shed++
-		}
-	}
+	// shedArrival disposes one arrival refused by admission, offering it
+	// back to the client first when retries are modeled.
 	shedArrival := func(r Request, t float64, attempts int) {
 		if clientRetry.Enabled() && attempts < clientRetry.MaxAttempts {
 			rep.ClientRetries++
 			pushClient(r, attempts+1, t+clientRetry.Backoff*float64(attempts+1))
 			return
 		}
-		shedFinal(r)
+		rep.ShedOverload++
+		e.shed(r)
+	}
+	// enqueue admits one arrival to the priority queue.
+	enqueue := func(r Request, attempts int) {
+		e.addTokens(r)
+		idx := e.alloc(r)
+		e.states[idx].clientTries = attempts
+		e.qpushPri(idx)
 	}
 	// admitArrival runs the overload admission path for one arrival
 	// event (a fresh pull at its arrival time, or a client re-arrival at
 	// its backoff expiry).
 	admitArrival := func(r Request, t float64, attempts int) {
-		full := cfg.MaxQueue > 0 && sc.qlen() >= cfg.MaxQueue
+		full := cfg.MaxQueue > 0 && e.QueueLen() >= cfg.MaxQueue
 		lower := false
 		if cfg.Admission != nil && full {
-			lower = sc.lowerQueued(r.Class)
+			lower = e.lowerQueued(r.Class)
 		}
 		beCap := 0
 		if bo != nil {
@@ -878,22 +650,19 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 		}
 		switch adm.Decide(t, r.Class, full, lower, beCap > 0) {
 		case overload.Evict:
-			vidx := sc.evictVictim(r.Class)
-			victim := sc.states[vidx].req
-			vtries := sc.states[vidx].clientTries
-			discard(victim)
+			vidx := e.evictVictim(r.Class)
+			victim := e.states[vidx].req
+			vtries := e.states[vidx].clientTries
+			e.discard(victim)
 			rep.Evicted++
 			if classed {
 				rep.Classes[victim.Class].Evicted++
 			}
-			sc.release(vidx)
+			e.release(vidx)
 			shedArrival(victim, t, vtries)
-			fallthrough
+			enqueue(r, attempts)
 		case overload.Admit:
-			addTokens(r)
-			idx := sc.alloc(r)
-			sc.states[idx].clientTries = attempts
-			sc.qpushPri(idx)
+			enqueue(r, attempts)
 		case overload.Degrade:
 			if r.Output > beCap {
 				r.Output = beCap
@@ -902,10 +671,7 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 					rep.Classes[r.Class].Degraded++
 				}
 			}
-			addTokens(r)
-			idx := sc.alloc(r)
-			sc.states[idx].clientTries = attempts
-			sc.qpushPri(idx)
+			enqueue(r, attempts)
 		case overload.Shed:
 			shedArrival(r, t, attempts)
 		default:
@@ -920,21 +686,17 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 		switch {
 		case overloadOn:
 			admitArrival(pending, pending.Arrival, 0)
-		case cfg.MaxQueue > 0 && sc.qlen() >= cfg.MaxQueue:
+		case cfg.MaxQueue > 0 && e.QueueLen() >= cfg.MaxQueue:
 			// Bounded-queue overload: the freshest arrival is shed with
 			// accounting; already-queued work keeps priority by age.
-			rep.Shed++
 			rep.ShedOverload++
-			if classed {
-				rep.Classes[pending.Class].Shed++
-			}
+			e.shed(pending)
 		default:
-			addTokens(pending)
-			sc.qpush(sc.alloc(pending))
+			e.Enqueue(pending)
 		}
 		pending, havePending = src.Next()
 		if havePending {
-			return validate(pending)
+			return e.Validate(pending)
 		}
 		return nil
 	}
@@ -947,88 +709,36 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 		rep.Crashes++
 		rep.DowntimeSeconds += curDown.Duration()
 		orphanAt := math.Max(now, curDown.Start)
-		lose := func(idx int32, fromActive bool) {
-			r := &sc.states[idx]
-			if fromActive {
-				kvInUse -= need(r.req)
+		lose := func(idx int32) {
+			req := e.states[idx].req
+			if !e.retry.HandOff && req.Retries < e.retry.MaxRedispatch {
+				e.redispatch(idx, math.Max(orphanAt, curDown.End)+float64(req.Retries+1)*e.retry.Delay)
+				return
 			}
-			switch {
-			case retry.HandOff:
+			if e.retry.HandOff {
 				rep.Orphaned++
 				if classed {
-					rep.Classes[r.req.Class].Orphaned++
+					rep.Classes[req.Class].Orphaned++
 				}
-				discard(r.req)
-				orphans = append(orphans, Orphan{Req: r.req, At: orphanAt})
-				sc.release(idx)
-			case r.req.Retries >= retry.MaxRedispatch:
-				rep.Shed++
-				if classed {
-					rep.Classes[r.req.Class].Shed++
-				}
-				discard(r.req)
-				sc.release(idx)
-			default:
-				req := r.req
-				req.Retries++
-				rep.Redispatched++
-				sc.states[idx] = reqState{req: req}
-				pushRetry(idx, math.Max(orphanAt, curDown.End)+float64(req.Retries)*retry.Delay)
+				orphans = append(orphans, Orphan{Req: req, At: orphanAt})
+			} else {
+				e.shed(req)
 			}
+			e.discard(req)
+			e.release(idx)
 		}
-		for _, idx := range sc.active {
-			lose(idx, true)
+		for _, idx := range b.active {
+			lose(idx)
 		}
-		sc.active = sc.active[:0]
-		for sc.qlen() > 0 {
-			lose(sc.qpop(), false)
+		b.active = b.active[:0]
+		b.kvInUse = 0
+		for e.QueueLen() > 0 {
+			lose(e.qpop())
 		}
 		if curDown.End > now {
 			now = curDown.End
 		}
 		curDown, haveDown = cfg.Faults.DownAfter(curDown.End)
-	}
-	complete := func(r *reqState) {
-		kvInUse -= need(r.req)
-		sc.lat.Add(now - r.req.Arrival)
-		sc.ttft.Add(r.firstAt - r.req.Arrival)
-		if r.req.Output > 1 {
-			sc.tpot.Add((now - r.firstAt) / float64(r.req.Output-1))
-		}
-		if cfg.Observe != nil {
-			cfg.Observe(r.req, r.firstAt, now)
-		}
-		rep.Completed++
-		if classed {
-			rep.Classes[r.req.Class].Completed++
-			sc.cttft[r.req.Class].Add(r.firstAt - r.req.Arrival)
-			sc.clat[r.req.Class].Add(now - r.req.Arrival)
-		}
-	}
-	// bucket quantizes a step shape like Config.BucketCtx, but through
-	// the brownout ladder's live CtxBucketScale; at scale 1 (no brownout)
-	// the result is bit-identical to BucketCtx.
-	bucketScale := 1
-	bucket := func(n int) int {
-		b := cfg.CtxBucket * bucketScale
-		if b > 1 {
-			n = (n + b - 1) / b * b
-		}
-		if cfg.Model.MaxSeq > 0 && n > cfg.Model.MaxSeq {
-			n = cfg.Model.MaxSeq
-		}
-		return n
-	}
-	step := func(w model.Workload) {
-		res := cfg.Simulate(params, w)
-		// A straggler stretches wall time; multiplying by exactly 1.0 is
-		// bit-exact, so healthy replicas keep their golden outputs.
-		now += res.Seconds * slowdown
-		rep.DynamicEnergy += res.DynamicEnergy
-		leakage = res.LeakageWatts
-		if res.NoCLimited {
-			rep.NoCLimitedSteps++
-		}
 	}
 
 	for rep.Completed+rep.Shed+rep.Orphaned < total {
@@ -1041,20 +751,20 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 				return RunStats{}, err
 			}
 		}
-		for retriesPending() && retries[rhead].readyAt <= now {
+		for e.rhead < len(e.retries) && e.retries[e.rhead].readyAt <= now {
 			// Transient-retry re-entries respect priority order in
 			// overload mode, like any other admission to the queue.
 			if overloadOn {
-				sc.qpushPri(retries[rhead].idx)
+				e.qpushPri(e.retries[e.rhead].idx)
 			} else {
-				sc.qpush(retries[rhead].idx)
+				e.qpush(e.retries[e.rhead].idx)
 			}
-			rhead++
+			e.rhead++
 		}
-		for clientPending() && clientQ[chead].readyAt <= now {
-			e := clientQ[chead]
+		for chead < len(clientQ) && clientQ[chead].readyAt <= now {
+			c := clientQ[chead]
 			chead++
-			admitArrival(e.req, e.readyAt, e.attempts)
+			admitArrival(c.req, c.readyAt, c.attempts)
 		}
 		if bo != nil {
 			// Brownout observes the post-arrival queue each round; the
@@ -1064,33 +774,30 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 				rep.BrownoutSeconds += now - lastObserve
 			}
 			lastObserve = now
-			lvl := bo.Observe(now, sc.qlen())
+			lvl := bo.Observe(now, e.QueueLen())
 			if lvl > rep.BrownoutMaxLevel {
 				rep.BrownoutMaxLevel = lvl
 			}
 			st := boSpec.Step(lvl)
-			bucketScale = st.CtxBucketScale
-			if bucketScale < 1 {
-				bucketScale = 1
-			}
+			e.bucketScale = max(st.CtxBucketScale, 1)
 			if st.DVFS == (arch.DVFSPoint{}) {
 				params.DVFS = cfg.DVFS
 			} else {
 				params.DVFS = st.DVFS
 			}
 		}
-		if q := sc.qlen(); q > rep.PeakQueue {
+		if q := e.QueueLen(); q > rep.PeakQueue {
 			rep.PeakQueue = q
 		}
-		if len(sc.active) == 0 && sc.qlen() == 0 {
+		if b.Len() == 0 && e.QueueLen() == 0 {
 			next := math.Inf(1)
 			if havePending {
 				next = pending.Arrival
 			}
-			if retriesPending() && retries[rhead].readyAt < next {
-				next = retries[rhead].readyAt
+			if e.rhead < len(e.retries) && e.retries[e.rhead].readyAt < next {
+				next = e.retries[e.rhead].readyAt
 			}
-			if clientPending() && clientQ[chead].readyAt < next {
+			if chead < len(clientQ) && clientQ[chead].readyAt < next {
 				next = clientQ[chead].readyAt
 			}
 			if math.IsInf(next, 1) {
@@ -1100,138 +807,34 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 			now = next
 			continue
 		}
-
-		// Admission: prefill queued requests while a slot and budget allow.
-		for sc.qlen() > 0 && len(sc.active) < cfg.MaxBatch {
-			r := &sc.states[sc.qpeek()]
-			if faulty && spec.Transient(r.req.ID, r.req.Retries) {
-				// Injected transient dispatch error: the attempt counter
-				// advances (so the next draw is fresh) and re-delivery
-				// costs the detection delay, or the request is shed once
-				// its budget is spent.
-				idx := sc.qpop()
-				rep.TransientErrors++
-				if r.req.Retries >= retry.MaxRedispatch {
-					rep.Shed++
-					if classed {
-						rep.Classes[r.req.Class].Shed++
-					}
-					discard(r.req)
-					sc.release(idx)
-					continue
-				}
-				req := r.req
-				req.Retries++
-				rep.Redispatched++
-				sc.states[idx] = reqState{req: req}
-				pushRetry(idx, now+retry.Delay)
-				continue
-			}
-			if kvInUse+need(r.req) > cfg.KVBudgetBytes {
-				if !r.deferred {
-					r.deferred = true
-					rep.KVQueuedRequests++
-				}
-				break
-			}
-			idx := sc.qpop()
-			kvInUse += need(r.req)
-			if kvInUse > rep.PeakKVBytes {
-				rep.PeakKVBytes = kvInUse
-			}
-			step(sc.workload(cfg.Model, false, 1, bucket(r.req.Prompt)))
-			rep.PrefillSteps++
-			r.firstAt = now
-			r.generated = 1
-			if r.generated == r.req.Output {
-				complete(r)
-				sc.release(idx)
-			} else {
-				sc.active = append(sc.active, idx)
-			}
-		}
-
-		// One decode step for the running batch at the longest context.
-		if len(sc.active) > 0 {
-			maxCtx := 0
-			for _, idx := range sc.active {
-				r := &sc.states[idx]
-				if ctx := r.req.Prompt + r.generated; ctx > maxCtx {
-					maxCtx = ctx
-				}
-			}
-			step(sc.workload(cfg.Model, true, len(sc.active), bucket(maxCtx)))
-			rep.DecodeSteps++
-			batchSum += len(sc.active)
-			remaining := sc.active[:0]
-			for _, idx := range sc.active {
-				r := &sc.states[idx]
-				r.generated++
-				if r.generated >= r.req.Output {
-					complete(r)
-					sc.release(idx)
-				} else {
-					remaining = append(remaining, idx)
-				}
-			}
-			sc.active = remaining
+		if now, err = e.Round(b, now, &params, slowdown, true); err != nil {
+			return RunStats{}, err
 		}
 	}
 
-	if lastArrival > 0 {
-		rep.OfferedRate = float64(total) / lastArrival
-	}
-	rep.Makespan = now - firstArrival
-	if rep.Makespan > 0 {
-		rep.SustainedRate = float64(rep.Completed) / rep.Makespan
-		rep.TokensPerSecond = float64(rep.OutputTokens) / rep.Makespan
-	}
-	if rep.DecodeSteps > 0 {
-		rep.MeanBatch = float64(batchSum) / float64(rep.DecodeSteps)
-	}
-	rep.TTFT = sc.ttft.Percentiles()
-	rep.TPOT = sc.tpot.Percentiles()
-	rep.Latency = sc.lat.Percentiles()
+	out := e.Report()
 	if bo != nil && bo.Level() > 0 {
-		rep.BrownoutSeconds += now - lastObserve
-	}
-	if classed {
-		for i := range rep.Classes {
-			rep.Classes[i].TTFT = sc.cttft[i].Percentiles()
-			rep.Classes[i].Latency = sc.clat[i].Percentiles()
-		}
+		out.BrownoutSeconds += now - lastObserve
 	}
 	// A crashed replica burns no leakage while down, so scheduled
 	// downtime inside the run is not billed (span clamps at zero for the
 	// corner where downtime was accrued outside the makespan envelope).
-	leakSpan := rep.Makespan
-	if rep.DowntimeSeconds > 0 {
-		leakSpan = math.Max(0, leakSpan-rep.DowntimeSeconds)
+	leakSpan := now - firstArrival
+	if out.DowntimeSeconds > 0 {
+		leakSpan = math.Max(0, leakSpan-out.DowntimeSeconds)
 	}
-	rep.TotalEnergy = rep.DynamicEnergy + leakage*leakSpan
-	if rep.Completed > 0 {
-		rep.JoulesPerRequest = rep.TotalEnergy / float64(rep.Completed)
-	}
-	if rep.FaultsOn {
-		// Hand-off orphans leave the denominator: their fate is decided
-		// by the fleet router, which recomputes availability over the
-		// merged fleet report.
-		if n := rep.Requests - rep.Orphaned; n > 0 {
-			rep.Availability = float64(rep.Completed) / float64(n)
-		}
-		rep.Nines = faults.Nines(rep.Availability)
-	}
-	// The histograms are copied out before the scheduler returns to the
+	out.Settle(firstArrival, lastArrival, now, e.leakage*leakSpan)
+	// The histograms are copied out before the engine returns to the
 	// pool: RunStats owns its populations, the arena is reused.
 	st := RunStats{
-		Report: rep,
-		TTFT:   sc.ttft, TPOT: sc.tpot, Latency: sc.lat,
+		Report: out,
+		TTFT:   e.ttft, TPOT: e.tpot, Latency: e.lat,
 		FirstArrival: firstArrival, End: now,
-		LeakageWatts: leakage,
+		LeakageWatts: e.leakage,
 		Orphans:      orphans,
 	}
 	if classed {
-		st.ClassTTFT, st.ClassLatency = sc.cttft, sc.clat
+		st.ClassTTFT, st.ClassLatency = e.cttft, e.clat
 	}
 	return st, nil
 }

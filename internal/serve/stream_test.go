@@ -124,27 +124,26 @@ func TestReportRendersTPOTNA(t *testing.T) {
 // when the queue never drains (sustained overload), keeping the backing
 // slice O(backlog) — and must preserve FIFO order across compactions.
 func TestQueueCompaction(t *testing.T) {
-	sc := getScheduler()
-	defer schedPool.Put(sc)
+	e := &Engine{}
 	next := int32(0)   // next value to push
 	expect := int32(0) // next value qpop must yield
 	// Interleave pushes and pops so the queue always holds ~64 entries
 	// while tens of thousands of values flow through.
 	for i := 0; i < 50_000; i++ {
-		sc.qpush(next)
+		e.qpush(next)
 		next++
-		if sc.qlen() > 64 {
-			if got := sc.qpop(); got != expect {
+		if e.QueueLen() > 64 {
+			if got := e.qpop(); got != expect {
 				t.Fatalf("qpop = %d, want %d (FIFO order broken by compaction)", got, expect)
 			}
 			expect++
 		}
 	}
-	if c := cap(sc.queue); c > 4096 {
+	if c := cap(e.queue); c > 4096 {
 		t.Errorf("queue backing slice grew to %d entries for a backlog of ~64", c)
 	}
-	for sc.qlen() > 0 {
-		if got := sc.qpop(); got != expect {
+	for e.QueueLen() > 0 {
+		if got := e.qpop(); got != expect {
 			t.Fatalf("drain qpop = %d, want %d", got, expect)
 		}
 		expect++
