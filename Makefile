@@ -8,7 +8,7 @@ GO ?= go
 # the same check the workflow runs.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-module bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck ci
+.PHONY: build test race bench bench-smoke bench-module bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,15 @@ bench-module:
 # as a smoke check.
 bench-json:
 	$(GO) run ./cmd/mugibench -json -benchfile BENCH.json
+
+# The allocation gate: one iteration of every hot-path kernel through
+# the same emitter as bench-json, written to a scratch file. It exits
+# nonzero if a zero-allocation path (VLP GEMM, decode step, proxy loss)
+# allocates or a bounded-allocation serving path (cold/warm runs, the
+# million-request trace, the autoscaled and faulty weeks) exceeds its
+# budget.
+bench-smoke:
+	$(GO) run ./cmd/mugibench -json -benchiters 1 -benchfile /tmp/bench_smoke.json
 
 # Gate the committed MinuteServe leaderboard golden: regenerate the
 # board under the fixed rules and require byte-equality with
@@ -97,4 +106,4 @@ docs-check: doccheck
 	$(GO) run ./tools/docscheck
 
 ci: STRICT = 1
-ci: lint build race bench bench-module minuteserve analyze docs-check
+ci: lint build race bench bench-smoke bench-module minuteserve analyze docs-check

@@ -26,7 +26,7 @@ func TestSteadyStateTickZeroAlloc(t *testing.T) {
 		}
 		return rep
 	}
-	// Warm everything: sim cache, workload memo, controller pool — at
+	// Warm everything: sim cache, engine and controller pools — at
 	// both tick granularities so pooled slices reach their high-water
 	// capacities.
 	coarse := run(600)

@@ -39,7 +39,6 @@ import (
 	"mugi/internal/fleet"
 	"mugi/internal/noc"
 	"mugi/internal/serve"
-	"mugi/internal/sim"
 )
 
 // Controller defaults.
@@ -304,8 +303,7 @@ type replica struct {
 type controller struct {
 	reps []replica
 
-	params   []sim.Params // per ladder point
-	idleLeak []float64    // static watts per ladder point
+	idleLeak []float64 // static watts per ladder point
 
 	tickArrivals []int // prescanned arrivals per tick window
 }
@@ -320,7 +318,6 @@ func getController(replicas int) *controller {
 	}
 	c.reps = c.reps[:replicas]
 	clear(c.reps)
-	c.params = c.params[:0]
 	c.idleLeak = c.idleLeak[:0]
 	c.tickArrivals = c.tickArrivals[:0]
 	return c
@@ -430,14 +427,11 @@ func (c *controller) prescan(cfg Config, tc serve.TraceConfig) (lastArrival floa
 // bookkeeping (admission, energy, completions) happens at round *start*,
 // with busyUntil marking when the results become visible.
 func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float64) (Report, error) {
-	// Per-ladder-point simulation params and idle static power. A busy or
-	// idle replica at point i leaks idleLeak[i]; a booting replica leaks
-	// at the nominal point (index 0) — it is powering up the full rail.
+	// Per-ladder-point idle static power. A busy or idle replica at point
+	// i leaks idleLeak[i]; a booting replica leaks at the nominal point
+	// (index 0) — it is powering up the full rail.
 	nodes := cfg.Replica.Mesh.SpeedupFactor()
-	params := cfg.Replica.Params()
 	for _, p := range cfg.Ladder {
-		params.DVFS = p
-		c.params = append(c.params, params)
 		cost := arch.Cost45nm.AtDVFS(p)
 		c.idleLeak = append(c.idleLeak,
 			cfg.Replica.Design.LeakageWatts(cost)*nodes+cfg.Replica.Mesh.LeakageWatts(cost))
@@ -532,7 +526,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// and straggler factor. All costs and completions are computed here;
 	// the round's wall span [t, end] is what the replica is busy for.
 	startRound := func(rp *replica, t float64) error {
-		end, err := eng.Round(rp.batch, t, &c.params[rp.point], rp.slow, rp.state == Active)
+		end, err := eng.Round(rp.batch, t, cfg.Ladder[rp.point], rp.slow, rp.state == Active)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mugi/internal/model"
+	"mugi/internal/overload"
 	"mugi/internal/serve"
 	"mugi/internal/sim"
 )
@@ -65,9 +66,24 @@ func TestSingleReplicaMatchesServe(t *testing.T) {
 // TestRejectsBadStepCosts: a step function that returns a negative or
 // non-finite latency or energy must fail the run with an error naming
 // the step shape — through serve.RunStream and through the controller
-// alike — instead of yielding NaN or negative report numbers.
+// alike — instead of yielding NaN or negative report numbers. The
+// off-nominal rows also guard the operating point in the step-cost
+// table's key: a cost bad only at a slowed clock must not be masked by
+// the same shape priced at nominal.
 func TestRejectsBadStepCosts(t *testing.T) {
 	tc := serve.TraceConfig{Kind: serve.Poisson, Rate: 0.3, Requests: 60, Seed: 3}
+	// A flash crowd whose sound run walks serve's brownout ladder down to
+	// the p75 DVFS rung (level 3 of DefaultBrownoutSteps).
+	crowd := serve.TraceConfig{Kind: serve.Flashcrowd, Rate: 2, Requests: 240, Seed: 3}
+	brownout := baseCfg().Replica
+	brownout.Brownout = &overload.BrownoutSpec{}
+	src, err := serve.NewStream(crowd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := serve.RunStream(brownout, src); err != nil || rep.BrownoutMaxLevel != 3 {
+		t.Fatalf("sound brownout run: level %d, error %v; want level 3", rep.BrownoutMaxLevel, err)
+	}
 	bad := []struct {
 		name string
 		mut  func(*sim.Result)
@@ -98,7 +114,8 @@ func TestRejectsBadStepCosts(t *testing.T) {
 		}
 		// A cost that turns bad only off the nominal point passes the
 		// calibration search and must fail the controller's own rounds
-		// once the policy slows the fleet down.
+		// once the policy slows the fleet down, and serve's rounds once
+		// brownout downshifts the clock.
 		cfg.Replica.Simulate = func(p sim.Params, w model.Workload) sim.Result {
 			res := sim.Simulate(p, w)
 			if !p.DVFS.IsNominal() {
@@ -109,6 +126,14 @@ func TestRejectsBadStepCosts(t *testing.T) {
 		cfg.Policy = slowestPolicy{}
 		if _, err := Run(cfg, tc); err == nil || !strings.Contains(err.Error(), "step (batch") {
 			t.Errorf("%s off nominal: Run error %v, want one naming the step shape", tt.name, err)
+		}
+		brownout.Simulate = cfg.Replica.Simulate
+		src, err = serve.NewStream(crowd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := serve.RunStream(brownout, src); err == nil || !strings.Contains(err.Error(), "step (batch") {
+			t.Errorf("%s off nominal: brownout serve.RunStream error %v, want one naming the step shape", tt.name, err)
 		}
 	}
 }

@@ -7,9 +7,7 @@ import (
 
 	"mugi/internal/faults"
 	"mugi/internal/overload"
-	"mugi/internal/runner"
 	"mugi/internal/serve"
-	"mugi/internal/sim"
 )
 
 // Policy selects how the router assigns arriving requests to replicas.
@@ -69,43 +67,26 @@ func Policies() []Policy { return []Policy{RoundRobin, JSQ, Affinity} }
 
 // estimator prices a request's service demand for the JSQ virtual clock.
 // Costs come from the replica's own StepFunc at batch 1 on the quantized
-// step-shape grid — operator lists from the scheduler's shared workload
-// memo, step seconds memoized locally per shape — so routing a long
-// trace prices O(MaxSeq/CtxBucket) shapes, not O(requests). Batch-1 pricing
+// step-shape grid, through the same per-run step-cost table the
+// scheduler prices with, so routing a long trace prices
+// O(MaxSeq/CtxBucket) shapes, not O(requests). Batch-1 pricing
 // overestimates batched decode throughput, but every replica is
 // overestimated identically, which is all a load comparison needs.
 type estimator struct {
-	cfg    serve.Config
-	params sim.Params
-	step   serve.StepFunc
-	// seconds maps a bucketed context to one batch-1 pass's seconds:
-	// [0] prefills over that prompt, [1] decode steps at that context.
-	seconds [2]map[int]float64
+	cfg   serve.Config
+	costs *serve.StepCosts
 }
 
 func newEstimator(cfg serve.Config) *estimator {
 	if cfg.CtxBucket == 0 {
 		cfg.CtxBucket = serve.DefaultCtxBucket
 	}
-	step := cfg.Simulate
-	if step == nil {
-		step = runner.Simulate
-	}
-	return &estimator{cfg: cfg, params: cfg.Params(), step: step, seconds: [2]map[int]float64{{}, {}}}
+	return &estimator{cfg: cfg, costs: serve.NewStepCosts(cfg)}
 }
 
 // pass prices one batch-1 pass.
 func (e *estimator) pass(decode bool, ctx int) float64 {
-	memo, ctx := e.seconds[0], e.cfg.BucketCtx(ctx)
-	if decode {
-		memo = e.seconds[1]
-	}
-	s, ok := memo[ctx]
-	if !ok {
-		s = e.step(e.params, serve.StepWorkload(e.cfg.Model, decode, 1, ctx)).Seconds
-		memo[ctx] = s
-	}
-	return s
+	return e.costs.Cost(e.cfg.DVFS, decode, 1, e.cfg.BucketCtx(ctx)).Seconds
 }
 
 // demand estimates one request's service seconds on an idle replica.

@@ -96,72 +96,89 @@ type Workload struct {
 	WeightStreamBytes int64
 }
 
+// maxLayerOps bounds the operators one layer expands into: three
+// projections, two attention GEMMs, softmax, up to three FFN GEMMs and
+// the activation.
+const maxLayerOps = 10
+
 // DecodeOps expands one decoding step with the given batch size and KV
 // context length into per-layer operators. Weight GEMMs use WOQ INT4 and
 // KV-cache GEMMs use KVQ INT4 (paper §4.2).
 func (c Config) DecodeOps(batch, ctxLen int) Workload {
+	return c.AppendDecodeOps(make([]Op, 0, maxLayerOps), batch, ctxLen)
+}
+
+// AppendDecodeOps is DecodeOps building its operators onto dst, whose
+// backing array the returned Workload's Ops shares: a caller that
+// prices many shapes passes one scratch slice, dst[:0], and builds
+// every operator list without allocating once it has grown.
+//
+//mugi:noalloc
+func (c Config) AppendDecodeOps(dst []Op, batch, ctxLen int) Workload {
 	if batch < 1 || ctxLen < 1 {
 		panic(fmt.Sprintf("model: invalid decode batch %d ctx %d", batch, ctxLen))
 	}
 	h := c.Hidden
 	hd := c.HeadDim()
 	g := c.GQAGroup()
-	ops := []Op{
-		{Class: Projection, Name: "q", M: batch, K: h, N: h, WeightBits: 4, Repeat: 1},
-		{Class: Projection, Name: "kv", M: batch, K: h, N: 2 * c.KVDim(), WeightBits: 4, Repeat: 1},
-		{Class: Projection, Name: "o", M: batch, K: h, N: h, WeightBits: 4, Repeat: 1},
+	ops := append(dst,
+		Op{Class: Projection, Name: "q", M: batch, K: h, N: h, WeightBits: 4, Repeat: 1},
+		Op{Class: Projection, Name: "kv", M: batch, K: h, N: 2 * c.KVDim(), WeightBits: 4, Repeat: 1},
+		Op{Class: Projection, Name: "o", M: batch, K: h, N: h, WeightBits: 4, Repeat: 1},
 		// Per KV head, the GQA query group of size g attends against the
 		// shared INT4 KV cache: scores (g×hd·ctx) then context (g×ctx·hd).
-		{Class: Attention, Name: "scores", M: g, K: hd, N: ctxLen, WeightBits: 4, Repeat: batch * c.KVHeads, GQAPacked: true},
-		{Class: Attention, Name: "context", M: g, K: ctxLen, N: hd, WeightBits: 4, Repeat: batch * c.KVHeads, GQAPacked: true},
-		{Class: Nonlinear, Name: "softmax", Elements: batch * c.AttnHeads * ctxLen, NL: nonlinear.Exp},
-	}
-	if c.GatedFFN {
-		ops = append(ops,
-			Op{Class: FFN, Name: "gate", M: batch, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
-			Op{Class: FFN, Name: "up", M: batch, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
-			Op{Class: FFN, Name: "down", M: batch, K: c.FFN, N: h, WeightBits: 4, Repeat: 1},
-		)
-	} else {
-		ops = append(ops,
-			Op{Class: FFN, Name: "up", M: batch, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
-			Op{Class: FFN, Name: "down", M: batch, K: c.FFN, N: h, WeightBits: 4, Repeat: 1},
-		)
-	}
-	ops = append(ops, Op{Class: Nonlinear, Name: "activation", Elements: batch * c.FFN, NL: c.Activation})
+		Op{Class: Attention, Name: "scores", M: g, K: hd, N: ctxLen, WeightBits: 4, Repeat: batch * c.KVHeads, GQAPacked: true},
+		Op{Class: Attention, Name: "context", M: g, K: ctxLen, N: hd, WeightBits: 4, Repeat: batch * c.KVHeads, GQAPacked: true},
+		Op{Class: Nonlinear, Name: "softmax", Elements: batch * c.AttnHeads * ctxLen, NL: nonlinear.Exp},
+	)
+	ops = c.appendFFN(ops, batch)
 	return Workload{Model: c, Batch: batch, CtxLen: ctxLen, Decode: true, Ops: ops}
 }
 
 // PrefillOps expands a prefill pass over seqLen tokens.
 func (c Config) PrefillOps(batch, seqLen int) Workload {
+	return c.AppendPrefillOps(make([]Op, 0, maxLayerOps), batch, seqLen)
+}
+
+// AppendPrefillOps is PrefillOps building its operators onto dst, like
+// AppendDecodeOps.
+//
+//mugi:noalloc
+func (c Config) AppendPrefillOps(dst []Op, batch, seqLen int) Workload {
 	if batch < 1 || seqLen < 1 {
 		panic(fmt.Sprintf("model: invalid prefill batch %d seq %d", batch, seqLen))
 	}
 	h := c.Hidden
 	hd := c.HeadDim()
 	tokens := batch * seqLen
-	ops := []Op{
-		{Class: Projection, Name: "q", M: tokens, K: h, N: h, WeightBits: 4, Repeat: 1},
-		{Class: Projection, Name: "kv", M: tokens, K: h, N: 2 * c.KVDim(), WeightBits: 4, Repeat: 1},
-		{Class: Projection, Name: "o", M: tokens, K: h, N: h, WeightBits: 4, Repeat: 1},
-		{Class: Attention, Name: "scores", M: seqLen * c.GQAGroup(), K: hd, N: seqLen, WeightBits: 4, Repeat: batch * c.KVHeads, GQAPacked: true},
-		{Class: Attention, Name: "context", M: seqLen * c.GQAGroup(), K: seqLen, N: hd, WeightBits: 4, Repeat: batch * c.KVHeads, GQAPacked: true},
-		{Class: Nonlinear, Name: "softmax", Elements: batch * c.AttnHeads * seqLen * seqLen, NL: nonlinear.Exp},
-	}
+	ops := append(dst,
+		Op{Class: Projection, Name: "q", M: tokens, K: h, N: h, WeightBits: 4, Repeat: 1},
+		Op{Class: Projection, Name: "kv", M: tokens, K: h, N: 2 * c.KVDim(), WeightBits: 4, Repeat: 1},
+		Op{Class: Projection, Name: "o", M: tokens, K: h, N: h, WeightBits: 4, Repeat: 1},
+		Op{Class: Attention, Name: "scores", M: seqLen * c.GQAGroup(), K: hd, N: seqLen, WeightBits: 4, Repeat: batch * c.KVHeads, GQAPacked: true},
+		Op{Class: Attention, Name: "context", M: seqLen * c.GQAGroup(), K: seqLen, N: hd, WeightBits: 4, Repeat: batch * c.KVHeads, GQAPacked: true},
+		Op{Class: Nonlinear, Name: "softmax", Elements: batch * c.AttnHeads * seqLen * seqLen, NL: nonlinear.Exp},
+	)
+	ops = c.appendFFN(ops, tokens)
+	return Workload{Model: c, Batch: batch, CtxLen: seqLen, Decode: false, Ops: ops}
+}
+
+// appendFFN appends one layer's FFN GEMMs and activation over m tokens.
+func (c Config) appendFFN(ops []Op, m int) []Op {
+	h := c.Hidden
 	if c.GatedFFN {
 		ops = append(ops,
-			Op{Class: FFN, Name: "gate", M: tokens, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
-			Op{Class: FFN, Name: "up", M: tokens, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
-			Op{Class: FFN, Name: "down", M: tokens, K: c.FFN, N: h, WeightBits: 4, Repeat: 1},
+			Op{Class: FFN, Name: "gate", M: m, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
+			Op{Class: FFN, Name: "up", M: m, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
+			Op{Class: FFN, Name: "down", M: m, K: c.FFN, N: h, WeightBits: 4, Repeat: 1},
 		)
 	} else {
 		ops = append(ops,
-			Op{Class: FFN, Name: "up", M: tokens, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
-			Op{Class: FFN, Name: "down", M: tokens, K: c.FFN, N: h, WeightBits: 4, Repeat: 1},
+			Op{Class: FFN, Name: "up", M: m, K: h, N: c.FFN, WeightBits: 4, Repeat: 1},
+			Op{Class: FFN, Name: "down", M: m, K: c.FFN, N: h, WeightBits: 4, Repeat: 1},
 		)
 	}
-	ops = append(ops, Op{Class: Nonlinear, Name: "activation", Elements: tokens * c.FFN, NL: c.Activation})
-	return Workload{Model: c, Batch: batch, CtxLen: seqLen, Decode: false, Ops: ops}
+	return append(ops, Op{Class: Nonlinear, Name: "activation", Elements: m * c.FFN, NL: c.Activation})
 }
 
 // TotalMACsPerLayer sums GEMM MACs over one layer.

@@ -16,13 +16,16 @@ import (
 // the model name, since generators simulate stripped and MoE-modified
 // workloads.
 //
-// The encoding is split for speed, because serving traces call Simulate
-// millions of times:
+// The encoding is split for speed, because sweeps call Simulate millions
+// of times:
 //
 //   - the sim.Params half (design, mesh, cost table, bandwidths) is
 //     rendered once per distinct Params value via fmt (%+v covers every
-//     field of nested structs automatically) and memoized in a tiny
-//     comparable-keyed map — a handful of entries per process;
+//     field of nested structs automatically) and interned to a 4-byte id
+//     in first-seen order, so a key carries the id, not the ~750-byte
+//     rendering; distinct renderings get distinct ids, and the id is
+//     memoized per comparable Params value — a handful of entries per
+//     process;
 //   - the model.Workload half is appended field by field into a pooled
 //     byte buffer with strconv, no reflection and no allocation.
 //
@@ -44,11 +47,11 @@ var keyBufPool = sync.Pool{
 
 // paramsKey renders the sim.Params half of the cache key, one field per
 // line so tools/mugivet's cachekey analyzer can name exactly which field
-// a future edit drops. Called once per distinct Params value (the result
-// is memoized in Engine.prefixes). DVFS is always the zero point here —
-// Simulate keys Params after WithDefaults folds it into Cost — but it is
-// encoded anyway so the key stays collision-free even if that fold ever
-// moves.
+// a future edit drops. Called once per distinct Params value (the id the
+// rendering interns to is memoized in Engine.paramIDs). DVFS is always
+// the zero point here — Simulate keys Params after WithDefaults folds it
+// into Cost — but it is encoded anyway so the key stays collision-free
+// even if that fold ever moves.
 //
 //mugi:cachekey sim.Params
 func paramsKey(p sim.Params) string {

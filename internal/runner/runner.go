@@ -28,6 +28,7 @@
 package runner
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -85,10 +86,12 @@ type Engine struct {
 	// capacity rotates it into old, dropping the previous old generation.
 	young, old map[string]*cacheEntry
 	capacity   int
-	// prefixes memoizes the rendered sim.Params half of the cache key per
-	// distinct Params value — a handful of entries per process, never
-	// rotated (it holds key encodings, not results).
-	prefixes  map[sim.Params]string
+	// paramIDs interns each distinct sim.Params to the small id that
+	// stands for it in cache keys, and ids interns each distinct
+	// paramsKey rendering to that id — a handful of entries per process,
+	// never rotated (they hold key encodings, not results).
+	paramIDs  map[sim.Params]uint32
+	ids       map[string]uint32
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
@@ -100,7 +103,8 @@ func New(n int) *Engine {
 	e := &Engine{
 		young:    map[string]*cacheEntry{},
 		old:      map[string]*cacheEntry{},
-		prefixes: map[sim.Params]string{},
+		paramIDs: map[sim.Params]uint32{},
+		ids:      map[string]uint32{},
 		capacity: DefaultCacheCapacity,
 	}
 	e.SetParallelism(n)
@@ -220,12 +224,11 @@ func (e *Engine) Simulate(p sim.Params, w model.Workload) sim.Result {
 	b := (*buf)[:0]
 
 	e.mu.Lock()
-	prefix, ok := e.prefixes[p]
+	id, ok := e.paramIDs[p]
 	if !ok {
-		prefix = paramsKey(p)
-		e.prefixes[p] = prefix
+		id = e.internLocked(p)
 	}
-	b = append(b, prefix...)
+	b = binary.LittleEndian.AppendUint32(b, id)
 	b = appendWorkloadKey(b, &w)
 	ent, hit := e.young[string(b)]
 	if !hit {
@@ -280,6 +283,19 @@ func (e *Engine) Simulate(p sim.Params, w model.Workload) sim.Result {
 	return ent.res
 }
 
+// internLocked assigns p the id of its paramsKey rendering, numbering
+// renderings in first-seen order, and memoizes it. Callers hold e.mu.
+func (e *Engine) internLocked(p sim.Params) uint32 {
+	k := paramsKey(p)
+	id, ok := e.ids[k]
+	if !ok {
+		id = uint32(len(e.ids))
+		e.ids[k] = id
+	}
+	e.paramIDs[p] = id
+	return id
+}
+
 // rotateLocked ages the young generation into old once it reaches
 // capacity, dropping (and counting) the entries of the displaced old
 // generation. Callers hold e.mu. In-flight computations in a dropped
@@ -304,7 +320,7 @@ func (e *Engine) Prefetch(pts []Point) {
 }
 
 // ResetCache drops every cached result (both generations) and zeroes the
-// hit/miss/eviction counters. The params-prefix memo survives: it holds
+// hit/miss/eviction counters. The interned params ids survive: they hold
 // key encodings, not results.
 func (e *Engine) ResetCache() {
 	e.mu.Lock()

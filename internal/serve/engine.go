@@ -5,9 +5,9 @@ import (
 	"math"
 	"sync"
 
+	"mugi/internal/arch"
 	"mugi/internal/faults"
 	"mugi/internal/overload"
-	"mugi/internal/sim"
 )
 
 // reqState tracks one admitted request in the engine's arena.
@@ -43,8 +43,10 @@ func (b *Batch) Len() int { return len(b.active) }
 // each, which also yields the first token), then one decode step for the
 // whole batch at its longest context. Every step's energy lands in one
 // accumulator in step order, so a run's totals are bit-identical however
-// its rounds are spread over batches. Engines are pooled: a warmed
-// steady-state round allocates nothing.
+// its rounds are spread over batches. Step costs come from the engine's
+// per-run StepCosts table, so each distinct shape and operating point is
+// simulated once per run. Engines are pooled: a warmed steady-state round
+// allocates nothing.
 type Engine struct {
 	cfg      Config
 	perToken int64
@@ -55,6 +57,7 @@ type Engine struct {
 	spec        faults.Spec
 	retry       RetryPolicy
 	bucketScale int // CtxBucket multiplier on the brownout ladder (1 off it)
+	costs       StepCosts
 
 	rep      Report
 	batchSum int
@@ -75,9 +78,9 @@ type Engine struct {
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
 // NewEngine validates cfg, applies its defaults and borrows a reset
-// engine with the given number of empty batches from the pool; Release
-// returns it. Request validation (Validate) is the caller's, as requests
-// are pulled.
+// engine with the given number of empty batches and an empty step-cost
+// table from the pool; Release returns it. Request validation (Validate)
+// is the caller's, as requests are pulled.
 func NewEngine(cfg Config, batches int) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -87,7 +90,7 @@ func NewEngine(cfg Config, batches int) (*Engine, error) {
 	// resliced rather than appended so those beyond the last run's count
 	// keep theirs too.
 	e := enginePool.Get().(*Engine)
-	states, free, queue, retries, bs := e.states[:0], e.free[:0], e.queue[:0], e.retries[:0], e.batches
+	states, free, queue, retries, bs, costs := e.states[:0], e.free[:0], e.queue[:0], e.retries[:0], e.batches, e.costs
 	if cap(bs) < batches {
 		bs = append(bs[:cap(bs)], make([]Batch, batches-cap(bs))...)
 	}
@@ -97,7 +100,8 @@ func NewEngine(cfg Config, batches int) (*Engine, error) {
 	}
 	*e = Engine{}
 	e.cfg, e.perToken, e.retry, e.bucketScale = cfg, KVBytesPerToken(cfg.Model), cfg.Retry.withDefaults(), 1
-	e.states, e.free, e.queue, e.retries, e.batches = states, free, queue, retries, bs
+	e.states, e.free, e.queue, e.retries, e.batches, e.costs = states, free, queue, retries, bs, costs
+	e.costs.reset(cfg)
 	return e, nil
 }
 
@@ -115,14 +119,23 @@ func (c Config) validate() error {
 	if c.CtxBucket < 1 {
 		return fmt.Errorf("serve: context bucket %d must be positive", c.CtxBucket)
 	}
-	if c.Bandwidth < 0 || c.NoCBandwidth < 0 {
-		return fmt.Errorf("serve: bandwidth must be non-negative (off-chip %g, NoC %g)", c.Bandwidth, c.NoCBandwidth)
+	// The float checks are written !(x >= 0) so NaN fails them too; +Inf
+	// passes (an infinite bandwidth is free memory, an infinite delay
+	// never re-delivers).
+	if !(c.Bandwidth >= 0) {
+		return fmt.Errorf("serve: Bandwidth %g must be non-negative", c.Bandwidth)
+	}
+	if !(c.NoCBandwidth >= 0) {
+		return fmt.Errorf("serve: NoCBandwidth %g must be non-negative", c.NoCBandwidth)
 	}
 	if c.MaxQueue < 0 {
 		return fmt.Errorf("serve: max queue %d must be non-negative", c.MaxQueue)
 	}
-	if c.Retry.MaxRedispatch < 0 || c.Retry.Delay < 0 {
-		return fmt.Errorf("serve: retry policy must be non-negative (max redispatch %d, delay %g)", c.Retry.MaxRedispatch, c.Retry.Delay)
+	if c.Retry.MaxRedispatch < 0 {
+		return fmt.Errorf("serve: Retry.MaxRedispatch %d must be non-negative", c.Retry.MaxRedispatch)
+	}
+	if !(c.Retry.Delay >= 0) {
+		return fmt.Errorf("serve: Retry.Delay %g must be non-negative", c.Retry.Delay)
 	}
 	if c.Admission != nil {
 		if err := c.Admission.Validate(); err != nil {
@@ -362,13 +375,15 @@ func (e *Engine) bucket(n int) int {
 // Round runs one scheduling round of b from time t and returns the time
 // it ends. With admit set, queued requests are prefilled while b has a
 // batch slot and KV budget free; then one decode step runs for the whole
-// batch, padded to its longest context. Steps are priced at p and
-// stretched by slow (1 on a healthy replica: ×1.0 is bit-exact). A step
-// whose cost is negative or not finite aborts the round with an error.
+// batch, padded to its longest context. Steps are priced at the
+// operating point and stretched by slow (1 on a healthy replica: ×1.0 is
+// bit-exact). A step whose cost is negative or not finite aborts the
+// round with an error.
 //
 //mugi:noalloc
-func (e *Engine) Round(b *Batch, t float64, p *sim.Params, slow float64, admit bool) (float64, error) {
+func (e *Engine) Round(b *Batch, t float64, point arch.DVFSPoint, slow float64, admit bool) (float64, error) {
 	var err error
+	p := e.costs.point(point)
 	for admit && e.QueueLen() > 0 && len(b.active) < e.cfg.MaxBatch {
 		r := &e.states[e.qpeek()]
 		if e.transient && e.spec.Transient(r.req.ID, r.req.Retries) {
@@ -442,12 +457,14 @@ func (e *Engine) Round(b *Batch, t float64, p *sim.Params, slow float64, admit b
 	return t, nil
 }
 
-// step prices one pass of the given shape starting at t and returns when
-// it ends.
+// step runs one pass of the given shape at operating point p (an index
+// among the run's points) starting at t and returns when it ends. The
+// cost check runs on every step, whether the table priced the shape now
+// or earlier in the run.
 //
 //mugi:noalloc
-func (e *Engine) step(p *sim.Params, slow, t float64, decode bool, batch, ctx int) (float64, error) {
-	res := e.cfg.Simulate(*p, StepWorkload(e.cfg.Model, decode, batch, ctx))
+func (e *Engine) step(p int32, slow, t float64, decode bool, batch, ctx int) (float64, error) {
+	res := e.costs.cost(p, decode, batch, ctx)
 	if !finiteCost(res.Seconds) || !finiteCost(res.DynamicEnergy) {
 		return t, badStepError(decode, batch, ctx, res)
 	}
@@ -464,7 +481,7 @@ func (e *Engine) step(p *sim.Params, slow, t float64, decode bool, batch, ctx in
 func finiteCost(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // badStepError names the step shape whose simulated cost is unusable.
-func badStepError(decode bool, batch, ctx int, res sim.Result) error {
+func badStepError(decode bool, batch, ctx int, res StepCost) error {
 	kind := "prefill"
 	if decode {
 		kind = "decode"

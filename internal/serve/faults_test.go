@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"mugi/internal/faults"
+	"mugi/internal/noc"
 )
 
 // zeroSchedule is a fault schedule whose every rate is zero — the
@@ -214,6 +216,47 @@ func TestBadConfigsReturnErrors(t *testing.T) {
 		c.mutate(&cfg)
 		if _, err := Run(cfg, tr); err == nil {
 			t.Errorf("%s: no error", c.name)
+		}
+	}
+}
+
+// TestNaNConfigsReturnErrors: NaN passes every `x < 0` bound, so a NaN
+// bandwidth used to price memory as free and a NaN retry delay failed
+// the run late with a truncated stream. Each NaN field must fail
+// validation with an error naming it, while +Inf keeps its meaning (an
+// unbounded link).
+func TestNaNConfigsReturnErrors(t *testing.T) {
+	nan := math.NaN()
+	faulty := faultySchedule(t, faults.Spec{MTBF: 300, MTTR: 60, TransientProb: 0.2, Seed: 4})
+	tr, err := NewTrace(TraceConfig{Kind: Poisson, Rate: 0.3, Requests: 60, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Bandwidth", func(c *Config) { c.Bandwidth = nan }},
+		{"NoCBandwidth", func(c *Config) { c.NoCBandwidth = nan }},
+		{"Retry.Delay", func(c *Config) { c.Retry.Delay = nan; c.Faults = faulty }},
+	}
+	for _, c := range cases {
+		cfg := baseConfig()
+		cfg.Mesh = noc.NewMesh(8, 8)
+		c.mutate(&cfg)
+		if _, err := Run(cfg, tr); err == nil || !strings.Contains(err.Error(), c.field+" NaN") {
+			t.Errorf("%s = NaN: error %v, want one naming the field", c.field, err)
+		}
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Bandwidth = math.Inf(1) },
+		func(c *Config) { c.NoCBandwidth = math.Inf(1) },
+	} {
+		cfg := baseConfig()
+		cfg.Mesh = noc.NewMesh(8, 8)
+		mutate(&cfg)
+		if _, err := Run(cfg, chatTrace(t, 0.5, 4)); err != nil {
+			t.Errorf("infinite bandwidth: %v", err)
 		}
 	}
 }

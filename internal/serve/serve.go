@@ -74,14 +74,18 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// StepFunc computes one pass cost; the default is runner.Simulate so step
-// costs are memoized through the content-keyed cache and sweeps that
+// StepFunc computes one pass cost. It must be pure: a run calls it once
+// per distinct step shape and operating point (StepCosts) and reuses the
+// result for every later step of that shape, so a StepFunc that counts or
+// varies its answers sees one call per shape, not one per step. The
+// workload's operator list is scratch the run reuses, valid only during
+// the call. The default is runner.Simulate, so runs and sweeps that
 // revisit a (batch, context) point — across arrival rates, meshes, or
-// designs — pay for it once. The cache is bounded (two generations of
-// runner.DefaultCacheCapacity entries, LRU-ish by generation), so
-// arbitrarily long traces cannot grow it without bound; runner.ResetCache
-// remains available for benchmarks that want a cold start, and injecting
-// sim.Simulate directly skips memoization entirely.
+// designs — simulate it once per process through the content-keyed
+// cache. That cache is bounded (two generations of
+// runner.DefaultCacheCapacity entries, LRU-ish by generation);
+// runner.ResetCache remains available for benchmarks that want a cold
+// start, and injecting sim.Simulate directly skips the shared cache.
 type StepFunc func(sim.Params, model.Workload) sim.Result
 
 // Config bundles the serving-simulation inputs.
@@ -560,7 +564,7 @@ func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
 		}
 		adm = overload.NewAdmission(aspec)
 	}
-	params := cfg.Params()
+	point := cfg.DVFS
 
 	rep := &e.rep
 	rep.Model, rep.Design, rep.Mesh = cfg.Model.Name, cfg.Design.Name, cfg.Mesh.String()
@@ -781,9 +785,9 @@ func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
 			st := boSpec.Step(lvl)
 			e.bucketScale = max(st.CtxBucketScale, 1)
 			if st.DVFS == (arch.DVFSPoint{}) {
-				params.DVFS = cfg.DVFS
+				point = cfg.DVFS
 			} else {
-				params.DVFS = st.DVFS
+				point = st.DVFS
 			}
 		}
 		if q := e.QueueLen(); q > rep.PeakQueue {
@@ -807,7 +811,7 @@ func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
 			now = next
 			continue
 		}
-		if now, err = e.Round(b, now, &params, slowdown, true); err != nil {
+		if now, err = e.Round(b, now, point, slowdown, true); err != nil {
 			return RunStats{}, err
 		}
 	}
