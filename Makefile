@@ -8,19 +8,23 @@ GO ?= go
 # the same check the workflow runs.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-smoke bench-module bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck ci
+.PHONY: build test race bench bench-module minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck ci
 
 build:
 	$(GO) build ./...
 
+# Without -race: the allocation-budget tests (TestAllocBudgets and the
+# AllocsPerRun tests of the internal packages) skip themselves under the
+# race detector, so this is the run that gates them.
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 
-# One iteration per benchmark: the smoke run CI executes, and the source
-# of the ms/artifact trajectory recorded in BENCH.json.
+# One iteration per benchmark: the smoke run CI executes. For local
+# profiling only; performance claims are measured with
+# `bash benchmark/run.sh`.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
@@ -29,26 +33,6 @@ bench:
 # thing that compiles it, so a signature change there fails here.
 bench-module:
 	cd benchmark && $(GO) test ./...
-
-# Regenerate the hot-path perf trajectory (ns/op + allocs/op for the VLP
-# GEMM, decode step, proxy loss, simulator pass, cold/warm serving runs,
-# the million-request streaming trace, the capacity search, the fleet
-# plan, the faulty fleet week, and the MinuteServe scorer), appending
-# this build's measurements to the in-file history of BENCH.json. Fails
-# if any zero-allocation path allocates or a bounded-allocation serving
-# path exceeds its budget. CI runs the same emitter with -benchiters 1
-# as a smoke check.
-bench-json:
-	$(GO) run ./cmd/mugibench -json -benchfile BENCH.json
-
-# The allocation gate: one iteration of every hot-path kernel through
-# the same emitter as bench-json, written to a scratch file. It exits
-# nonzero if a zero-allocation path (VLP GEMM, decode step, proxy loss)
-# allocates or a bounded-allocation serving path (cold/warm runs, the
-# million-request trace, the autoscaled and faulty weeks) exceeds its
-# budget.
-bench-smoke:
-	$(GO) run ./cmd/mugibench -json -benchiters 1 -benchfile /tmp/bench_smoke.json
 
 # Gate the committed MinuteServe leaderboard golden: regenerate the
 # board under the fixed rules and require byte-equality with
@@ -106,4 +90,4 @@ docs-check: doccheck
 	$(GO) run ./tools/docscheck
 
 ci: STRICT = 1
-ci: lint build race bench bench-smoke bench-module minuteserve analyze docs-check
+ci: lint build test race bench bench-module minuteserve analyze docs-check

@@ -1,15 +1,17 @@
 package mugi
 
 // The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (see DESIGN.md §4 for the experiment index), plus the
-// design-choice ablations and kernel-level micro-benchmarks. Run with
+// evaluation section (`mugibench -list` prints the experiment index), plus
+// the design-choice ablations and kernel-level micro-benchmarks. Run with
 //
 //	go test -bench=. -benchmem
 //
 // Each BenchmarkFigXX/BenchmarkTable3 target regenerates the corresponding
-// artifact through internal/experiments; the rendered rows are written once
-// per run via b.Log at -v, and the wall time measures the full
-// regeneration cost (the paper's artifact takes 0.5-1 h; this is seconds).
+// artifact through internal/experiments, and the wall time measures the
+// full regeneration cost (the paper's artifact takes 0.5-1 h; this is
+// seconds). These benchmarks are for local profiling; performance claims
+// are measured with `bash benchmark/run.sh`, and the allocation budgets
+// of the serving kernels below are gated by TestAllocBudgets.
 
 import (
 	"math/rand"
@@ -29,9 +31,8 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	// Pin the pool to one worker so ms/artifact stays a serial-regeneration
-	// trajectory, comparable across machines, -bench filters, and the
-	// pre-runner snapshots (the registry benchmarks below measure the
-	// parallel effect explicitly).
+	// cost, comparable across machines and -bench filters (the registry
+	// benchmarks below measure the parallel effect explicitly).
 	runner.SetParallelism(1)
 	defer runner.SetParallelism(0)
 	var out string
@@ -41,8 +42,7 @@ func benchExperiment(b *testing.B, id string) {
 		ResetSimCache()
 		out = e.Run().String()
 	}
-	// Per-artifact wall time in milliseconds, the comparable trajectory
-	// for BENCH_*.json snapshots across PRs.
+	// Per-artifact wall time in milliseconds.
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1e3, "ms/artifact")
 	if len(out) < 100 {
 		b.Fatalf("%s produced no output", id)
@@ -120,7 +120,7 @@ func BenchmarkFig16LatencyBreakdown(b *testing.B) { benchExperiment(b, "fig16") 
 func BenchmarkFig17NoC(b *testing.B) { benchExperiment(b, "fig17") }
 
 // BenchmarkAblations runs the design-choice ablation suite (mapping,
-// buffers, sliding window, shared array) from DESIGN.md §6.
+// buffers, sliding window, shared array): the `ablations` experiment.
 func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }
 
 // ---- Ablation micro-benchmarks ----
@@ -303,22 +303,31 @@ func BenchmarkSimulateDecode(b *testing.B) {
 
 // ---- Serving benchmarks ----
 
+// poissonServe returns the serving scenario of the serving benchmarks
+// and of TestAllocBudgets' serve rows: 48 Poisson chat requests (seed 1)
+// at rate req/s on a Mugi(256) deployment over mesh.
+func poissonServe(tb testing.TB, mesh Mesh, rate float64) (ServeConfig, RequestTrace) {
+	tb.Helper()
+	tr, err := NewTrace(TraceConfig{Kind: TracePoisson, Rate: rate, Requests: 48, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: mesh}, tr
+}
+
 // benchServe runs one serving scenario per iteration with a cold sim
-// cache and reports the cross-PR trajectory metrics: sustained requests/s
-// and p99 request latency of the simulated deployment (simulated-time
-// metrics — stable across machines — alongside the wall-clock ms/run).
+// cache and reports sustained requests/s and p99 request latency of the
+// simulated deployment (simulated-time metrics, stable across machines)
+// alongside the wall-clock ms/run.
 func benchServe(b *testing.B, mesh Mesh, rate float64) {
 	b.Helper()
 	runner.SetParallelism(1)
 	defer runner.SetParallelism(0)
-	tr, err := NewTrace(TraceConfig{Kind: TracePoisson, Rate: rate, Requests: 48, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: mesh}
+	cfg, tr := poissonServe(b, mesh, rate)
 	var rep ServeReport
 	for i := 0; i < b.N; i++ {
 		ResetSimCache()
+		var err error
 		if rep, err = Serve(cfg, tr); err != nil {
 			b.Fatal(err)
 		}
@@ -343,11 +352,7 @@ func BenchmarkServeMesh4x4(b *testing.B) { benchServe(b, NewMesh(4, 4), 0.5) }
 func BenchmarkServePoissonWarm(b *testing.B) {
 	runner.SetParallelism(1)
 	defer runner.SetParallelism(0)
-	tr, err := NewTrace(TraceConfig{Kind: TracePoisson, Rate: 0.05, Requests: 48, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: SingleNode}
+	cfg, tr := poissonServe(b, SingleNode, 0.05)
 	if _, err := Serve(cfg, tr); err != nil { // warm caches and pools
 		b.Fatal(err)
 	}
@@ -360,30 +365,44 @@ func BenchmarkServePoissonWarm(b *testing.B) {
 	}
 }
 
+// millionRequests returns the sweep-scale scenario: a one-million-request
+// Poisson trace (0.5 req/s, seed 1) on a Mugi(256) 4x4 mesh that keeps
+// up with the offered rate.
+func millionRequests() (ServeConfig, TraceConfig) {
+	return ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: NewMesh(4, 4)},
+		TraceConfig{Kind: TracePoisson, Rate: 0.5, Requests: 1_000_000, Seed: 1}
+}
+
+// serveStream serves one lazily drawn trace and fails tb unless every
+// request completes.
+func serveStream(tb testing.TB, cfg ServeConfig, tc TraceConfig) ServeReport {
+	src, err := NewTraceStream(tc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := ServeStream(cfg, src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if rep.Completed != tc.Requests {
+		tb.Fatalf("completed %d of %d requests", rep.Completed, tc.Requests)
+	}
+	return rep
+}
+
 // BenchmarkServeMillionRequests drives a one-million-request Poisson
 // trace through the scheduler via the lazy stream: the trace is never
 // materialized, latency percentiles aggregate into fixed-size histograms,
-// and step shapes are quantized so the sim cache stays bounded — the
-// sweep-scale configuration of this PR. Reported metrics are simulated
-// sustained req/s and the wall-clock per full run.
+// and step shapes are quantized so the step-cost table stays bounded.
+// Reported metrics are simulated sustained req/s and the wall-clock per
+// full run.
 func BenchmarkServeMillionRequests(b *testing.B) {
 	runner.SetParallelism(1)
 	defer runner.SetParallelism(0)
-	cfg := ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: NewMesh(4, 4)}
+	cfg, tc := millionRequests()
 	var rep ServeReport
 	for i := 0; i < b.N; i++ {
-		src, err := NewTraceStream(TraceConfig{
-			Kind: TracePoisson, Rate: 0.5, Requests: 1_000_000, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep, err = ServeStream(cfg, src); err != nil {
-			b.Fatal(err)
-		}
-		if rep.Completed != 1_000_000 {
-			b.Fatalf("completed %d of 1M requests", rep.Completed)
-		}
+		rep = serveStream(b, cfg, tc)
 	}
 	b.ReportMetric(rep.SustainedRate, "req/s")
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1e3, "ms/run")
@@ -417,15 +436,11 @@ func BenchmarkCapacitySearch(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1e3, "ms/run")
 }
 
-// BenchmarkFleetPlan measures one full fleet plan — SLO-bound capacity
+// fleetPlanSpec returns the planner's unit of work: SLO-bound capacity
 // search, TCO pricing, and both frontiers over a 2-design x 2-mesh x
-// {1, 2}-replica grid under JSQ routing — from a cold cache. This is the
-// headline unit of the PR 5 fleet planner; the reported frontier size
-// guards against the planner silently degenerating to zero survivors.
-func BenchmarkFleetPlan(b *testing.B) {
-	runner.SetParallelism(1)
-	defer runner.SetParallelism(0)
-	spec := FleetPlanSpec{
+// {1, 2}-replica grid under JSQ routing.
+func fleetPlanSpec() FleetPlanSpec {
+	return FleetPlanSpec{
 		Base: ServeConfig{Model: Llama2_7B},
 		Cells: FleetGrid(
 			[]Design{NewMugi(256), NewSystolicArray(16, true)},
@@ -437,19 +452,35 @@ func BenchmarkFleetPlan(b *testing.B) {
 		SLO:    FleetSLO{TTFTP99: 60, LatencyP99: 300},
 		Iters:  3,
 	}
-	var results []FleetCellResult
-	for i := 0; i < b.N; i++ {
-		ResetSimCache()
-		results = PlanFleet(spec)
-		for _, r := range results {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
+}
+
+// planFleet runs one plan and returns its perf/$ frontier, failing tb on
+// any cell error or an empty frontier (the planner silently degenerating
+// to zero survivors).
+func planFleet(tb testing.TB, spec FleetPlanSpec) []FleetCellResult {
+	results := PlanFleet(spec)
+	for _, r := range results {
+		if r.Err != nil {
+			tb.Fatal(r.Err)
 		}
 	}
 	front := FleetFrontier(results, FrontierByDollar)
 	if len(front) == 0 {
-		b.Fatal("empty perf/$ frontier")
+		tb.Fatal("empty perf/$ frontier")
+	}
+	return front
+}
+
+// BenchmarkFleetPlan measures one full fleet plan (fleetPlanSpec) from a
+// cold cache and reports the frontier size.
+func BenchmarkFleetPlan(b *testing.B) {
+	runner.SetParallelism(1)
+	defer runner.SetParallelism(0)
+	spec := fleetPlanSpec()
+	var front []FleetCellResult
+	for i := 0; i < b.N; i++ {
+		ResetSimCache()
+		front = planFleet(b, spec)
 	}
 	b.ReportMetric(float64(len(front)), "frontier-cells")
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1e3, "ms/plan")

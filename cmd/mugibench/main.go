@@ -7,8 +7,6 @@
 //	mugibench -exp all -parallel 8  # same, fanned over 8 workers
 //	mugibench -exp tab3             # one artifact
 //	mugibench -list                 # available experiment ids
-//	mugibench -json                 # perf trajectory -> BENCH.json
-//	mugibench -json -benchiters 1   # CI smoke: 1 iteration per kernel
 //	mugibench -minuteserve                          # ranked leaderboard
 //	mugibench -minuteserve -report MINUTESERVE.json # + signed artifact
 //	mugibench -minuteserve -entry mugi:4x4          # score one entry
@@ -32,9 +30,6 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	outDir := flag.String("out", "", "also write each artifact to <dir>/<id>.txt")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	jsonBench := flag.Bool("json", false, "run the hot-path perf benchmarks and write the ns/op + allocs/op trajectory")
-	benchFilePath := flag.String("benchfile", "BENCH.json", "output path for the -json trajectory")
-	benchIters := flag.Int("benchiters", 0, "iterations per -json kernel (0 = auto-calibrate)")
 	minuteServe := flag.Bool("minuteserve", false, "run the MinuteServe price-performance benchmark")
 	msEntry := flag.String("entry", "", "score one entry: kind[@rows]:RxC[:replicas][:profile] (e.g. mugi:4x4, mugi@128:2x2:2:rag)")
 	msReport := flag.String("report", "", "write the signed artifact (board, or entry report with -entry) to this path")
@@ -45,7 +40,6 @@ func main() {
 		"mugibench — regenerate the paper's evaluation artifacts.\nUsage: mugibench [mode flag] [flags]",
 		[]cliusage.Group{
 			{Title: "artifact regeneration (default mode)", Flags: []string{"exp", "list", "out"}},
-			{Title: "perf trajectory (-json)", Flags: []string{"json", "benchfile", "benchiters"}},
 			{Title: "MinuteServe benchmark (-minuteserve)", Flags: []string{"minuteserve", "entry", "report", "verify", "diff", "check"}},
 			{Title: "shared"},
 		})
@@ -57,19 +51,6 @@ func main() {
 			diff: *msDiff, diffB: flag.Arg(0), check: *msCheck,
 			parallel: *parallel,
 		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *jsonBench {
-		// Default the benchmark pool to serial so ns/op is a stable,
-		// machine-comparable trajectory; -parallel overrides explicitly.
-		p := *parallel
-		if p == 0 {
-			p = 1
-		}
-		if err := runPerfJSON(*benchFilePath, *benchIters, p); err != nil {
 			fatal(err)
 		}
 		return

@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -113,7 +114,7 @@ func main() {
 			modes++
 		}
 	}
-	if err := validateFlags(modes, *minReplicas, *maxReplicas, *rate, *requests,
+	if err := validateFlags(modes, *batch, *seq, *minReplicas, *maxReplicas, *rate, *requests,
 		*parallel, *mtbf, *mttr, *straggler, *ninesTarget); err != nil {
 		usageError(err)
 	}
@@ -743,12 +744,19 @@ func parseCounts(csv string, floor int) ([]int, error) {
 }
 
 // validateFlags rejects contradictory flag combinations up front, before
-// any mode starts simulating — one mode flag at a time, a replica floor
-// below the ceiling, and rates/probabilities inside their domains.
-func validateFlags(modes, minReplicas, maxReplicas int, rate float64, requests,
+// any mode starts simulating — one mode flag at a time, a non-empty
+// single-pass shape, a replica floor below the ceiling, and
+// rates/probabilities inside their domains.
+func validateFlags(modes, batch, seq, minReplicas, maxReplicas int, rate float64, requests,
 	parallel int, mtbf, mttr, straggler, ninesTarget float64) error {
 	if modes > 1 {
 		return fmt.Errorf("choose one mode flag: -all, -serve, -capacity, -fleet, -autoscale, -faults, or -overload")
+	}
+	if batch < 1 {
+		return fmt.Errorf("-batch %d must be at least 1", batch)
+	}
+	if seq < 1 {
+		return fmt.Errorf("-seq %d must be at least 1", seq)
 	}
 	if maxReplicas > 0 && minReplicas > maxReplicas {
 		return fmt.Errorf("-min-replicas %d exceeds -max-replicas %d", minReplicas, maxReplicas)
@@ -756,8 +764,8 @@ func validateFlags(modes, minReplicas, maxReplicas int, rate float64, requests,
 	if minReplicas < 0 {
 		return fmt.Errorf("-min-replicas %d must be non-negative", minReplicas)
 	}
-	if rate <= 0 {
-		return fmt.Errorf("-rate %g must be positive", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("-rate %g must be positive and finite", rate)
 	}
 	if requests < 0 {
 		return fmt.Errorf("-requests %d must be non-negative", requests)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"mugi"
@@ -55,6 +56,7 @@ func TestParseMesh(t *testing.T) {
 type flagCase struct {
 	name                     string
 	modes                    int
+	batch, seq               int
 	minReplicas, maxReplicas int
 	rate                     float64
 	requests, parallel       int
@@ -65,15 +67,15 @@ type flagCase struct {
 
 func okCase(name string) flagCase {
 	return flagCase{
-		name: name, modes: 1, minReplicas: 1, maxReplicas: 4,
+		name: name, modes: 1, batch: 8, seq: 4096, minReplicas: 1, maxReplicas: 4,
 		rate: 0.5, requests: 48, mtbf: 120, mttr: 60, ninesTarget: 0.99,
 	}
 }
 
 // TestValidateFlags pins the contradictory-combo rejections: two mode
-// flags at once, a replica floor above the ceiling, and rates or
-// probabilities outside their domains must all fail before any
-// simulation starts.
+// flags at once, an empty single-pass batch or context, a replica floor
+// above the ceiling, and rates or probabilities outside their domains
+// must all fail before any simulation starts.
 func TestValidateFlags(t *testing.T) {
 	cases := []flagCase{
 		okCase("baseline"),
@@ -89,6 +91,11 @@ func TestValidateFlags(t *testing.T) {
 		okCase("straggler above one"),
 		okCase("nines above one"),
 		okCase("zero nines"),
+		okCase("zero seq"),
+		okCase("negative seq"),
+		okCase("zero batch"),
+		okCase("NaN rate"),
+		okCase("infinite rate"),
 	}
 	cases[1].maxReplicas = 0 // 0 = "size from the static plan": any floor is fine
 	cases[1].minReplicas = 9
@@ -115,9 +122,19 @@ func TestValidateFlags(t *testing.T) {
 	cases[11].wantErr = true
 	cases[12].ninesTarget = 0
 	cases[12].wantErr = true
+	cases[13].seq = 0
+	cases[13].wantErr = true
+	cases[14].seq = -3
+	cases[14].wantErr = true
+	cases[15].batch = 0
+	cases[15].wantErr = true
+	cases[16].rate = math.NaN()
+	cases[16].wantErr = true
+	cases[17].rate = math.Inf(1)
+	cases[17].wantErr = true
 
 	for _, c := range cases {
-		err := validateFlags(c.modes, c.minReplicas, c.maxReplicas, c.rate,
+		err := validateFlags(c.modes, c.batch, c.seq, c.minReplicas, c.maxReplicas, c.rate,
 			c.requests, c.parallel, c.mtbf, c.mttr, c.straggler, c.ninesTarget)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: got err %v, want error=%v", c.name, err, c.wantErr)

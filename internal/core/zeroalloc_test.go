@@ -147,20 +147,34 @@ func TestMultiplySharedScalesView(t *testing.T) {
 	}
 }
 
+// TestMultiplyIntoZeroAlloc asserts a warmed MultiplyInto allocates
+// nothing, on a small GEMM and on BenchmarkVLPGEMM's shape (8x512 BF16
+// queries against 512x512 INT4 weights, group 128).
 func TestMultiplyIntoZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	a := tensor.RandNormal(rng, 8, 128, 1)
-	w := tensor.RandNormal(rng, 128, 64, 0.3)
-	q := QuantizeWeights(w, 4, 32)
-	cfg := GEMMConfig{Rows: 64, Cols: 8, Mapping: MappingMugi}
-	out := tensor.NewMatrix(8, 64)
-	var scratch GEMMScratch
-	MultiplyInto(cfg, a, q, out, &scratch) // warm the scratch
-	allocs := testing.AllocsPerRun(50, func() {
-		MultiplyInto(cfg, a, q, out, &scratch)
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed MultiplyInto allocated %v times per run", allocs)
+	for _, tc := range []struct {
+		name           string
+		m, k, n, group int
+		rows           int
+	}{
+		{"8x128x64", 8, 128, 64, 32, 64},
+		{"8x512x512", 8, 512, 512, 128, 128},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			a := tensor.RandNormal(rng, tc.m, tc.k, 1)
+			w := tensor.RandNormal(rng, tc.k, tc.n, 0.3)
+			q := QuantizeWeights(w, 4, tc.group)
+			cfg := GEMMConfig{Rows: tc.rows, Cols: 8, Mapping: MappingMugi}
+			out := tensor.NewMatrix(tc.m, tc.n)
+			var scratch GEMMScratch
+			MultiplyInto(cfg, a, q, out, &scratch) // warm the scratch
+			allocs := testing.AllocsPerRun(50, func() {
+				MultiplyInto(cfg, a, q, out, &scratch)
+			})
+			if allocs != 0 {
+				t.Fatalf("warmed MultiplyInto allocated %v times per run", allocs)
+			}
+		})
 	}
 }
 

@@ -150,6 +150,23 @@ func (p LengthProfile) draw(rng *rand.Rand) (prompt, output int) {
 	return prompt, output
 }
 
+// validate rejects a NaN or infinite log-space mean or deviation, which
+// would clamp every draw to one token.
+func (p LengthProfile) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"PromptMeanLog", p.PromptMeanLog}, {"PromptStdLog", p.PromptStdLog},
+		{"OutputMeanLog", p.OutputMeanLog}, {"OutputStdLog", p.OutputStdLog},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("serve: length profile %q %s %g must be finite", p.Name, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func clampLen(x float64, max int) int {
 	n := int(math.Round(x))
 	if n < 1 {
@@ -397,14 +414,17 @@ type genStream struct {
 // generator. NewTrace is exactly this stream drained into a slice, so a
 // streamed run and a materialized run see identical requests.
 func NewStream(cfg TraceConfig) (Stream, error) {
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("serve: trace rate %g must be positive", cfg.Rate)
+	if !finiteAbove(cfg.Rate, 0) {
+		return nil, fmt.Errorf("serve: trace Rate %g must be positive and finite", cfg.Rate)
 	}
 	if cfg.Requests < 1 {
 		return nil, fmt.Errorf("serve: trace needs at least one request, got %d", cfg.Requests)
 	}
 	if cfg.Lengths == (LengthProfile{}) {
 		cfg.Lengths = ChatLengths()
+	}
+	if err := cfg.Lengths.validate(); err != nil {
+		return nil, err
 	}
 	// Kind-specific knobs are defaulted and validated only for their own
 	// kind, so a shared config struct carrying another kind's settings
@@ -415,48 +435,48 @@ func NewStream(cfg TraceConfig) (Stream, error) {
 		if cfg.BurstFactor == 0 {
 			cfg.BurstFactor = 4
 		}
-		if cfg.BurstFactor <= 1 {
-			return nil, fmt.Errorf("serve: burst factor %g must exceed 1", cfg.BurstFactor)
+		if !finiteAbove(cfg.BurstFactor, 1) {
+			return nil, fmt.Errorf("serve: trace BurstFactor %g must be finite and exceed 1", cfg.BurstFactor)
 		}
 	case Diurnal:
 		if cfg.Period == 0 {
 			cfg.Period = 60
 		}
-		if cfg.Period < 0 {
-			return nil, fmt.Errorf("serve: diurnal period %g must be positive", cfg.Period)
+		if !finiteAbove(cfg.Period, 0) {
+			return nil, fmt.Errorf("serve: trace Period %g must be positive and finite", cfg.Period)
 		}
 		if cfg.Swing == 0 {
 			cfg.Swing = 0.8
 		}
-		if cfg.Swing < 0 || cfg.Swing >= 1 {
-			return nil, fmt.Errorf("serve: diurnal swing %g must be in [0,1)", cfg.Swing)
+		if !(cfg.Swing >= 0 && cfg.Swing < 1) {
+			return nil, fmt.Errorf("serve: trace Swing %g must be in [0,1)", cfg.Swing)
 		}
 	case Flashcrowd, Retrystorm:
 		if cfg.SurgeFactor == 0 {
 			cfg.SurgeFactor = 4
 		}
-		if cfg.SurgeFactor <= 1 {
-			return nil, fmt.Errorf("serve: surge factor %g must exceed 1", cfg.SurgeFactor)
+		if !finiteAbove(cfg.SurgeFactor, 1) {
+			return nil, fmt.Errorf("serve: trace SurgeFactor %g must be finite and exceed 1", cfg.SurgeFactor)
 		}
 		if cfg.SurgeSpan == 0 {
 			cfg.SurgeSpan = 120
 		}
-		if cfg.SurgeSpan <= 0 {
-			return nil, fmt.Errorf("serve: surge span %g must be positive", cfg.SurgeSpan)
+		if !finiteAbove(cfg.SurgeSpan, 0) {
+			return nil, fmt.Errorf("serve: trace SurgeSpan %g must be positive and finite", cfg.SurgeSpan)
 		}
 		if cfg.SurgePeriod == 0 {
 			cfg.SurgePeriod = 600
 		}
-		if cfg.SurgePeriod <= 0 {
-			return nil, fmt.Errorf("serve: surge period %g must be positive", cfg.SurgePeriod)
+		if !finiteAbove(cfg.SurgePeriod, 0) {
+			return nil, fmt.Errorf("serve: trace SurgePeriod %g must be positive and finite", cfg.SurgePeriod)
 		}
 	default:
 		return nil, fmt.Errorf("serve: unknown trace kind %v", cfg.Kind)
 	}
 	total := 0.0
 	for _, t := range cfg.Tenants {
-		if t.Share <= 0 {
-			return nil, fmt.Errorf("serve: tenant %s share %g must be positive", t.Class, t.Share)
+		if !finiteAbove(t.Share, 0) {
+			return nil, fmt.Errorf("serve: tenant %s Share %g must be positive and finite", t.Class, t.Share)
 		}
 		total += t.Share
 	}
@@ -493,6 +513,12 @@ func NewStream(cfg TraceConfig) (Stream, error) {
 	}
 	return g, nil
 }
+
+// finiteAbove reports whether x is finite and exceeds lo. NaN fails every
+// comparison, so a plain "x <= lo" check lets it through; an infinite
+// rate, factor or span collapses every arrival onto one instant or never
+// ends a phase.
+func finiteAbove(x, lo float64) bool { return x > lo && !math.IsInf(x, 1) }
 
 func (g *genStream) Info() TraceInfo {
 	return TraceInfo{

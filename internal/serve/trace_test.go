@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -162,6 +163,64 @@ func TestParseLengthProfile(t *testing.T) {
 	}
 	if _, err := ParseLengthProfile("code"); err == nil {
 		t.Error("unknown profile should error")
+	}
+}
+
+// TestStreamRejectsNonFiniteKnobs: every float knob of a trace config
+// must be finite. A NaN fails every "x <= 0" check, so before these were
+// rejected a NaN rate, burst factor, period or swing hung the generator
+// and a NaN surge or share was silently accepted; a +Inf rate put every
+// arrival at t = 0. The test only calls NewStream, so it cannot hang.
+func TestStreamRejectsNonFiniteKnobs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	base := func(kind TraceKind) TraceConfig {
+		return TraceConfig{Kind: kind, Rate: 1, Requests: 5, Seed: 1}
+	}
+	lengths := func(set func(*LengthProfile)) TraceConfig {
+		cfg := base(Poisson)
+		cfg.Lengths = ChatLengths()
+		set(&cfg.Lengths)
+		return cfg
+	}
+	cases := []struct {
+		field string
+		cfg   TraceConfig
+	}{
+		{"Rate", TraceConfig{Kind: Poisson, Rate: nan, Requests: 5}},
+		{"Rate", TraceConfig{Kind: Poisson, Rate: inf, Requests: 5}},
+		{"BurstFactor", TraceConfig{Kind: Bursty, Rate: 1, Requests: 5, BurstFactor: nan}},
+		{"BurstFactor", TraceConfig{Kind: Bursty, Rate: 1, Requests: 5, BurstFactor: inf}},
+		{"Period", TraceConfig{Kind: Diurnal, Rate: 1, Requests: 5, Period: nan}},
+		{"Period", TraceConfig{Kind: Diurnal, Rate: 1, Requests: 5, Period: inf}},
+		{"Swing", TraceConfig{Kind: Diurnal, Rate: 1, Requests: 5, Swing: nan}},
+		{"SurgeFactor", TraceConfig{Kind: Flashcrowd, Rate: 1, Requests: 5, SurgeFactor: nan}},
+		{"SurgeFactor", TraceConfig{Kind: Retrystorm, Rate: 1, Requests: 5, SurgeFactor: inf}},
+		{"SurgeSpan", TraceConfig{Kind: Flashcrowd, Rate: 1, Requests: 5, SurgeSpan: nan}},
+		{"SurgeSpan", TraceConfig{Kind: Flashcrowd, Rate: 1, Requests: 5, SurgeSpan: inf}},
+		{"SurgePeriod", TraceConfig{Kind: Flashcrowd, Rate: 1, Requests: 5, SurgePeriod: nan}},
+		{"SurgePeriod", TraceConfig{Kind: Retrystorm, Rate: 1, Requests: 5, SurgePeriod: inf}},
+		{"Share", TraceConfig{Kind: Poisson, Rate: 1, Requests: 5, Tenants: []TenantSpec{{Share: nan}}}},
+		{"Share", TraceConfig{Kind: Poisson, Rate: 1, Requests: 5, Tenants: []TenantSpec{{Share: 1}, {Share: inf}}}},
+		{"PromptMeanLog", lengths(func(l *LengthProfile) { l.PromptMeanLog = nan })},
+		{"PromptStdLog", lengths(func(l *LengthProfile) { l.PromptStdLog = inf })},
+		{"OutputMeanLog", lengths(func(l *LengthProfile) { l.OutputMeanLog = math.Inf(-1) })},
+		{"OutputStdLog", lengths(func(l *LengthProfile) { l.OutputStdLog = nan })},
+	}
+	for _, c := range cases {
+		_, err := NewStream(c.cfg)
+		if err == nil {
+			t.Errorf("%s: config %+v accepted", c.field, c.cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name the field", c.field, err)
+		}
+	}
+	// The same knobs at ordinary finite values still build a stream.
+	for _, kind := range TraceKinds() {
+		if _, err := NewStream(base(kind)); err != nil {
+			t.Errorf("%v: default knobs rejected: %v", kind, err)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func TestCommandFlagsReadsRealCommands(t *testing.T) {
 	}
 	for cmd, want := range map[string]string{
 		"mugisim":     "fleet",
-		"mugibench":   "benchfile",
+		"mugibench":   "minuteserve",
 		"mugiprofile": "family",
 	} {
 		if !flags[cmd][want] {
