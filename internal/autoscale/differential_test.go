@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,15 +16,31 @@ import (
 // controller and the serving scheduler: a fault-free controller pinned at
 // one replica on the nominal operating point is one continuous-batching
 // batch behind one queue, exactly serve.RunStream, so every request-level
-// number must match bit for bit.
+// number must match bit for bit. The later rows stop serve's rounds at a
+// full batch with a waiting queue, a KV-deferred queue head, and context
+// bucket edges (CtxBucket 1, and 7 with a MaxSeq clamp that is not a
+// bucket multiple).
 func TestSingleReplicaMatchesServe(t *testing.T) {
-	traces := []serve.TraceConfig{
-		{Kind: serve.Poisson, Rate: 0.3, Requests: 400, Seed: 3},
-		{Kind: serve.Bursty, Rate: 0.5, Requests: 600, Seed: 11},
-		{Kind: serve.Diurnal, Rate: 0.5, Requests: 800, Seed: 9, Period: 1800},
+	rows := []struct {
+		tc  serve.TraceConfig
+		mut func(*serve.Config)
+	}{
+		{serve.TraceConfig{Kind: serve.Poisson, Rate: 0.3, Requests: 400, Seed: 3}, nil},
+		{serve.TraceConfig{Kind: serve.Bursty, Rate: 0.5, Requests: 600, Seed: 11}, nil},
+		{serve.TraceConfig{Kind: serve.Diurnal, Rate: 0.5, Requests: 800, Seed: 9, Period: 1800}, nil},
+		{serve.TraceConfig{Kind: serve.Poisson, Rate: 2, Requests: 300, Seed: 5}, func(c *serve.Config) { c.MaxBatch = 4 }},
+		{serve.TraceConfig{Kind: serve.Poisson, Rate: 2, Requests: 300, Seed: 6}, func(c *serve.Config) { c.KVBudgetBytes = 1 << 30 }},
+		{serve.TraceConfig{Kind: serve.Bursty, Rate: 0.5, Requests: 300, Seed: 7}, func(c *serve.Config) { c.CtxBucket = 1 }},
+		{serve.TraceConfig{Kind: serve.Poisson, Rate: 0.5, Requests: 300, Seed: 8, Lengths: serve.RAGLengths()},
+			func(c *serve.Config) { c.CtxBucket = 7 }},
 	}
-	for _, tc := range traces {
+	for _, row := range rows {
+		tc := row.tc
+		name := fmt.Sprintf("%s seed %d", tc.Kind, tc.Seed)
 		cfg := baseCfg()
+		if row.mut != nil {
+			row.mut(&cfg.Replica)
+		}
 		cfg.MinReplicas, cfg.MaxReplicas = 1, 1
 		cfg.Policy = stepPolicy{before: 1, after: 1}
 		got, err := Run(cfg, tc)
@@ -39,26 +56,26 @@ func TestSingleReplicaMatchesServe(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Completed != want.Completed {
-			t.Errorf("%s: completed %d, serve %d", tc.Kind, got.Completed, want.Completed)
+			t.Errorf("%s: completed %d, serve %d", name, got.Completed, want.Completed)
 		}
 		if got.TTFT != want.TTFT {
-			t.Errorf("%s: TTFT %+v, serve %+v", tc.Kind, got.TTFT, want.TTFT)
+			t.Errorf("%s: TTFT %+v, serve %+v", name, got.TTFT, want.TTFT)
 		}
 		if got.Latency != want.Latency {
-			t.Errorf("%s: latency %+v, serve %+v", tc.Kind, got.Latency, want.Latency)
+			t.Errorf("%s: latency %+v, serve %+v", name, got.Latency, want.Latency)
 		}
 		if got.DynamicEnergy != want.DynamicEnergy {
-			t.Errorf("%s: dynamic energy %v J, serve %v J", tc.Kind, got.DynamicEnergy, want.DynamicEnergy)
+			t.Errorf("%s: dynamic energy %v J, serve %v J", name, got.DynamicEnergy, want.DynamicEnergy)
 		}
 		if got.PrefillSteps != want.PrefillSteps || got.DecodeSteps != want.DecodeSteps {
-			t.Errorf("%s: steps %d prefill / %d decode, serve %d / %d", tc.Kind,
+			t.Errorf("%s: steps %d prefill / %d decode, serve %d / %d", name,
 				got.PrefillSteps, got.DecodeSteps, want.PrefillSteps, want.DecodeSteps)
 		}
 		if got.MeanBatch != want.MeanBatch {
-			t.Errorf("%s: mean batch %v, serve %v", tc.Kind, got.MeanBatch, want.MeanBatch)
+			t.Errorf("%s: mean batch %v, serve %v", name, got.MeanBatch, want.MeanBatch)
 		}
 		if got.PeakQueue != want.PeakQueue {
-			t.Errorf("%s: peak queue %d, serve %d", tc.Kind, got.PeakQueue, want.PeakQueue)
+			t.Errorf("%s: peak queue %d, serve %d", name, got.PeakQueue, want.PeakQueue)
 		}
 	}
 }
