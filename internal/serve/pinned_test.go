@@ -30,8 +30,10 @@ func fastConfig() Config {
 // full batch with a waiting queue, a KV-deferred queue head, context
 // bucket edges (including a MaxSeq clamp that is not a bucket multiple),
 // crashes and a straggler with local retry and with hand-off, transient
-// re-deliveries due within a round, the brownout ladder, the full
-// overload stack and bounded-queue shedding.
+// re-deliveries due within a round, the brownout ladder (climbing on a
+// queue and walking back down on an empty one, with a dwell shorter
+// than a round can leap), the full overload stack and bounded-queue
+// shedding.
 func pinnedRows() []pinnedRow {
 	plain := func(mut func(*Config)) func(*testing.T) Config {
 		return func(*testing.T) Config {
@@ -77,6 +79,11 @@ func pinnedRows() []pinnedRow {
 		{"brownout flash crowd", plain(func(c *Config) { c.Brownout = &overload.BrownoutSpec{} }),
 			TraceConfig{Kind: Flashcrowd, Rate: 2, Requests: 240, Seed: 3},
 			"89055890adda5ed35a3e36bce0f3e3576f0ace2a4b95dc20badf6d49455c56e8"},
+		{"brownout dwell", plain(func(c *Config) {
+			c.MaxBatch, c.CtxBucket = 2, 128
+			c.Brownout = &overload.BrownoutSpec{HighWater: 4, Dwell: 2}
+		}), TraceConfig{Kind: Bursty, Rate: 0.5, Requests: 200, Seed: 4},
+			"dbad04e609beab0880ac43d825951d1ed4be4c6a6c1ca0244902c95cdf26f754"},
 		{"overload stack", func(*testing.T) Config {
 			cfg := baseConfig()
 			cfg.MaxQueue = 8
@@ -116,9 +123,14 @@ func TestRunStatsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", st)))); got != row.sum {
+			if got := statsDigest(st); got != row.sum {
 				t.Errorf("RunStats digest %s, pinned %s\n%s", got, row.sum, st.Report)
 			}
 		})
 	}
+}
+
+// statsDigest is the sha256 of a RunStats in Go syntax.
+func statsDigest(st RunStats) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", st))))
 }
