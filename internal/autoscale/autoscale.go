@@ -525,8 +525,11 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// only while Active, never while Draining — at rp's operating point
 	// and straggler factor. All costs and completions are computed here;
 	// the round's wall span [t, end] is what the replica is busy for.
+	// Rounds stay one decode step (until = t): busy time and leakage are
+	// billed per round and replicas' steps share one energy accumulator
+	// in event order, so a leap would regroup those sums and move bytes.
 	startRound := func(rp *replica, t float64) error {
-		end, err := eng.Round(rp.batch, t, cfg.Ladder[rp.point], rp.slow, rp.state == Active)
+		end, err := eng.Round(rp.batch, t, cfg.Ladder[rp.point], rp.slow, rp.state == Active, t)
 		if err != nil {
 			return err
 		}

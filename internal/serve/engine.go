@@ -40,11 +40,15 @@ func (b *Batch) Len() int { return len(b.active) }
 // batch; internal/autoscale's controller drives one batch per replica.
 // Each batch advances through Round, the Orca-style iteration: admit
 // queued requests while a slot and KV budget are free (one prefill pass
-// each, which also yields the first token), then one decode step for the
-// whole batch at its longest context. Every step's energy lands in one
-// accumulator in step order, so a run's totals are bit-identical however
-// its rounds are spread over batches. Step costs come from the engine's
-// per-run StepCosts table, so each distinct shape and operating point is
+// each, which also yields the first token), then decode steps for the
+// whole batch at its longest context. A round leaps over consecutive
+// decode steps of one shape up to the caller's next event, a completion
+// or a bucket edge, so a stretch of identical steps costs one table
+// lookup; passing the round's start as that event keeps it to one step.
+// Every step's energy lands in one accumulator in step order, so a run's
+// totals are bit-identical however its steps are grouped into rounds and
+// spread over batches. Step costs come from the engine's per-run
+// StepCosts table, so each distinct shape and operating point is
 // simulated once per run. Engines are pooled: a warmed steady-state round
 // allocates nothing.
 type Engine struct {
@@ -374,14 +378,24 @@ func (e *Engine) bucket(n int) int {
 
 // Round runs one scheduling round of b from time t and returns the time
 // it ends. With admit set, queued requests are prefilled while b has a
-// batch slot and KV budget free; then one decode step runs for the whole
-// batch, padded to its longest context. Steps are priced at the
-// operating point and stretched by slow (1 on a healthy replica: ×1.0 is
-// bit-exact). A step whose cost is negative or not finite aborts the
-// round with an error.
+// batch slot and KV budget free. Then the round leaps: it runs decode
+// steps for the whole batch, padded to its longest context, for as long
+// as they share one shape and nothing can happen between them. The leap
+// stops after the step at which a resident request reaches its last
+// token, before the longest context crosses its CtxBucket edge, and
+// after the first step that ends at or after until or at or after a
+// transient re-delivery comes due (one that this round's own admission
+// scheduled included). The first step always runs, so until = t is
+// exactly one decode step. The caller passes its next event as until:
+// an arrival, a crash, anything that could change the queue or the
+// batch between steps. Steps are priced at the operating point, once
+// per leap, and stretched by slow (1 on a healthy replica: ×1.0 is
+// bit-exact). Time and energy still advance step by step in order, so a
+// leap's bytes equal its steps run one round each. A step whose cost is
+// negative or not finite aborts the round with an error.
 //
 //mugi:noalloc
-func (e *Engine) Round(b *Batch, t float64, point arch.DVFSPoint, slow float64, admit bool) (float64, error) {
+func (e *Engine) Round(b *Batch, t float64, point arch.DVFSPoint, slow float64, admit bool, until float64) (float64, error) {
 	var err error
 	p := e.costs.point(point)
 	for admit && e.QueueLen() > 0 && len(b.active) < e.cfg.MaxBatch {
@@ -415,7 +429,7 @@ func (e *Engine) Round(b *Batch, t float64, point arch.DVFSPoint, slow float64, 
 		if b.kvInUse > e.rep.PeakKVBytes {
 			e.rep.PeakKVBytes = b.kvInUse
 		}
-		if t, err = e.step(p, slow, t, false, 1, e.bucket(r.req.Prompt)); err != nil {
+		if t, _, err = e.steps(p, slow, t, false, 1, e.bucket(r.req.Prompt), 1, t); err != nil {
 			return t, err
 		}
 		e.rep.PrefillSteps++
@@ -430,22 +444,31 @@ func (e *Engine) Round(b *Batch, t float64, point arch.DVFSPoint, slow float64, 
 	if len(b.active) == 0 {
 		return t, nil
 	}
-	maxCtx := 0
+	if e.rhead < len(e.retries) && e.retries[e.rhead].readyAt < until {
+		until = e.retries[e.rhead].readyAt
+	}
+	// Every step adds one token to every resident request, so the
+	// longest context stays the longest and the shortest remainder
+	// finishes first.
+	maxCtx, left := 0, math.MaxInt
 	for _, idx := range b.active {
 		r := &e.states[idx]
 		if ctx := r.req.Prompt + r.generated; ctx > maxCtx {
 			maxCtx = ctx
 		}
+		left = min(left, r.req.Output-r.generated)
 	}
-	if t, err = e.step(p, slow, t, true, len(b.active), e.bucket(maxCtx)); err != nil {
+	ctx := e.bucket(maxCtx)
+	n := max(min(left, ctx-maxCtx+1), 1)
+	if t, n, err = e.steps(p, slow, t, true, len(b.active), ctx, n, until); err != nil {
 		return t, err
 	}
-	e.rep.DecodeSteps++
-	e.batchSum += len(b.active)
+	e.rep.DecodeSteps += n
+	e.batchSum += n * len(b.active)
 	remaining := b.active[:0]
 	for _, idx := range b.active {
 		r := &e.states[idx]
-		r.generated++
+		r.generated += n
 		if r.generated >= r.req.Output {
 			e.complete(b, r, t)
 			e.release(idx)
@@ -457,24 +480,33 @@ func (e *Engine) Round(b *Batch, t float64, point arch.DVFSPoint, slow float64, 
 	return t, nil
 }
 
-// step runs one pass of the given shape at operating point p (an index
-// among the run's points) starting at t and returns when it ends. The
-// cost check runs on every step, whether the table priced the shape now
-// or earlier in the run.
+// steps runs up to n passes of one shape at operating point p (an index
+// among the run's points) from t, stopping after the first that ends at
+// or after until, and returns when the last ends and how many ran. The
+// cost is looked up and checked once; time and energy accumulate one
+// pass at a time.
 //
 //mugi:noalloc
-func (e *Engine) step(p int32, slow, t float64, decode bool, batch, ctx int) (float64, error) {
+func (e *Engine) steps(p int32, slow, t float64, decode bool, batch, ctx, n int, until float64) (float64, int, error) {
 	res := e.costs.cost(p, decode, batch, ctx)
 	if !finiteCost(res.Seconds) || !finiteCost(res.DynamicEnergy) {
-		return t, badStepError(decode, batch, ctx, res)
+		return t, 0, badStepError(decode, batch, ctx, res)
 	}
-	t += res.Seconds * slow
-	e.rep.DynamicEnergy += res.DynamicEnergy
+	energy, ran := e.rep.DynamicEnergy, 0
+	for ran < n {
+		t += res.Seconds * slow
+		energy += res.DynamicEnergy
+		ran++
+		if t >= until {
+			break
+		}
+	}
+	e.rep.DynamicEnergy = energy
 	e.leakage = res.LeakageWatts
 	if res.NoCLimited {
-		e.rep.NoCLimitedSteps++
+		e.rep.NoCLimitedSteps += ran
 	}
-	return t, nil
+	return t, ran, nil
 }
 
 // finiteCost reports whether a step cost is finite and non-negative.

@@ -793,17 +793,18 @@ func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
 		if q := e.QueueLen(); q > rep.PeakQueue {
 			rep.PeakQueue = q
 		}
+		// next is the earliest arrival, re-delivery or client re-arrival.
+		next := math.Inf(1)
+		if havePending {
+			next = pending.Arrival
+		}
+		if e.rhead < len(e.retries) && e.retries[e.rhead].readyAt < next {
+			next = e.retries[e.rhead].readyAt
+		}
+		if chead < len(clientQ) && clientQ[chead].readyAt < next {
+			next = clientQ[chead].readyAt
+		}
 		if b.Len() == 0 && e.QueueLen() == 0 {
-			next := math.Inf(1)
-			if havePending {
-				next = pending.Arrival
-			}
-			if e.rhead < len(e.retries) && e.retries[e.rhead].readyAt < next {
-				next = e.retries[e.rhead].readyAt
-			}
-			if chead < len(clientQ) && clientQ[chead].readyAt < next {
-				next = clientQ[chead].readyAt
-			}
 			if math.IsInf(next, 1) {
 				return RunStats{}, fmt.Errorf("serve: stream ended after %d of %d requests", rep.Completed, total)
 			}
@@ -811,7 +812,18 @@ func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
 			now = next
 			continue
 		}
-		if now, err = e.Round(b, now, point, slowdown, true); err != nil {
+		// The round may leap over decode steps until the next event. A
+		// crash is one; so is every round while brownout is engaged or
+		// the queue it watches is non-empty, as its dwell clock moves
+		// with each observation.
+		until := next
+		if haveDown && curDown.Start < until {
+			until = curDown.Start
+		}
+		if bo != nil && (bo.Level() > 0 || e.QueueLen() > 0) {
+			until = now
+		}
+		if now, err = e.Round(b, now, point, slowdown, true, until); err != nil {
 			return RunStats{}, err
 		}
 	}

@@ -18,8 +18,8 @@ type StepCost struct {
 }
 
 // stepKey names one priced pass within a run: the operating point's
-// index among the run's points and the quantized step shape. Everything
-// else in the simulator input comes from the run's Config, so the key is
+// index among the run's points and the step shape. Everything else in
+// the simulator input comes from the run's Config, so the key is
 // complete by construction.
 type stepKey struct {
 	batch, ctx int
@@ -27,23 +27,49 @@ type stepKey struct {
 	decode     bool
 }
 
+// costEntry is one slot of the dense table: a priced pass, the context
+// it was priced at, and the generation of the run that priced it.
+type costEntry struct {
+	cost StepCost
+	ctx  int
+	gen  uint32
+}
+
+// Dense-table bounds: a model without a MaxSeq gets denseCtx tokens of
+// dense context, and no row holds more than maxSlots context slots.
+// Shapes past either bound are priced into the spill map.
+const (
+	denseCtx = 1 << 15
+	maxSlots = 1 << 13
+)
+
 // StepCosts is a per-run step-cost table: each distinct (operating
-// point, prefill or decode, batch, quantized context) is priced through
-// the configuration's StepFunc once, and every later step of that shape
-// reads the table. CtxBucket quantization bounds a run to
-// O(MaxBatch × MaxSeq/CtxBucket) shapes per operating point, so nearly
-// every step of a long run is a table read. The table lives and dies
-// with its run: the StepFunc is injectable and runner.ResetCache must
-// give a cold start, so no entry outlives the run that priced it. It
-// hands the StepFunc its operator list in reusable scratch, valid only
-// during the call.
+// point, prefill or decode, batch, context) is priced through the
+// configuration's StepFunc once, and every later step of that shape
+// reads the table. The table is dense: rows indexed by operating point,
+// phase and batch, each a slice of context slots ceil(ctx/CtxBucket), so
+// a lookup is a few index operations. CtxBucket quantization puts one
+// context in each slot on the scheduler's grid; a slot holding another
+// context (an unaligned ctx from Cost) is a miss, priced once into a
+// spill map, never a wrong hit. Rows are allocated on their first miss
+// and kept across runs; each entry carries its run's generation stamp,
+// so starting a run is O(1) whatever the table holds. The table lives
+// and dies with its run: the StepFunc is injectable and runner.ResetCache
+// must give a cold start, so no entry outlives the run that priced it.
+// It hands the StepFunc its operator list in reusable scratch, valid
+// only during the call.
 type StepCosts struct {
 	model    model.Config
 	params   sim.Params
 	simulate StepFunc
 	points   []arch.DVFSPoint // the run's operating points, indexed by stepKey.point
-	costs    map[stepKey]StepCost
-	ops      []model.Op // operator scratch of the shape being priced
+	// bucket is the slot width (the run's CtxBucket); slots is the row
+	// length covering contexts 0..maxCtx; maxBatch bounds dense batches.
+	bucket, slots, maxCtx, maxBatch int
+	gen                             uint32             // the run's stamp; other stamps are stale
+	table                           [][2][][]costEntry // [point][prefill, decode][batch][slot]
+	spill                           map[stepKey]StepCost
+	ops                             []model.Op // operator scratch of the shape being priced
 }
 
 // NewStepCosts returns an empty table pricing passes of cfg, with cfg's
@@ -55,14 +81,29 @@ func NewStepCosts(cfg Config) *StepCosts {
 }
 
 // reset empties the table for a run of the defaulted cfg, keeping its
-// storage.
+// storage: a new generation stamp retires every entry at once.
 func (s *StepCosts) reset(cfg Config) {
 	s.model, s.params, s.simulate = cfg.Model, cfg.Params(), cfg.Simulate
 	s.points = s.points[:0]
-	if s.costs == nil {
-		s.costs = make(map[stepKey]StepCost)
+	s.bucket, s.maxBatch = max(cfg.CtxBucket, 1), cfg.MaxBatch
+	ctx := cfg.Model.MaxSeq
+	if ctx <= 0 {
+		ctx = denseCtx
 	}
-	clear(s.costs)
+	s.slots = min((ctx+s.bucket-1)/s.bucket, maxSlots) + 1
+	s.maxCtx = (s.slots - 1) * s.bucket
+	clear(s.spill)
+	if s.gen++; s.gen == 0 {
+		// The stamp wrapped: clear every entry so none can match again.
+		for i := range s.table {
+			for _, rows := range s.table[i] {
+				for _, row := range rows {
+					clear(row)
+				}
+			}
+		}
+		s.gen = 1
+	}
 }
 
 // Cost returns the cost of one pass at the operating point: a prefill of
@@ -91,14 +132,76 @@ func (s *StepCosts) point(p arch.DVFSPoint) int32 {
 //
 //mugi:noalloc
 func (s *StepCosts) cost(point int32, decode bool, batch, ctx int) StepCost {
-	k := stepKey{batch: batch, ctx: ctx, point: point, decode: decode}
-	if c, ok := s.costs[k]; ok {
-		return c
+	if e := s.slot(point, decode, batch, ctx); e != nil && e.gen == s.gen && e.ctx == ctx {
+		return e.cost
 	}
-	return s.price(k)
+	return s.miss(point, decode, batch, ctx)
 }
 
-// price simulates a shape missing from the table and records its cost.
+// slot returns the dense entry of a shape, or nil when the shape lies
+// outside the dense bounds or its row is not allocated.
+//
+//mugi:noalloc
+func (s *StepCosts) slot(point int32, decode bool, batch, ctx int) *costEntry {
+	if batch < 1 || batch > s.maxBatch || ctx < 0 || ctx > s.maxCtx || int(point) >= len(s.table) {
+		return nil
+	}
+	rows := s.table[point][phase(decode)]
+	if batch >= len(rows) || len(rows[batch]) < s.slots {
+		return nil
+	}
+	return &rows[batch][(ctx+s.bucket-1)/s.bucket]
+}
+
+// phase indexes the table's prefill and decode halves.
+func phase(decode bool) int {
+	if decode {
+		return 1
+	}
+	return 0
+}
+
+// miss serves a shape the dense table does not hold for this run: from
+// the spill map, or by pricing it into its dense slot, or into the spill
+// map when the shape is out of the dense bounds or its slot already
+// holds another context this run.
+func (s *StepCosts) miss(point int32, decode bool, batch, ctx int) StepCost {
+	k := stepKey{batch: batch, ctx: ctx, point: point, decode: decode}
+	if c, ok := s.spill[k]; ok {
+		return c
+	}
+	c := s.price(k)
+	s.grow(point, decode, batch)
+	if e := s.slot(point, decode, batch, ctx); e != nil && e.gen != s.gen {
+		*e = costEntry{cost: c, ctx: ctx, gen: s.gen}
+		return c
+	}
+	if s.spill == nil {
+		s.spill = make(map[stepKey]StepCost)
+	}
+	s.spill[k] = c
+	return c
+}
+
+// grow allocates the full-length row of (point, phase, batch) if this
+// run's shapes do not fit the one it has.
+func (s *StepCosts) grow(point int32, decode bool, batch int) {
+	if batch < 1 || batch > s.maxBatch {
+		return
+	}
+	if n := int(point) + 1; n > len(s.table) {
+		s.table = append(s.table, make([][2][][]costEntry, n-len(s.table))...)
+	}
+	rows := &s.table[point][phase(decode)]
+	if batch >= len(*rows) {
+		*rows = append(*rows, make([][]costEntry, batch+1-len(*rows))...)
+	}
+	if len((*rows)[batch]) < s.slots {
+		(*rows)[batch] = make([]costEntry, s.slots)
+	}
+}
+
+// price simulates a shape missing from the table.
 func (s *StepCosts) price(k stepKey) StepCost {
 	var w model.Workload
 	if k.decode {
@@ -110,7 +213,5 @@ func (s *StepCosts) price(k stepKey) StepCost {
 	p := s.params
 	p.DVFS = s.points[k.point]
 	res := s.simulate(p, w)
-	c := StepCost{Seconds: res.Seconds, DynamicEnergy: res.DynamicEnergy, LeakageWatts: res.LeakageWatts, NoCLimited: res.NoCLimited}
-	s.costs[k] = c
-	return c
+	return StepCost{Seconds: res.Seconds, DynamicEnergy: res.DynamicEnergy, LeakageWatts: res.LeakageWatts, NoCLimited: res.NoCLimited}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"maps"
+	"math"
 	"testing"
 
 	"mugi/internal/arch"
@@ -101,7 +102,7 @@ func TestStepCostMemo(t *testing.T) {
 		}
 		now := 0.0
 		for e.QueueLen() > 0 || b.Len() > 0 {
-			if now, err = e.Round(b, now, arch.DVFSPoint{}, 1, true); err != nil {
+			if now, err = e.Round(b, now, arch.DVFSPoint{}, 1, true, math.Inf(1)); err != nil {
 				t.Fatal(err)
 			}
 		}
