@@ -773,13 +773,16 @@ func validateFlags(modes, batch, seq, minReplicas, maxReplicas int, rate float64
 	if parallel < 0 {
 		return fmt.Errorf("-parallel %d must be non-negative", parallel)
 	}
-	if mtbf < 0 || mttr < 0 {
-		return fmt.Errorf("-mtbf %g and -mttr %g must be non-negative", mtbf, mttr)
+	if !(mtbf >= 0) || math.IsInf(mtbf, 1) {
+		return fmt.Errorf("-mtbf %g must be finite and non-negative", mtbf)
 	}
-	if straggler < 0 || straggler > 1 {
+	if !(mttr >= 0) || math.IsInf(mttr, 1) {
+		return fmt.Errorf("-mttr %g must be finite and non-negative", mttr)
+	}
+	if !(straggler >= 0 && straggler <= 1) {
 		return fmt.Errorf("-straggler %g must be a probability in [0,1]", straggler)
 	}
-	if ninesTarget <= 0 || ninesTarget > 1 {
+	if !(ninesTarget > 0 && ninesTarget <= 1) {
 		return fmt.Errorf("-nines %g must be an availability in (0,1]", ninesTarget)
 	}
 	return nil
@@ -799,7 +802,7 @@ func validateOverloadFlags(overloadMode, surgeSet bool, surge float64, brownoutL
 	if brownoutLadder < 1 || brownoutLadder > 3 {
 		return fmt.Errorf("-brownout %d must be a ladder depth in 1..3", brownoutLadder)
 	}
-	if breakerThreshold < 0 || breakerThreshold > 1 {
+	if !(breakerThreshold >= 0 && breakerThreshold <= 1) {
 		return fmt.Errorf("-breaker %g must be a downtime fraction in (0,1], or 0 to disable", breakerThreshold)
 	}
 	return nil

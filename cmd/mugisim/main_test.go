@@ -96,6 +96,12 @@ func TestValidateFlags(t *testing.T) {
 		okCase("zero batch"),
 		okCase("NaN rate"),
 		okCase("infinite rate"),
+		okCase("NaN mtbf"),
+		okCase("infinite mtbf"),
+		okCase("NaN mttr"),
+		okCase("infinite mttr"),
+		okCase("NaN straggler"),
+		okCase("NaN nines"),
 	}
 	cases[1].maxReplicas = 0 // 0 = "size from the static plan": any floor is fine
 	cases[1].minReplicas = 9
@@ -132,6 +138,18 @@ func TestValidateFlags(t *testing.T) {
 	cases[16].wantErr = true
 	cases[17].rate = math.Inf(1)
 	cases[17].wantErr = true
+	cases[18].mtbf = math.NaN()
+	cases[18].wantErr = true
+	cases[19].mtbf = math.Inf(1)
+	cases[19].wantErr = true
+	cases[20].mttr = math.NaN()
+	cases[20].wantErr = true
+	cases[21].mttr = math.Inf(1)
+	cases[21].wantErr = true
+	cases[22].straggler = math.NaN()
+	cases[22].wantErr = true
+	cases[23].ninesTarget = math.NaN()
+	cases[23].wantErr = true
 
 	for _, c := range cases {
 		err := validateFlags(c.modes, c.batch, c.seq, c.minReplicas, c.maxReplicas, c.rate,
@@ -166,6 +184,7 @@ func TestValidateOverloadFlags(t *testing.T) {
 		{name: "ladder too deep", overloadMode: true, surge: 4, brownoutLadder: 4, wantErr: true},
 		{name: "breaker above one", overloadMode: true, surge: 4, brownoutLadder: 3, breakerThreshold: 1.5, wantErr: true},
 		{name: "negative breaker", overloadMode: true, surge: 4, brownoutLadder: 3, breakerThreshold: -0.1, wantErr: true},
+		{name: "NaN breaker", overloadMode: true, surge: 4, brownoutLadder: 3, breakerThreshold: math.NaN(), wantErr: true},
 	}
 	for _, c := range cases {
 		err := validateOverloadFlags(c.overloadMode, c.surgeSet, c.surge, c.brownoutLadder, c.breakerThreshold)

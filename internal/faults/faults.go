@@ -78,28 +78,31 @@ func (s Spec) WithDefaults() Spec {
 	return s
 }
 
-// Validate rejects non-physical fault models.
+// Validate rejects non-physical fault models. Every knob must be finite:
+// a NaN or infinite MTBF or MTTR would leave the crash timeline unable
+// to advance past its horizon. The checks are written !(x >= 0) so NaN
+// fails them.
 func (s Spec) Validate() error {
-	if s.MTBF < 0 {
-		return fmt.Errorf("faults: MTBF %g must be non-negative", s.MTBF)
+	if !(s.MTBF >= 0) || math.IsInf(s.MTBF, 1) {
+		return fmt.Errorf("faults: MTBF %g must be finite and non-negative", s.MTBF)
 	}
-	if s.MTTR < 0 {
-		return fmt.Errorf("faults: MTTR %g must be non-negative", s.MTTR)
+	if !(s.MTTR >= 0) || math.IsInf(s.MTTR, 1) {
+		return fmt.Errorf("faults: MTTR %g must be finite and non-negative", s.MTTR)
 	}
 	for _, p := range []struct {
 		name string
 		v    float64
 	}{
-		{"straggler probability", s.StragglerProb},
-		{"boot-failure probability", s.BootFailProb},
-		{"transient-error probability", s.TransientProb},
+		{"StragglerProb", s.StragglerProb},
+		{"BootFailProb", s.BootFailProb},
+		{"TransientProb", s.TransientProb},
 	} {
-		if p.v < 0 || p.v > 1 || math.IsNaN(p.v) {
-			return fmt.Errorf("faults: %s %g must be in [0, 1]", p.name, p.v)
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("faults: %s %g must be a probability in [0, 1]", p.name, p.v)
 		}
 	}
-	if s.StragglerFactor != 0 && s.StragglerFactor < 1 {
-		return fmt.Errorf("faults: straggler factor %g must be >= 1", s.StragglerFactor)
+	if s.StragglerFactor != 0 && (!(s.StragglerFactor >= 1) || math.IsInf(s.StragglerFactor, 1)) {
+		return fmt.Errorf("faults: StragglerFactor %g must be finite and >= 1", s.StragglerFactor)
 	}
 	return nil
 }

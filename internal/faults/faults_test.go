@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -204,5 +205,32 @@ func TestNines(t *testing.T) {
 	}
 	if got := NinesString(0.99); got != "2.00 nines" {
 		t.Errorf("NinesString(0.99) = %q", got)
+	}
+}
+
+// TestSpecRejectsNonFiniteKnobs: every float knob must be finite and in
+// its domain, with an error naming the field. A NaN MTBF or MTTR used to
+// panic in DownAfter and an infinite one to loop in ensure, so the rows
+// stop at New and never draw a timeline.
+func TestSpecRejectsNonFiniteKnobs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		spec  Spec
+	}{
+		{"MTBF", Spec{MTBF: nan}},
+		{"MTBF", Spec{MTBF: inf}},
+		{"MTTR", Spec{MTBF: 100, MTTR: nan}},
+		{"MTTR", Spec{MTBF: 100, MTTR: inf}},
+		{"StragglerProb", Spec{StragglerProb: nan}},
+		{"StragglerFactor", Spec{StragglerProb: 1, StragglerFactor: nan}},
+		{"StragglerFactor", Spec{StragglerProb: 1, StragglerFactor: inf}},
+		{"BootFailProb", Spec{BootFailProb: nan}},
+		{"TransientProb", Spec{TransientProb: nan}},
+	}
+	for _, c := range cases {
+		if _, err := New(c.spec, 0); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: New error %v, want one naming %s", c.spec, err, c.field)
+		}
 	}
 }

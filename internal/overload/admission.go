@@ -1,6 +1,9 @@
 package overload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Decision is the admission controller's verdict on one arrival. The
 // scheduler applies it mechanically: Admit enqueues, Evict enqueues
@@ -74,13 +77,16 @@ type AdmissionSpec struct {
 	Buckets [NumClasses]TokenBucket
 }
 
-// Validate rejects malformed specs.
+// Validate rejects malformed specs: every bucket's Rate and Burst must
+// be finite and non-negative (written !(x >= 0) so NaN fails).
 func (s AdmissionSpec) Validate() error {
 	for _, c := range Classes() {
 		b := s.Buckets[c]
-		if b.Rate < 0 || b.Burst < 0 {
-			return fmt.Errorf("overload: AdmissionSpec bucket for %s must be non-negative, got rate %g burst %g",
-				c, b.Rate, b.Burst)
+		if !(b.Rate >= 0) || math.IsInf(b.Rate, 1) {
+			return fmt.Errorf("overload: AdmissionSpec bucket for %s: Rate must be finite and >= 0, got %g", c, b.Rate)
+		}
+		if !(b.Burst >= 0) || math.IsInf(b.Burst, 1) {
+			return fmt.Errorf("overload: AdmissionSpec bucket for %s: Burst must be finite and >= 0, got %g", c, b.Burst)
 		}
 	}
 	return nil

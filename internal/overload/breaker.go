@@ -1,6 +1,9 @@
 package overload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // BreakerState is the circuit breaker's three-state machine.
 type BreakerState int
@@ -65,16 +68,17 @@ func (s BreakerSpec) WithDefaults() BreakerSpec {
 	return s
 }
 
-// Validate rejects malformed specs (after WithDefaults).
+// Validate rejects malformed specs (after WithDefaults). The float
+// checks are written !(x > 0) and the like so NaN fails them.
 func (s BreakerSpec) Validate() error {
-	if s.Threshold <= 0 || s.Threshold > 1 {
+	if !(s.Threshold > 0 && s.Threshold <= 1) {
 		return fmt.Errorf("overload: BreakerSpec.Threshold must be in (0,1], got %g", s.Threshold)
 	}
-	if s.Window <= 0 {
-		return fmt.Errorf("overload: BreakerSpec.Window must be > 0, got %g", s.Window)
+	if !(s.Window > 0) || math.IsInf(s.Window, 1) {
+		return fmt.Errorf("overload: BreakerSpec.Window must be finite and > 0, got %g", s.Window)
 	}
-	if s.Cooldown < 0 {
-		return fmt.Errorf("overload: BreakerSpec.Cooldown must be >= 0, got %g", s.Cooldown)
+	if !(s.Cooldown >= 0) || math.IsInf(s.Cooldown, 1) {
+		return fmt.Errorf("overload: BreakerSpec.Cooldown must be finite and >= 0, got %g", s.Cooldown)
 	}
 	if s.Probes <= 0 {
 		return fmt.Errorf("overload: BreakerSpec.Probes must be > 0, got %d", s.Probes)

@@ -2,6 +2,7 @@ package overload
 
 import (
 	"fmt"
+	"math"
 
 	"mugi/internal/arch"
 )
@@ -93,11 +94,16 @@ func (s BrownoutSpec) Validate() error {
 	if s.HighWater < 0 {
 		return fmt.Errorf("overload: BrownoutSpec.HighWater must be >= 0, got %d", s.HighWater)
 	}
-	if s.Enter <= 0 || s.Exit < 0 || s.Exit >= s.Enter {
-		return fmt.Errorf("overload: BrownoutSpec needs 0 <= Exit < Enter, got Enter %g Exit %g", s.Enter, s.Exit)
+	// Written !(x > 0) and the like so NaN fails; a NaN threshold or
+	// dwell would silently keep the ladder at level 0.
+	if !(s.Enter > 0) || math.IsInf(s.Enter, 1) {
+		return fmt.Errorf("overload: BrownoutSpec.Enter must be finite and > 0, got %g", s.Enter)
 	}
-	if s.Dwell < 0 {
-		return fmt.Errorf("overload: BrownoutSpec.Dwell must be >= 0, got %g", s.Dwell)
+	if !(s.Exit >= 0 && s.Exit < s.Enter) {
+		return fmt.Errorf("overload: BrownoutSpec.Exit must be in [0, Enter %g), got %g", s.Enter, s.Exit)
+	}
+	if !(s.Dwell >= 0) || math.IsInf(s.Dwell, 1) {
+		return fmt.Errorf("overload: BrownoutSpec.Dwell must be finite and >= 0, got %g", s.Dwell)
 	}
 	return nil
 }

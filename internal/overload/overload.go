@@ -21,7 +21,10 @@
 // amplifier — retry traffic concentrating on a sick replica.
 package overload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Class is a request's tenant/priority class. The zero value is
 // Standard so untagged traffic — every trace that predates tenancy —
@@ -153,8 +156,8 @@ func (s ClientRetrySpec) Validate() error {
 	if s.MaxAttempts < 0 {
 		return fmt.Errorf("overload: ClientRetrySpec.MaxAttempts must be >= 0, got %d", s.MaxAttempts)
 	}
-	if s.Backoff < 0 {
-		return fmt.Errorf("overload: ClientRetrySpec.Backoff must be >= 0, got %g", s.Backoff)
+	if !(s.Backoff >= 0) || math.IsInf(s.Backoff, 1) {
+		return fmt.Errorf("overload: ClientRetrySpec.Backoff must be finite and >= 0, got %g", s.Backoff)
 	}
 	return nil
 }

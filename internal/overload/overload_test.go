@@ -1,6 +1,8 @@
 package overload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"mugi/internal/arch"
@@ -289,5 +291,54 @@ func TestSLOAndDefaults(t *testing.T) {
 	}
 	if !(SLO{}).Met(1e9, 1e9) {
 		t.Fatalf("zero SLO must be unconstrained")
+	}
+}
+
+// TestSpecsRejectNonFiniteKnobs: every float knob of the brownout,
+// client-retry, admission and breaker specs must be finite and in its
+// domain, with an error naming the field. A NaN brownout threshold or
+// dwell used to keep the ladder at level 0, a NaN or infinite client
+// backoff to end a run early, and NaN rates and breaker knobs passed.
+func TestSpecsRejectNonFiniteKnobs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	brownout := func(mut func(*BrownoutSpec)) error {
+		s := BrownoutSpec{HighWater: 8}
+		mut(&s)
+		return s.WithDefaults().Validate()
+	}
+	bucket := func(b TokenBucket) error {
+		var s AdmissionSpec
+		s.Buckets[BestEffort] = b
+		return s.Validate()
+	}
+	breaker := func(mut func(*BreakerSpec)) error {
+		var s BreakerSpec
+		mut(&s)
+		return s.WithDefaults().Validate()
+	}
+	cases := []struct {
+		name, field string
+		err         error
+	}{
+		{"brownout Enter NaN", "Enter", brownout(func(s *BrownoutSpec) { s.Enter = nan })},
+		{"brownout Enter +Inf", "Enter", brownout(func(s *BrownoutSpec) { s.Enter = inf })},
+		{"brownout Exit NaN", "Exit", brownout(func(s *BrownoutSpec) { s.Exit = nan })},
+		{"brownout Dwell NaN", "Dwell", brownout(func(s *BrownoutSpec) { s.Dwell = nan })},
+		{"brownout Dwell +Inf", "Dwell", brownout(func(s *BrownoutSpec) { s.Dwell = inf })},
+		{"client Backoff NaN", "Backoff", ClientRetrySpec{Backoff: nan, MaxAttempts: 2}.Validate()},
+		{"client Backoff +Inf", "Backoff", ClientRetrySpec{Backoff: inf, MaxAttempts: 2}.Validate()},
+		{"admission Rate NaN", "Rate", bucket(TokenBucket{Rate: nan})},
+		{"admission Rate +Inf", "Rate", bucket(TokenBucket{Rate: inf})},
+		{"admission Burst NaN", "Burst", bucket(TokenBucket{Rate: 1, Burst: nan})},
+		{"breaker Threshold NaN", "Threshold", breaker(func(s *BreakerSpec) { s.Threshold = nan })},
+		{"breaker Window NaN", "Window", breaker(func(s *BreakerSpec) { s.Window = nan })},
+		{"breaker Window +Inf", "Window", breaker(func(s *BreakerSpec) { s.Window = inf })},
+		{"breaker Cooldown NaN", "Cooldown", breaker(func(s *BreakerSpec) { s.Cooldown = nan })},
+		{"breaker Cooldown +Inf", "Cooldown", breaker(func(s *BreakerSpec) { s.Cooldown = inf })},
+	}
+	for _, c := range cases {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.field) {
+			t.Errorf("%s: error %v, want one naming %s", c.name, c.err, c.field)
+		}
 	}
 }
