@@ -35,13 +35,9 @@ type costEntry struct {
 	gen  uint32
 }
 
-// Dense-table bounds: a model without a MaxSeq gets denseCtx tokens of
-// dense context, and no row holds more than maxSlots context slots.
-// Shapes past either bound are priced into the spill map.
-const (
-	denseCtx = 1 << 15
-	maxSlots = 1 << 13
-)
+// maxSlots bounds a dense row's context slots, for a model without a
+// MaxSeq or a tiny CtxBucket; longer contexts go to the spill map.
+const maxSlots = 1 << 13
 
 // StepCosts is a per-run step-cost table: each distinct (operating
 // point, prefill or decode, batch, context) is priced through the
@@ -51,25 +47,26 @@ const (
 // a lookup is a few index operations. CtxBucket quantization puts one
 // context in each slot on the scheduler's grid; a slot holding another
 // context (an unaligned ctx from Cost) is a miss, priced once into a
-// spill map, never a wrong hit. Rows are allocated on their first miss
-// and kept across runs; each entry carries its run's generation stamp,
-// so starting a run is O(1) whatever the table holds. The table lives
-// and dies with its run: the StepFunc is injectable and runner.ResetCache
-// must give a cold start, so no entry outlives the run that priced it.
-// It hands the StepFunc its operator list in reusable scratch, valid
-// only during the call.
+// spill map, never a wrong hit. Entries live and die with their run:
+// the StepFunc is injectable and runner.ResetCache must give a cold
+// start, so no entry outlives the run that priced it. Rows are allocated
+// on their first miss and kept for later runs, and each entry carries
+// its run's generation stamp, so starting a run retires every entry in
+// O(1). The table hands the StepFunc its operator list in reusable
+// scratch, valid only during the call.
 type StepCosts struct {
 	model    model.Config
 	params   sim.Params
 	simulate StepFunc
 	points   []arch.DVFSPoint // the run's operating points, indexed by stepKey.point
-	// bucket is the slot width (the run's CtxBucket); slots is the row
-	// length covering contexts 0..maxCtx; maxBatch bounds dense batches.
+	// bucket is the slot width (the run's CtxBucket), slots the row
+	// length covering contexts 0..maxCtx, maxBatch the largest dense batch.
 	bucket, slots, maxCtx, maxBatch int
-	gen                             uint32             // the run's stamp; other stamps are stale
-	table                           [][2][][]costEntry // [point][prefill, decode][batch][slot]
-	spill                           map[stepKey]StepCost
-	ops                             []model.Op // operator scratch of the shape being priced
+	// gen stamps this run's entries; an entry with another stamp is stale.
+	gen   uint32
+	table [][2][][]costEntry   // [point][prefill, decode][batch][slot]
+	spill map[stepKey]StepCost // shapes outside the dense bounds or sharing a slot
+	ops   []model.Op           // operator scratch of the shape being priced
 }
 
 // NewStepCosts returns an empty table pricing passes of cfg, with cfg's
@@ -86,11 +83,10 @@ func (s *StepCosts) reset(cfg Config) {
 	s.model, s.params, s.simulate = cfg.Model, cfg.Params(), cfg.Simulate
 	s.points = s.points[:0]
 	s.bucket, s.maxBatch = max(cfg.CtxBucket, 1), cfg.MaxBatch
-	ctx := cfg.Model.MaxSeq
-	if ctx <= 0 {
-		ctx = denseCtx
+	s.slots = maxSlots + 1
+	if n := cfg.Model.MaxSeq; n > 0 {
+		s.slots = min(slotOf(n, s.bucket), maxSlots) + 1
 	}
-	s.slots = min((ctx+s.bucket-1)/s.bucket, maxSlots) + 1
 	s.maxCtx = (s.slots - 1) * s.bucket
 	clear(s.spill)
 	if s.gen++; s.gen == 0 {
@@ -150,7 +146,16 @@ func (s *StepCosts) slot(point int32, decode bool, batch, ctx int) *costEntry {
 	if batch >= len(rows) || len(rows[batch]) < s.slots {
 		return nil
 	}
-	return &rows[batch][(ctx+s.bucket-1)/s.bucket]
+	return &rows[batch][slotOf(ctx, s.bucket)]
+}
+
+// slotOf is ctx's context slot, ceil(ctx/bucket), for ctx >= 0.
+func slotOf(ctx, bucket int) int {
+	i := ctx / bucket
+	if i*bucket < ctx {
+		i++
+	}
+	return i
 }
 
 // phase indexes the table's prefill and decode halves.
