@@ -219,48 +219,59 @@ func TestRunValidation(t *testing.T) {
 
 // TestPlanParallelDeterminism asserts the full planner output — every
 // report byte of every cell, both frontiers — is identical at
-// parallelism 1 and 8. Runs under -race in CI, which also exercises the
-// nested replica-level Map.
+// parallelism 1 and 8, on a JSQ grid, a brownout cell and an affinity
+// cell with idle replicas. Runs under -race in CI, which also exercises
+// the nested replica-level Map.
 func TestPlanParallelDeterminism(t *testing.T) {
-	spec := PlanSpec{
-		Base: serve.Config{Model: model.Llama2_7B},
-		Cells: Grid(
-			[]arch.Design{arch.Mugi(256), arch.SystolicArray(16, true)},
-			[]noc.Mesh{noc.Single, noc.NewMesh(2, 2)},
-			[]int{1, 2},
-		),
-		Policy: JSQ,
-		Trace:  serve.TraceConfig{Kind: serve.Poisson, Requests: 12, Seed: testSeed},
-		Iters:  2,
-	}
-	render := func() string {
-		var b strings.Builder
-		for _, r := range Plan(spec) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			b.WriteString(r.At.String())
-			b.WriteString(r.TCO.String())
-		}
-		for _, axis := range []FrontierAxis{ByDollar, ByWatt} {
-			for _, f := range Frontier(Plan(spec), axis) {
-				b.WriteString(f.Design)
-				b.WriteString(f.At.Fleet.String())
-			}
-		}
-		return b.String()
+	specs := []struct {
+		name string
+		spec PlanSpec
+	}{
+		{"jsq grid", PlanSpec{
+			Base: serve.Config{Model: model.Llama2_7B},
+			Cells: Grid(
+				[]arch.Design{arch.Mugi(256), arch.SystolicArray(16, true)},
+				[]noc.Mesh{noc.Single, noc.NewMesh(2, 2)},
+				[]int{1, 2},
+			),
+			Policy: JSQ,
+			Trace:  serve.TraceConfig{Kind: serve.Poisson, Requests: 12, Seed: testSeed},
+			Iters:  2,
+		}},
+		{"brownout", brownoutPlanSpec()},
+		{"idle replicas", idleReplicasSpec()},
 	}
 	defer runner.SetParallelism(0)
-	runner.SetParallelism(1)
-	runner.ResetCache()
-	serial := render()
-	runner.SetParallelism(8)
-	runner.ResetCache()
-	if parallel := render(); serial != parallel {
-		t.Error("fleet plan diverges across parallelism levels")
-	}
-	if len(serial) < 200 {
-		t.Fatalf("suspiciously short plan rendering (%d bytes)", len(serial))
+	for _, row := range specs {
+		name, spec := row.name, row.spec
+		render := func() string {
+			var b strings.Builder
+			for _, r := range Plan(spec) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				b.WriteString(r.At.String())
+				b.WriteString(r.TCO.String())
+			}
+			for _, axis := range []FrontierAxis{ByDollar, ByWatt} {
+				for _, f := range Frontier(Plan(spec), axis) {
+					b.WriteString(f.Design)
+					b.WriteString(f.At.Fleet.String())
+				}
+			}
+			return b.String()
+		}
+		runner.SetParallelism(1)
+		runner.ResetCache()
+		serial := render()
+		runner.SetParallelism(8)
+		runner.ResetCache()
+		if parallel := render(); serial != parallel {
+			t.Errorf("%s: fleet plan diverges across parallelism levels", name)
+		}
+		if len(serial) < 200 {
+			t.Errorf("%s: suspiciously short plan rendering (%d bytes)", name, len(serial))
+		}
 	}
 }
 
