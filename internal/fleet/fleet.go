@@ -191,7 +191,46 @@ func (r Report) String() string {
 // The router materializes per-replica schedules, so fleet runs hold
 // O(trace length) request records — fleet planning is built around
 // bounded probe traces, not the million-request streaming path.
+//
+// Each call builds one probe state (probeState) for its replicas: a
+// replica prices each step shape once per call, however many failover
+// re-runs it takes.
 func Run(cfg Config, src serve.Stream) (Report, error) {
+	return run(cfg, src, new(probeState))
+}
+
+// probeState is what the probes of one capacity search share. They
+// differ only in trace rate, so every step-cost table stays valid from
+// one probe to the next: one table per replica index, because replicas
+// run concurrently through runner.Map and cannot share one, and one for
+// the JSQ estimator. The per-replica RunStats buffer is reused too.
+// A state serves one fleet configuration, one probe at a time.
+type probeState struct {
+	costs []*serve.StepCosts // per replica index
+	est   *serve.StepCosts   // the JSQ estimator's; nil under other policies
+	stats []serve.RunStats   // per-replica results of the current probe
+}
+
+// begin readies the state for a probe of the defaulted, validated cfg:
+// the first probe builds the tables and the buffer, and every later one
+// clears the buffer, so no probe reads a replica an earlier one ran.
+func (st *probeState) begin(cfg Config) {
+	if st.stats != nil {
+		clear(st.stats)
+		return
+	}
+	st.stats = make([]serve.RunStats, cfg.Replicas)
+	st.costs = make([]*serve.StepCosts, cfg.Replicas)
+	for i := range st.costs {
+		st.costs[i] = serve.NewStepCosts(cfg.Replica)
+	}
+	if cfg.Policy == JSQ {
+		st.est = serve.NewStepCosts(cfg.Replica)
+	}
+}
+
+// run is Run over a probe state that may outlive the call.
+func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Replicas < 1 || cfg.Replicas > MaxReplicas {
 		return Report{}, fmt.Errorf("fleet: replica count %d outside [1, %d]", cfg.Replicas, MaxReplicas)
@@ -234,13 +273,14 @@ func Run(cfg Config, src serve.Stream) (Report, error) {
 		}
 		brk = newBreakerSet(bspec, scheds)
 	}
-	perReplica, originals, classes, firstArrival, lastArrival, err := route(cfg, src, scheds, brk)
+	st.begin(cfg)
+	perReplica, originals, classes, firstArrival, lastArrival, err := route(cfg, src, scheds, brk, st.est)
 	if err != nil {
 		return Report{}, err
 	}
 	info := src.Info()
 
-	stats := make([]serve.RunStats, cfg.Replicas)
+	stats := st.stats
 	errs := make([]error, cfg.Replicas)
 	var wins []*serve.Windows
 	if cfg.Window.Width > 0 {
@@ -283,7 +323,7 @@ func Run(cfg Config, src serve.Stream) (Report, error) {
 				wins[i] = serve.NewWindows(cfg.Window)
 				rcfg.Observe = wins[i].Observe
 			}
-			stats[i], errs[i] = serve.RunStreamStats(rcfg, &replicaStream{info: info, rs: perReplica[i]})
+			stats[i], errs[i] = serve.RunStreamStats(rcfg, &replicaStream{info: info, rs: perReplica[i]}, st.costs[i])
 		})
 		for _, i := range torun {
 			if errs[i] != nil {

@@ -184,7 +184,7 @@ func TestFleetReportGolden(t *testing.T) {
 // replica.
 func TestAffinityKeepsSessionsTogether(t *testing.T) {
 	cfg := Config{Replica: testReplica(), Replicas: 4, Policy: Affinity, AffinitySessions: 8}.withDefaults()
-	perReplica, _, _, _, _, err := route(cfg, burstyStream(t, 96), nil, nil)
+	perReplica, _, _, _, _, err := route(cfg, burstyStream(t, 96), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,10 +125,11 @@ type CellResult struct {
 
 // Plan searches every cell's SLO-compliant capacity and prices it,
 // sharding cells across the runner pool. Each cell runs
-// serve.MaxPassingRate, the search serve.FindCapacity runs, with
-// fleet.Run as the probe and "goodput held AND SLO met" as the pass
-// criterion. Results are collected by cell index, so output order —
-// and every byte of every report — is independent of parallelism.
+// serve.MaxPassingRate, the search serve.FindCapacity runs, with a
+// fleet run as the probe and "goodput held AND SLO met" as the pass
+// criterion; a cell's probes share one probe state (planCell). Results
+// are collected by cell index, so output order — and every byte of
+// every report — is independent of parallelism.
 func Plan(spec PlanSpec) []CellResult {
 	spec = spec.withDefaults()
 	out := make([]CellResult, len(spec.Cells))
@@ -138,7 +139,10 @@ func Plan(spec PlanSpec) []CellResult {
 	return out
 }
 
-// planCell searches one cell.
+// planCell searches one cell. Its probes differ only in trace rate, so
+// they share one probe state: each replica index keeps its step-cost
+// table from probe to probe, as do the JSQ estimator and the RunStats
+// buffer, and each step shape is priced once per cell, not per probe.
 func planCell(spec PlanSpec, cell Cell) CellResult {
 	res := CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas}
 	if spec.Goodput <= 0 || spec.Goodput > 1 {
@@ -154,6 +158,7 @@ func planCell(spec PlanSpec, cell Cell) CellResult {
 	cfg.Replica.Design = cell.Design
 	cfg.Replica.Mesh = cell.Mesh
 
+	st := new(probeState)
 	probe := func(rate float64) (Report, bool, error) {
 		tc := spec.Trace
 		tc.Rate = rate
@@ -161,7 +166,7 @@ func planCell(spec PlanSpec, cell Cell) CellResult {
 		if err != nil {
 			return Report{}, false, err
 		}
-		rep, err := Run(cfg, src)
+		rep, err := run(cfg, src, st)
 		if err != nil {
 			return Report{}, false, err
 		}

@@ -67,21 +67,23 @@ func Policies() []Policy { return []Policy{RoundRobin, JSQ, Affinity} }
 
 // estimator prices a request's service demand for the JSQ virtual clock.
 // Costs come from the replica's own StepFunc at batch 1 on the quantized
-// step-shape grid, through the same per-run step-cost table the
-// scheduler prices with, so routing a long trace prices
-// O(MaxSeq/CtxBucket) shapes, not O(requests). Batch-1 pricing
-// overestimates batched decode throughput, but every replica is
-// overestimated identically, which is all a load comparison needs.
+// step-shape grid, through a step-cost table of the probe state, so
+// routing a long trace prices O(MaxSeq/CtxBucket) shapes, not
+// O(requests), and the probes of one search price them once between
+// them. Batch-1 pricing overestimates batched decode throughput, but
+// every replica is overestimated identically, which is all a load
+// comparison needs.
 type estimator struct {
 	cfg   serve.Config
 	costs *serve.StepCosts
 }
 
-func newEstimator(cfg serve.Config) *estimator {
+// newEstimator prices through costs, a table built for cfg.
+func newEstimator(cfg serve.Config, costs *serve.StepCosts) *estimator {
 	if cfg.CtxBucket == 0 {
 		cfg.CtxBucket = serve.DefaultCtxBucket
 	}
-	return &estimator{cfg: cfg, costs: serve.NewStepCosts(cfg)}
+	return &estimator{cfg: cfg, costs: costs}
 }
 
 // pass prices one batch-1 pass.
@@ -117,14 +119,15 @@ func sessionMix(x uint64) uint64 {
 // balancer with health checks. With a breaker set supplied the pass
 // also skips replicas whose circuit breaker is open — a replica can be
 // up yet untrusted after a bad window — falling back to health-only
-// routing when breakers block the whole fleet.
-func route(cfg Config, src serve.Stream, scheds []*faults.Schedule, brk *breakerSet) (perReplica [][]serve.Request, count int, classes [overload.NumClasses]int, firstArrival, lastArrival float64, err error) {
+// routing when breakers block the whole fleet. JSQ prices its estimates
+// through estCosts, a step-cost table built for cfg.Replica.
+func route(cfg Config, src serve.Stream, scheds []*faults.Schedule, brk *breakerSet, estCosts *serve.StepCosts) (perReplica [][]serve.Request, count int, classes [overload.NumClasses]int, firstArrival, lastArrival float64, err error) {
 	n := cfg.Replicas
 	perReplica = make([][]serve.Request, n)
 	var est *estimator
 	busyUntil := make([]float64, n)
 	if cfg.Policy == JSQ {
-		est = newEstimator(cfg.Replica)
+		est = newEstimator(cfg.Replica, estCosts)
 	}
 	// eligible is the dispatch predicate: up (when health-aware) and
 	// breaker-allowed (when breakers are armed).

@@ -99,8 +99,11 @@ type CapacityResult struct {
 // FindCapacity binary-searches the maximum sustained request rate of one
 // configuration: geometric doubling brackets the capacity between a
 // passing and a failing rate, then log-space bisection narrows it. The
-// probe sequence is fully deterministic, so identical inputs return
-// byte-identical results at any runner parallelism.
+// probes differ only in trace rate, so they share one step-cost table
+// that lives as long as the search: each step shape is priced once per
+// search, not once per probe. The probe sequence is fully
+// deterministic, so identical inputs return byte-identical results at
+// any runner parallelism.
 func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
 	cfg = cfg.withDefaults()
 	spec = spec.withDefaults()
@@ -108,6 +111,7 @@ func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
 		return CapacityResult{}, fmt.Errorf("serve: goodput %g must be in (0, 1]", spec.Goodput)
 	}
 	res := CapacityResult{Design: cfg.Design.Name, Mesh: cfg.Mesh.String()}
+	costs := NewStepCosts(cfg)
 	probe := func(rate float64) (Report, bool, error) {
 		tc := spec.Trace
 		tc.Rate = rate
@@ -115,11 +119,11 @@ func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
 		if err != nil {
 			return Report{}, false, err
 		}
-		rep, err := RunStream(cfg, src)
+		st, err := RunStreamStats(cfg, src, costs)
 		if err != nil {
 			return Report{}, false, err
 		}
-		return rep, rep.Holds(spec.Goodput, spec.TTFTP99, spec.LatencyP99), nil
+		return st.Report, st.Report.Holds(spec.Goodput, spec.TTFTP99, spec.LatencyP99), nil
 	}
 
 	var err error

@@ -48,9 +48,10 @@ func (b *Batch) Len() int { return len(b.active) }
 // Every step's energy lands in one accumulator in step order, so a run's
 // totals are bit-identical however its steps are grouped into rounds and
 // spread over batches. Step costs come from the engine's per-run
-// StepCosts table, so each distinct shape and operating point is
-// simulated once per run. Engines are pooled: a warmed steady-state round
-// allocates nothing.
+// StepCosts table, or from a caller's table that outlives the run
+// (RunStreamStats), so each distinct shape and operating point is
+// simulated once per run, or once per caller's table. Engines are
+// pooled: a warmed steady-state round allocates nothing.
 type Engine struct {
 	cfg      Config
 	perToken int64
@@ -60,8 +61,9 @@ type Engine struct {
 	transient   bool
 	spec        faults.Spec
 	retry       RetryPolicy
-	bucketScale int // CtxBucket multiplier on the brownout ladder (1 off it)
-	costs       StepCosts
+	bucketScale int        // CtxBucket multiplier on the brownout ladder (1 off it)
+	costs       *StepCosts // the run's step-cost table: own, or a caller's
+	own         StepCosts  // the pooled per-run table
 
 	rep      Report
 	batchSum int
@@ -94,7 +96,7 @@ func NewEngine(cfg Config, batches int) (*Engine, error) {
 	// resliced rather than appended so those beyond the last run's count
 	// keep theirs too.
 	e := enginePool.Get().(*Engine)
-	states, free, queue, retries, bs, costs := e.states[:0], e.free[:0], e.queue[:0], e.retries[:0], e.batches, e.costs
+	states, free, queue, retries, bs, own := e.states[:0], e.free[:0], e.queue[:0], e.retries[:0], e.batches, e.own
 	if cap(bs) < batches {
 		bs = append(bs[:cap(bs)], make([]Batch, batches-cap(bs))...)
 	}
@@ -104,9 +106,21 @@ func NewEngine(cfg Config, batches int) (*Engine, error) {
 	}
 	*e = Engine{}
 	e.cfg, e.perToken, e.retry, e.bucketScale = cfg, KVBytesPerToken(cfg.Model), cfg.Retry.withDefaults(), 1
-	e.states, e.free, e.queue, e.retries, e.batches, e.costs = states, free, queue, retries, bs, costs
-	e.costs.reset(cfg)
+	e.states, e.free, e.queue, e.retries, e.batches, e.own = states, free, queue, retries, bs, own
+	e.own.reset(cfg)
+	e.costs = &e.own
 	return e, nil
+}
+
+// useCosts prices the engine's steps through a caller's table instead of
+// its own, after checking that the table was built for this run's
+// configuration.
+func (e *Engine) useCosts(s *StepCosts) error {
+	if err := s.fits(e.cfg); err != nil {
+		return err
+	}
+	e.costs = s
+	return nil
 }
 
 // validate checks the defaulted configuration.
@@ -150,7 +164,10 @@ func (c Config) validate() error {
 }
 
 // Release returns the engine to the pool; it must not be used after.
-func (e *Engine) Release() { enginePool.Put(e) }
+func (e *Engine) Release() {
+	e.costs = nil // the pool keeps no caller's table alive
+	enginePool.Put(e)
+}
 
 // Batch returns batch i.
 func (e *Engine) Batch(i int) *Batch { return &e.batches[i] }

@@ -100,7 +100,7 @@ func TestHandOffReturnsOrphans(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Faults = faultySchedule(t, faults.Spec{MTBF: 250, MTTR: 25, Seed: 5})
 	cfg.Retry = RetryPolicy{HandOff: true}
-	st, err := RunStreamStats(cfg, chatTrace(t, 0.015, 20).Stream())
+	st, err := RunStreamStats(cfg, chatTrace(t, 0.015, 20).Stream(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

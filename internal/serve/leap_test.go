@@ -203,7 +203,7 @@ func TestStepCostsResetReadsNoStaleEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := RunStreamStats(c, src)
+		st, err := RunStreamStats(c, src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,7 +119,7 @@ func TestRunStatsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := RunStreamStats(row.cfg(t), src)
+			st, err := RunStreamStats(row.cfg(t), src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -514,7 +514,7 @@ type Orphan struct {
 // pulled from the stream; an invalid request aborts the run with a zero
 // Report.
 func RunStream(cfg Config, src Stream) (Report, error) {
-	st, err := RunStreamStats(cfg, src)
+	st, err := RunStreamStats(cfg, src, nil)
 	return st.Report, err
 }
 
@@ -522,13 +522,26 @@ func RunStream(cfg Config, src Stream) (Report, error) {
 // batch behind the admission queue, plus the serving-side concerns the
 // engine leaves to its caller — arrival pulls, overload admission and
 // brownout, client retries, and crash disposal.
-func RunStreamStats(cfg Config, src Stream) (RunStats, error) {
+//
+// Steps are priced through costs, a table the caller keeps across runs
+// (NewStepCosts), so a run prices only the shapes earlier runs on the
+// table have not: the probes of one capacity search share one. The
+// table must have been built for cfg's defaulted Model, simulator
+// parameters, CtxBucket and MaxBatch, or the run fails before it prices
+// anything; it prices with the StepFunc it was built with. A nil costs
+// prices through the engine's own table, which no other run reads.
+func RunStreamStats(cfg Config, src Stream, costs *StepCosts) (RunStats, error) {
 	e, err := NewEngine(cfg, 1)
 	if err != nil {
 		return RunStats{}, err
 	}
 	defer e.Release()
 	cfg = e.cfg
+	if costs != nil {
+		if err := e.useCosts(costs); err != nil {
+			return RunStats{}, err
+		}
+	}
 	total := src.Len()
 	if total == 0 {
 		return RunStats{}, fmt.Errorf("serve: empty trace")

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+
 	"mugi/internal/arch"
 	"mugi/internal/model"
 	"mugi/internal/sim"
@@ -39,21 +41,28 @@ type costEntry struct {
 // MaxSeq or a tiny CtxBucket; longer contexts go to the spill map.
 const maxSlots = 1 << 13
 
-// StepCosts is a per-run step-cost table: each distinct (operating
-// point, prefill or decode, batch, context) is priced through the
-// configuration's StepFunc once, and every later step of that shape
-// reads the table. The table is dense: rows indexed by operating point,
-// phase and batch, each a slice of context slots ceil(ctx/CtxBucket), so
-// a lookup is a few index operations. CtxBucket quantization puts one
-// context in each slot on the scheduler's grid; a slot holding another
-// context (an unaligned ctx from Cost) is a miss, priced once into a
-// spill map, never a wrong hit. Entries live and die with their run:
-// the StepFunc is injectable and runner.ResetCache must give a cold
-// start, so no entry outlives the run that priced it. Rows are allocated
+// StepCosts is a step-cost table: each distinct (operating point,
+// prefill or decode, batch, context) is priced through the StepFunc of
+// the configuration the table was built for once, and every later step
+// of that shape reads the table. The table is dense: rows indexed by
+// operating point, phase and batch, each a slice of context slots
+// ceil(ctx/CtxBucket), so a lookup is a few index operations. CtxBucket
+// quantization puts one context in each slot on the scheduler's grid; a
+// slot holding another context (an unaligned ctx from Cost) is a miss,
+// priced once into a spill map, never a wrong hit.
+//
+// An engine's own table lives and dies with its run: the StepFunc is
+// injectable and runner.ResetCache must give a cold start, so none of
+// its entries outlives the run that priced them. Its rows are allocated
 // on their first miss and kept for later runs, and each entry carries
 // its run's generation stamp, so starting a run retires every entry in
-// O(1). The table hands the StepFunc its operator list in reusable
-// scratch, valid only during the call.
+// O(1). A caller's table (NewStepCosts, passed to RunStreamStats) keeps
+// its entries from one run to the next instead, so runs that differ only
+// in their trace — the probes of one capacity search — price each shape
+// once between them. It dies with its caller, and a run whose
+// configuration it was not built for fails rather than read it. The
+// table hands the StepFunc its operator list in reusable scratch, valid
+// only during the call.
 type StepCosts struct {
 	model    model.Config
 	params   sim.Params
@@ -69,12 +78,33 @@ type StepCosts struct {
 	ops   []model.Op           // operator scratch of the shape being priced
 }
 
-// NewStepCosts returns an empty table pricing passes of cfg, with cfg's
-// zero-value defaults applied as a run applies them.
+// NewStepCosts returns an empty table pricing passes of cfg through
+// cfg's StepFunc, with cfg's zero-value defaults applied as a run
+// applies them. The table is not safe for concurrent use: runs that
+// share it must run one after another.
 func NewStepCosts(cfg Config) *StepCosts {
 	s := new(StepCosts)
 	s.reset(cfg.withDefaults())
 	return s
+}
+
+// fits checks that the table prices passes of the defaulted cfg: the
+// same model, simulator parameters, context bucket and batch cap.
+func (s *StepCosts) fits(cfg Config) error {
+	var field string
+	switch {
+	case s.model != cfg.Model:
+		field = "Model"
+	case s.params != cfg.Params():
+		field = "Design, Mesh, Bandwidth, NoCBandwidth or DVFS"
+	case s.bucket != cfg.CtxBucket:
+		field = "CtxBucket"
+	case s.maxBatch != cfg.MaxBatch:
+		field = "MaxBatch"
+	default:
+		return nil
+	}
+	return fmt.Errorf("serve: step-cost table was built for another %s than the run's", field)
 }
 
 // reset empties the table for a run of the defaulted cfg, keeping its
