@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"mugi/internal/arch"
+	"mugi/internal/model"
 	"mugi/internal/noc"
 	"mugi/internal/runner"
+	"mugi/internal/sim"
 )
 
 // capSpec keeps search tests fast: short probes, few bisections.
@@ -169,5 +171,92 @@ func TestSearchCapacityDeterministicAtAnyParallelism(t *testing.T) {
 			t.Errorf("cell %d diverges across parallelism:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				i, serial[i], parallel[i])
 		}
+	}
+}
+
+// pricedShape is one StepFunc call: the design and operating point
+// priced, and the step shape.
+type pricedShape struct {
+	design     string
+	point      arch.DVFSPoint
+	decode     bool
+	batch, ctx int
+}
+
+// countShapes prices through sim.Simulate and counts its calls per
+// priced shape.
+func countShapes(calls map[pricedShape]int) StepFunc {
+	return func(p sim.Params, w model.Workload) sim.Result {
+		calls[pricedShape{p.Design.Name, p.DVFS, w.Decode, w.Batch, w.CtxLen}]++
+		return sim.Simulate(p, w)
+	}
+}
+
+// TestCapacitySharesStepCosts: a whole FindCapacity search prices each
+// (operating point, phase, batch, context) at most once, where probes
+// that each priced through their own table would price a shape once per
+// probe. The brownout row reaches its DVFS rung, so shapes at two
+// operating points share the table.
+func TestCapacitySharesStepCosts(t *testing.T) {
+	for _, row := range pinnedSearches() {
+		t.Run(row.name, func(t *testing.T) {
+			calls := map[pricedShape]int{}
+			cfg := row.cfg
+			cfg.Simulate = countShapes(calls)
+			res, err := FindCapacity(cfg, row.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Probes < 2 {
+				t.Fatalf("search ran %d probes, want several", res.Probes)
+			}
+			points := map[arch.DVFSPoint]bool{}
+			for s, n := range calls {
+				if n != 1 {
+					t.Errorf("%+v priced %d times in one search, want once", s, n)
+				}
+				points[s.point] = true
+			}
+			want := 1
+			if cfg.Brownout != nil {
+				want = 2 // nominal and the p75 rung
+			}
+			if len(points) != want {
+				t.Errorf("search priced steps at %d operating points, want %d", len(points), want)
+			}
+		})
+	}
+}
+
+// TestCapacityMatchesFreshTables: FindCapacity over one shared table
+// returns exactly the bytes of the same search whose probes each price
+// through a fresh table of their own (MaxPassingRate over RunStream).
+func TestCapacityMatchesFreshTables(t *testing.T) {
+	for _, row := range pinnedSearches() {
+		t.Run(row.name, func(t *testing.T) {
+			shared, err := FindCapacity(row.cfg, row.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := row.spec.withDefaults()
+			fresh := CapacityResult{Design: shared.Design, Mesh: shared.Mesh}
+			fresh.Capacity, fresh.AtCapacity, fresh.Probes, err = MaxPassingRate(spec.MinRate, spec.MaxRate, spec.Iters,
+				func(rate float64) (Report, bool, error) {
+					tc := spec.Trace
+					tc.Rate = rate
+					src, err := NewStream(tc)
+					if err != nil {
+						return Report{}, false, err
+					}
+					rep, err := RunStream(row.cfg, src)
+					return rep, err == nil && rep.Holds(spec.Goodput, spec.TTFTP99, spec.LatencyP99), err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := goDigest(shared), goDigest(fresh); got != want {
+				t.Errorf("shared-table search digest %s, fresh tables %s", got, want)
+			}
+		})
 	}
 }

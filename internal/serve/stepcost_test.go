@@ -16,7 +16,8 @@ import (
 // TestStepCostMemo pins the per-run step-cost table: a run prices each
 // (operating point, prefill or decode, batch, context) through its
 // StepFunc exactly once, a later run on the pooled engine prices afresh,
-// and a warmed Round allocates nothing.
+// and a warmed Round allocates nothing, on the engine's own table and on
+// a caller's.
 func TestStepCostMemo(t *testing.T) {
 	type shape struct {
 		design     string
@@ -110,5 +111,58 @@ func TestStepCostMemo(t *testing.T) {
 	round() // price every shape the rounds use and grow the arena
 	if n := testing.AllocsPerRun(10, round); n != 0 {
 		t.Errorf("warmed rounds allocate %.1f times, want 0", n)
+	}
+	if err := e.useCosts(NewStepCosts(cfgA)); err != nil {
+		t.Fatal(err)
+	}
+	round()
+	if n := testing.AllocsPerRun(10, round); n != 0 {
+		t.Errorf("warmed rounds on a caller's table allocate %.1f times, want 0", n)
+	}
+}
+
+// TestStepCostsRejectOtherConfigs: a run handed a table built for
+// another configuration fails before it prices anything, and a table
+// built from a configuration's zero-value defaults serves the same
+// configuration spelled out.
+func TestStepCostsRejectOtherConfigs(t *testing.T) {
+	calls := map[[3]int]int{}
+	run := fastConfig()
+	run.Simulate = countingStep(calls, 1)
+	others := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"Design", func(c *Config) { c.Design = arch.Carat(256) }},
+		{"Mesh", func(c *Config) { c.Mesh = noc.NewMesh(2, 2) }},
+		{"Model", func(c *Config) { c.Model = model.Llama2_13B }},
+		{"Bandwidth", func(c *Config) { c.Bandwidth = 1e11 }},
+		{"DVFS", func(c *Config) { c.DVFS = arch.DVFSStep("p75", 0.75) }},
+		{"CtxBucket", func(c *Config) { c.CtxBucket = 16 }},
+		{"MaxBatch", func(c *Config) { c.MaxBatch = 8 }},
+	}
+	tc := TraceConfig{Kind: Poisson, Rate: 0.5, Requests: 8, Seed: 1}
+	for _, o := range others {
+		built := run
+		o.mut(&built)
+		src, err := NewStream(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunStreamStats(run, src, NewStepCosts(built)); err == nil {
+			t.Errorf("%s: a table built for another %s priced the run", o.name, o.name)
+		}
+		if len(calls) != 0 {
+			t.Errorf("%s: the rejected run priced %d shapes", o.name, len(calls))
+		}
+	}
+	spelled := run
+	spelled.MaxBatch, spelled.CtxBucket, spelled.KVBudgetBytes = DefaultMaxBatch, DefaultCtxBucket, DefaultKVBudgetBytes
+	src, err := NewStream(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunStreamStats(spelled, src, NewStepCosts(run)); err != nil {
+		t.Errorf("a table built from the defaults rejects them spelled out: %v", err)
 	}
 }
