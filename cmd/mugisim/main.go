@@ -115,7 +115,8 @@ func main() {
 		}
 	}
 	if err := validateFlags(modes, *batch, *seq, *minReplicas, *maxReplicas, *rate, *requests,
-		*parallel, *mtbf, *mttr, *straggler, *ninesTarget); err != nil {
+		*parallel, *mtbf, *mttr, *straggler, *ninesTarget,
+		*sloTTFT, *sloLatency, *utilization, *kvBudgetGB); err != nil {
 		usageError(err)
 	}
 	if err := validateOverloadFlags(*overloadMode, set["surge"], *surge, *brownoutLadder, *breakerThreshold); err != nil {
@@ -746,9 +747,11 @@ func parseCounts(csv string, floor int) ([]int, error) {
 // validateFlags rejects contradictory flag combinations up front, before
 // any mode starts simulating — one mode flag at a time, a non-empty
 // single-pass shape, a replica floor below the ceiling, and
-// rates/probabilities inside their domains.
+// rates/probabilities, SLO bounds, the TCO utilization and the KV budget
+// inside their domains.
 func validateFlags(modes, batch, seq, minReplicas, maxReplicas int, rate float64, requests,
-	parallel int, mtbf, mttr, straggler, ninesTarget float64) error {
+	parallel int, mtbf, mttr, straggler, ninesTarget,
+	sloTTFT, sloLatency, utilization, kvBudgetGB float64) error {
 	if modes > 1 {
 		return fmt.Errorf("choose one mode flag: -all, -serve, -capacity, -fleet, -autoscale, -faults, or -overload")
 	}
@@ -784,6 +787,19 @@ func validateFlags(modes, batch, seq, minReplicas, maxReplicas int, rate float64
 	}
 	if !(ninesTarget > 0 && ninesTarget <= 1) {
 		return fmt.Errorf("-nines %g must be an availability in (0,1]", ninesTarget)
+	}
+	if !(sloTTFT >= 0) || math.IsInf(sloTTFT, 1) {
+		return fmt.Errorf("-slo-ttft %g must be finite and non-negative (0 = unbounded)", sloTTFT)
+	}
+	if !(sloLatency >= 0) || math.IsInf(sloLatency, 1) {
+		return fmt.Errorf("-slo-latency %g must be finite and non-negative (0 = unbounded)", sloLatency)
+	}
+	if !(utilization >= 0 && utilization <= 1) {
+		return fmt.Errorf("-utilization %g must be in (0,1], or 0 for the default", utilization)
+	}
+	// The budget becomes int64(kvBudgetGB * 2^30) bytes.
+	if !(kvBudgetGB >= 0 && kvBudgetGB < math.MaxInt64/(1<<30)) {
+		return fmt.Errorf("-kvbudget %g GiB must be non-negative and under 8 EiB (0 = default)", kvBudgetGB)
 	}
 	return nil
 }

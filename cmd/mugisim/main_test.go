@@ -62,6 +62,8 @@ type flagCase struct {
 	requests, parallel       int
 	mtbf, mttr               float64
 	straggler, ninesTarget   float64
+	sloTTFT, sloLatency      float64
+	utilization, kvBudgetGB  float64
 	wantErr                  bool
 }
 
@@ -69,6 +71,7 @@ func okCase(name string) flagCase {
 	return flagCase{
 		name: name, modes: 1, batch: 8, seq: 4096, minReplicas: 1, maxReplicas: 4,
 		rate: 0.5, requests: 48, mtbf: 120, mttr: 60, ninesTarget: 0.99,
+		sloTTFT: 60, sloLatency: 300,
 	}
 }
 
@@ -102,6 +105,18 @@ func TestValidateFlags(t *testing.T) {
 		okCase("infinite mttr"),
 		okCase("NaN straggler"),
 		okCase("NaN nines"),
+		okCase("unbounded SLO"),
+		okCase("NaN slo-ttft"),
+		okCase("infinite slo-ttft"),
+		okCase("negative slo-latency"),
+		okCase("NaN slo-latency"),
+		okCase("NaN utilization"),
+		okCase("utilization above one"),
+		okCase("negative utilization"),
+		okCase("explicit KV budget"),
+		okCase("negative KV budget"),
+		okCase("NaN KV budget"),
+		okCase("KV budget past int64 bytes"),
 	}
 	cases[1].maxReplicas = 0 // 0 = "size from the static plan": any floor is fine
 	cases[1].minReplicas = 9
@@ -150,10 +165,33 @@ func TestValidateFlags(t *testing.T) {
 	cases[22].wantErr = true
 	cases[23].ninesTarget = math.NaN()
 	cases[23].wantErr = true
+	cases[24].sloTTFT, cases[24].sloLatency = 0, 0
+	cases[25].sloTTFT = math.NaN()
+	cases[25].wantErr = true
+	cases[26].sloTTFT = math.Inf(1)
+	cases[26].wantErr = true
+	cases[27].sloLatency = -5
+	cases[27].wantErr = true
+	cases[28].sloLatency = math.NaN()
+	cases[28].wantErr = true
+	cases[29].utilization = math.NaN()
+	cases[29].wantErr = true
+	cases[30].utilization = 7
+	cases[30].wantErr = true
+	cases[31].utilization = -0.5
+	cases[31].wantErr = true
+	cases[32].kvBudgetGB = 16
+	cases[33].kvBudgetGB = -1
+	cases[33].wantErr = true
+	cases[34].kvBudgetGB = math.NaN()
+	cases[34].wantErr = true
+	cases[35].kvBudgetGB = 1e10
+	cases[35].wantErr = true
 
 	for _, c := range cases {
 		err := validateFlags(c.modes, c.batch, c.seq, c.minReplicas, c.maxReplicas, c.rate,
-			c.requests, c.parallel, c.mtbf, c.mttr, c.straggler, c.ninesTarget)
+			c.requests, c.parallel, c.mtbf, c.mttr, c.straggler, c.ninesTarget,
+			c.sloTTFT, c.sloLatency, c.utilization, c.kvBudgetGB)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: got err %v, want error=%v", c.name, err, c.wantErr)
 		}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"sort"
 
 	"mugi/internal/arch"
@@ -85,6 +84,16 @@ func (s PlanSpec) withDefaults() PlanSpec {
 	return s
 }
 
+// validate checks the spec's search knobs as serve.CapacitySpec.Validate
+// does, with the SLO as the tail bounds, and its price book.
+func (s PlanSpec) validate() error {
+	search := serve.CapacitySpec{Goodput: s.Goodput, MinRate: s.MinRate, MaxRate: s.MaxRate, TTFTP99: s.SLO.TTFTP99, LatencyP99: s.SLO.LatencyP99}
+	if err := search.Validate(); err != nil {
+		return err
+	}
+	return s.Book.Validate()
+}
+
 // Grid builds the cross-product cell list designs × meshes × replicas, in
 // deterministic sweep order.
 func Grid(designs []arch.Design, meshes []noc.Mesh, replicas []int) []Cell {
@@ -145,8 +154,8 @@ func Plan(spec PlanSpec) []CellResult {
 // buffer, and each step shape is priced once per cell, not per probe.
 func planCell(spec PlanSpec, cell Cell) CellResult {
 	res := CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas}
-	if spec.Goodput <= 0 || spec.Goodput > 1 {
-		res.Err = fmt.Errorf("fleet: goodput %g must be in (0, 1]", spec.Goodput)
+	if err := spec.validate(); err != nil {
+		res.Err = err
 		return res
 	}
 	cfg := Config{

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"mugi/internal/arch"
@@ -111,5 +113,52 @@ func TestPlanReplicasBuyCapacity(t *testing.T) {
 	}
 	if one.PerfPerDollar <= 0 || one.PerfPerWatt <= 0 {
 		t.Errorf("efficiency metrics not populated: %v %v", one.PerfPerDollar, one.PerfPerWatt)
+	}
+}
+
+// TestPlanRejectsBadKnobs: every out-of-range float knob of a plan, its
+// search bracket, goodput, SLO and price book, fails each cell with an
+// error naming the knob before any probe runs, where a NaN used to
+// plan as if the knob were off.
+func TestPlanRejectsBadKnobs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	rows := []struct {
+		knob string
+		mut  func(*PlanSpec)
+	}{
+		{"Goodput", func(s *PlanSpec) { s.Goodput = nan }},
+		{"Goodput", func(s *PlanSpec) { s.Goodput = 2 }},
+		{"MinRate", func(s *PlanSpec) { s.MinRate = nan }},
+		{"MinRate", func(s *PlanSpec) { s.MinRate = -1 }},
+		{"MaxRate", func(s *PlanSpec) { s.MaxRate = nan }},
+		{"MaxRate", func(s *PlanSpec) { s.MaxRate = inf }},
+		{"TTFTP99", func(s *PlanSpec) { s.SLO.TTFTP99 = nan }},
+		{"TTFTP99", func(s *PlanSpec) { s.SLO.TTFTP99 = -1 }},
+		{"LatencyP99", func(s *PlanSpec) { s.SLO.LatencyP99 = nan }},
+		{"LatencyP99", func(s *PlanSpec) { s.SLO.LatencyP99 = inf }},
+	}
+	for _, b := range badBooks() {
+		book := b.book
+		rows = append(rows, struct {
+			knob string
+			mut  func(*PlanSpec)
+		}{b.knob, func(s *PlanSpec) { s.Book = book }})
+	}
+	for _, row := range rows {
+		spec := PlanSpec{
+			Base:  serve.Config{Model: model.Llama2_7B},
+			Cells: []Cell{{Design: arch.Mugi(256), Mesh: noc.NewMesh(2, 2), Replicas: 2}},
+			Trace: serve.TraceConfig{Kind: serve.Poisson, Requests: 8, Seed: 1},
+			SLO:   SLO{TTFTP99: 60, LatencyP99: 300},
+			Iters: 2,
+		}
+		row.mut(&spec)
+		res := Plan(spec)[0]
+		if res.Err == nil || !strings.Contains(res.Err.Error(), row.knob) {
+			t.Errorf("%s: %+v planned capacity %g, err %v; want an error naming %s", row.knob, spec.Book, res.Capacity, res.Err, row.knob)
+		}
+		if res.Probes != 0 {
+			t.Errorf("%s: rejected plan ran %d probes", row.knob, res.Probes)
+		}
 	}
 }

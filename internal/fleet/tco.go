@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"mugi/internal/arch"
@@ -84,6 +85,35 @@ func (b PriceBook) WithDefaults() PriceBook {
 	return b
 }
 
+// Validate checks the book once its zero-value defaults are applied:
+// every price, the lifetime and the utilization positive and finite,
+// Utilization at most 1 and PUE at least 1. Each check is written so
+// that NaN fails it.
+func (b PriceBook) Validate() error {
+	b = b.WithDefaults()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"DollarPerMM2", b.DollarPerMM2},
+		{"DollarPerReplicaFixed", b.DollarPerReplicaFixed},
+		{"ElectricityPerKWh", b.ElectricityPerKWh},
+		{"CarbonPerTonne", b.CarbonPerTonne},
+		{"LifetimeSeconds", b.LifetimeSeconds},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("fleet: PriceBook.%s %g must be positive and finite", f.name, f.v)
+		}
+	}
+	if !(b.PUE >= 1) || math.IsInf(b.PUE, 1) {
+		return fmt.Errorf("fleet: PriceBook.PUE %g must be finite and at least 1", b.PUE)
+	}
+	if !(b.Utilization > 0 && b.Utilization <= 1) {
+		return fmt.Errorf("fleet: PriceBook.Utilization %g must be in (0, 1]", b.Utilization)
+	}
+	return nil
+}
+
 // TCO is the priced operating point of one fleet: what a (design, mesh,
 // replicas) deployment costs to own and run at the measured rate.
 type TCO struct {
@@ -132,12 +162,12 @@ func (t TCO) String() string {
 //     embodied CO2e (internal/carbon's ACT-style area model) amortized
 //     like capex, priced at $/tonne.
 func Price(book PriceBook, d arch.Design, mesh noc.Mesh, replicas int, rep serve.Report) (TCO, error) {
+	if err := book.Validate(); err != nil {
+		return TCO{}, err
+	}
 	book = book.WithDefaults()
 	if replicas < 1 {
 		return TCO{}, fmt.Errorf("fleet: replica count %d must be positive", replicas)
-	}
-	if book.Utilization <= 0 || book.Utilization > 1 {
-		return TCO{}, fmt.Errorf("fleet: utilization %g must be in (0, 1]", book.Utilization)
 	}
 	if rep.SustainedRate <= 0 || rep.Completed == 0 {
 		return TCO{}, fmt.Errorf("fleet: report has no sustained throughput to price")
@@ -211,15 +241,18 @@ func (t DayCost) String() string {
 // the static-vs-autoscaled comparison. Both sides own the same replicas
 // (equal capex); the integrated joules carry the difference.
 func PriceDay(book PriceBook, d arch.Design, mesh noc.Mesh, replicas int, energyJ, horizonSeconds float64) (DayCost, error) {
+	if err := book.Validate(); err != nil {
+		return DayCost{}, err
+	}
 	book = book.WithDefaults()
 	if replicas < 1 {
 		return DayCost{}, fmt.Errorf("fleet: replica count %d must be positive", replicas)
 	}
-	if horizonSeconds <= 0 {
-		return DayCost{}, fmt.Errorf("fleet: horizon %g must be positive", horizonSeconds)
+	if !(horizonSeconds > 0) || math.IsInf(horizonSeconds, 1) {
+		return DayCost{}, fmt.Errorf("fleet: horizon %g must be positive and finite", horizonSeconds)
 	}
-	if energyJ < 0 {
-		return DayCost{}, fmt.Errorf("fleet: energy %g must be non-negative", energyJ)
+	if !(energyJ >= 0) || math.IsInf(energyJ, 1) {
+		return DayCost{}, fmt.Errorf("fleet: energy %g must be finite and non-negative", energyJ)
 	}
 	const day = 86400.0
 	area := ReplicaAreaMM2(d, mesh)

@@ -117,3 +117,60 @@ func close(a, b float64) bool {
 	}
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
+
+// badBooks lists one out-of-range value per PriceBook knob. Each used to
+// price without an error: a negative PUE panicked in internal/carbon, a
+// NaN priced to NaN, an infinite tariff to +Inf and a negative $/mm² to
+// negative capex.
+func badBooks() []struct {
+	knob string
+	book PriceBook
+} {
+	nan, inf := math.NaN(), math.Inf(1)
+	return []struct {
+		knob string
+		book PriceBook
+	}{
+		{"DollarPerMM2", PriceBook{DollarPerMM2: -0.05}},
+		{"DollarPerMM2", PriceBook{DollarPerMM2: nan}},
+		{"DollarPerReplicaFixed", PriceBook{DollarPerReplicaFixed: -1}},
+		{"DollarPerReplicaFixed", PriceBook{DollarPerReplicaFixed: inf}},
+		{"ElectricityPerKWh", PriceBook{ElectricityPerKWh: inf}},
+		{"ElectricityPerKWh", PriceBook{ElectricityPerKWh: nan}},
+		{"CarbonPerTonne", PriceBook{CarbonPerTonne: -85}},
+		{"CarbonPerTonne", PriceBook{CarbonPerTonne: nan}},
+		{"PUE", PriceBook{PUE: -1}},
+		{"PUE", PriceBook{PUE: 0.5}},
+		{"PUE", PriceBook{PUE: nan}},
+		{"PUE", PriceBook{PUE: inf}},
+		{"LifetimeSeconds", PriceBook{LifetimeSeconds: nan}},
+		{"LifetimeSeconds", PriceBook{LifetimeSeconds: -1}},
+		{"LifetimeSeconds", PriceBook{LifetimeSeconds: inf}},
+		{"Utilization", PriceBook{Utilization: nan}},
+		{"Utilization", PriceBook{Utilization: 7}},
+		{"Utilization", PriceBook{Utilization: -0.5}},
+	}
+}
+
+// TestPriceBookRejectsBadKnobs: Price and PriceDay refuse every
+// out-of-range book with an error naming the knob, never a panic or a
+// NaN cost.
+func TestPriceBookRejectsBadKnobs(t *testing.T) {
+	d, mesh := arch.Mugi(256), noc.NewMesh(2, 2)
+	for _, row := range badBooks() {
+		if _, err := Price(row.book, d, mesh, 2, pricedReport()); err == nil || !strings.Contains(err.Error(), row.knob) {
+			t.Errorf("Price(%+v): err %v, want an error naming %s", row.book, err, row.knob)
+		}
+		if _, err := PriceDay(row.book, d, mesh, 2, 1e6, 86400); err == nil || !strings.Contains(err.Error(), row.knob) {
+			t.Errorf("PriceDay(%+v): err %v, want an error naming %s", row.book, err, row.knob)
+		}
+	}
+	if err := (PriceBook{}).Validate(); err != nil {
+		t.Errorf("the default book fails validation: %v", err)
+	}
+	for _, bad := range [][2]float64{{math.NaN(), 86400}, {-1, 86400}, {1e6, math.NaN()}, {1e6, math.Inf(1)}} {
+		if _, err := PriceDay(PriceBook{}, d, mesh, 2, bad[0], bad[1]); err == nil {
+			t.Errorf("PriceDay accepted energy %g over %g s", bad[0], bad[1])
+		}
+	}
+}

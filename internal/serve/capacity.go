@@ -79,6 +79,30 @@ func (s CapacitySpec) withDefaults() CapacitySpec {
 	return s
 }
 
+// Validate checks the spec's knobs once its zero-value defaults are
+// applied: Goodput in (0, 1], a positive finite MinRate, a finite
+// MaxRate of at least MinRate, and finite non-negative tail bounds (0
+// disables a bound). Each check is written so that NaN fails it.
+func (s CapacitySpec) Validate() error {
+	s = s.withDefaults()
+	if !(s.Goodput > 0 && s.Goodput <= 1) {
+		return fmt.Errorf("serve: Goodput %g must be in (0, 1]", s.Goodput)
+	}
+	if !(s.MinRate > 0) || math.IsInf(s.MinRate, 1) {
+		return fmt.Errorf("serve: MinRate %g must be positive and finite", s.MinRate)
+	}
+	if !(s.MaxRate >= s.MinRate) || math.IsInf(s.MaxRate, 1) {
+		return fmt.Errorf("serve: MaxRate %g must be finite and at least MinRate %g", s.MaxRate, s.MinRate)
+	}
+	if !(s.TTFTP99 >= 0) || math.IsInf(s.TTFTP99, 1) {
+		return fmt.Errorf("serve: TTFTP99 %g must be finite and non-negative (0 disables the bound)", s.TTFTP99)
+	}
+	if !(s.LatencyP99 >= 0) || math.IsInf(s.LatencyP99, 1) {
+		return fmt.Errorf("serve: LatencyP99 %g must be finite and non-negative (0 disables the bound)", s.LatencyP99)
+	}
+	return nil
+}
+
 // CapacityResult is one searched cell.
 type CapacityResult struct {
 	// Design and Mesh identify the cell.
@@ -105,11 +129,11 @@ type CapacityResult struct {
 // deterministic, so identical inputs return byte-identical results at
 // any runner parallelism.
 func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
+	if err := spec.Validate(); err != nil {
+		return CapacityResult{}, err
+	}
 	cfg = cfg.withDefaults()
 	spec = spec.withDefaults()
-	if spec.Goodput <= 0 || spec.Goodput > 1 {
-		return CapacityResult{}, fmt.Errorf("serve: goodput %g must be in (0, 1]", spec.Goodput)
-	}
 	res := CapacityResult{Design: cfg.Design.Name, Mesh: cfg.Mesh.String()}
 	costs := NewStepCosts(cfg)
 	probe := func(rate float64) (Report, bool, error) {
@@ -137,10 +161,10 @@ func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
 // passing and a failing rate (or saturates at maxRate), then iters
 // log-space bisections narrow it. It returns the highest passing rate (0
 // when minRate already fails), that probe's report and the number of
-// probes spent; an invalid bracket, or a probe error, stops the search
-// with the results so far.
+// probes spent; an invalid bracket (not finite, or not 0 < minRate <=
+// maxRate), or a probe error, stops the search with the results so far.
 func MaxPassingRate[R any](minRate, maxRate float64, iters int, probe func(rate float64) (R, bool, error)) (capacity float64, at R, probes int, err error) {
-	if minRate <= 0 || maxRate < minRate {
+	if !(minRate > 0 && maxRate >= minRate) || math.IsInf(maxRate, 1) {
 		return 0, at, 0, fmt.Errorf("serve: capacity bracket [%g, %g] invalid", minRate, maxRate)
 	}
 	rep, ok, err := probe(minRate)
