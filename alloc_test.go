@@ -1,6 +1,7 @@
 package mugi
 
 import (
+	"runtime"
 	"testing"
 
 	"mugi/internal/raceflag"
@@ -16,6 +17,11 @@ import (
 // runner pool. The budgets sit well above today's counts (go test -v
 // logs them) and well below one allocation per request, so they catch a
 // per-request or per-step regression, not noise.
+//
+// Rows that copy large per-replica state also bound the bytes one warmed
+// op allocates (runtime.MemStats.TotalAlloc around the op), about 1.5x
+// today's figure: a count cannot see one oversized allocation, such as a
+// 74 KB serve.RunStats buffer made per replica per probe.
 //
 // The zero-allocation kernels are gated beside their packages:
 // TestMultiplyIntoZeroAlloc (VLP GEMM), TestStepZeroAlloc (decode step)
@@ -82,6 +88,7 @@ func TestAllocBudgets(t *testing.T) {
 	for _, k := range []struct {
 		name   string
 		budget float64
+		kb     float64 // bytes budget in KB per op; 0 leaves the row to its count
 		op     func(tb testing.TB)
 	}{
 		{
@@ -114,7 +121,7 @@ func TestAllocBudgets(t *testing.T) {
 		{
 			// The controller allocates per run (prescan counts, windows,
 			// reports) and per miss, never per tick or per request.
-			name: "autoscale_week", budget: 8_000,
+			name: "autoscale_week", budget: 8_000, kb: 24_000,
 			op: func(tb testing.TB) {
 				ResetSimCache()
 				cmp, err := CompareAutoscale(autoCfg, week)
@@ -129,7 +136,7 @@ func TestAllocBudgets(t *testing.T) {
 		{
 			// The router allocates per replica re-run and per miss,
 			// never per request or per scheduler step.
-			name: "fleet_faulty_week", budget: 8_000,
+			name: "fleet_faulty_week", budget: 8_000, kb: 4_200,
 			op: func(tb testing.TB) {
 				ResetSimCache()
 				f := runFleetWeek(tb, faultyCfg, week)
@@ -144,7 +151,7 @@ func TestAllocBudgets(t *testing.T) {
 		{
 			// Admission, brownout and retry state are per replica and
 			// per run, never per request.
-			name: "flashcrowd_week", budget: 10_000,
+			name: "flashcrowd_week", budget: 10_000, kb: 4_900,
 			op: func(tb testing.TB) {
 				ResetSimCache()
 				f := runFleetWeek(tb, crowdCfg, crowdTrace)
@@ -160,7 +167,7 @@ func TestAllocBudgets(t *testing.T) {
 			// A capacity search, the scored minute, signing and
 			// verification: per probe and per miss, never per request or
 			// scheduler step.
-			name: "minuteserve_entry", budget: 5_000,
+			name: "minuteserve_entry", budget: 5_000, kb: 750,
 			op: func(tb testing.TB) {
 				ResetSimCache()
 				rep, err := MinuteServe(msEntry)
@@ -178,7 +185,7 @@ func TestAllocBudgets(t *testing.T) {
 		{
 			// Per probe (routed schedules, reports, frontier copies),
 			// never per scheduler step: thousands of steps per probe.
-			name: "fleet_plan", budget: 15_000,
+			name: "fleet_plan", budget: 15_000, kb: 3_200,
 			op: func(tb testing.TB) {
 				ResetSimCache()
 				planFleet(tb, plan)
@@ -192,6 +199,18 @@ func TestAllocBudgets(t *testing.T) {
 			t.Logf("%.0f allocs/op, budget %.0f", allocs, k.budget)
 			if allocs > k.budget {
 				t.Errorf("%.0f allocs/op exceed the budget of %.0f", allocs, k.budget)
+			}
+			if k.kb == 0 {
+				return
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			op()
+			runtime.ReadMemStats(&after)
+			kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024
+			t.Logf("%.0f KB/op, budget %.0f", kb, k.kb)
+			if kb > k.kb {
+				t.Errorf("%.0f KB/op exceed the budget of %.0f", kb, k.kb)
 			}
 		})
 	}
