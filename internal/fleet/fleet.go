@@ -169,9 +169,10 @@ func (r Report) String() string {
 // Phase 1 routes every request serially (the policy is a pure function of
 // the stream; with faults enabled it is also health-aware — arrivals skip
 // replicas that are down); phase 2 runs each replica's scheduler, sharded
-// across the runner pool by replica index (each replica reuses the pooled
-// zero-alloc scheduler of internal/serve); phase 3 merges per-replica
-// results in index order.
+// across the runner pool by replica index (each replica borrows the
+// pooled zero-alloc engine of internal/serve and prices its steps
+// through its own step-cost table, which lives as long as the call);
+// phase 3 merges per-replica results in index order.
 //
 // With Config.Faults enabled, phases 2–3 iterate to a failover fixed
 // point: each crash-orphaned attempt is removed from the replica that
@@ -192,9 +193,9 @@ func (r Report) String() string {
 // O(trace length) request records — fleet planning is built around
 // bounded probe traces, not the million-request streaming path.
 //
-// Each call builds one probe state (probeState) for its replicas: a
+// Each call builds one probe state (probeState) for its replicas, so a
 // replica prices each step shape once per call, however many failover
-// re-runs it takes.
+// re-runs it takes. Plan's probes share one state per cell instead.
 func Run(cfg Config, src serve.Stream) (Report, error) {
 	return run(cfg, src, new(probeState))
 }
