@@ -97,7 +97,10 @@ func TestPriceUtilizationAmortization(t *testing.T) {
 	}
 }
 
-// TestPriceValidation covers the pricing failure modes.
+// TestPriceValidation covers the pricing failure modes: no replicas, a
+// report with nothing to price, and every out-of-range PriceBook knob,
+// which Price and PriceDay refuse with an error naming the knob, never
+// a panic or a NaN cost.
 func TestPriceValidation(t *testing.T) {
 	d := arch.Mugi(256)
 	if _, err := Price(PriceBook{}, d, noc.Single, 0, pricedReport()); err == nil {
@@ -108,6 +111,23 @@ func TestPriceValidation(t *testing.T) {
 	}
 	if _, err := Price(PriceBook{}, d, noc.Single, 1, serve.Report{}); err == nil {
 		t.Error("zero report accepted")
+	}
+	mesh := noc.NewMesh(2, 2)
+	for _, row := range badBooks() {
+		if _, err := Price(row.book, d, mesh, 2, pricedReport()); err == nil || !strings.Contains(err.Error(), row.knob) {
+			t.Errorf("Price(%+v): err %v, want an error naming %s", row.book, err, row.knob)
+		}
+		if _, err := PriceDay(row.book, d, mesh, 2, 1e6, 86400); err == nil || !strings.Contains(err.Error(), row.knob) {
+			t.Errorf("PriceDay(%+v): err %v, want an error naming %s", row.book, err, row.knob)
+		}
+	}
+	if err := (PriceBook{}).Validate(); err != nil {
+		t.Errorf("the default book fails validation: %v", err)
+	}
+	for _, bad := range [][2]float64{{math.NaN(), 86400}, {-1, 86400}, {1e6, math.NaN()}, {1e6, math.Inf(1)}} {
+		if _, err := PriceDay(PriceBook{}, d, mesh, 2, bad[0], bad[1]); err == nil {
+			t.Errorf("PriceDay accepted energy %g over %g s", bad[0], bad[1])
+		}
 	}
 }
 
@@ -149,28 +169,5 @@ func badBooks() []struct {
 		{"Utilization", PriceBook{Utilization: nan}},
 		{"Utilization", PriceBook{Utilization: 7}},
 		{"Utilization", PriceBook{Utilization: -0.5}},
-	}
-}
-
-// TestPriceBookRejectsBadKnobs: Price and PriceDay refuse every
-// out-of-range book with an error naming the knob, never a panic or a
-// NaN cost.
-func TestPriceBookRejectsBadKnobs(t *testing.T) {
-	d, mesh := arch.Mugi(256), noc.NewMesh(2, 2)
-	for _, row := range badBooks() {
-		if _, err := Price(row.book, d, mesh, 2, pricedReport()); err == nil || !strings.Contains(err.Error(), row.knob) {
-			t.Errorf("Price(%+v): err %v, want an error naming %s", row.book, err, row.knob)
-		}
-		if _, err := PriceDay(row.book, d, mesh, 2, 1e6, 86400); err == nil || !strings.Contains(err.Error(), row.knob) {
-			t.Errorf("PriceDay(%+v): err %v, want an error naming %s", row.book, err, row.knob)
-		}
-	}
-	if err := (PriceBook{}).Validate(); err != nil {
-		t.Errorf("the default book fails validation: %v", err)
-	}
-	for _, bad := range [][2]float64{{math.NaN(), 86400}, {-1, 86400}, {1e6, math.NaN()}, {1e6, math.Inf(1)}} {
-		if _, err := PriceDay(PriceBook{}, d, mesh, 2, bad[0], bad[1]); err == nil {
-			t.Errorf("PriceDay accepted energy %g over %g s", bad[0], bad[1])
-		}
 	}
 }

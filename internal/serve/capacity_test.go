@@ -81,16 +81,50 @@ func TestFindCapacityUnsustainableFloor(t *testing.T) {
 	}
 }
 
+// TestFindCapacityValidates: every float knob of a capacity search that
+// is not finite or is out of its range fails the search with an error
+// naming the knob, before any probe runs. A NaN used to slip past the
+// range checks: MaxRate NaN returned MinRate as the capacity, and a NaN
+// Goodput or bound searched as if the knob were off.
 func TestFindCapacityValidates(t *testing.T) {
-	spec := capSpec()
-	spec.MinRate, spec.MaxRate = 4, 2
-	if _, err := FindCapacity(baseConfig(), spec); err == nil {
-		t.Error("inverted bracket should fail")
+	nan, inf := math.NaN(), math.Inf(1)
+	rows := []struct {
+		knob string
+		mut  func(*CapacitySpec)
+	}{
+		{"Goodput", func(s *CapacitySpec) { s.Goodput = nan }},
+		{"Goodput", func(s *CapacitySpec) { s.Goodput = -0.5 }},
+		{"Goodput", func(s *CapacitySpec) { s.Goodput = 1.5 }},
+		{"Goodput", func(s *CapacitySpec) { s.Goodput = inf }},
+		{"MinRate", func(s *CapacitySpec) { s.MinRate = nan }},
+		{"MinRate", func(s *CapacitySpec) { s.MinRate = -1 }},
+		{"MinRate", func(s *CapacitySpec) { s.MinRate = inf }},
+		{"MaxRate", func(s *CapacitySpec) { s.MaxRate = nan }},
+		{"MaxRate", func(s *CapacitySpec) { s.MaxRate = inf }},
+		{"MaxRate", func(s *CapacitySpec) { s.MinRate, s.MaxRate = 4, 2 }},
+		{"TTFTP99", func(s *CapacitySpec) { s.TTFTP99 = nan }},
+		{"TTFTP99", func(s *CapacitySpec) { s.TTFTP99 = -1 }},
+		{"TTFTP99", func(s *CapacitySpec) { s.TTFTP99 = inf }},
+		{"LatencyP99", func(s *CapacitySpec) { s.LatencyP99 = nan }},
+		{"LatencyP99", func(s *CapacitySpec) { s.LatencyP99 = -1 }},
+		{"LatencyP99", func(s *CapacitySpec) { s.LatencyP99 = inf }},
 	}
-	spec = capSpec()
-	spec.Goodput = 1.5
-	if _, err := FindCapacity(baseConfig(), spec); err == nil {
-		t.Error("goodput above 1 should fail")
+	for _, row := range rows {
+		spec := capSpec()
+		row.mut(&spec)
+		res, err := FindCapacity(baseConfig(), spec)
+		if err == nil || !strings.Contains(err.Error(), row.knob) {
+			t.Errorf("%s: %+v searched to capacity %g, err %v; want an error naming %s",
+				row.knob, spec, res.Capacity, err, row.knob)
+		}
+		if res.Probes != 0 {
+			t.Errorf("%s: rejected search ran %d probes", row.knob, res.Probes)
+		}
+	}
+	for _, bracket := range [][2]float64{{nan, 1}, {1, nan}, {1, inf}, {inf, inf}} {
+		if _, _, _, err := MaxPassingRate(bracket[0], bracket[1], 1, func(float64) (int, bool, error) { return 0, true, nil }); err == nil {
+			t.Errorf("MaxPassingRate accepted the bracket %v", bracket)
+		}
 	}
 }
 
@@ -260,52 +294,5 @@ func TestCapacityMatchesFreshTables(t *testing.T) {
 				t.Errorf("shared-table search digest %s, fresh tables %s", got, want)
 			}
 		})
-	}
-}
-
-// TestCapacitySpecRejectsBadKnobs: every float knob of a capacity search
-// that is not finite or is out of its range fails the search with an
-// error naming the knob, before any probe runs. A NaN used to slip past
-// the range checks: MaxRate NaN returned MinRate as the capacity, and a
-// NaN Goodput or bound searched as if the knob were off.
-func TestCapacitySpecRejectsBadKnobs(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	rows := []struct {
-		knob string
-		mut  func(*CapacitySpec)
-	}{
-		{"Goodput", func(s *CapacitySpec) { s.Goodput = nan }},
-		{"Goodput", func(s *CapacitySpec) { s.Goodput = -0.5 }},
-		{"Goodput", func(s *CapacitySpec) { s.Goodput = 1.5 }},
-		{"Goodput", func(s *CapacitySpec) { s.Goodput = inf }},
-		{"MinRate", func(s *CapacitySpec) { s.MinRate = nan }},
-		{"MinRate", func(s *CapacitySpec) { s.MinRate = -1 }},
-		{"MinRate", func(s *CapacitySpec) { s.MinRate = inf }},
-		{"MaxRate", func(s *CapacitySpec) { s.MaxRate = nan }},
-		{"MaxRate", func(s *CapacitySpec) { s.MaxRate = inf }},
-		{"MaxRate", func(s *CapacitySpec) { s.MinRate, s.MaxRate = 4, 2 }},
-		{"TTFTP99", func(s *CapacitySpec) { s.TTFTP99 = nan }},
-		{"TTFTP99", func(s *CapacitySpec) { s.TTFTP99 = -1 }},
-		{"TTFTP99", func(s *CapacitySpec) { s.TTFTP99 = inf }},
-		{"LatencyP99", func(s *CapacitySpec) { s.LatencyP99 = nan }},
-		{"LatencyP99", func(s *CapacitySpec) { s.LatencyP99 = -1 }},
-		{"LatencyP99", func(s *CapacitySpec) { s.LatencyP99 = inf }},
-	}
-	for _, row := range rows {
-		spec := capSpec()
-		row.mut(&spec)
-		res, err := FindCapacity(baseConfig(), spec)
-		if err == nil || !strings.Contains(err.Error(), row.knob) {
-			t.Errorf("%s: %+v searched to capacity %g, err %v; want an error naming %s",
-				row.knob, spec, res.Capacity, err, row.knob)
-		}
-		if res.Probes != 0 {
-			t.Errorf("%s: rejected search ran %d probes", row.knob, res.Probes)
-		}
-	}
-	for _, bracket := range [][2]float64{{nan, 1}, {1, nan}, {1, inf}, {inf, inf}} {
-		if _, _, _, err := MaxPassingRate(bracket[0], bracket[1], 1, func(float64) (int, bool, error) { return 0, true, nil }); err == nil {
-			t.Errorf("MaxPassingRate accepted the bracket %v", bracket)
-		}
 	}
 }
