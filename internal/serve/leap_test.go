@@ -208,7 +208,7 @@ func TestStepCostsResetReadsNoStaleEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if c.Simulate == nil {
-			if got := statsDigest(st); got != row.sum {
+			if got := goDigest(st); got != row.sum {
 				t.Errorf("honest run after a lying one: digest %s, pinned %s", got, row.sum)
 			}
 		}

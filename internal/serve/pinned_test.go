@@ -123,15 +123,12 @@ func TestRunStatsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := statsDigest(st); got != row.sum {
+			if got := goDigest(st); got != row.sum {
 				t.Errorf("RunStats digest %s, pinned %s\n%s", got, row.sum, st.Report)
 			}
 		})
 	}
 }
-
-// statsDigest is the sha256 of a RunStats in Go syntax.
-func statsDigest(st RunStats) string { return goDigest(st) }
 
 // goDigest is the sha256 of a value in Go syntax.
 func goDigest(v any) string {
