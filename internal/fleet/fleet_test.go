@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mugi/internal/arch"
 	"mugi/internal/model"
 	"mugi/internal/noc"
+	"mugi/internal/overload"
 	"mugi/internal/raceflag"
 	"mugi/internal/runner"
 	"mugi/internal/serve"
@@ -32,20 +34,54 @@ func burstyStream(t *testing.T, requests int) serve.Stream {
 
 // TestSingleReplicaMatchesServe pins the router's degenerate case: a
 // one-replica round-robin fleet is exactly serve.RunStream — same
-// scheduler, same histograms, same rendering — so the fleet layer adds
-// no cost model of its own below N=2.
+// scheduler, same histograms, every float of the report in Go syntax —
+// so the fleet layer adds no cost model of its own below N=2. The second
+// row runs the whole overload stack: a bounded queue, admission,
+// brownout and client retries over a tenanted flash crowd.
 func TestSingleReplicaMatchesServe(t *testing.T) {
-	cfg := testReplica()
-	direct, err := serve.RunStream(cfg, burstyStream(t, 32))
-	if err != nil {
-		t.Fatal(err)
+	stack := testReplica()
+	stack.Mesh = noc.Single
+	stack.MaxQueue = 8
+	stack.Admission = &overload.AdmissionSpec{}
+	stack.Brownout = &overload.BrownoutSpec{Steps: overload.DefaultBrownoutSteps(), HighWater: 6, Dwell: 10}
+	stack.ClientRetry = overload.ClientRetrySpec{Backoff: 10, MaxAttempts: 2}
+	rows := []struct {
+		name string
+		cfg  serve.Config
+		tc   serve.TraceConfig
+	}{
+		{"bursty", testReplica(), serve.TraceConfig{Kind: serve.Bursty, Rate: 0.3, Requests: 32, Seed: testSeed}},
+		{"overload stack", stack, serve.TraceConfig{
+			Kind: serve.Flashcrowd, Rate: 0.5, Requests: 160, Seed: testSeed,
+			SurgeFactor: 4, SurgeSpan: 120, SurgePeriod: 600,
+			Tenants: tenantedTrace(0).Tenants,
+		}},
 	}
-	fleet, err := Run(Config{Replica: cfg, Replicas: 1}, burstyStream(t, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fleet.Fleet.String(), direct.String(); got != want {
-		t.Errorf("1-replica fleet diverges from serve.RunStream:\n--- fleet ---\n%s\n--- serve ---\n%s", got, want)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			stream := func() serve.Stream {
+				src, err := serve.NewStream(row.tc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return src
+			}
+			direct, err := serve.RunStream(row.cfg, stream())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet, err := Run(Config{Replica: row.cfg, Replicas: 1}, stream())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("%#v", direct)
+			if got := fmt.Sprintf("%#v", fleet.Fleet); got != want {
+				t.Errorf("1-replica fleet diverges from serve.RunStream:\n--- fleet ---\n%s\n--- serve ---\n%s", fleet.Fleet, direct)
+			}
+			if got := fmt.Sprintf("%#v", fleet.Replicas[0]); got != want {
+				t.Errorf("the replica's report diverges from serve.RunStream:\n--- replica ---\n%s\n--- serve ---\n%s", fleet.Replicas[0], direct)
+			}
+		})
 	}
 }
 

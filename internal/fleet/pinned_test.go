@@ -22,12 +22,12 @@ type pinnedPlan struct {
 // pinnedPlans covers the ways a capacity search's probes can differ
 // from each other: cells with and without capacity under JSQ routing,
 // replicas that never receive a request, a brownout ladder that reaches
-// its DVFS rung, and context buckets that do not divide the model's
-// context window.
+// its DVFS rung, context buckets that do not divide the model's context
+// window, and the one-replica searches of oneReplicaPlans.
 func pinnedPlans() []pinnedPlan {
 	slo := SLO{TTFTP99: 60, LatencyP99: 300}
 	llama := serve.Config{Model: model.Llama2_7B}
-	return []pinnedPlan{
+	return append([]pinnedPlan{
 		{"jsq grid", PlanSpec{
 			Base: llama,
 			Cells: Grid(
@@ -49,6 +49,40 @@ func pinnedPlans() []pinnedPlan {
 			SLO:   slo,
 			Iters: 3,
 		}, "68d95f791c3735c82dcc394ec1cb9d8ce85e14be6263d0afb0ddc40ea5b5cb36"},
+	}, oneReplicaPlans()...)
+}
+
+// oneReplicaPlans are one-cell, one-replica searches: the default search
+// with its 48-request probes and 6 bisections spelled out, the
+// MinuteServe tail bounds under JSQ, unquantized contexts, and a
+// brownout ladder that reaches its DVFS rung on the probes near
+// capacity.
+func oneReplicaPlans() []pinnedPlan {
+	mesh := noc.NewMesh(4, 4)
+	llama := serve.Config{Model: model.Llama2_7B}
+	ctx1 := llama
+	ctx1.CtxBucket = 1
+	tail := oneReplicaSpec(llama, mesh, serve.TraceConfig{Kind: serve.Poisson, Requests: 24, Seed: 3}, 6)
+	tail.Policy = JSQ
+	tail.SLO = SLO{TTFTP99: 10, LatencyP99: 120}
+	brown := llama
+	brown.MaxBatch = 4
+	brown.Brownout = &overload.BrownoutSpec{HighWater: 4, Dwell: 2}
+	return []pinnedPlan{
+		{"one replica default", oneReplicaSpec(llama, mesh, serve.TraceConfig{Requests: 48}, 6), "88cd4a25101bd8f0eaf960c55d36513cb2e9e41a3eec3d90cc5641a99100c575"},
+		{"one replica tail bounds", tail, "d8f7508ba9a832fbe0296acafc156a44688c86c34edeec3777ddb73c8a4bf7d1"},
+		{"one replica ctx bucket 1", oneReplicaSpec(ctx1, mesh, serve.TraceConfig{Kind: serve.Poisson, Requests: 16, Seed: 3}, 4), "748a4f281b70ef85ce849de4a2aa7bdb9b57a35fa45c39ea9163c94f7bab74d3"},
+		{"one replica brownout", oneReplicaSpec(brown, mesh, serve.TraceConfig{Kind: serve.Bursty, Requests: 48, Seed: 5}, 4), "6ae46f048770b884f196b5a0b71e8b9e96e8e35fcfb8a7a33e0631bea60ebe22"},
+	}
+}
+
+// oneReplicaSpec plans one replica of Mugi(256) on mesh.
+func oneReplicaSpec(base serve.Config, mesh noc.Mesh, tc serve.TraceConfig, iters int) PlanSpec {
+	return PlanSpec{
+		Base:  base,
+		Cells: []Cell{{Design: arch.Mugi(256), Mesh: mesh, Replicas: 1}},
+		Trace: tc,
+		Iters: iters,
 	}
 }
 
