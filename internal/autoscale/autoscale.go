@@ -129,7 +129,9 @@ func (s PowerState) String() string {
 type Config struct {
 	// Replica is the per-replica serving configuration at the *nominal*
 	// operating point (model, design, mesh, batch cap, KV budget). Its
-	// DVFS and Observe fields must be zero — the controller owns both.
+	// DVFS, Observe, Faults and Retry fields must be zero — the
+	// controller owns them (see Faults and MaxRedispatch) — and so must
+	// MaxQueue: the controller's queue is unbounded.
 	Replica serve.Config
 	// MinReplicas is the floor the policy may never drain below
 	// (default 1; must be ≥ 1 so queued work always has an owner).
@@ -162,8 +164,7 @@ type Config struct {
 	// from the spec (replica i's timeline is a pure function of
 	// (Faults.Seed, i)): fail-stop crashes that orphan the in-flight
 	// batch back to the controller queue, boot attempts that fail back
-	// to Off, and straggler replicas whose rounds run slower. Requires
-	// Replica.Faults to be nil — the controller owns the schedules.
+	// to Off, and straggler replicas whose rounds run slower.
 	Faults faults.Spec
 	// MaxRedispatch bounds how many times a crash-orphaned request is
 	// re-queued before it is shed (default serve.DefaultMaxRedispatch).
@@ -388,8 +389,14 @@ func validateConfig(cfg Config) error {
 	if err := cfg.Faults.Validate(); err != nil {
 		return err
 	}
-	if cfg.Faults.Enabled() && cfg.Replica.Faults != nil {
-		return fmt.Errorf("autoscale: Config.Faults and Replica.Faults are mutually exclusive — the controller owns the schedules")
+	if cfg.Replica.Faults != nil {
+		return fmt.Errorf("autoscale: Replica.Faults must be nil — the controller owns the schedules (see Config.Faults)")
+	}
+	if cfg.Replica.Retry != (serve.RetryPolicy{}) {
+		return fmt.Errorf("autoscale: Replica.Retry must be zero — crash orphans re-queue by Config.MaxRedispatch")
+	}
+	if cfg.Replica.MaxQueue != 0 {
+		return fmt.Errorf("autoscale: Replica.MaxQueue %d must be 0 — the controller's queue is unbounded", cfg.Replica.MaxQueue)
 	}
 	if cfg.MaxRedispatch < 0 {
 		return fmt.Errorf("autoscale: redispatch budget %d must be non-negative", cfg.MaxRedispatch)

@@ -122,26 +122,35 @@ func TestFaultyComparisonDeterminism(t *testing.T) {
 }
 
 // TestFaultValidation covers the controller's fault-config failure
-// modes.
+// modes, and the replica knobs it does not honor: the controller owns
+// the fault schedules, re-queues crash orphans by Config.MaxRedispatch
+// and never bounds its queue, so a Replica.Faults, Replica.Retry or
+// Replica.MaxQueue is rejected with an error naming the field instead
+// of being silently ignored.
 func TestFaultValidation(t *testing.T) {
-	cfg := baseCfg()
-	cfg.Faults = faults.Spec{MTBF: -1}
-	if _, err := Run(cfg, dayTrace(0.02)); err == nil {
-		t.Error("negative MTBF accepted")
-	}
-	cfg = baseCfg()
-	cfg.MaxRedispatch = -1
-	if _, err := Run(cfg, dayTrace(0.02)); err == nil {
-		t.Error("negative redispatch budget accepted")
-	}
-	cfg = baseCfg()
-	cfg.Faults = faults.Spec{MTBF: 7200, Seed: 1}
 	s, err := faults.New(faults.Spec{MTBF: 50, Seed: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Replica.Faults = s
-	if _, err := Run(cfg, dayTrace(0.02)); err == nil {
-		t.Error("Config.Faults plus Replica.Faults accepted — the controller must own the schedules")
+	rows := []struct {
+		name, field string // field, when set, is what the error must name
+		mut         func(*Config)
+	}{
+		{"negative MTBF", "", func(c *Config) { c.Faults = faults.Spec{MTBF: -1} }},
+		{"negative redispatch budget", "", func(c *Config) { c.MaxRedispatch = -1 }},
+		{"both schedules", "Replica.Faults", func(c *Config) {
+			c.Faults = faults.Spec{MTBF: 7200, Seed: 1}
+			c.Replica.Faults = s
+		}},
+		{"replica schedule only", "Replica.Faults", func(c *Config) { c.Replica.Faults = s }},
+		{"replica max queue", "Replica.MaxQueue", func(c *Config) { c.Replica.MaxQueue = 1 }},
+		{"replica retry", "Replica.Retry", func(c *Config) { c.Replica.Retry.MaxRedispatch = 2 }},
+	}
+	for _, row := range rows {
+		cfg := baseCfg()
+		row.mut(&cfg)
+		if _, err := Run(cfg, dayTrace(0.02)); err == nil || !strings.Contains(err.Error(), row.field) {
+			t.Errorf("%s: err %v, want an error naming %q", row.name, err, row.field)
+		}
 	}
 }

@@ -131,31 +131,34 @@ func TestFaultyFleetParallelDeterminism(t *testing.T) {
 }
 
 // TestFaultConfigValidation covers the faulty router's failure modes.
+// The router owns every replica's fault schedule and failover policy, so
+// a Replica.Faults or Replica.Retry is rejected with an error naming the
+// field, with or without Config.Faults: a schedule handed to every
+// replica would be drawn from concurrently, and a retry policy nothing
+// reads would be silently ignored.
 func TestFaultConfigValidation(t *testing.T) {
-	base := Config{Replica: testReplica(), Replicas: 2, Faults: faults.Spec{MTBF: 100}}
-	bad := base
-	bad.Faults.MTBF = -1
-	if _, err := Run(bad, burstyStream(t, 4)); err == nil {
-		t.Error("negative MTBF accepted")
-	}
-	bad = base
-	bad.MaxRedispatch = -1
-	if _, err := Run(bad, burstyStream(t, 4)); err == nil {
-		t.Error("negative redispatch budget accepted")
-	}
-	bad = base
-	bad.FailoverDelay = -1
-	if _, err := Run(bad, burstyStream(t, 4)); err == nil {
-		t.Error("negative failover delay accepted")
-	}
-	bad = base
 	s, err := faults.New(faults.Spec{MTBF: 50, Seed: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Replica.Faults = s
-	if _, err := Run(bad, burstyStream(t, 4)); err == nil {
-		t.Error("Config.Faults plus Replica.Faults accepted — the router must own the schedules")
+	rows := []struct {
+		name, field string // field, when set, is what the error must name
+		mut         func(*Config)
+	}{
+		{"negative MTBF", "", func(c *Config) { c.Faults.MTBF = -1 }},
+		{"negative redispatch budget", "", func(c *Config) { c.MaxRedispatch = -1 }},
+		{"negative failover delay", "", func(c *Config) { c.FailoverDelay = -1 }},
+		{"both schedules", "Replica.Faults", func(c *Config) { c.Replica.Faults = s }},
+		{"replica schedule only", "Replica.Faults", func(c *Config) { c.Faults = faults.Spec{}; c.Replica.Faults = s }},
+		{"replica retry", "Replica.Retry", func(c *Config) { c.Replica.Retry.MaxRedispatch = 2 }},
+		{"replica retry without faults", "Replica.Retry", func(c *Config) { c.Faults = faults.Spec{}; c.Replica.Retry.Delay = 1 }},
+	}
+	for _, row := range rows {
+		cfg := Config{Replica: testReplica(), Replicas: 2, Faults: faults.Spec{MTBF: 100}}
+		row.mut(&cfg)
+		if _, err := Run(cfg, burstyStream(t, 4)); err == nil || !strings.Contains(err.Error(), row.field) {
+			t.Errorf("%s: err %v, want an error naming %q", row.name, err, row.field)
+		}
 	}
 }
 

@@ -53,7 +53,9 @@ const MaxReplicas = 4096
 // stamped out Replicas times behind a routing policy.
 type Config struct {
 	// Replica is the per-replica serving configuration (model, design,
-	// mesh, batch cap, KV budget — see serve.Config).
+	// mesh, batch cap, KV budget — see serve.Config). Its Faults and
+	// Retry must be zero: the router owns every replica's fault schedule
+	// and failover policy (see Faults, MaxRedispatch and FailoverDelay).
 	Replica serve.Config
 	// Replicas is the replica count (default 1, max MaxReplicas).
 	Replicas int
@@ -74,8 +76,7 @@ type Config struct {
 	// replicas that are down), and arms failover: requests orphaned by a
 	// crash are re-dispatched to the next live replica after a
 	// deterministic detection delay, at most MaxRedispatch times, then
-	// shed with accounting. Mutually exclusive with Replica.Faults — the
-	// router owns the schedules.
+	// shed with accounting.
 	Faults faults.Spec
 	// MaxRedispatch bounds failover re-dispatches per request (default
 	// serve.DefaultMaxRedispatch).
@@ -245,15 +246,18 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 	if cfg.MaxRedispatch < 0 || cfg.FailoverDelay < 0 {
 		return Report{}, fmt.Errorf("fleet: failover policy must be non-negative (max redispatch %d, delay %g)", cfg.MaxRedispatch, cfg.FailoverDelay)
 	}
+	if cfg.Replica.Faults != nil {
+		return Report{}, fmt.Errorf("fleet: Replica.Faults must be nil — the router owns the schedules (see Config.Faults)")
+	}
+	if cfg.Replica.Retry != (serve.RetryPolicy{}) {
+		return Report{}, fmt.Errorf("fleet: Replica.Retry must be zero — failover follows Config.MaxRedispatch and FailoverDelay")
+	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return Report{}, err
 	}
 	faulty := cfg.Faults.Enabled()
 	var scheds []*faults.Schedule
 	if faulty {
-		if cfg.Replica.Faults != nil {
-			return Report{}, fmt.Errorf("fleet: Config.Faults and Replica.Faults are mutually exclusive — the router owns the schedules")
-		}
 		scheds = make([]*faults.Schedule, cfg.Replicas)
 		for i := range scheds {
 			s, err := faults.New(cfg.Faults, i)

@@ -44,9 +44,9 @@ const (
 )
 
 // RetryPolicy shapes how a faulty run disposes of interrupted work. The
-// zero value means the defaults; it is consulted only when fault
-// injection (Config.Faults) or bounded-queue shedding (Config.MaxQueue)
-// is active.
+// zero value means the defaults; it is read only under fault injection
+// (Config.Faults), by crash disposal and transient dispatch errors.
+// Bounded-queue shedding (Config.MaxQueue) never retries.
 type RetryPolicy struct {
 	// MaxRedispatch bounds re-dispatch attempts per request beyond its
 	// first dispatch (default DefaultMaxRedispatch). Work interrupted
@@ -135,7 +135,7 @@ type Config struct {
 	// leaves the run byte-identical to Faults == nil.
 	Faults *faults.Schedule
 	// Retry shapes failure disposal (re-dispatch bounds, detection delay,
-	// local-retry vs hand-off); consulted only under Faults or MaxQueue.
+	// local-retry vs hand-off); read only under Faults.
 	Retry RetryPolicy
 	// MaxQueue bounds the admission queue: a fresh arrival that finds
 	// MaxQueue requests already waiting is shed with accounting instead
