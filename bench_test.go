@@ -409,26 +409,26 @@ func BenchmarkServeMillionRequests(b *testing.B) {
 }
 
 // BenchmarkCapacitySearch measures one full capacity search (bracketing +
-// bisection) of a single-node cell, the unit of work of every
-// capacity-sweep cell.
+// bisection) of a single-node cell, a one-replica PlanFleet cell: the
+// unit of work of every capacity-sweep cell.
 func BenchmarkCapacitySearch(b *testing.B) {
 	runner.SetParallelism(1)
 	defer runner.SetParallelism(0)
-	cfg := ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: SingleNode}
 	// Probe length matters: very short probes realize noisy offered rates
 	// and pay a large drain-tail penalty, pushing the goodput ratio under
-	// threshold even far below capacity. The default probe length keeps
-	// the ratio discriminative.
-	spec := CapacitySpec{
+	// threshold even far below capacity. 48 requests keep the ratio
+	// discriminative.
+	spec := FleetPlanSpec{
+		Base:  ServeConfig{Model: Llama2_7B},
+		Cells: []FleetCell{{Design: NewMugi(256), Mesh: SingleNode, Replicas: 1}},
 		Trace: TraceConfig{Kind: TracePoisson, Requests: 48, Seed: 1},
 		Iters: 4,
 	}
-	var res CapacityResult
+	var res FleetCellResult
 	for i := 0; i < b.N; i++ {
 		ResetSimCache()
-		var err error
-		if res, err = FindCapacity(cfg, spec); err != nil {
-			b.Fatal(err)
+		if res = PlanFleet(spec)[0]; res.Err != nil {
+			b.Fatal(res.Err)
 		}
 	}
 	b.ReportMetric(res.Capacity, "req/s-capacity")

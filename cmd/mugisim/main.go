@@ -298,10 +298,11 @@ func runServe(d arch.Design, m model.Config, mesh noc.Mesh,
 	fmt.Print(rep.String())
 }
 
-// runCapacity binary-searches the max sustained request rate of every
-// (design, mesh) cell of the grid, sharding cells across the runner pool,
-// and prints the sizing table. Cells are searched with the default
-// bracketing (serve.DefaultMinRate..DefaultMaxRate) and goodput.
+// runCapacity binary-searches the max sustained request rate of one
+// replica of every (design, mesh) cell of the grid, as one-replica fleet
+// plan cells sharded across the runner pool, and prints the sizing
+// table. Cells are searched with the default bracketing
+// (fleet.DefaultMinRate..DefaultMaxRate) and goodput, and no SLO.
 func runCapacity(designsCSV, meshesCSV string, rows int, modelName, traceKind, lengths string,
 	requests int, seed int64, maxBatch int, kvBudgetGB float64, parallel int) {
 	m, err := model.ByName(modelName)
@@ -316,19 +317,16 @@ func runCapacity(designsCSV, meshesCSV string, rows int, modelName, traceKind, l
 	if err != nil {
 		fatal(err)
 	}
-	var cells []mugi.CapacityCell
-	for _, d := range parseDesigns(designsCSV, rows) {
-		for _, mesh := range parseMeshes(meshesCSV) {
-			cells = append(cells, mugi.CapacityCell{Design: d, Mesh: mesh})
-		}
-	}
 	if parallel != 0 {
 		runner.SetParallelism(parallel)
 	}
-	results := mugi.SearchCapacity(mugi.ServeConfig{
-		Model: m, MaxBatch: maxBatch, KVBudgetBytes: int64(kvBudgetGB * (1 << 30)),
-	}, cells, mugi.CapacitySpec{
+	results := mugi.PlanFleet(mugi.FleetPlanSpec{
+		Base:  mugi.ServeConfig{Model: m, MaxBatch: maxBatch, KVBudgetBytes: int64(kvBudgetGB * (1 << 30))},
+		Cells: mugi.FleetGrid(parseDesigns(designsCSV, rows), parseMeshes(meshesCSV), []int{1}),
 		Trace: mugi.TraceConfig{Kind: kind, Requests: requests, Seed: seed, Lengths: profile},
+		// Six bisections, one more than the planner's default: the sizing
+		// table's resolution since the mode was added.
+		Iters: 6,
 	})
 	fmt.Printf("capacity search: %s, %s %s traffic, %d requests/probe, seed %d\n",
 		m.Name, traceKind, profile.Name, requests, seed)
@@ -343,7 +341,7 @@ func runCapacity(designsCSV, meshesCSV string, rows int, modelName, traceKind, l
 			fmt.Printf("%-12s %6s  unsustainable at floor rate\n", res.Design, res.Mesh)
 			continue
 		}
-		at := res.AtCapacity
+		at := res.At.Fleet
 		fmt.Printf("%-12s %6s %10.4f %7d %10.2f %8.1fs %8.1fs\n",
 			res.Design, res.Mesh, res.Capacity, res.Probes,
 			at.TokensPerSecond, at.TTFT.P99, at.Latency.P99)

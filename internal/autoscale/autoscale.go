@@ -325,17 +325,19 @@ func getController(replicas int) *controller {
 }
 
 // calibrate measures the full-speed single-replica capacity the policies
-// reason with: a short deterministic capacity search on the trace's own
-// length profile and seed.
+// reason with: a short deterministic capacity search, as a one-replica
+// fleet.Plan cell, on the trace's own length profile and seed.
 func calibrate(cfg Config, tc serve.TraceConfig) (float64, error) {
-	res, err := serve.FindCapacity(cfg.Replica, serve.CapacitySpec{
+	res := fleet.Plan(fleet.PlanSpec{
+		Base:  cfg.Replica,
+		Cells: []fleet.Cell{{Design: cfg.Replica.Design, Mesh: cfg.Replica.Mesh, Replicas: 1}},
 		Trace: serve.TraceConfig{
 			Kind: serve.Poisson, Requests: 24, Seed: tc.Seed, Lengths: tc.Lengths,
 		},
 		Iters: 3,
-	})
-	if err != nil {
-		return 0, err
+	})[0]
+	if res.Err != nil {
+		return 0, res.Err
 	}
 	if res.Capacity <= 0 {
 		return 0, fmt.Errorf("autoscale: replica has no measurable capacity")

@@ -35,7 +35,7 @@ func Fleet() *Report {
 	r.Printf("model %s, poisson chat probes (%d requests/probe, seed %d), jsq routing",
 		m.Name, spec.Trace.Requests, servingSeed)
 	r.Printf("SLO: TTFT p99 <= %.0fs, latency p99 <= %.0fs; goodput >= %.2f",
-		spec.SLO.TTFTP99, spec.SLO.LatencyP99, serve.DefaultGoodput)
+		spec.SLO.TTFTP99, spec.SLO.LatencyP99, fleet.DefaultGoodput)
 	r.Printf("%-12s %5s %4s %9s %7s %9s %9s %10s %9s %8s",
 		"design", "mesh", "reps", "capacity", "probes", "$/hour", "$/1k req", "$/Mtok", "watts", "gCO2/1k")
 	for _, res := range results {

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"mugi/internal/arch"
@@ -9,9 +11,18 @@ import (
 	"mugi/internal/serve"
 )
 
-// Planner defaults (the serve capacity-search defaults, reused at fleet
-// granularity).
+// Capacity-search defaults.
 const (
+	// DefaultGoodput is the sustained/offered ratio a probe must reach to
+	// count as "keeping up". Finite probe traces pay a drain tail after
+	// the last arrival, so 1.0 would reject every rate; 0.9 tolerates the
+	// tail while still rejecting a growing queue.
+	DefaultGoodput = 0.9
+	// DefaultMinRate is the search's lower bracket (req/s) — below any
+	// single studied node's capacity.
+	DefaultMinRate = 1.0 / 128
+	// DefaultMaxRate is the search's upper bracket (req/s).
+	DefaultMaxRate = 64
 	// DefaultPlanRequests is the per-probe trace length.
 	DefaultPlanRequests = 32
 	// DefaultPlanIters is the log-bisection count after bracketing.
@@ -55,13 +66,15 @@ type PlanSpec struct {
 	SLO SLO
 	// Book prices each cell's operating point.
 	Book PriceBook
-	// Goodput, MinRate, MaxRate and Iters shape the per-cell capacity
-	// search exactly as in serve.CapacitySpec (defaults
-	// serve.DefaultGoodput, serve.DefaultMinRate, serve.DefaultMaxRate,
-	// DefaultPlanIters).
-	Goodput          float64
+	// Goodput is the sustained/offered ratio a probe must reach to pass
+	// (default DefaultGoodput).
+	Goodput float64
+	// MinRate and MaxRate bracket each cell's search in req/s (defaults
+	// DefaultMinRate, DefaultMaxRate).
 	MinRate, MaxRate float64
-	Iters            int
+	// Iters is the log-bisection count after geometric bracketing
+	// (default DefaultPlanIters).
+	Iters int
 }
 
 // withDefaults materializes the zero-value defaults.
@@ -70,13 +83,13 @@ func (s PlanSpec) withDefaults() PlanSpec {
 		s.Trace.Requests = DefaultPlanRequests
 	}
 	if s.Goodput == 0 {
-		s.Goodput = serve.DefaultGoodput
+		s.Goodput = DefaultGoodput
 	}
 	if s.MinRate == 0 {
-		s.MinRate = serve.DefaultMinRate
+		s.MinRate = DefaultMinRate
 	}
 	if s.MaxRate == 0 {
-		s.MaxRate = serve.DefaultMaxRate
+		s.MaxRate = DefaultMaxRate
 	}
 	if s.Iters == 0 {
 		s.Iters = DefaultPlanIters
@@ -84,12 +97,25 @@ func (s PlanSpec) withDefaults() PlanSpec {
 	return s
 }
 
-// validate checks the spec's search knobs as serve.CapacitySpec.Validate
-// does, with the SLO as the tail bounds, and its price book.
+// validate checks the defaulted spec's knobs: Goodput in (0, 1], a
+// positive finite MinRate, a finite MaxRate of at least MinRate, finite
+// non-negative SLO bounds (0 disables a bound), and the price book. Each
+// check is written so that NaN fails it.
 func (s PlanSpec) validate() error {
-	search := serve.CapacitySpec{Goodput: s.Goodput, MinRate: s.MinRate, MaxRate: s.MaxRate, TTFTP99: s.SLO.TTFTP99, LatencyP99: s.SLO.LatencyP99}
-	if err := search.Validate(); err != nil {
-		return err
+	if !(s.Goodput > 0 && s.Goodput <= 1) {
+		return fmt.Errorf("fleet: Goodput %g must be in (0, 1]", s.Goodput)
+	}
+	if !(s.MinRate > 0) || math.IsInf(s.MinRate, 1) {
+		return fmt.Errorf("fleet: MinRate %g must be positive and finite", s.MinRate)
+	}
+	if !(s.MaxRate >= s.MinRate) || math.IsInf(s.MaxRate, 1) {
+		return fmt.Errorf("fleet: MaxRate %g must be finite and at least MinRate %g", s.MaxRate, s.MinRate)
+	}
+	if !(s.SLO.TTFTP99 >= 0) || math.IsInf(s.SLO.TTFTP99, 1) {
+		return fmt.Errorf("fleet: TTFTP99 %g must be finite and non-negative (0 disables the bound)", s.SLO.TTFTP99)
+	}
+	if !(s.SLO.LatencyP99 >= 0) || math.IsInf(s.SLO.LatencyP99, 1) {
+		return fmt.Errorf("fleet: LatencyP99 %g must be finite and non-negative (0 disables the bound)", s.SLO.LatencyP99)
 	}
 	return s.Book.Validate()
 }
@@ -133,31 +159,36 @@ type CellResult struct {
 }
 
 // Plan searches every cell's SLO-compliant capacity and prices it,
-// sharding cells across the runner pool. Each cell runs
-// serve.MaxPassingRate, the search serve.FindCapacity runs, with a
-// fleet run as the probe and "goodput held AND SLO met" as the pass
-// criterion; a cell's probes share one probe state (planCell). Results
-// are collected by cell index, so output order — and every byte of
-// every report — is independent of parallelism.
+// sharding cells across the runner pool. Every SLO-bound capacity search
+// in the repository is a Plan cell; a one-replica cell searches a single
+// serving configuration. Each cell runs maxPassingRate with a fleet run
+// as the probe and "goodput held AND SLO met" as the pass criterion; a
+// cell's probes share one probe state (planCell). An invalid spec fails
+// every cell before any probe runs. Results are collected by cell index,
+// so output order — and every byte of every report — is independent of
+// parallelism.
 func Plan(spec PlanSpec) []CellResult {
 	spec = spec.withDefaults()
+	err := spec.validate()
 	out := make([]CellResult, len(spec.Cells))
 	runner.Map(len(spec.Cells), func(i int) {
-		out[i] = planCell(spec, spec.Cells[i])
+		cell := spec.Cells[i]
+		if err != nil {
+			out[i] = CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas, Err: err}
+			return
+		}
+		out[i] = planCell(spec, cell)
 	})
 	return out
 }
 
-// planCell searches one cell. Its probes differ only in trace rate, so
-// they share one probe state: each replica index keeps its step-cost
-// table from probe to probe, as do the JSQ estimator and the RunStats
-// buffer, and each step shape is priced once per cell, not per probe.
+// planCell searches one cell of a validated spec. Its probes differ only
+// in trace rate, so they share one probe state: each replica index keeps
+// its step-cost table from probe to probe, as do the JSQ estimator and
+// the RunStats buffer, and each step shape is priced once per cell, not
+// per probe.
 func planCell(spec PlanSpec, cell Cell) CellResult {
 	res := CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas}
-	if err := spec.validate(); err != nil {
-		res.Err = err
-		return res
-	}
 	cfg := Config{
 		Replica:          spec.Base,
 		Replicas:         cell.Replicas,
@@ -183,7 +214,7 @@ func planCell(spec PlanSpec, cell Cell) CellResult {
 	}
 
 	var err error
-	res.Capacity, res.At, res.Probes, err = serve.MaxPassingRate(spec.MinRate, spec.MaxRate, spec.Iters, probe)
+	res.Capacity, res.At, res.Probes, err = maxPassingRate(spec.MinRate, spec.MaxRate, spec.Iters, probe)
 	if err != nil {
 		res.Err = err
 		return res
@@ -204,6 +235,60 @@ func planCell(spec PlanSpec, cell Cell) CellResult {
 		res.PerfPerWatt = res.At.Fleet.SustainedRate / tco.AvgWatts
 	}
 	return res
+}
+
+// maxPassingRate is the capacity search loop over a validated bracket
+// (0 < minRate <= maxRate, both finite). Geometric doubling from minRate
+// brackets the capacity between a passing and a failing rate (or
+// saturates at maxRate), then iters log-space bisections narrow it. It
+// returns the highest passing rate (0 when minRate already fails), that
+// probe's report and the number of probes spent; a probe error stops the
+// search with the results so far. The path depends only on probe
+// outcomes, so deterministic probes make a deterministic search.
+func maxPassingRate(minRate, maxRate float64, iters int, probe func(rate float64) (Report, bool, error)) (capacity float64, at Report, probes int, err error) {
+	rep, ok, err := probe(minRate)
+	probes++
+	if err != nil || !ok {
+		// An error, or even the lower bracket overloads the cell.
+		return 0, at, probes, err
+	}
+	capacity, at = minRate, rep
+
+	// Geometric doubling until a rate fails (or the bracket tops out).
+	hi := minRate
+	for ok && hi < maxRate {
+		hi = math.Min(hi*2, maxRate)
+		rep, ok, err = probe(hi)
+		probes++
+		if err != nil {
+			return capacity, at, probes, err
+		}
+		if ok {
+			capacity, at = hi, rep
+		}
+	}
+	if ok {
+		// Sustained at maxRate itself; the search saturates there.
+		return capacity, at, probes, nil
+	}
+
+	// Log-space bisection between the last passing and first failing rate.
+	lo := capacity
+	for i := 0; i < iters; i++ {
+		mid := math.Sqrt(lo * hi)
+		rep, ok, err = probe(mid)
+		probes++
+		if err != nil {
+			return capacity, at, probes, err
+		}
+		if ok {
+			lo = mid
+			capacity, at = mid, rep
+		} else {
+			hi = mid
+		}
+	}
+	return capacity, at, probes, nil
 }
 
 // FrontierAxis selects the cost axis dominance is judged on.

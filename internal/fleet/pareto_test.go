@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -59,8 +60,76 @@ func names(cells []CellResult) []string {
 	return out
 }
 
-// TestPlanHonorsSLO: a tight TTFT SLO must not report more capacity than
-// the unconstrained search, and on a slow single node it must bind.
+// oneNode is a one-replica plan of Mugi(256) on a single node over
+// short probes: 16 requests, 4 bisections.
+func oneNode() PlanSpec {
+	return oneReplicaSpec(serve.Config{Model: model.Llama2_7B}, noc.Single,
+		serve.TraceConfig{Kind: serve.Poisson, Requests: 16, Seed: 3}, 4)
+}
+
+// TestPlanBrackets: a one-replica search spends several probes and lands
+// inside the default bracket, and its at-capacity report names its cell,
+// completes every probe request and keeps up with its own offered rate.
+func TestPlanBrackets(t *testing.T) {
+	res := Plan(oneNode())[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Capacity < DefaultMinRate || res.Capacity > DefaultMaxRate {
+		t.Errorf("capacity %.4f outside the bracket [%v, %v]", res.Capacity, DefaultMinRate, DefaultMaxRate)
+	}
+	if res.Probes < 3 {
+		t.Errorf("suspiciously few probes: %d", res.Probes)
+	}
+	if res.Design != "Mugi (256)" || res.Mesh != "1x1" || res.Replicas != 1 {
+		t.Errorf("cell identity %q/%q x%d", res.Design, res.Mesh, res.Replicas)
+	}
+	at := res.At.Fleet
+	if at.Completed != 16 {
+		t.Errorf("capacity report incomplete: %+v", at)
+	}
+	if g := at.SustainedRate / at.OfferedRate; g < DefaultGoodput {
+		t.Errorf("capacity probe goodput %.3f below threshold", g)
+	}
+}
+
+// TestPlanScalesWithMesh: one replica on a 4x4 mesh sustains a strictly
+// higher rate than on a single node.
+func TestPlanScalesWithMesh(t *testing.T) {
+	spec := oneNode()
+	spec.Cells = Grid([]arch.Design{arch.Mugi(256)}, []noc.Mesh{noc.Single, noc.NewMesh(4, 4)}, []int{1})
+	res := Plan(spec)
+	single, mesh := res[0], res[1]
+	if single.Err != nil || mesh.Err != nil {
+		t.Fatalf("errs: %v %v", single.Err, mesh.Err)
+	}
+	if mesh.Capacity <= single.Capacity {
+		t.Errorf("4x4 capacity %.4f not above single-node %.4f", mesh.Capacity, single.Capacity)
+	}
+}
+
+// TestPlanUnsustainableFloor: a bracket whose floor already overloads
+// the replica reports capacity 0 after one probe, with a zero report and
+// no price, not an error.
+func TestPlanUnsustainableFloor(t *testing.T) {
+	spec := oneNode()
+	spec.MinRate, spec.MaxRate = 50, 100
+	res := Plan(spec)[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Capacity != 0 || res.Probes != 1 {
+		t.Errorf("overloaded floor: capacity %g in %d probes", res.Capacity, res.Probes)
+	}
+	if fmt.Sprintf("%#v %#v", res.At, res.TCO) != fmt.Sprintf("%#v %#v", Report{}, TCO{}) {
+		t.Errorf("unsustainable cell carries a report or a price: %+v", res)
+	}
+}
+
+// TestPlanHonorsSLO: an SLO loose enough never to trip leaves the pure
+// goodput search unchanged; a tight TTFT SLO binds on a slow single
+// node, lowering capacity to a probe that holds it; an impossible bound
+// reports the cell unsustainable instead of failing it.
 func TestPlanHonorsSLO(t *testing.T) {
 	base := PlanSpec{
 		Base:  serve.Config{Model: model.Llama2_7B},
@@ -68,24 +137,33 @@ func TestPlanHonorsSLO(t *testing.T) {
 		Trace: serve.TraceConfig{Kind: serve.Poisson, Requests: 12, Seed: testSeed},
 		Iters: 2,
 	}
-	unconstrained := Plan(base)[0]
-	if unconstrained.Err != nil {
-		t.Fatal(unconstrained.Err)
+	plan := func(slo SLO) CellResult {
+		spec := base
+		spec.SLO = slo
+		res := Plan(spec)[0]
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res
 	}
-	tight := base
-	tight.SLO = SLO{TTFTP99: unconstrained.At.Fleet.TTFT.P99 / 4}
-	bound := Plan(tight)[0]
-	if bound.Err != nil {
-		t.Fatal(bound.Err)
+	unconstrained := plan(SLO{})
+	if loose := plan(SLO{TTFTP99: 1e6, LatencyP99: 1e6}); loose.Capacity != unconstrained.Capacity || loose.Probes != unconstrained.Probes {
+		t.Errorf("untripped SLO changed the search: %v in %d probes, unconstrained %v in %d",
+			loose.Capacity, loose.Probes, unconstrained.Capacity, unconstrained.Probes)
 	}
+	tight := SLO{TTFTP99: unconstrained.At.Fleet.TTFT.P99 / 4}
+	bound := plan(tight)
 	if bound.Capacity > unconstrained.Capacity {
 		t.Errorf("SLO-bound capacity %v exceeds unconstrained %v", bound.Capacity, unconstrained.Capacity)
 	}
 	if bound.Capacity == unconstrained.Capacity {
 		t.Errorf("quartered TTFT SLO did not bind (capacity %v)", bound.Capacity)
 	}
-	if bound.Capacity > 0 && !bound.At.Fleet.Holds(0, base.SLO.TTFTP99, base.SLO.LatencyP99) {
-		t.Error("reported operating point violates the (empty) base SLO")
+	if bound.Capacity > 0 && bound.At.Fleet.TTFT.P99 > tight.TTFTP99 {
+		t.Errorf("capacity probe violates its own bound: TTFT p99 %.4f > %.4f", bound.At.Fleet.TTFT.P99, tight.TTFTP99)
+	}
+	if impossible := plan(SLO{TTFTP99: 1e-9}); impossible.Capacity != 0 {
+		t.Errorf("impossible bound should be unsustainable, got %v", impossible.Capacity)
 	}
 }
 
@@ -117,9 +195,9 @@ func TestPlanReplicasBuyCapacity(t *testing.T) {
 }
 
 // TestPlanRejectsBadKnobs: every out-of-range float knob of a plan, its
-// search bracket, goodput, SLO and price book, fails each cell with an
-// error naming the knob before any probe runs, where a NaN used to
-// plan as if the knob were off.
+// search bracket, goodput, SLO and price book, fails every cell, of one
+// replica or of two, with an error naming the knob before any probe
+// runs, where a NaN used to plan as if the knob were off.
 func TestPlanRejectsBadKnobs(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	rows := []struct {
@@ -127,14 +205,21 @@ func TestPlanRejectsBadKnobs(t *testing.T) {
 		mut  func(*PlanSpec)
 	}{
 		{"Goodput", func(s *PlanSpec) { s.Goodput = nan }},
+		{"Goodput", func(s *PlanSpec) { s.Goodput = -0.5 }},
+		{"Goodput", func(s *PlanSpec) { s.Goodput = 1.5 }},
 		{"Goodput", func(s *PlanSpec) { s.Goodput = 2 }},
+		{"Goodput", func(s *PlanSpec) { s.Goodput = inf }},
 		{"MinRate", func(s *PlanSpec) { s.MinRate = nan }},
 		{"MinRate", func(s *PlanSpec) { s.MinRate = -1 }},
+		{"MinRate", func(s *PlanSpec) { s.MinRate = inf }},
 		{"MaxRate", func(s *PlanSpec) { s.MaxRate = nan }},
 		{"MaxRate", func(s *PlanSpec) { s.MaxRate = inf }},
+		{"MaxRate", func(s *PlanSpec) { s.MinRate, s.MaxRate = 4, 2 }},
 		{"TTFTP99", func(s *PlanSpec) { s.SLO.TTFTP99 = nan }},
 		{"TTFTP99", func(s *PlanSpec) { s.SLO.TTFTP99 = -1 }},
+		{"TTFTP99", func(s *PlanSpec) { s.SLO.TTFTP99 = inf }},
 		{"LatencyP99", func(s *PlanSpec) { s.SLO.LatencyP99 = nan }},
+		{"LatencyP99", func(s *PlanSpec) { s.SLO.LatencyP99 = -1 }},
 		{"LatencyP99", func(s *PlanSpec) { s.SLO.LatencyP99 = inf }},
 	}
 	for _, b := range badBooks() {
@@ -147,18 +232,20 @@ func TestPlanRejectsBadKnobs(t *testing.T) {
 	for _, row := range rows {
 		spec := PlanSpec{
 			Base:  serve.Config{Model: model.Llama2_7B},
-			Cells: []Cell{{Design: arch.Mugi(256), Mesh: noc.NewMesh(2, 2), Replicas: 2}},
+			Cells: Grid([]arch.Design{arch.Mugi(256)}, []noc.Mesh{noc.NewMesh(2, 2)}, []int{1, 2}),
 			Trace: serve.TraceConfig{Kind: serve.Poisson, Requests: 8, Seed: 1},
 			SLO:   SLO{TTFTP99: 60, LatencyP99: 300},
 			Iters: 2,
 		}
 		row.mut(&spec)
-		res := Plan(spec)[0]
-		if res.Err == nil || !strings.Contains(res.Err.Error(), row.knob) {
-			t.Errorf("%s: %+v planned capacity %g, err %v; want an error naming %s", row.knob, spec.Book, res.Capacity, res.Err, row.knob)
-		}
-		if res.Probes != 0 {
-			t.Errorf("%s: rejected plan ran %d probes", row.knob, res.Probes)
+		for _, res := range Plan(spec) {
+			if res.Err == nil || !strings.Contains(res.Err.Error(), row.knob) {
+				t.Errorf("%s: %+v planned %d replicas to capacity %g, err %v; want an error naming %s",
+					row.knob, spec.Book, res.Replicas, res.Capacity, res.Err, row.knob)
+			}
+			if res.Probes != 0 {
+				t.Errorf("%s: rejected plan ran %d probes", row.knob, res.Probes)
+			}
 		}
 	}
 }

@@ -19,42 +19,60 @@ type pricedShape struct {
 	batch, ctx int
 }
 
-// TestPlanSharesStepCosts: over a whole 4-replica JSQ plan cell, each
-// (operating point, phase, batch, context) is priced at most once per
-// step-cost table of the cell's probe state, that is at most once per
-// replica plus once by the JSQ estimator for batch-1 shapes. Probes
-// that each built their own tables would price a shape once per probe.
+// TestPlanSharesStepCosts: over a whole plan cell, each (operating
+// point, phase, batch, context) is priced at most once per step-cost
+// table of the cell's probe state, that is at most once per replica plus
+// once by the JSQ estimator for batch-1 shapes. Probes that each built
+// their own tables would price a shape once per probe. The rows are a
+// 4-replica JSQ cell and the one-replica pinned searches, whose
+// brownout ladder reaches its DVFS rung, so shapes at two operating
+// points share each table.
 func TestPlanSharesStepCosts(t *testing.T) {
-	var mu sync.Mutex
-	calls := map[pricedShape]int{}
-	spec := PlanSpec{
-		Base: serve.Config{Model: model.Llama2_7B, Simulate: func(p sim.Params, w model.Workload) sim.Result {
-			mu.Lock()
-			calls[pricedShape{p.DVFS, w.Decode, w.Batch, w.CtxLen}]++
-			mu.Unlock()
-			return sim.Simulate(p, w)
-		}},
+	jsq := PlanSpec{
+		Base:   serve.Config{Model: model.Llama2_7B},
 		Cells:  []Cell{{Design: arch.Mugi(256), Mesh: noc.NewMesh(2, 2), Replicas: 4}},
 		Policy: JSQ,
 		Trace:  serve.TraceConfig{Kind: serve.Poisson, Requests: 24, Seed: 3},
 		SLO:    SLO{TTFTP99: 60, LatencyP99: 300},
 		Iters:  3,
 	}
-	res := Plan(spec)[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Probes < 5 {
-		t.Fatalf("cell ran %d probes, want several", res.Probes)
-	}
-	for s, n := range calls {
-		tables := 4 // one per replica
-		if s.batch == 1 {
-			tables++ // the estimator's
-		}
-		if n > tables {
-			t.Errorf("%+v priced %d times in one cell, want at most once per table (%d)", s, n, tables)
-		}
+	for _, row := range append([]pinnedPlan{{name: "jsq 4 replicas", spec: jsq}}, oneReplicaPlans()...) {
+		t.Run(row.name, func(t *testing.T) {
+			var mu sync.Mutex
+			calls := map[pricedShape]int{}
+			spec := row.spec
+			spec.Base.Simulate = func(p sim.Params, w model.Workload) sim.Result {
+				mu.Lock()
+				calls[pricedShape{p.DVFS, w.Decode, w.Batch, w.CtxLen}]++
+				mu.Unlock()
+				return sim.Simulate(p, w)
+			}
+			res := Plan(spec)[0]
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			if res.Probes < 5 {
+				t.Fatalf("cell ran %d probes, want several", res.Probes)
+			}
+			points := map[arch.DVFSPoint]bool{}
+			for s, n := range calls {
+				tables := res.Replicas // one per replica
+				if spec.Policy == JSQ && s.batch == 1 {
+					tables++ // the estimator's
+				}
+				if n > tables {
+					t.Errorf("%+v priced %d times in one cell, want at most once per table (%d)", s, n, tables)
+				}
+				points[s.point] = true
+			}
+			want := 1
+			if spec.Base.Brownout != nil {
+				want = 2 // nominal and the p75 rung
+			}
+			if len(points) != want {
+				t.Errorf("cell priced steps at %d operating points, want %d", len(points), want)
+			}
+		})
 	}
 }
 
@@ -69,7 +87,7 @@ func TestPlanMatchesFreshState(t *testing.T) {
 				cell := spec.Cells[i]
 				cfg := Config{Replica: spec.Base, Replicas: cell.Replicas, Policy: spec.Policy, AffinitySessions: spec.AffinitySessions}
 				cfg.Replica.Design, cfg.Replica.Mesh = cell.Design, cell.Mesh
-				capacity, at, probes, err := serve.MaxPassingRate(spec.MinRate, spec.MaxRate, spec.Iters,
+				capacity, at, probes, err := maxPassingRate(spec.MinRate, spec.MaxRate, spec.Iters,
 					func(rate float64) (Report, bool, error) {
 						tc := spec.Trace
 						tc.Rate = rate

@@ -13,8 +13,8 @@
 // model, arrival process, seed, SLO bounds, goodput threshold, probe
 // shape, minute length, and the default fleet.PriceBook. An entry may
 // vary only what Entry encodes. Everything downstream is deterministic —
-// the capacity search reuses serve.FindCapacity (single replica) and
-// fleet.Plan (multi-replica), the leaderboard shards entries across
+// the capacity search is one fleet.Plan cell under JSQ routing, whatever
+// the entry's replica count, the leaderboard shards entries across
 // runner.Map, and artifacts are byte-identical at any parallelism.
 package minuteserve
 
@@ -58,7 +58,7 @@ const (
 	// ProbeIters is the log-bisection count after geometric bracketing.
 	ProbeIters = 5
 	// Goodput is the sustained/offered pass threshold of every probe.
-	Goodput = serve.DefaultGoodput
+	Goodput = fleet.DefaultGoodput
 )
 
 // RulesModel is the served checkpoint every entry is scored on.
@@ -257,29 +257,16 @@ func Run(e Entry) (Report, error) {
 	}
 	rep := Report{Schema: SchemaReport, RulesHash: RulesHash(), Entry: e}
 
-	if e.Replicas == 1 {
-		cfg := base
-		cfg.Design, cfg.Mesh = d, mesh
-		res, err := serve.FindCapacity(cfg, serve.CapacitySpec{
-			Trace: probeTrace, Goodput: Goodput, Iters: ProbeIters,
-			TTFTP99: TTFTP99, LatencyP99: LatencyP99,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		rep.Capacity, rep.Probes = res.Capacity, res.Probes
-	} else {
-		cells := []fleet.Cell{{Design: d, Mesh: mesh, Replicas: e.Replicas}}
-		results := fleet.Plan(fleet.PlanSpec{
-			Base: base, Cells: cells, Policy: fleet.JSQ,
-			Trace: probeTrace, Goodput: Goodput, Iters: ProbeIters,
-			SLO: fleet.SLO{TTFTP99: TTFTP99, LatencyP99: LatencyP99},
-		})
-		if results[0].Err != nil {
-			return Report{}, results[0].Err
-		}
-		rep.Capacity, rep.Probes = results[0].Capacity, results[0].Probes
+	res := fleet.Plan(fleet.PlanSpec{
+		Base:  base,
+		Cells: []fleet.Cell{{Design: d, Mesh: mesh, Replicas: e.Replicas}}, Policy: fleet.JSQ,
+		Trace: probeTrace, Goodput: Goodput, Iters: ProbeIters,
+		SLO: fleet.SLO{TTFTP99: TTFTP99, LatencyP99: LatencyP99},
+	})[0]
+	if res.Err != nil {
+		return Report{}, res.Err
 	}
+	rep.Capacity, rep.Probes = res.Capacity, res.Probes
 
 	if rep.Capacity == 0 {
 		// Unsustainable under the rules SLO: the entry is reported (the
@@ -298,6 +285,8 @@ func Run(e Entry) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	// One replica's minute runs on serve.RunStream: a one-replica
+	// fleet.Run returns the same bytes but allocates more per entry.
 	if e.Replicas == 1 {
 		cfg := base
 		cfg.Design, cfg.Mesh = d, mesh

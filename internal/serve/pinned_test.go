@@ -134,51 +134,3 @@ func TestRunStatsPinned(t *testing.T) {
 func goDigest(v any) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", v))))
 }
-
-// pinnedSearch is one capacity search whose complete result is pinned.
-type pinnedSearch struct {
-	name string
-	cfg  Config
-	spec CapacitySpec
-	sum  string // sha256 of fmt.Sprintf("%#v", CapacityResult)
-}
-
-// pinnedSearches covers the default search, the MinuteServe tail
-// bounds, unquantized contexts and a brownout ladder that reaches its DVFS rung on the
-// probes near capacity.
-func pinnedSearches() []pinnedSearch {
-	ctx1 := fastConfig()
-	ctx1.CtxBucket = 1
-	brown := fastConfig()
-	brown.MaxBatch = 4
-	brown.Brownout = &overload.BrownoutSpec{HighWater: 4, Dwell: 2}
-	return []pinnedSearch{
-		{"default", fastConfig(), CapacitySpec{}, "753be5bcb6163c8ee2f6874614fff824491ac891ab8819fac8c15ae415aa9c90"},
-		{"tail bounds", fastConfig(), CapacitySpec{
-			Trace:   TraceConfig{Kind: Poisson, Requests: 24, Seed: 3},
-			TTFTP99: 10, LatencyP99: 120,
-		}, "c3bcea3374fd6075299e237b4867ee32055b8b16e4741624b0bfaadc9871fd83"},
-		{"ctx bucket 1", ctx1, capSpec(), "987ffe4e6b982f89bdd4cf93f8da72b52e386d2ee6601c23b10040a2b10fb0af"},
-		{"brownout", brown, CapacitySpec{
-			Trace: TraceConfig{Kind: Bursty, Requests: 48, Seed: 5},
-			Iters: 4,
-		}, "965ef361cc0e2fb8b12a2eeeea1914ae830034cab14b0cd5e3ac5d70d584918e"},
-	}
-}
-
-// TestCapacityPinned pins FindCapacity's complete result, byte for byte,
-// like TestRunStatsPinned pins a run: the search path, the probe count
-// and every field of the at-capacity report.
-func TestCapacityPinned(t *testing.T) {
-	for _, row := range pinnedSearches() {
-		t.Run(row.name, func(t *testing.T) {
-			res, err := FindCapacity(row.cfg, row.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := goDigest(res); got != row.sum {
-				t.Errorf("CapacityResult digest %s, pinned %s\n%s", got, row.sum, res.AtCapacity)
-			}
-		})
-	}
-}

@@ -292,30 +292,6 @@ func ServeStream(cfg ServeConfig, src TraceStream) (ServeReport, error) {
 	return serve.RunStream(cfg, src)
 }
 
-// CapacitySpec parameterizes a capacity search (probe-trace template,
-// goodput threshold, rate bracket, bisection count).
-type CapacitySpec = serve.CapacitySpec
-
-// CapacityResult is one searched (design, mesh) cell: the maximum
-// sustained request rate and the serving report at that operating point.
-type CapacityResult = serve.CapacityResult
-
-// CapacityCell is one (design, mesh) point of a sharded capacity search.
-type CapacityCell = serve.CapacityCell
-
-// FindCapacity binary-searches the maximum arrival rate cfg sustains:
-// geometric bracketing then log-space bisection over deterministic
-// serving probes, byte-identical at any runner parallelism.
-func FindCapacity(cfg ServeConfig, spec CapacitySpec) (CapacityResult, error) {
-	return serve.FindCapacity(cfg, spec)
-}
-
-// SearchCapacity shards FindCapacity cells across the runner pool and
-// collects results by index (byte-identical at any parallelism).
-func SearchCapacity(base ServeConfig, cells []CapacityCell, spec CapacitySpec) []CapacityResult {
-	return serve.SearchCapacity(base, cells, spec)
-}
-
 // ---- Fleet planning ----
 
 // FleetPolicy selects how the fleet router assigns requests to replicas.
@@ -385,8 +361,10 @@ type FleetPlanSpec = fleet.PlanSpec
 type FleetCellResult = fleet.CellResult
 
 // PlanFleet binary-searches every cell's SLO-compliant capacity and
-// prices it, sharding cells across the runner pool. Results are
-// byte-identical at any parallelism.
+// prices it, sharding cells across the runner pool. It is the one
+// capacity search: a one-replica cell searches a single serving
+// configuration, and a zero FleetSLO leaves the pure goodput criterion.
+// Results are byte-identical at any parallelism.
 func PlanFleet(spec FleetPlanSpec) []FleetCellResult { return fleet.Plan(spec) }
 
 // FleetFrontierAxis selects the cost axis of FleetFrontier ($/hour burn
