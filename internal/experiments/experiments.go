@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"mugi/internal/arch"
@@ -136,20 +135,5 @@ func llamaDecodePoints(d arch.Design, mesh noc.Mesh, batch, seq int) []runner.Po
 	return pts
 }
 
-// sortedClasses returns the op classes in display order.
-func sortedClasses() []model.OpClass {
-	return []model.OpClass{model.Projection, model.Attention, model.FFN, model.Nonlinear}
-}
-
 // fmtRatio prints a normalized value as "12.3x".
 func fmtRatio(v float64) string { return fmt.Sprintf("%.2fx", v) }
-
-// sortKeys returns sorted map keys (for deterministic rendering).
-func sortKeys[K ~int, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m { //mugi:orderless keys are sorted below before any consumer sees them
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}

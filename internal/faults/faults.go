@@ -182,7 +182,6 @@ func (iv Interval) Contains(t float64) bool { return t >= iv.Start && t < iv.End
 // materialized.
 type Schedule struct {
 	spec     Spec
-	replica  int
 	slowdown float64
 	rng      uint64
 	down     []Interval
@@ -198,7 +197,6 @@ func New(spec Spec, replica int) (*Schedule, error) {
 	spec = spec.WithDefaults()
 	s := &Schedule{
 		spec:     spec,
-		replica:  replica,
 		slowdown: 1,
 		rng:      mix(uint64(spec.Seed)^crashStream) ^ mix(uint64(int64(replica))),
 	}
@@ -230,9 +228,6 @@ func (s *Schedule) ensure(t float64) {
 
 // Spec returns the (defaulted) spec the schedule was drawn from.
 func (s *Schedule) Spec() Spec { return s.spec }
-
-// Replica returns the replica index the schedule belongs to.
-func (s *Schedule) Replica() int { return s.replica }
 
 // Slowdown is the replica's chronic step-latency multiplier (1 for
 // healthy replicas, Spec.StragglerFactor for stragglers).

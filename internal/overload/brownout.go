@@ -141,9 +141,6 @@ func NewBrownout(spec BrownoutSpec) *Brownout {
 // Level returns the current rung (0 = nominal).
 func (b *Brownout) Level() int { return b.level }
 
-// MaxLevel returns the deepest rung the ladder has.
-func (b *Brownout) MaxLevel() int { return len(b.spec.Steps) }
-
 // Step returns the rung active right now.
 func (b *Brownout) Step() BrownoutStep { return b.spec.Step(b.level) }
 

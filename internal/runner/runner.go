@@ -354,9 +354,6 @@ var defaultEngine = New(0)
 // SetParallelism resizes the default engine's pool.
 func SetParallelism(n int) { defaultEngine.SetParallelism(n) }
 
-// Parallelism returns the default engine's worker count.
-func Parallelism() int { return defaultEngine.Parallelism() }
-
 // Map fans f(0..n-1) across the default pool.
 func Map(n int, f func(i int)) { defaultEngine.Map(n, f) }
 
@@ -370,9 +367,6 @@ func Prefetch(pts []Point) { defaultEngine.Prefetch(pts) }
 
 // ResetCache clears the default engine's cache and counters.
 func ResetCache() { defaultEngine.ResetCache() }
-
-// SetCacheCapacity bounds the default engine's cache generations.
-func SetCacheCapacity(n int) { defaultEngine.SetCacheCapacity(n) }
 
 // CacheStats returns the default engine's hit/miss/eviction counters.
 func CacheStats() Stats { return defaultEngine.CacheStats() }

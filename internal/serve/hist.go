@@ -39,9 +39,6 @@ type Hist struct {
 	min, max float64
 }
 
-// Reset clears the histogram for reuse (pooled scheduler state).
-func (h *Hist) Reset() { *h = Hist{} }
-
 // Add records one sample in seconds. Samples outside the grid clamp to
 // the edge buckets; min/max stay exact regardless.
 //

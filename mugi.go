@@ -777,11 +777,6 @@ type SimCacheInfo = runner.Stats
 // cache accounting.
 func SimCacheStats() SimCacheInfo { return runner.CacheStats() }
 
-// SetSimCacheCapacity bounds each cache generation at n entries (resident
-// results stay under ~2n); n <= 0 restores the default
-// (runner.DefaultCacheCapacity per generation).
-func SetSimCacheCapacity(n int) { runner.SetCacheCapacity(n) }
-
 // ResetSimCache drops every cached simulation result, forcing the next run
 // to recompute from scratch (used by benchmarks to measure cold runs).
 func ResetSimCache() { runner.ResetCache() }
