@@ -10,6 +10,10 @@
 //   - every exported top-level symbol of internal/autoscale carries a doc
 //     comment — the autoscaler is the operator-facing subsystem behind
 //     docs/AUTOSCALING.md, so its godoc coverage is held to the same bar;
+//   - every exported top-level symbol of internal/serve and internal/fleet
+//     carries a doc comment — the serving engine and the fleet planner,
+//     which owns the one capacity search, are the APIs the facade
+//     re-exports;
 //   - every exported top-level symbol of tools/mugivet carries a doc
 //     comment — the analyzer framework mirrors x/tools' analysis API
 //     (docs/ANALYSIS.md), and an analyzer suite whose own contracts are
@@ -57,10 +61,11 @@ func main() {
 		if !packageHasDoc(files) {
 			report("%s: package %s has no package-level doc comment", dir, pkgName)
 		}
-		// The facade, the operator-facing autoscaler, and the analyzer
-		// suite get the per-symbol pass.
-		if (dir == root && pkgName == "mugi") || pkgName == "autoscale" ||
-			strings.HasSuffix(dir, filepath.Join("tools", "mugivet")) {
+		// The facade, the serving engine, the fleet planner, the
+		// operator-facing autoscaler, and the analyzer suite get the
+		// per-symbol pass.
+		if (dir == root && pkgName == "mugi") || pkgName == "serve" || pkgName == "fleet" ||
+			pkgName == "autoscale" || strings.HasSuffix(dir, filepath.Join("tools", "mugivet")) {
 			checkExportedDocs(files, report)
 		}
 	}
@@ -73,7 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented declarations\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: %d packages documented; facade, autoscale and mugivet fully covered (godoc only — `make docs-check` also validates docs/*.md fences)\n", len(dirs))
+	fmt.Printf("doccheck: %d packages documented; facade, serve, fleet, autoscale and mugivet fully covered (godoc only — `make docs-check` also validates docs/*.md fences)\n", len(dirs))
 }
 
 // parsePackage parses every non-test Go file of one directory, keyed by
