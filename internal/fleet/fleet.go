@@ -21,6 +21,11 @@
 //     SLO-compliant capacity, prunes dominated cells, and emits perf/$
 //     and perf/W frontiers.
 //
+// Plan is the repository's one capacity search. A one-replica cell sizes
+// a single serving configuration, with serve.RunStream's bytes; the
+// autoscaler's calibration, the capacity experiment, mugisim -capacity
+// and every MinuteServe entry run such cells.
+//
 // Everything inherits the repository's determinism contract: routing is a
 // single serial pass over the seeded stream, replicas are sharded by
 // index through runner.Map, and merges read per-replica results in index

@@ -365,7 +365,7 @@ func (r *Report) Settle(firstArrival, lastArrival, end, leakEnergy float64) {
 
 // Holds reports whether a probe run kept up — sustained at least goodput
 // of its offered rate — and held each positive p99 bound (seconds): the
-// pass criterion of every capacity search.
+// pass criterion of the capacity search (internal/fleet's Plan).
 func (r Report) Holds(goodput, ttftP99, latencyP99 float64) bool {
 	return r.SustainedRate >= goodput*r.OfferedRate &&
 		!(ttftP99 > 0 && r.TTFT.P99 > ttftP99) &&
