@@ -324,8 +324,8 @@ func runCapacity(designsCSV, meshesCSV string, rows int, modelName, traceKind, l
 		Base:  mugi.ServeConfig{Model: m, MaxBatch: maxBatch, KVBudgetBytes: int64(kvBudgetGB * (1 << 30))},
 		Cells: mugi.FleetGrid(parseDesigns(designsCSV, rows), parseMeshes(meshesCSV), []int{1}),
 		Trace: mugi.TraceConfig{Kind: kind, Requests: requests, Seed: seed, Lengths: profile},
-		// Six bisections, one more than the planner's default: the sizing
-		// table's resolution since the mode was added.
+		// Six bisections, one more than the planner's default, for a
+		// finer sizing table.
 		Iters: 6,
 	})
 	fmt.Printf("capacity search: %s, %s %s traffic, %d requests/probe, seed %d\n",

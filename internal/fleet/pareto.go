@@ -169,15 +169,15 @@ type CellResult struct {
 // parallelism.
 func Plan(spec PlanSpec) []CellResult {
 	spec = spec.withDefaults()
-	err := spec.validate()
 	out := make([]CellResult, len(spec.Cells))
-	runner.Map(len(spec.Cells), func(i int) {
-		cell := spec.Cells[i]
-		if err != nil {
+	if err := spec.validate(); err != nil {
+		for i, cell := range spec.Cells {
 			out[i] = CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas, Err: err}
-			return
 		}
-		out[i] = planCell(spec, cell)
+		return out
+	}
+	runner.Map(len(spec.Cells), func(i int) {
+		out[i] = planCell(spec, spec.Cells[i])
 	})
 	return out
 }

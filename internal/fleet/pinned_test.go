@@ -52,11 +52,10 @@ func pinnedPlans() []pinnedPlan {
 	}, oneReplicaPlans()...)
 }
 
-// oneReplicaPlans are one-cell, one-replica searches: the default search
-// with its 48-request probes and 6 bisections spelled out, the
-// MinuteServe tail bounds under JSQ, unquantized contexts, and a
-// brownout ladder that reaches its DVFS rung on the probes near
-// capacity.
+// oneReplicaPlans are one-cell, one-replica searches: 48-request probes
+// of a zero-value trace template with 6 bisections, the MinuteServe tail
+// bounds under JSQ, unquantized contexts, and a brownout ladder that
+// reaches its DVFS rung on the probes near capacity.
 func oneReplicaPlans() []pinnedPlan {
 	mesh := noc.NewMesh(4, 4)
 	llama := serve.Config{Model: model.Llama2_7B}

@@ -24,9 +24,9 @@ type pricedShape struct {
 // table of the cell's probe state, that is at most once per replica plus
 // once by the JSQ estimator for batch-1 shapes. Probes that each built
 // their own tables would price a shape once per probe. The rows are a
-// 4-replica JSQ cell and the one-replica pinned searches, whose
-// brownout ladder reaches its DVFS rung, so shapes at two operating
-// points share each table.
+// 4-replica JSQ cell and the one-replica pinned searches; the brownout
+// row's ladder reaches its DVFS rung, so shapes at two operating points
+// share its table.
 func TestPlanSharesStepCosts(t *testing.T) {
 	jsq := PlanSpec{
 		Base:   serve.Config{Model: model.Llama2_7B},

@@ -258,10 +258,13 @@ func Run(e Entry) (Report, error) {
 	rep := Report{Schema: SchemaReport, RulesHash: RulesHash(), Entry: e}
 
 	res := fleet.Plan(fleet.PlanSpec{
-		Base:  base,
-		Cells: []fleet.Cell{{Design: d, Mesh: mesh, Replicas: e.Replicas}}, Policy: fleet.JSQ,
-		Trace: probeTrace, Goodput: Goodput, Iters: ProbeIters,
-		SLO: fleet.SLO{TTFTP99: TTFTP99, LatencyP99: LatencyP99},
+		Base:    base,
+		Cells:   []fleet.Cell{{Design: d, Mesh: mesh, Replicas: e.Replicas}},
+		Policy:  fleet.JSQ,
+		Trace:   probeTrace,
+		Goodput: Goodput,
+		Iters:   ProbeIters,
+		SLO:     fleet.SLO{TTFTP99: TTFTP99, LatencyP99: LatencyP99},
 	})[0]
 	if res.Err != nil {
 		return Report{}, res.Err
