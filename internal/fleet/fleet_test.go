@@ -255,10 +255,9 @@ func TestRunValidation(t *testing.T) {
 
 // TestPlanParallelDeterminism asserts the full planner output — every
 // report byte of every cell, both frontiers — is identical at
-// parallelism 1 and 8, on a JSQ grid, a brownout cell, an affinity cell
-// with idle replicas and the capacity experiment's five one-replica
-// cells. Runs under -race in CI, which also exercises the nested
-// replica-level Map.
+// parallelism 1 and 8, on a JSQ grid, a brownout cell and an affinity
+// cell with idle replicas. Runs under -race in CI, which also exercises
+// the nested replica-level Map.
 func TestPlanParallelDeterminism(t *testing.T) {
 	specs := []struct {
 		name string
@@ -277,48 +276,58 @@ func TestPlanParallelDeterminism(t *testing.T) {
 		}},
 		{"brownout", brownoutPlanSpec()},
 		{"idle replicas", idleReplicasSpec()},
-		{"capacity experiment", PlanSpec{
-			Base: serve.Config{Model: model.Llama2_7B},
-			Cells: append(
-				Grid([]arch.Design{arch.Mugi(256)}, []noc.Mesh{noc.Single, noc.NewMesh(2, 2), noc.NewMesh(4, 4)}, []int{1}),
-				Grid([]arch.Design{arch.SystolicArray(16, true)}, []noc.Mesh{noc.Single, noc.NewMesh(4, 4)}, []int{1})...,
-			),
-			Trace: serve.TraceConfig{Kind: serve.Poisson, Requests: 24, Seed: testSeed},
-			Iters: 5,
-		}},
 	}
-	defer runner.SetParallelism(0)
 	for _, row := range specs {
-		name, spec := row.name, row.spec
-		render := func() string {
-			var b strings.Builder
-			results := Plan(spec)
-			for _, r := range results {
-				if r.Err != nil {
-					t.Fatal(r.Err)
-				}
-				b.WriteString(r.At.String())
-				b.WriteString(r.TCO.String())
+		checkParallelDeterminism(t, row.name, row.spec)
+	}
+}
+
+// TestOneReplicaPlanParallelDeterminism: so is the plan of the capacity
+// experiment's five one-replica cells.
+func TestOneReplicaPlanParallelDeterminism(t *testing.T) {
+	checkParallelDeterminism(t, "capacity experiment", PlanSpec{
+		Base: serve.Config{Model: model.Llama2_7B},
+		Cells: append(
+			Grid([]arch.Design{arch.Mugi(256)}, []noc.Mesh{noc.Single, noc.NewMesh(2, 2), noc.NewMesh(4, 4)}, []int{1}),
+			Grid([]arch.Design{arch.SystolicArray(16, true)}, []noc.Mesh{noc.Single, noc.NewMesh(4, 4)}, []int{1})...,
+		),
+		Trace: serve.TraceConfig{Kind: serve.Poisson, Requests: 24, Seed: testSeed},
+		Iters: 5,
+	})
+}
+
+// checkParallelDeterminism renders spec's plan, every cell's report and
+// price and both frontiers, at parallelism 1 and 8 and compares them.
+func checkParallelDeterminism(t *testing.T, name string, spec PlanSpec) {
+	defer runner.SetParallelism(0)
+	render := func() string {
+		var b strings.Builder
+		results := Plan(spec)
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatal(r.Err)
 			}
-			for _, axis := range []FrontierAxis{ByDollar, ByWatt} {
-				for _, f := range Frontier(results, axis) {
-					b.WriteString(f.Design)
-					b.WriteString(f.At.Fleet.String())
-				}
+			b.WriteString(r.At.String())
+			b.WriteString(r.TCO.String())
+		}
+		for _, axis := range []FrontierAxis{ByDollar, ByWatt} {
+			for _, f := range Frontier(results, axis) {
+				b.WriteString(f.Design)
+				b.WriteString(f.At.Fleet.String())
 			}
-			return b.String()
 		}
-		runner.SetParallelism(1)
-		runner.ResetCache()
-		serial := render()
-		runner.SetParallelism(8)
-		runner.ResetCache()
-		if parallel := render(); serial != parallel {
-			t.Errorf("%s: fleet plan diverges across parallelism levels", name)
-		}
-		if len(serial) < 200 {
-			t.Errorf("%s: suspiciously short plan rendering (%d bytes)", name, len(serial))
-		}
+		return b.String()
+	}
+	runner.SetParallelism(1)
+	runner.ResetCache()
+	serial := render()
+	runner.SetParallelism(8)
+	runner.ResetCache()
+	if parallel := render(); serial != parallel {
+		t.Errorf("%s: fleet plan diverges across parallelism levels", name)
+	}
+	if len(serial) < 200 {
+		t.Errorf("%s: suspiciously short plan rendering (%d bytes)", name, len(serial))
 	}
 }
 

@@ -126,19 +126,14 @@ func TestPlanUnsustainableFloor(t *testing.T) {
 	}
 }
 
-// TestPlanHonorsSLO: an SLO loose enough never to trip leaves the pure
-// goodput search unchanged; a tight TTFT SLO binds on a slow single
-// node, lowering capacity to a probe that holds it; an impossible bound
-// reports the cell unsustainable instead of failing it.
-func TestPlanHonorsSLO(t *testing.T) {
-	base := PlanSpec{
-		Base:  serve.Config{Model: model.Llama2_7B},
-		Cells: []Cell{{Design: arch.Mugi(256), Mesh: noc.Single, Replicas: 1}},
-		Trace: serve.TraceConfig{Kind: serve.Poisson, Requests: 12, Seed: testSeed},
-		Iters: 2,
-	}
+// TestOneReplicaPlanSLOBounds covers the SLO-bound search MinuteServe
+// entries are scored by: a bound loose enough never to trip leaves the
+// pure goodput search unchanged, a finite tail bound can only lower
+// capacity and the capacity probe holds it, and an impossible bound
+// reports the replica unsustainable (capacity 0) instead of failing it.
+func TestOneReplicaPlanSLOBounds(t *testing.T) {
 	plan := func(slo SLO) CellResult {
-		spec := base
+		spec := oneNode()
 		spec.SLO = slo
 		res := Plan(spec)[0]
 		if res.Err != nil {
@@ -146,24 +141,52 @@ func TestPlanHonorsSLO(t *testing.T) {
 		}
 		return res
 	}
-	unconstrained := plan(SLO{})
-	if loose := plan(SLO{TTFTP99: 1e6, LatencyP99: 1e6}); loose.Capacity != unconstrained.Capacity || loose.Probes != unconstrained.Probes {
+	base := plan(SLO{})
+	if loose := plan(SLO{TTFTP99: 1e6, LatencyP99: 1e6}); loose.Capacity != base.Capacity || loose.Probes != base.Probes {
 		t.Errorf("untripped SLO changed the search: %v in %d probes, unconstrained %v in %d",
-			loose.Capacity, loose.Probes, unconstrained.Capacity, unconstrained.Probes)
+			loose.Capacity, loose.Probes, base.Capacity, base.Probes)
 	}
-	tight := SLO{TTFTP99: unconstrained.At.Fleet.TTFT.P99 / 4}
+	tight := SLO{TTFTP99: base.At.Fleet.TTFT.P99 * 0.5}
 	bound := plan(tight)
-	if bound.Capacity > unconstrained.Capacity {
-		t.Errorf("SLO-bound capacity %v exceeds unconstrained %v", bound.Capacity, unconstrained.Capacity)
-	}
-	if bound.Capacity == unconstrained.Capacity {
-		t.Errorf("quartered TTFT SLO did not bind (capacity %v)", bound.Capacity)
+	if bound.Capacity >= base.Capacity {
+		t.Errorf("tail bound did not lower capacity: %v >= %v", bound.Capacity, base.Capacity)
 	}
 	if bound.Capacity > 0 && bound.At.Fleet.TTFT.P99 > tight.TTFTP99 {
 		t.Errorf("capacity probe violates its own bound: TTFT p99 %.4f > %.4f", bound.At.Fleet.TTFT.P99, tight.TTFTP99)
 	}
 	if impossible := plan(SLO{TTFTP99: 1e-9}); impossible.Capacity != 0 {
 		t.Errorf("impossible bound should be unsustainable, got %v", impossible.Capacity)
+	}
+}
+
+// TestPlanHonorsSLO: a tight TTFT SLO must not report more capacity than
+// the unconstrained search, and on a slow single node it must bind, at
+// a probe that holds it.
+func TestPlanHonorsSLO(t *testing.T) {
+	base := PlanSpec{
+		Base:  serve.Config{Model: model.Llama2_7B},
+		Cells: []Cell{{Design: arch.Mugi(256), Mesh: noc.Single, Replicas: 1}},
+		Trace: serve.TraceConfig{Kind: serve.Poisson, Requests: 12, Seed: testSeed},
+		Iters: 2,
+	}
+	unconstrained := Plan(base)[0]
+	if unconstrained.Err != nil {
+		t.Fatal(unconstrained.Err)
+	}
+	tight := base
+	tight.SLO = SLO{TTFTP99: unconstrained.At.Fleet.TTFT.P99 / 4}
+	bound := Plan(tight)[0]
+	if bound.Err != nil {
+		t.Fatal(bound.Err)
+	}
+	if bound.Capacity > unconstrained.Capacity {
+		t.Errorf("SLO-bound capacity %v exceeds unconstrained %v", bound.Capacity, unconstrained.Capacity)
+	}
+	if bound.Capacity == unconstrained.Capacity {
+		t.Errorf("quartered TTFT SLO did not bind (capacity %v)", bound.Capacity)
+	}
+	if bound.Capacity > 0 && bound.At.Fleet.TTFT.P99 > tight.SLO.TTFTP99 {
+		t.Errorf("capacity probe violates its own bound: TTFT p99 %.4f > %.4f", bound.At.Fleet.TTFT.P99, tight.SLO.TTFTP99)
 	}
 }
 
@@ -195,10 +218,22 @@ func TestPlanReplicasBuyCapacity(t *testing.T) {
 }
 
 // TestPlanRejectsBadKnobs: every out-of-range float knob of a plan, its
-// search bracket, goodput, SLO and price book, fails every cell, of one
-// replica or of two, with an error naming the knob before any probe
+// search bracket, goodput, SLO and price book, fails every cell, of two
+// replicas or of four, with an error naming the knob before any probe
 // runs, where a NaN used to plan as if the knob were off.
 func TestPlanRejectsBadKnobs(t *testing.T) {
+	checkRejectsBadKnobs(t, 2, 4)
+}
+
+// TestOneReplicaPlanRejectsBadKnobs: the same knobs fail a one-replica
+// search the same way.
+func TestOneReplicaPlanRejectsBadKnobs(t *testing.T) {
+	checkRejectsBadKnobs(t, 1)
+}
+
+// checkRejectsBadKnobs plans each bad knob over a grid of Mugi(256) on
+// a 2x2 mesh with the given replica counts.
+func checkRejectsBadKnobs(t *testing.T, replicas ...int) {
 	nan, inf := math.NaN(), math.Inf(1)
 	rows := []struct {
 		knob string
@@ -232,7 +267,7 @@ func TestPlanRejectsBadKnobs(t *testing.T) {
 	for _, row := range rows {
 		spec := PlanSpec{
 			Base:  serve.Config{Model: model.Llama2_7B},
-			Cells: Grid([]arch.Design{arch.Mugi(256)}, []noc.Mesh{noc.NewMesh(2, 2)}, []int{1, 2}),
+			Cells: Grid([]arch.Design{arch.Mugi(256)}, []noc.Mesh{noc.NewMesh(2, 2)}, replicas),
 			Trace: serve.TraceConfig{Kind: serve.Poisson, Requests: 8, Seed: 1},
 			SLO:   SLO{TTFTP99: 60, LatencyP99: 300},
 			Iters: 2,

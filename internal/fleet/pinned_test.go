@@ -22,12 +22,12 @@ type pinnedPlan struct {
 // pinnedPlans covers the ways a capacity search's probes can differ
 // from each other: cells with and without capacity under JSQ routing,
 // replicas that never receive a request, a brownout ladder that reaches
-// its DVFS rung, context buckets that do not divide the model's context
-// window, and the one-replica searches of oneReplicaPlans.
+// its DVFS rung, and context buckets that do not divide the model's
+// context window.
 func pinnedPlans() []pinnedPlan {
 	slo := SLO{TTFTP99: 60, LatencyP99: 300}
 	llama := serve.Config{Model: model.Llama2_7B}
-	return append([]pinnedPlan{
+	return []pinnedPlan{
 		{"jsq grid", PlanSpec{
 			Base: llama,
 			Cells: Grid(
@@ -49,7 +49,7 @@ func pinnedPlans() []pinnedPlan {
 			SLO:   slo,
 			Iters: 3,
 		}, "68d95f791c3735c82dcc394ec1cb9d8ce85e14be6263d0afb0ddc40ea5b5cb36"},
-	}, oneReplicaPlans()...)
+	}
 }
 
 // oneReplicaPlans are one-cell, one-replica searches: 48-request probes
@@ -68,10 +68,10 @@ func oneReplicaPlans() []pinnedPlan {
 	brown.MaxBatch = 4
 	brown.Brownout = &overload.BrownoutSpec{HighWater: 4, Dwell: 2}
 	return []pinnedPlan{
-		{"one replica default", oneReplicaSpec(llama, mesh, serve.TraceConfig{Requests: 48}, 6), "88cd4a25101bd8f0eaf960c55d36513cb2e9e41a3eec3d90cc5641a99100c575"},
-		{"one replica tail bounds", tail, "d8f7508ba9a832fbe0296acafc156a44688c86c34edeec3777ddb73c8a4bf7d1"},
-		{"one replica ctx bucket 1", oneReplicaSpec(ctx1, mesh, serve.TraceConfig{Kind: serve.Poisson, Requests: 16, Seed: 3}, 4), "748a4f281b70ef85ce849de4a2aa7bdb9b57a35fa45c39ea9163c94f7bab74d3"},
-		{"one replica brownout", oneReplicaSpec(brown, mesh, serve.TraceConfig{Kind: serve.Bursty, Requests: 48, Seed: 5}, 4), "6ae46f048770b884f196b5a0b71e8b9e96e8e35fcfb8a7a33e0631bea60ebe22"},
+		{"default", oneReplicaSpec(llama, mesh, serve.TraceConfig{Requests: 48}, 6), "88cd4a25101bd8f0eaf960c55d36513cb2e9e41a3eec3d90cc5641a99100c575"},
+		{"tail bounds", tail, "d8f7508ba9a832fbe0296acafc156a44688c86c34edeec3777ddb73c8a4bf7d1"},
+		{"ctx bucket 1", oneReplicaSpec(ctx1, mesh, serve.TraceConfig{Kind: serve.Poisson, Requests: 16, Seed: 3}, 4), "748a4f281b70ef85ce849de4a2aa7bdb9b57a35fa45c39ea9163c94f7bab74d3"},
+		{"brownout", oneReplicaSpec(brown, mesh, serve.TraceConfig{Kind: serve.Bursty, Requests: 48, Seed: 5}, 4), "6ae46f048770b884f196b5a0b71e8b9e96e8e35fcfb8a7a33e0631bea60ebe22"},
 	}
 }
 
@@ -120,7 +120,20 @@ func brownoutPlanSpec() PlanSpec {
 // the new digest; update it only for a change that is meant to move the
 // planner's numbers.
 func TestPlanPinned(t *testing.T) {
-	for _, row := range pinnedPlans() {
+	checkPinned(t, pinnedPlans())
+}
+
+// TestOneReplicaPlanPinned pins the one-replica searches of
+// oneReplicaPlans the same way. Their digests were taken while serve
+// still had a single-replica search of its own, whose capacity, probe
+// count and at-capacity report these plans matched.
+func TestOneReplicaPlanPinned(t *testing.T) {
+	checkPinned(t, oneReplicaPlans())
+}
+
+// checkPinned runs each row's plan as a subtest and compares its digest.
+func checkPinned(t *testing.T, rows []pinnedPlan) {
+	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			res := Plan(row.spec)
 			if got := planDigest(res); got != row.sum {

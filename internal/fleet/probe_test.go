@@ -19,60 +19,68 @@ type pricedShape struct {
 	batch, ctx int
 }
 
-// TestPlanSharesStepCosts: over a whole plan cell, each (operating
-// point, phase, batch, context) is priced at most once per step-cost
-// table of the cell's probe state, that is at most once per replica plus
-// once by the JSQ estimator for batch-1 shapes. Probes that each built
-// their own tables would price a shape once per probe. The rows are a
-// 4-replica JSQ cell and the one-replica pinned searches; the brownout
-// row's ladder reaches its DVFS rung, so shapes at two operating points
-// share its table.
+// TestPlanSharesStepCosts: over a whole 4-replica JSQ plan cell, each
+// (operating point, phase, batch, context) is priced at most once per
+// step-cost table of the cell's probe state, that is at most once per
+// replica plus once by the JSQ estimator for batch-1 shapes. Probes
+// that each built their own tables would price a shape once per probe.
 func TestPlanSharesStepCosts(t *testing.T) {
-	jsq := PlanSpec{
+	checkSharesStepCosts(t, PlanSpec{
 		Base:   serve.Config{Model: model.Llama2_7B},
 		Cells:  []Cell{{Design: arch.Mugi(256), Mesh: noc.NewMesh(2, 2), Replicas: 4}},
 		Policy: JSQ,
 		Trace:  serve.TraceConfig{Kind: serve.Poisson, Requests: 24, Seed: 3},
 		SLO:    SLO{TTFTP99: 60, LatencyP99: 300},
 		Iters:  3,
+	})
+}
+
+// TestOneReplicaPlanSharesStepCosts: a one-replica search prices each
+// shape at most once, plus once by the estimator under JSQ. The brownout
+// row's ladder reaches its DVFS rung, so shapes at two operating points
+// share its table.
+func TestOneReplicaPlanSharesStepCosts(t *testing.T) {
+	for _, row := range oneReplicaPlans() {
+		t.Run(row.name, func(t *testing.T) { checkSharesStepCosts(t, row.spec) })
 	}
-	for _, row := range append([]pinnedPlan{{name: "jsq 4 replicas", spec: jsq}}, oneReplicaPlans()...) {
-		t.Run(row.name, func(t *testing.T) {
-			var mu sync.Mutex
-			calls := map[pricedShape]int{}
-			spec := row.spec
-			spec.Base.Simulate = func(p sim.Params, w model.Workload) sim.Result {
-				mu.Lock()
-				calls[pricedShape{p.DVFS, w.Decode, w.Batch, w.CtxLen}]++
-				mu.Unlock()
-				return sim.Simulate(p, w)
-			}
-			res := Plan(spec)[0]
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			if res.Probes < 5 {
-				t.Fatalf("cell ran %d probes, want several", res.Probes)
-			}
-			points := map[arch.DVFSPoint]bool{}
-			for s, n := range calls {
-				tables := res.Replicas // one per replica
-				if spec.Policy == JSQ && s.batch == 1 {
-					tables++ // the estimator's
-				}
-				if n > tables {
-					t.Errorf("%+v priced %d times in one cell, want at most once per table (%d)", s, n, tables)
-				}
-				points[s.point] = true
-			}
-			want := 1
-			if spec.Base.Brownout != nil {
-				want = 2 // nominal and the p75 rung
-			}
-			if len(points) != want {
-				t.Errorf("cell priced steps at %d operating points, want %d", len(points), want)
-			}
-		})
+}
+
+// checkSharesStepCosts plans spec's first cell, counting the prices of
+// each shape, and checks each table priced a shape at most once and
+// that shapes were priced at one operating point, two under brownout.
+func checkSharesStepCosts(t *testing.T, spec PlanSpec) {
+	var mu sync.Mutex
+	calls := map[pricedShape]int{}
+	spec.Base.Simulate = func(p sim.Params, w model.Workload) sim.Result {
+		mu.Lock()
+		calls[pricedShape{p.DVFS, w.Decode, w.Batch, w.CtxLen}]++
+		mu.Unlock()
+		return sim.Simulate(p, w)
+	}
+	res := Plan(spec)[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Probes < 5 {
+		t.Fatalf("cell ran %d probes, want several", res.Probes)
+	}
+	points := map[arch.DVFSPoint]bool{}
+	for s, n := range calls {
+		tables := res.Replicas // one per replica
+		if spec.Policy == JSQ && s.batch == 1 {
+			tables++ // the estimator's
+		}
+		if n > tables {
+			t.Errorf("%+v priced %d times in one cell, want at most once per table (%d)", s, n, tables)
+		}
+		points[s.point] = true
+	}
+	want := 1
+	if spec.Base.Brownout != nil {
+		want = 2 // nominal and the p75 rung
+	}
+	if len(points) != want {
+		t.Errorf("cell priced steps at %d operating points, want %d", len(points), want)
 	}
 }
 
@@ -80,7 +88,19 @@ func TestPlanSharesStepCosts(t *testing.T) {
 // the bytes of the same search run the old way, each probe a fleet.Run
 // that builds its own step-cost tables and RunStats buffer.
 func TestPlanMatchesFreshState(t *testing.T) {
-	for _, row := range pinnedPlans() {
+	checkMatchesFreshState(t, pinnedPlans())
+}
+
+// TestOneReplicaPlanMatchesFreshState: so do the pinned one-replica
+// searches.
+func TestOneReplicaPlanMatchesFreshState(t *testing.T) {
+	checkMatchesFreshState(t, oneReplicaPlans())
+}
+
+// checkMatchesFreshState compares, as one subtest per row, each cell of
+// the row's plan with the same search over fresh fleet.Run probes.
+func checkMatchesFreshState(t *testing.T, rows []pinnedPlan) {
+	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			spec := row.spec.withDefaults()
 			for i, got := range Plan(row.spec) {
