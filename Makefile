@@ -73,7 +73,7 @@ lint: doccheck
 install-staticcheck:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-# The repo's contract linter (docs/ANALYSIS.md): determinism, cache-key,
+# The repo's contract linter (docs/ANALYSIS.md): determinism,
 # state-machine exhaustiveness and zero-alloc invariants, proven at lint
 # time by tools/mugivet. Zero findings is the gate; waivers in the tree
 # carry their reasons inline.

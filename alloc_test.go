@@ -10,8 +10,8 @@ import (
 
 // TestAllocBudgets gates the allocation budgets of the end-to-end
 // kernels: a serving, fleet, autoscaling or benchmark path may allocate
-// per run, per probe and per step-cost miss, but never again per request
-// or per scheduler step. Each row checks its kernel's result, runs it
+// per run and per probe, but never again per request or per scheduler
+// step. Each row checks its kernel's result, runs it
 // once to warm pools, scratch and lazy tables, and then requires
 // testing.AllocsPerRun(1, op) to stay within the budget, on a serial
 // runner pool. The budgets sit well above today's counts (go test -v
@@ -92,20 +92,20 @@ func TestAllocBudgets(t *testing.T) {
 		op     func(tb testing.TB)
 	}{
 		{
-			// A cold run allocates per step-cost miss (bounded by the
-			// distinct quantized step shapes), never per request: 10x
-			// under the 12,643 allocations of the original scheduler.
+			// Every run prices its distinct quantized step shapes
+			// afresh, one allocation-free simulator pass each, and
+			// allocates nothing per request: 10x under the 12,643
+			// allocations of the original scheduler.
 			name: "serve_poisson_cold", budget: 1_264,
 			op: func(tb testing.TB) {
-				ResetSimCache()
 				if _, err := Serve(serveCfg, serveTrace); err != nil {
 					tb.Fatal(err)
 				}
 			},
 		},
 		{
-			// Warm: the pooled engine and cache hits leave only the
-			// stream wrapper.
+			// Warm: the pooled engine and its step-cost table leave
+			// only the stream wrapper.
 			name: "serve_poisson_warm", budget: 64,
 			op: func(tb testing.TB) {
 				if _, err := Serve(serveCfg, serveTrace); err != nil {
@@ -120,10 +120,9 @@ func TestAllocBudgets(t *testing.T) {
 		},
 		{
 			// The controller allocates per run (prescan counts, windows,
-			// reports) and per miss, never per tick or per request.
+			// reports), never per tick or per request.
 			name: "autoscale_week", budget: 8_000, kb: 24_000,
 			op: func(tb testing.TB) {
-				ResetSimCache()
 				cmp, err := CompareAutoscale(autoCfg, week)
 				if err != nil {
 					tb.Fatal(err)
@@ -134,11 +133,10 @@ func TestAllocBudgets(t *testing.T) {
 			},
 		},
 		{
-			// The router allocates per replica re-run and per miss,
-			// never per request or per scheduler step.
+			// The router allocates per replica re-run, never per
+			// request or per scheduler step.
 			name: "fleet_faulty_week", budget: 8_000, kb: 4_200,
 			op: func(tb testing.TB) {
-				ResetSimCache()
 				f := runFleetWeek(tb, faultyCfg, week)
 				if f.Completed+f.Shed != f.Requests {
 					tb.Fatalf("leaked requests: %d+%d != %d", f.Completed, f.Shed, f.Requests)
@@ -153,7 +151,6 @@ func TestAllocBudgets(t *testing.T) {
 			// per run, never per request.
 			name: "flashcrowd_week", budget: 10_000, kb: 4_900,
 			op: func(tb testing.TB) {
-				ResetSimCache()
 				f := runFleetWeek(tb, crowdCfg, crowdTrace)
 				if f.Completed+f.Shed+f.Orphaned != f.Requests {
 					tb.Fatalf("leaked requests: %d+%d+%d != %d", f.Completed, f.Shed, f.Orphaned, f.Requests)
@@ -165,11 +162,10 @@ func TestAllocBudgets(t *testing.T) {
 		},
 		{
 			// A capacity search, the scored minute, signing and
-			// verification: per probe and per miss, never per request or
-			// scheduler step.
+			// verification: per probe, never per request or scheduler
+			// step.
 			name: "minuteserve_entry", budget: 5_000, kb: 750,
 			op: func(tb testing.TB) {
-				ResetSimCache()
 				rep, err := MinuteServe(msEntry)
 				if err != nil {
 					tb.Fatal(err)
@@ -187,7 +183,6 @@ func TestAllocBudgets(t *testing.T) {
 			// never per scheduler step: thousands of steps per probe.
 			name: "fleet_plan", budget: 15_000, kb: 3_200,
 			op: func(tb testing.TB) {
-				ResetSimCache()
 				planFleet(tb, plan)
 			},
 		},

@@ -37,9 +37,6 @@ func benchExperiment(b *testing.B, id string) {
 	defer runner.SetParallelism(0)
 	var out string
 	for i := 0; i < b.N; i++ {
-		// Cold cache each iteration: the metric tracks regeneration cost,
-		// not cache reads.
-		ResetSimCache()
 		out = e.Run().String()
 	}
 	// Per-artifact wall time in milliseconds.
@@ -50,12 +47,11 @@ func benchExperiment(b *testing.B, id string) {
 }
 
 // benchRegistry regenerates the complete registry per iteration at the
-// given parallelism with a cold cache — the serial/parallel pair below is
-// the wall-clock speedup evidence for the concurrent runner.
+// given parallelism — the serial/parallel pair below is the wall-clock
+// speedup evidence for the concurrent runner.
 func benchRegistry(b *testing.B, parallelism int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		ResetSimCache()
 		results := RunAll(Parallelism(parallelism))
 		if len(results) != len(Experiments()) {
 			b.Fatalf("got %d artifacts", len(results))
@@ -315,10 +311,10 @@ func poissonServe(tb testing.TB, mesh Mesh, rate float64) (ServeConfig, RequestT
 	return ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: mesh}, tr
 }
 
-// benchServe runs one serving scenario per iteration with a cold sim
-// cache and reports sustained requests/s and p99 request latency of the
-// simulated deployment (simulated-time metrics, stable across machines)
-// alongside the wall-clock ms/run.
+// benchServe runs one serving scenario per iteration and reports
+// sustained requests/s and p99 request latency of the simulated
+// deployment (simulated-time metrics, stable across machines) alongside
+// the wall-clock ms/run.
 func benchServe(b *testing.B, mesh Mesh, rate float64) {
 	b.Helper()
 	runner.SetParallelism(1)
@@ -326,7 +322,6 @@ func benchServe(b *testing.B, mesh Mesh, rate float64) {
 	cfg, tr := poissonServe(b, mesh, rate)
 	var rep ServeReport
 	for i := 0; i < b.N; i++ {
-		ResetSimCache()
 		var err error
 		if rep, err = Serve(cfg, tr); err != nil {
 			b.Fatal(err)
@@ -346,14 +341,14 @@ func BenchmarkServeSingleNode(b *testing.B) { benchServe(b, SingleNode, 0.05) }
 func BenchmarkServeMesh4x4(b *testing.B) { benchServe(b, NewMesh(4, 4), 0.5) }
 
 // BenchmarkServePoissonWarm is the steady-state serving cost: the same
-// scenario as BenchmarkServeSingleNode but with the sim cache, workload
-// memo, and pooled scheduler warm — the per-sweep-cell cost inside a
-// rate x mesh x design or capacity sweep, where step shapes repeat.
+// scenario as BenchmarkServeSingleNode but with the pooled scheduler warm
+// — the per-sweep-cell cost inside a rate x mesh x design or capacity
+// sweep.
 func BenchmarkServePoissonWarm(b *testing.B) {
 	runner.SetParallelism(1)
 	defer runner.SetParallelism(0)
 	cfg, tr := poissonServe(b, SingleNode, 0.05)
-	if _, err := Serve(cfg, tr); err != nil { // warm caches and pools
+	if _, err := Serve(cfg, tr); err != nil { // warm the pools
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -426,7 +421,6 @@ func BenchmarkCapacitySearch(b *testing.B) {
 	}
 	var res FleetCellResult
 	for i := 0; i < b.N; i++ {
-		ResetSimCache()
 		if res = PlanFleet(spec)[0]; res.Err != nil {
 			b.Fatal(res.Err)
 		}
@@ -471,15 +465,14 @@ func planFleet(tb testing.TB, spec FleetPlanSpec) []FleetCellResult {
 	return front
 }
 
-// BenchmarkFleetPlan measures one full fleet plan (fleetPlanSpec) from a
-// cold cache and reports the frontier size.
+// BenchmarkFleetPlan measures one full fleet plan (fleetPlanSpec) and
+// reports the frontier size.
 func BenchmarkFleetPlan(b *testing.B) {
 	runner.SetParallelism(1)
 	defer runner.SetParallelism(0)
 	spec := fleetPlanSpec()
 	var front []FleetCellResult
 	for i := 0; i < b.N; i++ {
-		ResetSimCache()
 		front = planFleet(b, spec)
 	}
 	b.ReportMetric(float64(len(front)), "frontier-cells")

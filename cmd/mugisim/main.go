@@ -675,15 +675,11 @@ func runOverload(designName string, rows int, meshStr, modelName, traceKind, len
 }
 
 // runAll regenerates the full registry on the bounded worker pool and
-// prints each artifact in paper order, followed by the cache accounting.
+// prints each artifact in paper order.
 func runAll(parallel int) {
-	results := mugi.RunAll(mugi.Parallelism(parallel))
-	for _, res := range results {
+	for _, res := range mugi.RunAll(mugi.Parallelism(parallel)) {
 		fmt.Println(res.Text)
 	}
-	st := mugi.SimCacheStats()
-	fmt.Fprintf(os.Stderr, "mugisim: %d artifacts, sim cache %d hits / %d misses / %d evictions\n",
-		len(results), st.Hits, st.Misses, st.Evictions)
 }
 
 // parseDesigns builds every design of a comma-separated spec, fataling

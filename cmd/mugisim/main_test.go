@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mugi"
@@ -33,6 +34,21 @@ func TestBuildDesign(t *testing.T) {
 	}
 	if _, err := buildDesign("tpu", 8); err == nil {
 		t.Error("unknown design should error")
+	}
+	// Below its smallest dimension a design's nonlinear unit has no lane;
+	// the error names that dimension.
+	for _, c := range []struct {
+		kind string
+		rows int
+		want string
+	}{
+		{"mugil", 4, "at least 8"},
+		{"mugi-l", 7, "at least 8"},
+		{"carat", 2, "at least 3"},
+	} {
+		if _, err := buildDesign(c.kind, c.rows); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("buildDesign(%q, %d) error %v, want one containing %q", c.kind, c.rows, err, c.want)
+		}
 	}
 }
 

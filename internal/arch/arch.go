@@ -127,8 +127,10 @@ func Mugi(rows int) Design {
 }
 
 // MugiL is the ablation with a dedicated LUT bank (8 inputs share one LUT
-// to match Mugi's nonlinear throughput, §5.2.2).
+// to match Mugi's nonlinear throughput, §5.2.2). It panics below 8 rows,
+// where the bank would have no LUT.
 func MugiL(rows int) Design {
+	checkMinRows(KindMugiL, rows, minMugiLRows)
 	d := Mugi(rows)
 	d.Name = fmt.Sprintf("Mugi-L (%d)", rows)
 	d.Kind = KindMugiL
@@ -139,9 +141,10 @@ func MugiL(rows int) Design {
 
 // Carat is the modified prior VLP design: same array geometry and datapath
 // (BF16 accumulators, inputs on columns), but pipelined input FIFOs, double
-// buffered OR trees, and a separate Taylor nonlinear unit.
+// buffered OR trees, and a separate Taylor nonlinear unit. It panics below
+// 3 rows, where the Taylor unit would have no lane.
 func Carat(rows int) Design {
-	checkRows(rows)
+	checkMinRows(KindCarat, rows, minCaratRows)
 	return Design{
 		Name: fmt.Sprintf("Carat (%d)", rows), Kind: KindCarat,
 		Rows: rows, Cols: 8,
@@ -209,12 +212,20 @@ func TensorCore() Design {
 // ByName builds a design from its CLI spelling ("mugi", "mugil", "carat",
 // "sa", "saf", "sd", "sdf", "tensor"; the fused variants also accept the
 // "-f"/"mugi-l" hyphenated forms). rows is the array height (ignored for
-// tensor); it must be positive for every other kind. This is the one
-// mapping every CLI and benchmark-entry parser shares.
+// tensor); it must be at least 8 for Mugi-L, 3 for Carat and 1 for every
+// other kind. This is the one mapping every CLI and benchmark-entry
+// parser shares.
 func ByName(kind string, rows int) (Design, error) {
 	k := strings.ToLower(kind)
-	if k != "tensor" && rows < 1 {
-		return Design{}, fmt.Errorf("arch: design %q needs a positive array dimension, got %d", kind, rows)
+	least := 1
+	switch k {
+	case "mugil", "mugi-l":
+		least = minMugiLRows
+	case "carat":
+		least = minCaratRows
+	}
+	if k != "tensor" && rows < least {
+		return Design{}, fmt.Errorf("arch: design %q needs an array dimension of at least %d, got %d", kind, least, rows)
 	}
 	switch k {
 	case "mugi":
@@ -238,9 +249,24 @@ func ByName(kind string, rows int) (Design, error) {
 	}
 }
 
+// The smallest array heights whose dedicated nonlinear unit has a lane:
+// Mugi-L shares one LUT among 8 rows, and Carat's Taylor unit has 3
+// lanes per 8 rows.
+const (
+	minMugiLRows = 8
+	minCaratRows = 3
+)
+
 func checkRows(rows int) {
 	if rows < 1 {
 		panic(fmt.Sprintf("arch: array dimension %d < 1", rows))
+	}
+}
+
+// checkMinRows panics when rows leaves kind's nonlinear unit no lane.
+func checkMinRows(kind Kind, rows, least int) {
+	if rows < least {
+		panic(fmt.Sprintf("arch: %v array height %d < %d leaves its nonlinear unit no lane", kind, rows, least))
 	}
 }
 

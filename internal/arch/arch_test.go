@@ -171,10 +171,32 @@ func TestDesignMetadata(t *testing.T) {
 }
 
 func TestConstructorsValidate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Mugi(0)
+	for _, c := range []struct {
+		name  string
+		build func()
+	}{
+		{"Mugi(0)", func() { Mugi(0) }},
+		// Below 8 rows Mugi-L's LUT bank, and below 3 rows Carat's Taylor
+		// unit, would have no lane.
+		{"MugiL(7)", func() { MugiL(7) }},
+		{"MugiL(4)", func() { MugiL(4) }},
+		{"Carat(2)", func() { Carat(2) }},
+		{"CaratNLUnit(2)", func() { CaratNLUnit(2) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", c.name)
+				}
+			}()
+			c.build()
+		}()
+	}
+	// The smallest accepted dimensions build a one-lane unit.
+	if l := MugiL(8).NLLanes; l != 1 {
+		t.Errorf("MugiL(8) has %d nonlinear lanes, want 1", l)
+	}
+	if l := Carat(3).NLLanes; l != 1 {
+		t.Errorf("Carat(3) has %d nonlinear lanes, want 1", l)
+	}
 }

@@ -23,9 +23,9 @@ func MugiNLUnit(rows int) NLUnit {
 }
 
 // CaratNLUnit is prior VLP hardware paired with its separate Taylor vector
-// unit (Fig. 11's Carat columns).
+// unit (Fig. 11's Carat columns). It panics below 3 rows.
 func CaratNLUnit(rows int) NLUnit {
-	checkRows(rows)
+	checkMinRows(KindCarat, rows, minCaratRows)
 	return NLUnit{Name: fmt.Sprintf("Carat (%d)", rows), Scheme: NLTaylor, Lanes: 3 * rows / 8}
 }
 

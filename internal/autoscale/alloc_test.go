@@ -7,11 +7,11 @@ import (
 	"mugi/internal/serve"
 )
 
-// TestSteadyStateTickZeroAlloc: once the pooled controller, workload
-// memo and sim cache are warm, a run's allocation count must not grow
-// with its tick count — the same trace at a 10× finer tick runs ~10×
-// the observe/decide/apply cycles and allocates nothing extra, i.e. the
-// steady-state tick is 0 allocs on top of the warmed scheduler step.
+// TestSteadyStateTickZeroAlloc: once the pooled controller and engine
+// are warm, a run's allocation count must not grow with its tick count —
+// the same trace at a 10× finer tick runs ~10× the observe/decide/apply
+// cycles and allocates nothing extra, i.e. the steady-state tick is 0
+// allocs on top of the warmed scheduler step.
 func TestSteadyStateTickZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool reuse is randomized under the race detector")
@@ -26,7 +26,7 @@ func TestSteadyStateTickZeroAlloc(t *testing.T) {
 		}
 		return rep
 	}
-	// Warm everything: sim cache, engine and controller pools — at
+	// Warm everything: engine and controller pools — at
 	// both tick granularities so pooled slices reach their high-water
 	// capacities.
 	coarse := run(600)

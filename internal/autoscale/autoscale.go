@@ -349,8 +349,9 @@ func calibrate(cfg Config, tc serve.TraceConfig) (float64, error) {
 // The whole loop is serial — arrivals, round ends, boot completions and
 // policy ticks are processed in deterministic order at each event time —
 // so the report is byte-identical at any runner parallelism. Step costs
-// go through the replica's StepFunc (default runner.Simulate, memoized),
-// and steady-state ticks allocate nothing on top of the warmed step.
+// go through the replica's StepFunc (default runner.Simulate), priced
+// once per step shape, and steady-state ticks allocate nothing on top of
+// the warmed step.
 func Run(cfg Config, tc serve.TraceConfig) (Report, error) {
 	cfg = cfg.withDefaults()
 	if err := validateConfig(cfg); err != nil {

@@ -5,20 +5,7 @@ import (
 	"mugi/internal/carbon"
 	"mugi/internal/model"
 	"mugi/internal/noc"
-	"mugi/internal/runner"
 )
-
-// fig15Points prefetches the (design × model) grid Figs. 15/16 share.
-func fig15Points() []runner.Point {
-	var pts []runner.Point
-	for _, m := range []model.Config{model.Llama2_7B, model.Llama2_13B, model.Llama2_70B, model.Llama2_70B_GQA} {
-		w := m.DecodeOps(8, 4096)
-		for _, d := range fig15Designs() {
-			pts = append(pts, point(d, noc.Single, w))
-		}
-	}
-	return pts
-}
 
 // fig15Designs is the design set of Figs. 15/16: Mugi, Carat, Systolic,
 // SIMD, plus the Taylor and PWL nonlinear-unit variants on the systolic
@@ -40,7 +27,6 @@ func fig15Designs() []arch.Design {
 func Fig15() *Report {
 	r := &Report{ID: "fig15", Title: "Normalized operational and embodied carbon per token"}
 	models := []model.Config{model.Llama2_7B, model.Llama2_13B, model.Llama2_70B, model.Llama2_70B_GQA}
-	runner.Prefetch(fig15Points())
 	for _, m := range models {
 		w := m.DecodeOps(8, 4096)
 		// Normalize to the systolic baseline's total.
@@ -73,8 +59,6 @@ func Fig15() *Report {
 func Fig16() *Report {
 	r := &Report{ID: "fig16", Title: "Normalized end-to-end latency breakdown"}
 	models := []model.Config{model.Llama2_7B, model.Llama2_13B, model.Llama2_70B, model.Llama2_70B_GQA}
-	// fig15Points already covers the SA(16) normalization baseline.
-	runner.Prefetch(fig15Points())
 	for _, m := range models {
 		w := m.DecodeOps(8, 4096)
 		base := simulate(arch.SystolicArray(16, false), noc.Single, w).TotalCycles
@@ -118,11 +102,6 @@ func Fig17() *Report {
 		{arch.TensorCore(), noc.NewMesh(2, 2)},
 	}
 	base := cfg{arch.SystolicArray(8, false), noc.NewMesh(4, 4)}
-	var pts []runner.Point
-	for _, c := range append(cfgs, base) {
-		pts = append(pts, llamaDecodePoints(c.d, c.mesh, 8, 4096)...)
-	}
-	runner.Prefetch(pts)
 	metric := func(c cfg, f func(r2 simResult) float64) float64 {
 		vals := make([]float64, 0, 3)
 		for _, m := range model.LlamaModels() {

@@ -101,16 +101,11 @@ func geomean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// simulate is the shared single-run helper. It routes through the runner's
-// content-keyed cache, so generators that revisit a (design, mesh,
-// workload) tuple — or that prefetched it — read the one computed result.
+// simulate is the shared single-run helper: one counted simulator pass
+// through the runner. A pass allocates nothing, so generators that revisit
+// a (design, mesh, workload) tuple simply simulate it again.
 func simulate(d arch.Design, mesh noc.Mesh, w model.Workload) sim.Result {
 	return runner.Simulate(sim.Params{Design: d, Mesh: mesh}, w)
-}
-
-// point builds the prefetch work item matching a simulate call.
-func point(d arch.Design, mesh noc.Mesh, w model.Workload) runner.Point {
-	return runner.Point{Params: sim.Params{Design: d, Mesh: mesh}, Workload: w}
 }
 
 // llamaGeomeanDecode runs the decode workload on the Llama-2 set and
@@ -123,16 +118,6 @@ func llamaGeomeanDecode(d arch.Design, mesh noc.Mesh, batch, seq int,
 		vals = append(vals, metric(simulate(d, mesh, w), w))
 	}
 	return geomean(vals)
-}
-
-// llamaDecodePoints lists the per-model simulation points behind one
-// llamaGeomeanDecode call, for prefetching.
-func llamaDecodePoints(d arch.Design, mesh noc.Mesh, batch, seq int) []runner.Point {
-	pts := make([]runner.Point, 0, 3)
-	for _, m := range model.LlamaModels() {
-		pts = append(pts, point(d, mesh, m.DecodeOps(batch, seq)))
-	}
-	return pts
 }
 
 // fmtRatio prints a normalized value as "12.3x".

@@ -9,7 +9,6 @@ import (
 	"mugi/internal/model"
 	"mugi/internal/noc"
 	"mugi/internal/nonlinear"
-	"mugi/internal/runner"
 )
 
 // MoE evaluates the mixture-of-experts extension the paper conjectures
@@ -30,13 +29,7 @@ func MoE() *Report {
 	r.Printf("DRAM/pass: dense %.2f GB, MoE %.2f GB (active experts only)",
 		float64(dense.DRAMBytesPerPass())/1e9, float64(sparse.DRAMBytesPerPass())/1e9)
 	r.Printf("%-14s %14s %14s %10s", "design", "dense tok/s", "MoE tok/s", "speedup")
-	moeDesigns := []arch.Design{arch.Mugi(256), arch.SystolicArray(16, false)}
-	var pts []runner.Point
-	for _, d := range moeDesigns {
-		pts = append(pts, point(d, noc.Single, dense), point(d, noc.Single, sparse))
-	}
-	runner.Prefetch(pts)
-	for _, d := range moeDesigns {
+	for _, d := range []arch.Design{arch.Mugi(256), arch.SystolicArray(16, false)} {
 		rd := simulate(d, noc.Single, dense)
 		rm := simulate(d, noc.Single, sparse)
 		r.Printf("%-14s %14.3f %14.3f %9.2fx",

@@ -4,7 +4,6 @@ import (
 	"mugi/internal/arch"
 	"mugi/internal/model"
 	"mugi/internal/noc"
-	"mugi/internal/runner"
 	"mugi/internal/sim"
 )
 
@@ -69,17 +68,6 @@ func Fig12() *Report {
 	models := []model.Config{model.Llama2_7B, model.Llama2_13B, model.Llama2_70B, model.Llama2_70B_GQA}
 	classes := []model.OpClass{model.Projection, model.Attention, model.FFN}
 	saRef := arch.SystolicArray(16, false)
-	var pts []runner.Point
-	for _, class := range classes {
-		for _, m := range models {
-			w := gemmOnlyWorkload(m.DecodeOps(8, 4096), class)
-			// fig12Designs already contains the SA(16) reference.
-			for _, d := range fig12Designs() {
-				pts = append(pts, point(d, noc.Single, w))
-			}
-		}
-	}
-	runner.Prefetch(pts)
 	for _, class := range classes {
 		r.Printf("-- %v --", class)
 		r.Printf("%-12s %12s %12s %12s %12s", "design", "7B", "13B", "70B", "70B GQA")
@@ -143,11 +131,6 @@ func Table3() *Report {
 	r := &Report{ID: "tab3", Title: "End-to-end comparison, Llama-2 70B GQA, batch 8, seq 4096"}
 	w := model.Llama2_70B_GQA.DecodeOps(8, 4096)
 	rows := table3Rows()
-	pts := make([]runner.Point, len(rows))
-	for i, row := range rows {
-		pts[i] = point(row.d, row.mesh, w)
-	}
-	runner.Prefetch(pts)
 	r.Printf("%-5s %-16s %6s %12s %10s %14s %14s",
 		"group", "design", "mesh", "tokens/s", "area mm2", "tokens/J(dyn)", "tokens/s/W")
 	for _, row := range rows {
@@ -172,14 +155,6 @@ func Fig13() *Report {
 		arch.SIMDArray(8, true), arch.SIMDArray(16, true),
 	}
 	nocDesigns := []arch.Design{arch.Mugi(256), arch.Carat(256), arch.SystolicArray(16, true)}
-	var pts []runner.Point
-	for _, d := range designs {
-		pts = append(pts, point(d, noc.Single, w))
-	}
-	for _, d := range nocDesigns {
-		pts = append(pts, point(d, noc.NewMesh(4, 4), w))
-	}
-	runner.Prefetch(pts)
 	r.Printf("%-12s %8s %8s %8s %8s %8s %8s | %9s %9s %9s",
 		"design", "PE", "Acc", "FIFO", "TC", "NL", "Vec", "array", "SRAM", "power W")
 	for _, d := range designs {
@@ -213,16 +188,6 @@ func Fig14() *Report {
 		arch.SystolicArray(8, false), arch.SystolicArray(16, false),
 		arch.SIMDArray(8, false), arch.SIMDArray(16, false),
 	}
-	var pts []runner.Point
-	for _, seq := range seqs {
-		pts = append(pts, llamaDecodePoints(baseD, noc.Single, 1, seq)...)
-		for _, d := range designs {
-			for _, b := range batches {
-				pts = append(pts, llamaDecodePoints(d, noc.Single, b, seq)...)
-			}
-		}
-	}
-	runner.Prefetch(pts)
 	for _, seq := range seqs {
 		r.Printf("-- seq %d --", seq)
 		baseThr := llamaGeomeanDecode(baseD, noc.Single, 1, seq,

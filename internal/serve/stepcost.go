@@ -52,8 +52,7 @@ const maxSlots = 1 << 13
 // priced once into a spill map, never a wrong hit.
 //
 // An engine's own table lives and dies with its run: the StepFunc is
-// injectable and runner.ResetCache must give a cold start, so none of
-// its entries outlives the run that priced them. Its rows are allocated
+// injectable, so none of its entries outlives the run that priced them. Its rows are allocated
 // on their first miss and kept for later runs, and each entry carries
 // its run's generation stamp, so starting a run retires every entry in
 // O(1). A caller's table (NewStepCosts, passed to RunStreamStats) keeps

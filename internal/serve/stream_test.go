@@ -59,12 +59,11 @@ func TestStreamMatchesMaterializedTrace(t *testing.T) {
 }
 
 // TestWarmSchedulerStepZeroAlloc is the zero-alloc acceptance assertion:
-// once the pooled scheduler, its step-cost table and the sim cache are
-// warm, a run's allocation count must not grow with its step count —
-// doubling the trace adds thousands of scheduler steps and zero
-// allocations, i.e. the steady-state step is 0 allocs/op. An absolute
-// bound pins the small per-run constant (stream wrapper, closures,
-// report assembly).
+// once the pooled scheduler and its step-cost table are warm, a run's
+// allocation count must not grow with its step count — doubling the
+// trace adds thousands of scheduler steps and zero allocations, i.e. the
+// steady-state step is 0 allocs/op. An absolute bound pins the small
+// per-run constant (stream wrapper, closures, report assembly).
 func TestWarmSchedulerStepZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool reuse is randomized under the race detector")
@@ -77,7 +76,7 @@ func TestWarmSchedulerStepZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm everything: sim cache, scheduler pool and its step-cost table.
+	// Warm everything: scheduler pool and its step-cost table.
 	run(short)
 	run(long)
 	shortAllocs := testing.AllocsPerRun(10, func() { run(short) })

@@ -6,11 +6,10 @@
 // time-per-output-token, tail request latency, and joules per request.
 //
 // Everything is deterministic: traces are drawn from a seeded generator,
-// the scheduler is a pure event loop over pure simulator results, and the
-// step costs are memoized through internal/runner's content-keyed cache —
-// so an identical (seed, trace, config) tuple renders a byte-identical
-// Report at any runner parallelism, the same guarantee the experiment
-// registry makes.
+// the scheduler is a pure event loop over pure simulator results, and
+// each run prices a step shape once (StepCosts) — so an identical (seed,
+// trace, config) tuple renders a byte-identical Report at any runner
+// parallelism, the same guarantee the experiment registry makes.
 package serve
 
 import (

@@ -36,17 +36,17 @@ type Params struct {
 	// DVFS is the node's voltage–frequency operating point. WithDefaults
 	// folds it into Cost (clock × f, per-op switching energy × v², leakage
 	// × v — see arch.DVFSPoint) and clears the field, so downstream
-	// consumers, including the runner cache's content key, see only the
-	// re-derived cost table. The zero value is the nominal point.
+	// consumers see only the re-derived cost table. The zero value is the
+	// nominal point.
 	DVFS arch.DVFSPoint
 }
 
 // WithDefaults materializes the zero-value defaults (HBM bandwidth, single
 // node, 45 nm cost table) and folds the DVFS operating point into the
-// cost table. Simulate applies it internally; callers that key or compare
-// Params (internal/runner's cache) use it so an implicit default and its
-// explicit spelling stay interchangeable — and so a DVFS-scaled Params
-// and the equivalent hand-scaled cost table are the same cache entry.
+// cost table. Simulate applies it internally; callers that compare Params
+// use it so an implicit default and its explicit spelling stay
+// interchangeable — and so a DVFS-scaled Params equals the equivalent
+// hand-scaled cost table.
 // Note the off-chip Bandwidth is defaulted before the fold and the NoC's
 // provisioned bandwidth after it: HBM is not on the DVFS rail, while the
 // mesh links clock with the node.
@@ -75,8 +75,9 @@ type Result struct {
 	Design arch.Design
 	Mesh   noc.Mesh
 
-	// CyclesByClass is the array-cycle latency breakdown (Fig. 16).
-	CyclesByClass map[model.OpClass]float64
+	// CyclesByClass is the array-cycle latency breakdown (Fig. 16),
+	// indexed by model.OpClass.
+	CyclesByClass [model.NumOpClasses]float64
 	// TotalCycles is the end-to-end array latency of the pass.
 	TotalCycles float64
 	// ComputeSeconds and MemorySeconds are the two overlap terms; Seconds
@@ -86,8 +87,8 @@ type Result struct {
 	// TokensPerSecond is the pass throughput.
 	TokensPerSecond float64
 	// EnergyByClass is dynamic energy per op class (Fig. 15's operational
-	// split), in joules per pass.
-	EnergyByClass map[model.OpClass]float64
+	// split), in joules per pass, indexed by model.OpClass.
+	EnergyByClass [model.NumOpClasses]float64
 	// DRAMEnergy is the off-chip access energy per pass.
 	DRAMEnergy float64
 	// DynamicEnergy sums all per-pass dynamic energy.
@@ -186,18 +187,16 @@ func sramBytes(op model.Op) float64 {
 	return float64(op.M*op.K)*2 + float64(op.K*op.N)*float64(op.WeightBits)/8 + float64(op.M*op.N)*2
 }
 
-// Simulate runs one workload pass through the performance and cost models.
+// Simulate runs one workload pass through the performance and cost
+// models. It allocates nothing.
+//
+//mugi:noalloc
 func Simulate(p Params, w model.Workload) Result {
 	p = p.WithDefaults()
 	d := p.Design
 	nodes := p.Mesh.SpeedupFactor()
 
-	res := Result{
-		Design:        d,
-		Mesh:          p.Mesh,
-		CyclesByClass: map[model.OpClass]float64{},
-		EnergyByClass: map[model.OpClass]float64{},
-	}
+	res := Result{Design: d, Mesh: p.Mesh}
 	var usefulMACs, capacityMACs float64
 	for _, op := range w.Ops {
 		rep := float64(max(op.Repeat, 1))
@@ -206,7 +205,7 @@ func Simulate(p Params, w model.Workload) Result {
 			cyc := nlCycles(d, op) * rep * layers / nodes
 			res.CyclesByClass[model.Nonlinear] += cyc
 			res.EnergyByClass[model.Nonlinear] += float64(op.Elements) * rep * layers *
-				(d.EnergyPerNLElement(p.Cost) + p.Cost.EnergyVecOp)
+				(d.EnergyPerNLElement(p.Cost) + p.Cost.EnergyVecOp) //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
 			continue
 		}
 		cyc, useful, capacity := gemmCycles(d, op)
@@ -215,17 +214,16 @@ func Simulate(p Params, w model.Workload) Result {
 		usefulMACs += useful * rep * layers
 		capacityMACs += capacity * rep * layers
 		idle := (capacity - useful) * rep * layers
-		energy := useful*rep*layers*d.EnergyPerMAC(p.Cost) +
+		energy := useful*rep*layers*d.EnergyPerMAC(p.Cost) + //mugi:coldalloc inlined unknown-kind panic arg; a built design never takes it
 			idle*p.Cost.EnergyIdlePE +
 			sramBytes(op)*rep*layers*p.Cost.EnergySRAMByte +
 			float64(op.M*op.N)*rep*layers*p.Cost.EnergyVecOp // dequant rescale
 		res.EnergyByClass[op.Class] += energy
 	}
-	// Sum in fixed OpClass order: ranging over the map would add the
-	// per-class floats in randomized order and make TotalCycles (and
-	// DynamicEnergy below) differ in the last bits between runs.
-	for _, c := range model.OpClasses() {
-		res.TotalCycles += res.CyclesByClass[c]
+	// Sum in model.OpClasses order, the arrays' index order, so
+	// TotalCycles (and DynamicEnergy below) are bit-stable.
+	for _, c := range res.CyclesByClass {
+		res.TotalCycles += c
 	}
 	if capacityMACs > 0 {
 		res.Utilization = usefulMACs / capacityMACs
@@ -251,8 +249,8 @@ func Simulate(p Params, w model.Workload) Result {
 		}
 	}
 
-	for _, c := range model.OpClasses() {
-		res.DynamicEnergy += res.EnergyByClass[c]
+	for _, e := range res.EnergyByClass {
+		res.DynamicEnergy += e
 	}
 	res.DynamicEnergy += res.DRAMEnergy
 	res.DynamicEnergy += p.Mesh.TransferEnergy(res.DRAMBytes)

@@ -154,9 +154,11 @@ type Design = arch.Design
 var (
 	// NewMugi builds the Mugi VLP design at the given array height.
 	NewMugi = arch.Mugi
-	// NewMugiL builds the LUT-based nonlinear variant.
+	// NewMugiL builds the LUT-based nonlinear variant; it panics below
+	// 8 rows, where the LUT bank would be empty.
 	NewMugiL = arch.MugiL
-	// NewCarat builds the modified prior VLP design.
+	// NewCarat builds the modified prior VLP design; it panics below 3
+	// rows, where its Taylor unit would have no lane.
 	NewCarat = arch.Carat
 	// NewSystolicArray builds a dim×dim systolic array (figna selects the
 	// FIGNA FP-INT PE).
@@ -279,8 +281,8 @@ type ServeConfig = serve.Config
 type ServeReport = serve.Report
 
 // Serve drives a request trace through the continuous-batching scheduler
-// over the architecture simulator's step costs (memoized through the
-// experiment runner's cache). Identical (config, trace) inputs produce a
+// over the architecture simulator's step costs (priced once per step
+// shape per run). Identical (config, trace) inputs produce a
 // byte-identical report at any runner parallelism.
 func Serve(cfg ServeConfig, tr RequestTrace) (ServeReport, error) { return serve.Run(cfg, tr) }
 
@@ -768,17 +770,9 @@ func RunAll(opts ...RunOption) []ExperimentResult {
 	return results
 }
 
-// SimCacheInfo is the simulation cache's accounting: hits (including
-// requests that joined an in-flight computation), misses, and evictions
-// from the bounded two-generation store.
-type SimCacheInfo = runner.Stats
-
-// SimCacheStats reports the experiment runner's content-keyed simulation
-// cache accounting.
-func SimCacheStats() SimCacheInfo { return runner.CacheStats() }
-
-// ResetSimCache drops every cached simulation result, forcing the next run
-// to recompute from scratch (used by benchmarks to measure cold runs).
+// ResetSimCache zeroes the runner's count of simulator passes. It stays
+// only because benchmark/ calls it to count each unit's passes; no
+// simulation result is cached.
 func ResetSimCache() { runner.ResetCache() }
 
 // ---- Functional decoding (integration layer) ----

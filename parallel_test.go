@@ -45,18 +45,15 @@ func TestRunExperimentsPreservesRequestOrder(t *testing.T) {
 }
 
 // TestRunAllParallelMatchesSerialFacade runs the complete registry through
-// RunAll at parallelism 1 and parallelism 8 with cold caches and demands
-// byte-identical renderings — the facade-level spelling of the runner's
-// determinism guarantee.
+// RunAll at parallelism 1 and parallelism 8 and demands byte-identical
+// renderings — the facade-level spelling of the runner's determinism
+// guarantee.
 func TestRunAllParallelMatchesSerialFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry in -short mode")
 	}
-	ResetSimCache()
 	serial := RunAll(Parallelism(1))
-	ResetSimCache()
 	parallel := RunAll(Parallelism(8))
-	defer ResetSimCache()
 	if len(serial) != len(parallel) || len(serial) != len(Experiments()) {
 		t.Fatalf("result counts: serial %d, parallel %d, registry %d",
 			len(serial), len(parallel), len(Experiments()))
@@ -66,15 +63,12 @@ func TestRunAllParallelMatchesSerialFacade(t *testing.T) {
 			t.Errorf("%s: parallel rendering diverges from serial", serial[i].ID)
 		}
 	}
-	if st := SimCacheStats(); st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("cache accounting degenerate: %d hits / %d misses", st.Hits, st.Misses)
-	}
 }
 
 // TestServeDeterministicAcrossParallelism is the serving-simulator
 // spelling of the same guarantee: one seeded trace driven through Serve
-// renders byte-identical reports whether the sim cache is fed serially or
-// by eight workers.
+// renders byte-identical reports whether the runner pool has one worker or
+// eight.
 func TestServeDeterministicAcrossParallelism(t *testing.T) {
 	tr, err := NewTrace(TraceConfig{Kind: TraceBursty, Rate: 0.3, Requests: 24, Seed: 11})
 	if err != nil {
@@ -82,11 +76,9 @@ func TestServeDeterministicAcrossParallelism(t *testing.T) {
 	}
 	cfg := ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: NewMesh(2, 2)}
 	defer runner.SetParallelism(0)
-	defer ResetSimCache()
 	renderings := make([]string, 2)
 	for i, par := range []int{1, 8} {
 		runner.SetParallelism(par)
-		ResetSimCache()
 		rep, err := Serve(cfg, tr)
 		if err != nil {
 			t.Fatal(err)

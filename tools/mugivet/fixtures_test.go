@@ -28,7 +28,6 @@ func TestFixtures(t *testing.T) {
 	}{
 		{dir: "detmap", analyzer: newDetmap(allScope)},
 		{dir: "noclock", analyzer: newNoclock(allScope)},
-		{dir: "cachekey", analyzer: newCachekey()},
 		{dir: "exhauststate", analyzer: newExhauststate()},
 		{dir: "noalloc", noalloc: true},
 	}
@@ -45,27 +44,6 @@ func TestFixtures(t *testing.T) {
 			}
 			checkWants(t, dir, diags)
 		})
-	}
-}
-
-// TestCachekeyRequiredPin covers the required-coverage half of the
-// cachekey contract — the ISSUE's acceptance criterion that deleting an
-// annotation (or a whole encoder) is itself a finding. The fixture's req
-// package encodes every field but carries no annotation; pinning it the
-// way internal/runner is pinned must produce the package-level finding.
-func TestCachekeyRequiredPin(t *testing.T) {
-	const pkg = "fixture/cachekey/req"
-	requiredCachekey[pkg] = []string{pkg + ".Workload"}
-	defer delete(requiredCachekey, pkg)
-
-	diags, err := analyze(filepath.Join("testdata", "cachekey"), []string{"./req"},
-		[]*Analyzer{newCachekey()}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "must keep a //mugi:cachekey encoder covering fixture/cachekey/req.Workload"
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, want) {
-		t.Fatalf("got %v, want one finding containing %q", diags, want)
 	}
 }
 

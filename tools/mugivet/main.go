@@ -1,4 +1,4 @@
-// Command mugivet is the repository's contract linter: a suite of five
+// Command mugivet is the repository's contract linter: a suite of four
 // repo-specific static analyzers that prove, at lint time, the
 // invariants the stack otherwise only samples with runtime tests
 // (docs/ANALYSIS.md):
@@ -7,8 +7,6 @@
 //     packages (waive order-independent loops with //mugi:orderless);
 //   - noclock: no time.Now/Since/Until, os.Getenv, or unseeded
 //     math/rand globals in those packages;
-//   - cachekey: every field of the sim-cache key structs is consumed by
-//     the //mugi:cachekey-annotated encoders in internal/runner/key.go;
 //   - exhauststate: every switch over the power-state and
 //     operator-class enums covers all members or panics in default;
 //   - noalloc: //mugi:noalloc functions are free of compiler-reported
@@ -16,7 +14,7 @@
 //
 // Usage:
 //
-//	mugivet [-analyzers detmap,noclock,cachekey,exhauststate,noalloc] [packages]
+//	mugivet [-analyzers detmap,noclock,exhauststate,noalloc] [packages]
 //
 // The package arguments default to ./... and accept any go-list
 // pattern. Exit status 1 means findings, 2 means the tool itself
@@ -34,7 +32,7 @@ import (
 )
 
 func main() {
-	analyzersFlag := flag.String("analyzers", "detmap,noclock,cachekey,exhauststate,noalloc",
+	analyzersFlag := flag.String("analyzers", "detmap,noclock,exhauststate,noalloc",
 		"comma-separated subset of analyzers to run")
 	listFlag := flag.Bool("list", false, "print the analyzers and their contracts, then exit")
 	flag.Parse()
@@ -42,7 +40,6 @@ func main() {
 	available := []*Analyzer{
 		newDetmap(inDeterministicScope),
 		newNoclock(inDeterministicScope),
-		newCachekey(),
 		newExhauststate(),
 	}
 	if *listFlag {

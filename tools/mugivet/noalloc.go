@@ -17,7 +17,7 @@ import (
 // escapes, checked against the compiler's own escape analysis.
 //
 // The zero-alloc hot paths (VLP GEMM, decode step, scheduler round,
-// autoscale tick, the cache-key encoder) are guarded at runtime by
+// autoscale tick, the simulator pass) are guarded at runtime by
 // AllocsPerRun(0) tests — but those only cover the exact shapes the
 // tests drive. This check reads `go build -gcflags=-m` for the packages
 // that carry annotations and flags every "escapes to heap" / "moved to
