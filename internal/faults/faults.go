@@ -220,7 +220,10 @@ func (s *Schedule) ensure(t float64) {
 	for s.horizon <= t {
 		up := expDraw(s.next(), s.spec.MTBF)
 		repair := expDraw(s.next(), s.spec.MTTR)
-		start := s.horizon + up
+		// Past a large enough clock one ULP exceeds a short up draw, so
+		// the sum would equal the last repair's end; floor it one ULP
+		// later so every window starts after the previous one ends.
+		start := max(s.horizon+up, math.Nextafter(s.horizon, math.Inf(1)))
 		s.down = append(s.down, Interval{Start: start, End: start + repair})
 		s.horizon = start + repair
 	}

@@ -93,6 +93,36 @@ func TestCrashOrphansAreAccounted(t *testing.T) {
 	}
 }
 
+// TestTinyUpTimesStillAdvance: with a 1e-7 s MTBF and a 1e9 s MTTR the
+// clock soon passes the point where one ULP exceeds an up draw, and the
+// schedule must still start every down window after the previous one
+// ends. Abutting windows used to crash a replica at every pass of the
+// serving loop without advancing its clock, so the run never returned.
+// The window check comes first, so a regression fails here instead of
+// hanging in the run below.
+func TestTinyUpTimesStillAdvance(t *testing.T) {
+	spec := faults.Spec{MTBF: 1e-7, MTTR: 1e9}
+	s := faultySchedule(t, spec)
+	prev, _ := s.DownAfter(0)
+	for i := 1; i < 1000; i++ {
+		iv, _ := s.DownAfter(prev.End)
+		if !(iv.Start > prev.End) {
+			t.Fatalf("window %d starts at %v, not after the previous end %v", i, iv.Start, prev.End)
+		}
+		prev = iv
+	}
+	cfg := baseConfig()
+	cfg.Faults = faultySchedule(t, spec)
+	rep, err := Run(cfg, chatTrace(t, 0.5, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed+rep.Shed != rep.Requests {
+		t.Errorf("accounting leak: completed %d + shed %d != requests %d",
+			rep.Completed, rep.Shed, rep.Requests)
+	}
+}
+
 // TestHandOffReturnsOrphans pins the fleet-facing contract: with HandOff
 // set, crash-interrupted requests come back in RunStats.Orphans instead
 // of retrying locally, and the per-replica accounting includes them.
