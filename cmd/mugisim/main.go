@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -238,7 +239,9 @@ func main() {
 		fatal(err)
 	}
 	if *serveMode {
-		runServe(d, m, mesh, *traceKind, *lengths, *rate, *requests, *traceSeed, *maxBatch, *kvBudgetGB)
+		if err := runServe(os.Stdout, d, m, mesh, *traceKind, *lengths, *rate, *requests, *traceSeed, *maxBatch, *kvBudgetGB); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	var w model.Workload
@@ -268,34 +271,36 @@ func main() {
 	}
 }
 
-// runServe drives one request-level serving scenario and prints the
-// report.
-func runServe(d arch.Design, m model.Config, mesh noc.Mesh,
+// runServe drives one request-level serving scenario and writes the
+// report to w. The trace is drawn lazily as the scheduler pulls it, so
+// memory stays independent of the request count.
+func runServe(w io.Writer, d arch.Design, m model.Config, mesh noc.Mesh,
 	traceKind, lengths string, rate float64, requests int, seed int64,
-	maxBatch int, kvBudgetGB float64) {
+	maxBatch int, kvBudgetGB float64) error {
 	kind, err := mugi.ParseTraceKind(traceKind)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	profile, err := mugi.ParseLengthProfile(lengths)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	tr, err := mugi.NewTrace(mugi.TraceConfig{
+	src, err := mugi.NewTraceStream(mugi.TraceConfig{
 		Kind: kind, Rate: rate, Requests: requests, Seed: seed, Lengths: profile,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	rep, err := mugi.Serve(mugi.ServeConfig{
+	rep, err := mugi.ServeStream(mugi.ServeConfig{
 		Model: m, Design: d, Mesh: mesh,
 		MaxBatch:      maxBatch,
 		KVBudgetBytes: int64(kvBudgetGB * (1 << 30)),
-	}, tr)
+	}, src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(rep.String())
+	_, err = io.WriteString(w, rep.String())
+	return err
 }
 
 // runCapacity binary-searches the max sustained request rate of one

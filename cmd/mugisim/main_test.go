@@ -1,11 +1,15 @@
 package main
 
 import (
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mugi"
+	"mugi/internal/raceflag"
 )
 
 func TestBuildDesign(t *testing.T) {
@@ -272,5 +276,30 @@ func TestParseLengthProfileFlag(t *testing.T) {
 	}
 	if _, err := mugi.ParseLengthProfile("code"); err == nil {
 		t.Error("unknown profile should error")
+	}
+}
+
+// TestServeStreamsItsTrace: -serve pulls its trace lazily, so a run
+// allocates far less than its requests would take held in full. Building
+// the whole trace first ran a 2e9-request run out of memory before it
+// simulated anything.
+func TestServeStreamsItsTrace(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are not representative under the race detector")
+	}
+	const requests = 200_000
+	var tr mugi.RequestTrace
+	full := uint64(requests) * uint64(unsafe.Sizeof(tr.Requests[0]))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := runServe(io.Discard, mugi.NewMugi(256), mugi.Llama2_7B, mugi.NewMesh(4, 4),
+		"poisson", "chat", 0.5, requests, 1, 0, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= full {
+		t.Errorf("a %d-request run allocated %d bytes, at least its %d bytes of requests held in full",
+			requests, got, full)
 	}
 }
