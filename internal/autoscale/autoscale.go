@@ -169,6 +169,10 @@ type Config struct {
 	// MaxRedispatch bounds how many times a crash-orphaned request is
 	// re-queued before it is shed (default serve.DefaultMaxRedispatch).
 	MaxRedispatch int
+
+	// oneStep runs every round as one decode step (until = its start):
+	// the reference the differential test holds leaping rounds to.
+	oneStep bool
 }
 
 // withDefaults materializes the zero-value defaults.
@@ -237,6 +241,10 @@ type Report struct {
 	// PrefillSteps/DecodeSteps/MeanBatch mirror serve.Report.
 	PrefillSteps, DecodeSteps int
 	MeanBatch                 float64
+	// Rounds counts the controller's serve.Engine.Round calls. A round
+	// may leap over many decode steps, so Rounds is at most
+	// PrefillSteps + DecodeSteps and usually far below. Not rendered.
+	Rounds int
 	// PeakQueue is the controller queue's high-water mark.
 	PeakQueue int
 
@@ -307,6 +315,14 @@ type controller struct {
 	idleLeak []float64 // static watts per ladder point
 
 	tickArrivals []int // prescanned arrivals per tick window
+
+	// The loop's own event sources, which nextEvent reads next to the
+	// replicas': the next policy tick, the stream's lookahead arrival,
+	// and whether down windows can crash a replica.
+	nextTick    float64
+	pending     serve.Request
+	havePending bool
+	faulty      bool
 }
 
 var ctrlPool = sync.Pool{New: func() any { return new(controller) }}
@@ -450,9 +466,9 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// Per-replica fault schedules: replica i's crash timeline, straggler
 	// draw and boot-failure stream are a pure function of (Faults.Seed, i),
 	// independent of load — the anchor the determinism contract hangs on.
-	faulty := cfg.Faults.Enabled()
+	c.faulty = cfg.Faults.Enabled()
 	var scheds []*faults.Schedule
-	if faulty {
+	if c.faulty {
 		scheds = make([]*faults.Schedule, cfg.MaxReplicas)
 		for i := range scheds {
 			s, err := faults.New(cfg.Faults, i)
@@ -539,6 +555,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// billed per round and replicas' steps share one energy accumulator
 	// in event order, so a leap would regroup those sums and move bytes.
 	startRound := func(rp *replica, t float64) error {
+		rep.Rounds++
 		end, err := eng.Round(rp.batch, t, cfg.Ladder[rp.point], rp.slow, rp.state == Active, t)
 		if err != nil {
 			return err
@@ -559,7 +576,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	for i := range c.reps {
 		c.reps[i].batch = eng.Batch(i)
 		c.reps[i].slow = 1
-		if faulty {
+		if c.faulty {
 			if s := scheds[i].Slowdown(); s > 1 {
 				c.reps[i].slow = s
 				rep.Stragglers++
@@ -571,13 +588,13 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		}
 	}
 
-	pending, havePending := src.Next()
-	if havePending {
-		if err := eng.Validate(pending); err != nil {
+	c.pending, c.havePending = src.Next()
+	if c.havePending {
+		if err := eng.Validate(c.pending); err != nil {
 			return Report{}, err
 		}
 	}
-	nextTick := cfg.Tick
+	c.nextTick = cfg.Tick
 	tickIdx := 0 // index of the window ending at nextTick
 
 	countStates := func() (ready, booting, draining, inflight int) {
@@ -598,36 +615,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	}
 
 	for eng.Completed()+rep.Shed < total {
-		// Next event time: the earliest of pending arrival, any boot
-		// completion, any round end, any repair completion, any due
-		// crash, and the policy tick.
-		t := nextTick
-		if havePending && pending.Arrival < t {
-			t = pending.Arrival
-		}
-		for i := range c.reps {
-			rp := &c.reps[i]
-			if rp.state == Booting && rp.bootReady < t {
-				t = rp.bootReady
-			}
-			if rp.busyUntil > now && rp.busyUntil < t {
-				t = rp.busyUntil
-			}
-			if rp.state == Repairing && rp.repairAt < t {
-				t = rp.repairAt
-			}
-			if faulty && rp.busyUntil <= now && rp.haveDown && poweredState(rp.state) && rp.down.Start < t {
-				// A due crash never sits in the past across events (step
-				// 3½ fires it), but clamp defensively so time cannot
-				// rewind.
-				s := rp.down.Start
-				if s < now {
-					s = now
-				}
-				t = s
-			}
-		}
-		now = t
+		now = c.nextEvent(now)
 
 		// 1. Boot completions (the boot-failure draw decides whether the
 		// attempt sticks) and repair completions (back to Off, so the
@@ -638,7 +626,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 				accrue(rp, now)
 				attempt := rp.bootTries
 				rp.bootTries++
-				if faulty && cfg.Faults.BootFails(i, attempt) {
+				if c.faulty && cfg.Faults.BootFails(i, attempt) {
 					rep.BootFailures++
 					rp.state = Off
 				} else {
@@ -651,15 +639,15 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			}
 		}
 		// 2. Arrivals.
-		for havePending && pending.Arrival <= now {
+		for c.havePending && c.pending.Arrival <= now {
 			arrivals++
-			eng.Enqueue(pending)
+			eng.Enqueue(c.pending)
 			if q := eng.QueueLen(); q > rep.PeakQueue {
 				rep.PeakQueue = q
 			}
-			pending, havePending = src.Next()
-			if havePending {
-				if err := eng.Validate(pending); err != nil {
+			c.pending, c.havePending = src.Next()
+			if c.havePending {
+				if err := eng.Validate(c.pending); err != nil {
 					return Report{}, err
 				}
 			}
@@ -673,7 +661,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		// results were priced at round start); the crash fires at the
 		// round boundary. Down windows that passed while the replica was
 		// unpowered never fire.
-		if faulty {
+		if c.faulty {
 			for i := range c.reps {
 				rp := &c.reps[i]
 				for rp.haveDown && rp.down.End <= now && !poweredState(rp.state) {
@@ -693,11 +681,11 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			}
 		}
 		// 4. Policy tick.
-		if now >= nextTick {
+		if now >= c.nextTick {
 			// Failure detection rides the tick: a Failed replica is
 			// noticed now, enters repair, and comes back (as Off) when
 			// its down window ends — or immediately if it already has.
-			if faulty {
+			if c.faulty {
 				for i := range c.reps {
 					rp := &c.reps[i]
 					if rp.state != Failed {
@@ -735,7 +723,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			arrivals = 0
 			rep.Ticks++
 			tickIdx++
-			nextTick += cfg.Tick
+			c.nextTick += cfg.Tick
 		}
 		// 5. Work scan, in replica-index order.
 		for i := range c.reps {
@@ -799,8 +787,8 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	}
 	rep.DynamicEnergy, rep.LeakageEnergy = served.DynamicEnergy, leakEnergy
 	rep.TotalEnergy = served.DynamicEnergy + leakEnergy
-	rep.FaultsOn = faulty
-	if faulty {
+	rep.FaultsOn = c.faulty
+	if c.faulty {
 		if rep.Requests > 0 {
 			rep.Availability = float64(rep.Completed) / float64(rep.Requests)
 		}
@@ -813,6 +801,36 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	}
 	rep.Day = day
 	return rep, nil
+}
+
+// nextEvent returns the loop's next event after now: the earliest of the
+// pending arrival, the policy tick, and every replica's round end, boot
+// completion, repair completion and due crash. A crash that is already
+// due is clamped to now, so time never rewinds.
+//
+//mugi:noalloc
+func (c *controller) nextEvent(now float64) float64 {
+	t := c.nextTick
+	if c.havePending && c.pending.Arrival < t {
+		t = c.pending.Arrival
+	}
+	for i := range c.reps {
+		rp := &c.reps[i]
+		if rp.state == Booting && rp.bootReady < t {
+			t = rp.bootReady
+		}
+		if rp.busyUntil > now && rp.busyUntil < t {
+			t = rp.busyUntil
+		}
+		if rp.state == Repairing && rp.repairAt < t {
+			t = rp.repairAt
+		}
+		//mugi:coldalloc inlined unknown-state panic arg; a replica's state is always known
+		if c.faulty && rp.busyUntil <= now && rp.haveDown && poweredState(rp.state) && rp.down.Start < t {
+			t = max(rp.down.Start, now)
+		}
+	}
+	return t
 }
 
 // apply executes one policy decision over the powered (Booting, Idle or
