@@ -18,10 +18,13 @@
 // the request arena and the shared admission queue, each owned replica
 // is one of its batches, and a replica's "round" is serve.Engine.Round
 // at the replica's operating point — admit queued requests while batch
-// slots and KV budget allow (one prefill pass each), then one padded
-// decode step at the longest bucketed context. The controller itself
-// keeps only the power-state machine, the DVFS ladder, leakage accrual,
-// crash disposal and the policy loop.
+// slots and KV budget allow (one prefill pass each), then padded decode
+// steps at the longest bucketed context, leaping up to the controller's
+// next event. A leap never crosses an instant where one-step rounds
+// would act differently, so it moves no count, latency or dynamic joule;
+// only the busy-second sums regroup in their last bits. The controller
+// itself keeps only the power-state machine, the DVFS ladder, leakage
+// accrual, crash disposal and the policy loop.
 //
 // Compare runs the same trace through the static PR 5 plan (every owned
 // replica always on, at full speed) and through the controller, and
@@ -551,12 +554,20 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// only while Active, never while Draining — at rp's operating point
 	// and straggler factor. All costs and completions are computed here;
 	// the round's wall span [t, end] is what the replica is busy for.
-	// Rounds stay one decode step (until = t): busy time and leakage are
-	// billed per round and replicas' steps share one energy accumulator
-	// in event order, so a leap would regroup those sums and move bytes.
-	startRound := func(rp *replica, t float64) error {
+	// The round leaps over decode steps up to the loop's next event, so
+	// no step boundary it skips is one where a one-step round would act
+	// differently. A round runs one step when a replica later in this
+	// scan may also start one now: that round's end is an event the leap
+	// cannot see yet, at which the later replica could take the queue
+	// head this one is KV-blocked on or, at the end of the run, go idle.
+	startRound := func(i int, t float64) error {
+		rp := &c.reps[i]
+		until := t
+		if !cfg.oneStep && !c.startsAfter(i, t, eng.QueueLen() > 0) {
+			until = c.nextEvent(t)
+		}
 		rep.Rounds++
-		end, err := eng.Round(rp.batch, t, cfg.Ladder[rp.point], rp.slow, rp.state == Active, t)
+		end, err := eng.Round(rp.batch, t, cfg.Ladder[rp.point], rp.slow, rp.state == Active, until)
 		if err != nil {
 			return err
 		}
@@ -735,14 +746,14 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			switch rp.state {
 			case Draining:
 				if rp.batch.Len() > 0 {
-					err = startRound(rp, now)
+					err = startRound(i, now)
 				} else {
 					accrue(rp, now)
 					rp.state = Off
 				}
 			case Active:
 				if rp.batch.Len() > 0 || eng.QueueLen() > 0 {
-					err = startRound(rp, now)
+					err = startRound(i, now)
 				} else {
 					accrue(rp, now)
 					rp.state = Idle
@@ -751,7 +762,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 				if eng.QueueLen() > 0 {
 					accrue(rp, now)
 					rp.state = Active
-					err = startRound(rp, now)
+					err = startRound(i, now)
 				}
 			case Off, Booting, Failed, Repairing:
 				// No work to scan: Off has nothing resident, Booting
@@ -801,6 +812,21 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	}
 	rep.Day = day
 	return rep, nil
+}
+
+// startsAfter reports whether a replica after i in the work scan may
+// start a round at now: one that is not busy and holds a batch, or an
+// Idle or Active one while requests are queued.
+//
+//mugi:noalloc
+func (c *controller) startsAfter(i int, now float64, queued bool) bool {
+	for j := i + 1; j < len(c.reps); j++ {
+		rp := &c.reps[j]
+		if rp.busyUntil <= now && (rp.batch.Len() > 0 || queued && (rp.state == Idle || rp.state == Active)) {
+			return true
+		}
+	}
+	return false
 }
 
 // nextEvent returns the loop's next event after now: the earliest of the

@@ -123,10 +123,15 @@ func Compare(cfg Config, tc serve.TraceConfig) (Comparison, error) {
 	if err != nil {
 		return Comparison{}, err
 	}
+	return compare(st, dyn), nil
+}
+
+// compare prices the dynamic side's savings against the static side.
+func compare(st StaticReport, dyn Report) Comparison {
 	c := Comparison{Static: st, Dynamic: dyn}
 	c.SavingsPerDay = st.Day.DollarsPerDay - dyn.Day.DollarsPerDay
 	if st.Day.DollarsPerDay > 0 {
 		c.SavingsPct = c.SavingsPerDay / st.Day.DollarsPerDay
 	}
-	return c, nil
+	return c
 }

@@ -24,30 +24,52 @@ var leapMoves = []string{"ActiveSeconds", "MeanActiveReplicas", "LeakageEnergy",
 
 const leapTolerance = 1e-12
 
+// driftTolerance is the naive-summation error bound of a one-step
+// reference that made rounds additions into each busy sum: on the
+// golden week and the lockstep setup it adds so many equal step spans
+// that its own rounding drifts past leapTolerance from the exact total.
+// On the week, 822,465 one-step rounds drift the leakage sum 1.2e-12
+// from the exact sum of its spans, while the leaping side stays within
+// 5e-14 of it.
+func driftTolerance(rounds int) float64 { return max(leapTolerance, float64(rounds)*0x1p-53) }
+
 // leapSetups are the controller configurations every grid trace runs
 // under: faults crash replicas mid-leap and fail boots, a tight KV
-// budget holds queue heads back, and a small batch with a slow boot
-// keeps replicas full behind a queue.
+// budget holds queue heads back, a small batch with a slow boot keeps
+// replicas full behind a queue, and lockstep replicas start rounds at
+// shared instants.
 var leapSetups = []struct {
 	name string
 	mut  func(*Config, int64)
+	// drift marks a setup whose float checks use driftTolerance.
+	drift bool
 }{
-	{"default", func(*Config, int64) {}},
-	{"faults", withLeapFaults},
-	{"kv", func(c *Config, _ int64) { c.Replica.KVBudgetBytes = 3 << 28 }},
+	{"default", func(*Config, int64) {}, false},
+	{"faults", withLeapFaults, false},
+	{"kv", func(c *Config, _ int64) { c.Replica.KVBudgetBytes = 3 << 28 }, false},
 	{"kv+faults", func(c *Config, seed int64) {
 		c.Replica.KVBudgetBytes = 3 << 28
 		withLeapFaults(c, seed)
-	}},
+	}, false},
 	{"batch4+lag100", func(c *Config, _ int64) {
 		c.Replica.MaxBatch = 4
 		c.ScaleUpLag = 100
-	}},
+	}, false},
+	// One request per replica and one context bucket for the whole
+	// window give every step one shape, so replicas that admit at one
+	// instant step in lockstep and start rounds together again and
+	// again: the shared instants where a leap could miss a round end
+	// that a replica later in the same scan is about to create.
+	{"lockstep", func(c *Config, _ int64) {
+		c.Replica.MaxBatch = 1
+		c.Replica.CtxBucket = 1 << 20
+	}, true},
 }
 
-// withLeapFaults injects faultyCfg's fault mix, drawn per seed.
+// withLeapFaults injects faultyCfg's fault mix at twice its crash rate,
+// drawn per seed.
 func withLeapFaults(c *Config, seed int64) {
-	c.Faults = faults.Spec{MTBF: 7200, MTTR: 600, StragglerProb: 0.3, BootFailProb: 0.2, Seed: seed}
+	c.Faults = faults.Spec{MTBF: 3600, MTTR: 600, StragglerProb: 0.3, BootFailProb: 0.2, Seed: seed}
 }
 
 // leapTraces are diurnal traces at four rates, from a mostly idle fleet
@@ -60,8 +82,29 @@ var leapTraces = []struct {
 }{
 	{0.02, 1728, 86400},
 	{0.05, 2160, 43200},
-	{0.5, 3600, 7200},
-	{2, 7200, 3600},
+	{0.5, 1800, 3600},
+	{2, 3600, 1800},
+}
+
+// sharedEndRows are small runs whose last rounds start at an instant two
+// lockstep replicas share (one-request batches over one context bucket,
+// replicas booted together by a step policy). A leap that did not stop
+// for the round end a replica later in the same scan was about to
+// create would end the run before that replica went idle, and bill its
+// idle tail as active.
+var sharedEndRows = []struct {
+	min, max  int
+	lag, tick float64
+	switchAt  float64
+	maxBatch  int
+	rate      float64
+	requests  int
+	seed      int64
+}{
+	{1, 3, 1, 20, 40, 2, 0.5, 6, 142},
+	{1, 3, -1, 5, 5, 1, 5, 3, 201},
+	{2, 4, 10, 5, 5, 1, 5, 4, 227},
+	{1, 4, -1, 60, 120, 1, 2, 13, 317},
 }
 
 // TestLeapsMatchOneStepRounds is the differential gate on leaping
@@ -70,15 +113,18 @@ var leapTraces = []struct {
 // round's start), the schedule the controller's goldens were first
 // pinned with. The rendered comparisons and every integer field must be
 // equal, every float bit-identical except the leapMoves fields, and both
-// sides must conserve requests and partition replica-seconds. The golden
-// week closes the grid. Under the race detector each row runs one seed
-// and the week is skipped.
+// sides must conserve requests and partition replica-seconds. Small runs
+// that end at an instant lockstep replicas share follow the grid, the
+// golden week closes it, and leaping must cut its rounds at least tenfold.
+// Under the race detector each row runs one seed on a quarter of its
+// trace and the week is skipped; the plain run covers the whole grid.
 func TestLeapsMatchOneStepRounds(t *testing.T) {
-	seeds := []int64{1, 2, 3}
+	seeds, scale := []int64{1, 2, 3}, 1
 	if raceflag.Enabled {
-		seeds = seeds[:1]
+		seeds, scale = seeds[:1], 4
 	}
-	moved := map[string]float64{}
+	// The largest relative move of each float, by setup kind.
+	moves := map[bool]map[string]float64{false: {}, true: {}}
 	for _, tr := range leapTraces {
 		for _, setup := range leapSetups {
 			for _, pol := range Policies() {
@@ -86,51 +132,79 @@ func TestLeapsMatchOneStepRounds(t *testing.T) {
 					cfg := baseCfg()
 					cfg.Policy = pol
 					setup.mut(&cfg, seed)
-					tc := serve.TraceConfig{Kind: serve.Diurnal, Rate: tr.rate, Requests: tr.requests, Seed: seed, Period: tr.period}
+					tc := serve.TraceConfig{Kind: serve.Diurnal, Rate: tr.rate, Requests: tr.requests / scale, Seed: seed, Period: tr.period / float64(scale)}
 					name := fmt.Sprintf("%g req/s %s %s seed %d", tr.rate, setup.name, pol.Name(), seed)
-					compareLeaps(t, name, cfg, tc, moved)
+					compareLeaps(t, name, cfg, tc, setup.drift, moves[setup.drift])
 				}
 			}
 		}
 	}
+	for _, r := range sharedEndRows {
+		cfg := baseCfg()
+		cfg.MinReplicas, cfg.MaxReplicas = r.min, r.max
+		cfg.ScaleUpLag, cfg.Tick = r.lag, r.tick
+		cfg.Replica.MaxBatch, cfg.Replica.CtxBucket = r.maxBatch, 1<<20
+		cfg.Policy = stepPolicy{before: r.min, after: r.max, switchAt: r.switchAt}
+		tc := serve.TraceConfig{Kind: serve.Poisson, Rate: r.rate, Requests: r.requests, Seed: r.seed}
+		compareLeaps(t, fmt.Sprintf("shared end, seed %d", r.seed), cfg, tc, false, moves[true])
+	}
+	logMoves(t, "grid", moves[false])
+	logMoves(t, "lockstep", moves[true])
 	if !raceflag.Enabled {
-		leap, step := compareLeaps(t, "golden week", baseCfg(), weekTrace(0.02), moved)
+		moved := map[string]float64{}
+		leap, step := compareLeaps(t, "golden week", baseCfg(), weekTrace(0.02), true, moved)
+		if leap.Rounds*10 > leap.DecodeSteps {
+			t.Errorf("golden week: %d rounds for %d decode steps, want at least 10x fewer", leap.Rounds, leap.DecodeSteps)
+		}
+		logMoves(t, "golden week", moved)
 		t.Logf("golden week: %d rounds leaping, %d one-step, %d decode steps", leap.Rounds, step.Rounds, leap.DecodeSteps)
 	}
+}
+
+// logMoves logs the largest relative move of each float field.
+func logMoves(t *testing.T, name string, moved map[string]float64) {
 	paths := make([]string, 0, len(moved))
 	for p := range moved {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		t.Logf("largest relative move of %s: %.2g", p, moved[p])
+		t.Logf("%s: largest relative move of %s: %.2g", name, p, moved[p])
 	}
 }
 
 // compareLeaps runs one config leaping and in one-step rounds, checks
-// the pair, and returns the two controller reports. moved collects the
-// largest relative move of each float field.
-func compareLeaps(t *testing.T, name string, cfg Config, tc serve.TraceConfig, moved map[string]float64) (leap, step Report) {
+// the pair, and returns the two controller reports. leapMoves fields may
+// move within leapTolerance, or driftTolerance with drift set. moved
+// collects the largest relative move of each float field.
+func compareLeaps(t *testing.T, name string, cfg Config, tc serve.TraceConfig, drift bool, moved map[string]float64) (leap, step Report) {
 	t.Helper()
-	a, err := Compare(cfg, tc)
+	st, err := RunStatic(cfg, tc)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	leap, err = Run(cfg, tc)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	cfg.oneStep = true
-	b, err := Compare(cfg, tc)
+	step, err = Run(cfg, tc)
 	if err != nil {
 		t.Fatalf("%s one-step: %v", name, err)
 	}
-	if a.String() != b.String() {
-		t.Errorf("%s: rendering differs:\n--- leaping ---\n%s--- one-step ---\n%s", name, a.String(), b.String())
+	if a, b := compare(st, leap).String(), compare(st, step).String(); a != b {
+		t.Errorf("%s: rendering differs:\n--- leaping ---\n%s--- one-step ---\n%s", name, a, b)
 	}
-	leap, step = a.Dynamic, b.Dynamic
 	checkReportInvariants(t, name+" leaping", leap)
 	checkReportInvariants(t, name+" one-step", step)
 	if leap.Rounds > step.Rounds {
 		t.Errorf("%s: %d rounds leaping, more than %d one-step", name, leap.Rounds, step.Rounds)
 	}
-	diffReport(t, name, "", reflect.ValueOf(leap), reflect.ValueOf(step), moved)
+	tol := leapTolerance
+	if drift {
+		tol = driftTolerance(step.Rounds)
+	}
+	diffReport(t, name, "", reflect.ValueOf(leap), reflect.ValueOf(step), tol, moved)
 	return leap, step
 }
 
@@ -150,9 +224,9 @@ func checkReportInvariants(t *testing.T, name string, r Report) {
 }
 
 // diffReport walks two values field by field: Rounds may differ,
-// leapMoves floats may move within leapTolerance, and everything else
-// must be equal.
-func diffReport(t *testing.T, name, path string, a, b reflect.Value, moved map[string]float64) {
+// leapMoves floats may move within tol, and everything else must be
+// equal.
+func diffReport(t *testing.T, name, path string, a, b reflect.Value, tol float64, moved map[string]float64) {
 	t.Helper()
 	switch a.Kind() {
 	case reflect.Struct:
@@ -161,7 +235,7 @@ func diffReport(t *testing.T, name, path string, a, b reflect.Value, moved map[s
 			if path != "" {
 				p = path + "." + p
 			}
-			diffReport(t, name, p, a.Field(i), b.Field(i), moved)
+			diffReport(t, name, p, a.Field(i), b.Field(i), tol, moved)
 		}
 	case reflect.Pointer:
 		if a.IsNil() || b.IsNil() {
@@ -170,14 +244,14 @@ func diffReport(t *testing.T, name, path string, a, b reflect.Value, moved map[s
 			}
 			return
 		}
-		diffReport(t, name, path, a.Elem(), b.Elem(), moved)
+		diffReport(t, name, path, a.Elem(), b.Elem(), tol, moved)
 	case reflect.Slice, reflect.Array:
 		if a.Len() != b.Len() {
 			t.Errorf("%s: %s has %d entries leaping, %d one-step", name, path, a.Len(), b.Len())
 			return
 		}
 		for i := range a.Len() {
-			diffReport(t, name, fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), moved)
+			diffReport(t, name, fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), tol, moved)
 		}
 	case reflect.Float32, reflect.Float64:
 		x, y := a.Float(), b.Float()
@@ -185,7 +259,7 @@ func diffReport(t *testing.T, name, path string, a, b reflect.Value, moved map[s
 			return
 		}
 		rel := math.Abs(x-y) / math.Max(math.Abs(x), math.Abs(y))
-		if !leapMayMove(path) || !(rel <= leapTolerance) {
+		if !leapMayMove(path) || !(rel <= tol) {
 			t.Errorf("%s: %s is %v leaping, %v one-step (relative %.2g)", name, path, x, y, rel)
 		}
 		moved[path] = max(moved[path], rel)
