@@ -68,13 +68,7 @@ savings: $0.0442/day (7.1%)
 	if cmp.SavingsPerDay <= 0 {
 		t.Errorf("dynamic controller must beat the always-on baseline, savings $%.4f/day", cmp.SavingsPerDay)
 	}
-	// Replica-seconds must partition the owned fleet's wall clock.
-	d := cmp.Dynamic
-	total := d.ActiveSeconds + d.IdleSeconds + d.BootSeconds + d.OffSeconds
-	wantTotal := float64(d.MaxReplicas) * d.Horizon
-	if math.Abs(total-wantTotal) > 1e-6*wantTotal {
-		t.Errorf("state seconds %.3f do not partition %d×%.3f = %.3f", total, d.MaxReplicas, d.Horizon, wantTotal)
-	}
+	checkReportInvariants(t, "golden week", cmp.Dynamic)
 }
 
 // TestDeterministicAtAnyParallelism runs the full comparison at runner

@@ -1,7 +1,6 @@
 package autoscale
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -48,9 +47,7 @@ func TestFaultyControllerAccounting(t *testing.T) {
 	if rep.Stragglers == 0 {
 		t.Error("no stragglers at probability 0.3 over 4 replicas")
 	}
-	if rep.Completed+rep.Shed != rep.Requests {
-		t.Errorf("accounting leak: completed %d + shed %d != requests %d", rep.Completed, rep.Shed, rep.Requests)
-	}
+	checkReportInvariants(t, "faulty day", rep)
 	if rep.Redispatched == 0 {
 		t.Error("crashes orphaned batches but nothing was re-queued")
 	}
@@ -59,11 +56,6 @@ func TestFaultyControllerAccounting(t *testing.T) {
 	}
 	if rep.FailedSeconds <= 0 {
 		t.Error("crashes occurred but no Failed/Repairing time accrued")
-	}
-	total := rep.ActiveSeconds + rep.IdleSeconds + rep.BootSeconds + rep.OffSeconds + rep.FailedSeconds
-	wantTotal := float64(rep.MaxReplicas) * rep.Horizon
-	if math.Abs(total-wantTotal) > 1e-6*wantTotal {
-		t.Errorf("state seconds %.3f do not partition %d×%.3f = %.3f", total, rep.MaxReplicas, rep.Horizon, wantTotal)
 	}
 }
 
