@@ -14,12 +14,12 @@ import (
 )
 
 // leapMoves names the Report fields a leaping round may move, each
-// within leapTolerance relative. A round bills its busy span and the
-// leakage of that span with one subtraction, end − start, where one-step
-// rounds add it one step at a time, so busy seconds and what is priced
-// from them regroup their floating-point sums. Everything else,
-// dynamic energy, horizon and every latency included, must be
-// bit-identical.
+// within leapTolerance relative (driftTolerance where a row says so). A
+// round bills its busy span and the leakage of that span with one
+// subtraction, end − start, where one-step rounds add it one step at a
+// time, so busy seconds and what is priced from them regroup their
+// floating-point sums. Everything else, dynamic energy, horizon and
+// every latency included, must be bit-identical.
 var leapMoves = []string{"ActiveSeconds", "MeanActiveReplicas", "LeakageEnergy", "TotalEnergy", "Day."}
 
 const leapTolerance = 1e-12
@@ -87,8 +87,8 @@ var leapTraces = []struct {
 }
 
 // sharedEndRows are small runs whose last rounds start at an instant two
-// lockstep replicas share (one-request batches over one context bucket,
-// replicas booted together by a step policy). A leap that did not stop
+// lockstep replicas share (batches of one or two requests over one
+// context bucket, replicas booted together by a step policy). A leap that did not stop
 // for the round end a replica later in the same scan was about to
 // create would end the run before that replica went idle, and bill its
 // idle tail as active.
@@ -245,7 +245,7 @@ func diffReport(t *testing.T, name, path string, a, b reflect.Value, tol float64
 			return
 		}
 		diffReport(t, name, path, a.Elem(), b.Elem(), tol, moved)
-	case reflect.Slice, reflect.Array:
+	case reflect.Slice:
 		if a.Len() != b.Len() {
 			t.Errorf("%s: %s has %d entries leaping, %d one-step", name, path, a.Len(), b.Len())
 			return
@@ -253,7 +253,7 @@ func diffReport(t *testing.T, name, path string, a, b reflect.Value, tol float64
 		for i := range a.Len() {
 			diffReport(t, name, fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), tol, moved)
 		}
-	case reflect.Float32, reflect.Float64:
+	case reflect.Float64:
 		x, y := a.Float(), b.Float()
 		if x == y || math.IsNaN(x) && math.IsNaN(y) {
 			return
@@ -263,13 +263,9 @@ func diffReport(t *testing.T, name, path string, a, b reflect.Value, tol float64
 			t.Errorf("%s: %s is %v leaping, %v one-step (relative %.2g)", name, path, x, y, rel)
 		}
 		moved[path] = max(moved[path], rel)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+	case reflect.Int, reflect.Int64:
 		if a.Int() != b.Int() && path != "Rounds" {
 			t.Errorf("%s: %s is %d leaping, %d one-step", name, path, a.Int(), b.Int())
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		if a.Uint() != b.Uint() {
-			t.Errorf("%s: %s is %d leaping, %d one-step", name, path, a.Uint(), b.Uint())
 		}
 	case reflect.Bool:
 		if a.Bool() != b.Bool() {
