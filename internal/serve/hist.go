@@ -32,6 +32,13 @@ var (
 // accumulated on different replicas merge losslessly (Merge), which is
 // what lets internal/fleet combine per-replica runs into one fleet-level
 // report without retaining samples.
+//
+// Every sample lies in a bucket between those of the exact min and max,
+// the population's span, so Merge, Percentiles and the package's reset
+// and copy helpers touch only the span's buckets, never the whole grid:
+// a 32-request population spanning two decades occupies about 340 of
+// the 2048. A Hist holds no other state, so it is cheap to keep and
+// reuse, and expensive only to copy by value.
 type Hist struct {
 	counts   [histBuckets]uint32
 	n        int64
@@ -58,20 +65,24 @@ func (h *Hist) Add(x float64) {
 // Count is the population size.
 func (h *Hist) Count() int64 { return h.n }
 
-// Merge folds another population into h bucket by bucket. The shared
-// fixed grid makes this exact: the merged histogram is bit-identical to
-// one that had seen every sample directly (up to floating-point addition
-// order in the mean's running sum), and count, min and max are exact.
+// Merge folds another population into h, bucket by bucket over o's
+// span. The shared fixed grid makes this exact: the merged histogram is
+// bit-identical to one that had seen every sample directly (up to
+// floating-point addition order in the mean's running sum), and count,
+// min and max are exact.
+//
+//mugi:noalloc
 func (h *Hist) Merge(o *Hist) {
 	if o.n == 0 {
 		return
 	}
 	if h.n == 0 {
-		*h = *o
+		h.set(o)
 		return
 	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
+	lo, hi := o.span()
+	for i, c := range o.counts[lo : hi+1] {
+		h.counts[lo+i] += c
 	}
 	h.n += o.n
 	h.sum += o.sum
@@ -83,11 +94,56 @@ func (h *Hist) Merge(o *Hist) {
 	}
 }
 
-// histBucket maps a sample to its bucket index, clamping at the edges
-// (non-positive samples land in bucket 0).
+// span is the inclusive bucket range [lo, hi] that holds every sample
+// of the population: from the bucket of the exact min to that of the
+// exact max (which Add starts at 0, so it is never below a sample's
+// bucket). histBucket is monotone on every non-NaN input, so no sample
+// lies outside it. A NaN sample lands in bucket 0 whatever the min is,
+// and makes the sum NaN, so a population whose sum is NaN spans the
+// whole grid. An empty population spans nothing (hi < lo).
+//
+//mugi:noalloc
+func (h *Hist) span() (lo, hi int) {
+	switch {
+	case h.n == 0:
+		return 0, -1
+	case math.IsNaN(h.sum):
+		return 0, histBuckets - 1
+	}
+	return histBucket(h.min), histBucket(h.max)
+}
+
+// reset empties h, clearing only its span's buckets.
+//
+//mugi:noalloc
+func (h *Hist) reset() {
+	lo, hi := h.span()
+	clear(h.counts[lo : hi+1])
+	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
+}
+
+// set makes h a copy of o, touching only the buckets of h's span and
+// of o's.
+//
+//mugi:noalloc
+func (h *Hist) set(o *Hist) {
+	h.reset()
+	lo, hi := o.span()
+	copy(h.counts[lo:hi+1], o.counts[lo:hi+1])
+	h.n, h.sum, h.min, h.max = o.n, o.sum, o.min, o.max
+}
+
+// histBucket maps a sample to its bucket index, clamping at the grid's
+// edges: samples below histMin (zero and negatives included) land in
+// bucket 0, and samples at or above histMax (+Inf included) in the top
+// bucket. NaN lands in bucket 0. The clamps come before the logarithm,
+// so the map is monotone on every non-NaN input.
 func histBucket(x float64) int {
-	if x < histMin {
+	switch {
+	case !(x >= histMin): // below the grid, or NaN
 		return 0
+	case x >= histMax:
+		return histBuckets - 1
 	}
 	i := int((math.Log(x) - histLogMin) * histInvWidth)
 	if i < 0 {
@@ -108,7 +164,10 @@ func histValue(i int) float64 {
 // Percentiles renders the population summary. Mean and Max are exact;
 // P50/P95/P99 are nearest-rank resolved on the grid and clamped into the
 // exact [min, max] envelope so a one-sample population reports its own
-// value to within half a bucket.
+// value to within half a bucket. One cumulative walk over the span
+// resolves all three.
+//
+//mugi:noalloc
 func (h *Hist) Percentiles() Percentiles {
 	if h.n == 0 {
 		return Percentiles{}
@@ -124,7 +183,8 @@ func (h *Hist) Percentiles() Percentiles {
 	vals := [3]float64{}
 	var cum int64
 	next := 0
-	for i := 0; i < histBuckets && next < len(ranks); i++ {
+	lo, hi := h.span()
+	for i := lo; i <= hi && next < len(ranks); i++ {
 		cum += int64(h.counts[i])
 		for next < len(ranks) && cum >= ranks[next] {
 			vals[next] = h.clamp(histValue(i))

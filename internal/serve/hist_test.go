@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -260,5 +261,223 @@ func TestHistMergeEmpty(t *testing.T) {
 	b.Merge(&a)
 	if got := b.Percentiles(); got != a.Percentiles() {
 		t.Errorf("merge into empty: %+v != %+v", got, a.Percentiles())
+	}
+}
+
+// TestHistogramInfinities: samples off the grid rank where their values
+// put them. +Inf lands in the top bucket like any sample at or above
+// histMax, so {1, 2, +Inf} reports what {1, 2, 1e9} does (P50 2.003 s,
+// P99 993,277 s), not a P50 of 1.007 s with +Inf ranked below both
+// finite samples. -Inf ranks below them, and NaN lands in bucket 0.
+func TestHistogramInfinities(t *testing.T) {
+	inf := math.Inf(1)
+	top := histValue(histBuckets - 1)
+	at := func(x float64) float64 { return histValue(histBucket(x)) }
+	for _, tc := range []struct {
+		name     string
+		xs       []float64
+		p50, p99 float64
+	}{
+		{"+Inf", []float64{1, 2, inf}, at(2), top},
+		{"+Inf first", []float64{inf, 2, 1}, at(2), top},
+		{"huge finite", []float64{1, 2, 1e9}, at(2), top},
+		{"at histMax", []float64{1, 2, histMax}, at(2), top},
+		// P99 resolves to 2's bucket midpoint, clamped to the exact max.
+		{"-Inf", []float64{-inf, 1, 2}, at(1), 2},
+		// NaN counts in bucket 0, below both finite samples.
+		{"NaN", []float64{1, 2, math.NaN()}, at(1), 2},
+	} {
+		p := histFrom(tc.xs).Percentiles()
+		if p.P50 != tc.p50 || p.P99 != tc.p99 {
+			t.Errorf("%s %v: p50/p99 %g/%g, want %g/%g", tc.name, tc.xs, p.P50, p.P99, tc.p50, tc.p99)
+		}
+	}
+	if got := histBucket(inf); got != histBuckets-1 {
+		t.Errorf("histBucket(+Inf) = %d, want the top bucket %d", got, histBuckets-1)
+	}
+	if got := histBucket(math.NaN()); got != 0 {
+		t.Errorf("histBucket(NaN) = %d, want 0", got)
+	}
+}
+
+// edgeSamples are the values around the grid's edges and its bucket
+// boundaries: the special values, the grid's bounds and every interior
+// bucket edge with its neighbouring floats.
+func edgeSamples() []float64 {
+	xs := []float64{math.Inf(-1), -1e300, -1, 0, 1e-300, 1e-9, math.Inf(1), 1e300}
+	for _, x := range []float64{histMin, histMax} {
+		xs = append(xs, math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1)))
+	}
+	for k := 1; k < histBuckets; k++ {
+		e := math.Exp(histLogMin + float64(k)*histWidth)
+		xs = append(xs, math.Nextafter(e, 0), e, math.Nextafter(e, math.Inf(1)))
+	}
+	return xs
+}
+
+// TestHistBucketMonotone: histBucket never decreases along the ordered
+// non-NaN line, edge values included. The span walks rely on it: every
+// sample's bucket lies between the buckets of the exact min and max.
+func TestHistBucketMonotone(t *testing.T) {
+	xs := edgeSamples()
+	rng := rand.New(rand.NewSource(3))
+	for range 10000 {
+		xs = append(xs, math.Exp(rng.Float64()*40-20))
+	}
+	sort.Float64s(xs)
+	for i := 1; i < len(xs); i++ {
+		if a, b := histBucket(xs[i-1]), histBucket(xs[i]); a > b {
+			t.Fatalf("histBucket(%g) = %d > histBucket(%g) = %d", xs[i-1], a, xs[i], b)
+		}
+	}
+}
+
+// wholeMerge and wholePercentiles are Merge and Percentiles walking
+// every bucket of the grid, as they did before the span walk: the
+// reference the span-bounded versions must match bit for bit.
+func wholeMerge(h, o *Hist) {
+	if o.n == 0 {
+		return
+	}
+	if h.n == 0 {
+		*h = *o
+		return
+	}
+	for i := range h.counts {
+		h.counts[i] += o.counts[i]
+	}
+	h.n += o.n
+	h.sum += o.sum
+	if o.min < h.min {
+		h.min = o.min
+	}
+	if o.max > h.max {
+		h.max = o.max
+	}
+}
+
+func wholePercentiles(h *Hist) Percentiles {
+	if h.n == 0 {
+		return Percentiles{}
+	}
+	p := Percentiles{Count: h.n, Mean: h.sum / float64(h.n), Max: h.max}
+	ranks := [3]int64{nearestRank(0.50, h.n), nearestRank(0.95, h.n), nearestRank(0.99, h.n)}
+	var vals [3]float64
+	var cum int64
+	next := 0
+	for i := 0; i < histBuckets && next < len(ranks); i++ {
+		cum += int64(h.counts[i])
+		for next < len(ranks) && cum >= ranks[next] {
+			vals[next] = h.clamp(histValue(i))
+			next++
+		}
+	}
+	p.P50, p.P95, p.P99 = vals[0], vals[1], vals[2]
+	return p
+}
+
+// sameHist reports whether two histograms hold the same state, every
+// float compared bit for bit (so NaN equals NaN).
+func sameHist(a, b *Hist) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.counts == b.counts && a.n == b.n && same(a.sum, b.sum) && same(a.min, b.min) && same(a.max, b.max)
+}
+
+// samePercentiles compares two summaries bit for bit.
+func samePercentiles(a, b Percentiles) bool {
+	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
+
+// TestHistSpanMatchesWholeGrid holds the span walks to the whole-grid
+// reference on random populations: log-uniform latencies mixed with 0,
+// negatives, values below histMin and at or above histMax, ±Inf, NaN,
+// exact bucket edges and midpoints, split into parts some of which are
+// empty. Merge must leave the state the reference leaves and
+// Percentiles must report what the reference reports, into a fresh
+// histogram and into ones reused across trials after a reset or a copy.
+func TestHistSpanMatchesWholeGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	edges := edgeSamples()
+	special := []float64{0, -1, -3e-3, 1e-9, 5e-7, histMax, 2e6, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+	draw := func(mix float64) float64 {
+		switch u := rng.Float64(); {
+		case u < mix:
+			return special[rng.Intn(len(special))]
+		case u < 2*mix:
+			return edges[rng.Intn(len(edges))]
+		case u < 3*mix:
+			return histValue(rng.Intn(histBuckets))
+		default:
+			return math.Exp(rng.Float64()*12 - 8)
+		}
+	}
+	var reused, acc Hist
+	for trial := range 2000 {
+		// A third of the trials draw no special value, so spans narrower
+		// than the grid are common; the rest mix them in.
+		mix := []float64{0, 0.02, 0.15}[trial%3]
+		parts := make([]Hist, 1+rng.Intn(4))
+		var all []float64
+		for i := range parts {
+			if rng.Intn(4) == 0 {
+				continue // an empty part
+			}
+			for range 1 + rng.Intn(40) {
+				x := draw(mix)
+				parts[i].Add(x)
+				all = append(all, x)
+			}
+		}
+		var merged, want Hist
+		acc.reset()
+		for i := range parts {
+			if got, ref := parts[i].Percentiles(), wholePercentiles(&parts[i]); !samePercentiles(got, ref) {
+				t.Fatalf("trial %d part %d: percentiles %#v, whole grid %#v", trial, i, got, ref)
+			}
+			merged.Merge(&parts[i])
+			acc.Merge(&parts[i])
+			wholeMerge(&want, &parts[i])
+		}
+		if !sameHist(&merged, &want) || !sameHist(&acc, &want) {
+			t.Fatalf("trial %d: span merge differs from the whole-grid merge of %v", trial, all)
+		}
+		if got, ref := merged.Percentiles(), wholePercentiles(&want); !samePercentiles(got, ref) {
+			t.Fatalf("trial %d: merged percentiles %#v, whole grid %#v", trial, got, ref)
+		}
+		// A reset histogram refilled sample by sample equals a fresh one,
+		// and a copy over the last trial's contents equals its source.
+		reused.reset()
+		for _, x := range all {
+			reused.Add(x)
+		}
+		if !sameHist(&reused, histFrom(all)) {
+			t.Fatalf("trial %d: a reset histogram refilled differs from a fresh one", trial)
+		}
+		reused.set(&merged)
+		if !sameHist(&reused, &merged) {
+			t.Fatalf("trial %d: a copy differs from its source", trial)
+		}
+	}
+}
+
+// TestHistMergeEmptyIntoReset: merging into a reset histogram, or
+// merging an empty one, leaves what a fresh histogram would hold.
+func TestHistMergeEmptyIntoReset(t *testing.T) {
+	var h, empty Hist
+	for _, x := range []float64{1e-5, 3, 4e4} {
+		h.Add(x)
+	}
+	h.reset()
+	if !sameHist(&h, &Hist{}) {
+		t.Fatal("reset left state behind")
+	}
+	h.Merge(&empty)
+	if !sameHist(&h, &Hist{}) {
+		t.Fatal("merging an empty histogram into an empty one changed it")
+	}
+	o := histFrom([]float64{0.5, 2})
+	h.Merge(o)
+	if !sameHist(&h, o) {
+		t.Fatal("merging into a reset histogram did not copy the source")
 	}
 }
