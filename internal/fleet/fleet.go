@@ -210,8 +210,11 @@ func Run(cfg Config, src serve.Stream) (Report, error) {
 // differ only in trace rate, so every step-cost table stays valid from
 // one probe to the next: one table per replica index, because replicas
 // run concurrently through runner.Map and cannot share one, and one for
-// the JSQ estimator. The per-replica RunStats buffer is reused too.
-// A state serves one fleet configuration, one probe at a time.
+// the JSQ estimator. The per-replica RunStats buffer is reused too:
+// each replica's run fills its own entry in place, and the fleet's
+// latency populations merge into the first served replica's entry, so
+// a probe copies and zeroes no whole histogram. A state serves one
+// fleet configuration, one probe at a time.
 type probeState struct {
 	costs []*serve.StepCosts // per replica index
 	est   *serve.StepCosts   // the JSQ estimator's; nil under other policies
@@ -220,10 +223,13 @@ type probeState struct {
 
 // begin readies the state for a probe of the defaulted, validated cfg:
 // the first probe builds the tables and the buffer, and every later one
-// clears the buffer, so no probe reads a replica an earlier one ran.
+// empties the buffer, each histogram by span, so no probe reads a
+// replica an earlier one ran.
 func (st *probeState) begin(cfg Config) {
 	if st.stats != nil {
-		clear(st.stats)
+		for i := range st.stats {
+			st.stats[i].Reset()
+		}
 		return
 	}
 	st.stats = make([]serve.RunStats, cfg.Replicas)
@@ -333,7 +339,7 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 				wins[i] = serve.NewWindows(cfg.Window)
 				rcfg.Observe = wins[i].Observe
 			}
-			stats[i], errs[i] = serve.RunStreamStats(rcfg, &replicaStream{info: info, rs: perReplica[i]}, st.costs[i])
+			errs[i] = serve.RunStreamStats(rcfg, &replicaStream{info: info, rs: perReplica[i]}, st.costs[i], &stats[i])
 		})
 		for _, i := range torun {
 			if errs[i] != nil {
@@ -387,11 +393,13 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 		Policy:   cfg.Policy,
 	}
 	var (
-		ttft, tpot, lat serve.Hist
-		cttft, clat     [overload.NumClasses]serve.Hist
-		end             float64
-		batchSum        float64
-		leakEnergy      float64
+		// merged is the first served replica's RunStats, into which the
+		// others' latency populations fold in index order; its own
+		// report is read before anything folds into it.
+		merged     *serve.RunStats
+		end        float64
+		batchSum   float64
+		leakEnergy float64
 	)
 	if brk != nil {
 		out.BreakerTrips = brk.trips()
@@ -456,8 +464,6 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 			fl.Classes[c].Degraded += cs.Degraded
 			fl.Classes[c].PromptTokens += cs.PromptTokens
 			fl.Classes[c].OutputTokens += cs.OutputTokens
-			cttft[c].Merge(&stats[i].ClassTTFT[c])
-			clat[c].Merge(&stats[i].ClassLatency[c])
 		}
 		if rep.Slowdown > fl.Slowdown {
 			fl.Slowdown = rep.Slowdown
@@ -478,9 +484,11 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 		if stats[i].End > end {
 			end = stats[i].End
 		}
-		ttft.Merge(&stats[i].TTFT)
-		tpot.Merge(&stats[i].TPOT)
-		lat.Merge(&stats[i].Latency)
+		if merged == nil {
+			merged = &stats[i]
+		} else {
+			mergeHists(merged, &stats[i])
+		}
 		if wins != nil && wins[i] != nil {
 			if err := out.Windows.Merge(wins[i]); err != nil {
 				return Report{}, err
@@ -496,9 +504,11 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 	if fl.DecodeSteps > 0 {
 		fl.MeanBatch = batchSum / float64(fl.DecodeSteps)
 	}
-	fl.TTFT = ttft.Percentiles()
-	fl.TPOT = tpot.Percentiles()
-	fl.Latency = lat.Percentiles()
+	if merged != nil {
+		fl.TTFT = merged.TTFT.Percentiles()
+		fl.TPOT = merged.TPOT.Percentiles()
+		fl.Latency = merged.Latency.Percentiles()
+	}
 	overloadOn := cfg.Replica.OverloadOn()
 	fl.OverloadOn = overloadOn
 	fl.TenantsOn = info.Tenants != "" || overloadOn
@@ -508,8 +518,10 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 		for c := range fl.Classes {
 			fl.Classes[c].Requests = classes[c]
 			fl.Classes[c].Shed += shedClass[c]
-			fl.Classes[c].TTFT = cttft[c].Percentiles()
-			fl.Classes[c].Latency = clat[c].Percentiles()
+			if merged != nil {
+				fl.Classes[c].TTFT = merged.ClassTTFT[c].Percentiles()
+				fl.Classes[c].Latency = merged.ClassLatency[c].Percentiles()
+			}
 		}
 	}
 	fl.FaultsOn = faulty || cfg.Replica.MaxQueue > 0 || overloadOn
@@ -518,6 +530,18 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 	}
 	fl.Settle(firstArrival, lastArrival, end, leakEnergy)
 	return out, nil
+}
+
+// mergeHists folds src's latency populations, overall and per class,
+// into dst's.
+func mergeHists(dst, src *serve.RunStats) {
+	dst.TTFT.Merge(&src.TTFT)
+	dst.TPOT.Merge(&src.TPOT)
+	dst.Latency.Merge(&src.Latency)
+	for c := range dst.ClassTTFT {
+		dst.ClassTTFT[c].Merge(&src.ClassTTFT[c])
+		dst.ClassLatency[c].Merge(&src.ClassLatency[c])
+	}
 }
 
 // ReplicaLeakageWatts is the static power of one idle replica at the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mugi/internal/arch"
+	"mugi/internal/faults"
 	"mugi/internal/model"
 	"mugi/internal/noc"
 	"mugi/internal/serve"
@@ -127,5 +128,48 @@ func checkMatchesFreshState(t *testing.T, rows []pinnedPlan) {
 				}
 			}
 		})
+	}
+}
+
+// TestProbeStateForgetsIdleReplicas: a probe state reused across probes
+// of different traces returns what fresh states return, and a replica a
+// probe leaves idle hands on nothing of its last run. Under crashes
+// every minute or so, the three-request probes end with replica 2's one
+// request orphaned and failed over, so its last run's RunStats lists an
+// orphan, and the one-request probes route to replica 0 alone: a state
+// that kept replica 2's RunStats would fail that orphan over again.
+func TestProbeStateForgetsIdleReplicas(t *testing.T) {
+	cfg := faultyConfig()
+	cfg.Policy = RoundRobin
+	cfg.Faults = faults.Spec{MTBF: 30, MTTR: 60, Seed: 1}
+	st := new(probeState)
+	for k, p := range []struct {
+		rate     float64
+		requests int
+	}{{0.15, 3}, {0.15, 1}, {0.5, 6}, {0.15, 3}, {0.5, 1}} {
+		stream := func() serve.Stream {
+			src, err := serve.NewStream(serve.TraceConfig{Kind: serve.Bursty, Rate: p.rate, Requests: p.requests, Seed: testSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}
+		if p.requests == 1 && len(st.stats[2].Orphans) == 0 {
+			t.Fatalf("probe %d: the last probe left no orphan on replica 2; the test no longer covers a stale hand-off", k)
+		}
+		shared, err := run(cfg, stream(), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Run(cfg, stream())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.requests == 1 && fresh.Routed[2] != 0 {
+			t.Fatalf("probe %d routed %v; replica 2 must stay idle", k, fresh.Routed)
+		}
+		if a, b := fmt.Sprintf("%#v", shared), fmt.Sprintf("%#v", fresh); a != b {
+			t.Errorf("probe %d (%g req/s, %d requests): a reused probe state diverges from a fresh one:\n%s\nfresh:\n%s", k, p.rate, p.requests, shared, fresh)
+		}
 	}
 }

@@ -77,11 +77,32 @@ type Engine struct {
 	retries []retryEntry // transient re-deliveries, in readyAt order
 	rhead   int
 
+	h *hists // the run's latency populations, kept across pooled runs
+}
+
+// hists are an engine's latency populations. They outlive a run: a
+// pooled engine empties them by span (reset) rather than zeroing them,
+// so a run's histogram work covers only the buckets its samples and the
+// last run's occupy.
+type hists struct {
 	ttft, tpot, lat Hist
 	cttft, clat     [overload.NumClasses]Hist // per class, on classed runs only
 }
 
-var enginePool = sync.Pool{New: func() any { return new(Engine) }}
+// reset empties every population by span.
+//
+//mugi:noalloc
+func (h *hists) reset() {
+	h.ttft.reset()
+	h.tpot.reset()
+	h.lat.reset()
+	for c := range h.cttft {
+		h.cttft[c].reset()
+		h.clat[c].reset()
+	}
+}
+
+var enginePool = sync.Pool{New: func() any { return &Engine{h: new(hists)} }}
 
 // NewEngine validates cfg, applies its defaults and borrows a reset
 // engine with the given number of empty batches and an empty step-cost
@@ -92,11 +113,11 @@ func NewEngine(cfg Config, batches int) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Everything resets but the grown backing arrays. Batches are
-	// resliced rather than appended so those beyond the last run's count
-	// keep theirs too.
+	// Everything resets but the grown backing arrays and the latency
+	// populations, which empty by span. Batches are resliced rather than
+	// appended so those beyond the last run's count keep theirs too.
 	e := enginePool.Get().(*Engine)
-	states, free, queue, retries, bs, own := e.states[:0], e.free[:0], e.queue[:0], e.retries[:0], e.batches, e.own
+	states, free, queue, retries, bs, own, h := e.states[:0], e.free[:0], e.queue[:0], e.retries[:0], e.batches, e.own, e.h
 	if cap(bs) < batches {
 		bs = append(bs[:cap(bs)], make([]Batch, batches-cap(bs))...)
 	}
@@ -106,8 +127,9 @@ func NewEngine(cfg Config, batches int) (*Engine, error) {
 	}
 	*e = Engine{}
 	e.cfg, e.perToken, e.retry, e.bucketScale = cfg, KVBytesPerToken(cfg.Model), cfg.Retry.withDefaults(), 1
-	e.states, e.free, e.queue, e.retries, e.batches, e.own = states, free, queue, retries, bs, own
+	e.states, e.free, e.queue, e.retries, e.batches, e.own, e.h = states, free, queue, retries, bs, own, h
 	e.own.reset(cfg)
+	e.h.reset()
 	e.costs = &e.own
 	return e, nil
 }
@@ -233,11 +255,12 @@ func (e *Engine) Report() Report {
 	if rep.DecodeSteps > 0 {
 		rep.MeanBatch = float64(e.batchSum) / float64(rep.DecodeSteps)
 	}
-	rep.TTFT, rep.TPOT, rep.Latency = e.ttft.Percentiles(), e.tpot.Percentiles(), e.lat.Percentiles()
+	h := e.h
+	rep.TTFT, rep.TPOT, rep.Latency = h.ttft.Percentiles(), h.tpot.Percentiles(), h.lat.Percentiles()
 	if e.classed {
 		for i := range rep.Classes {
-			rep.Classes[i].TTFT = e.cttft[i].Percentiles()
-			rep.Classes[i].Latency = e.clat[i].Percentiles()
+			rep.Classes[i].TTFT = h.cttft[i].Percentiles()
+			rep.Classes[i].Latency = h.clat[i].Percentiles()
 		}
 	}
 	return rep
@@ -542,10 +565,11 @@ func badStepError(decode bool, batch, ctx int, res StepCost) error {
 // complete retires a request that produced its last token at now.
 func (e *Engine) complete(b *Batch, r *reqState, now float64) {
 	b.kvInUse -= e.need(r.req)
-	e.lat.Add(now - r.req.Arrival)
-	e.ttft.Add(r.firstAt - r.req.Arrival)
+	h := e.h
+	h.lat.Add(now - r.req.Arrival)
+	h.ttft.Add(r.firstAt - r.req.Arrival)
 	if r.req.Output > 1 {
-		e.tpot.Add((now - r.firstAt) / float64(r.req.Output-1))
+		h.tpot.Add((now - r.firstAt) / float64(r.req.Output-1))
 	}
 	if e.cfg.Observe != nil {
 		e.cfg.Observe(r.req, r.firstAt, now)
@@ -553,7 +577,7 @@ func (e *Engine) complete(b *Batch, r *reqState, now float64) {
 	e.rep.Completed++
 	if e.classed {
 		e.rep.Classes[r.req.Class].Completed++
-		e.cttft[r.req.Class].Add(r.firstAt - r.req.Arrival)
-		e.clat[r.req.Class].Add(now - r.req.Arrival)
+		h.cttft[r.req.Class].Add(r.firstAt - r.req.Arrival)
+		h.clat[r.req.Class].Add(now - r.req.Arrival)
 	}
 }

@@ -130,8 +130,8 @@ func TestHandOffReturnsOrphans(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Faults = faultySchedule(t, faults.Spec{MTBF: 250, MTTR: 25, Seed: 5})
 	cfg.Retry = RetryPolicy{HandOff: true}
-	st, err := RunStreamStats(cfg, chatTrace(t, 0.015, 20).Stream(), nil)
-	if err != nil {
+	var st RunStats
+	if err := RunStreamStats(cfg, chatTrace(t, 0.015, 20).Stream(), nil, &st); err != nil {
 		t.Fatal(err)
 	}
 	rep := st.Report

@@ -198,13 +198,13 @@ func TestStepCostsResetReadsNoStaleEntry(t *testing.T) {
 	}
 	liar := row.cfg(t)
 	liar.Simulate = countingStep(map[[3]int]int{}, 3)
+	var st RunStats // the honest run refills the lying run's buffer
 	for _, c := range []Config{liar, row.cfg(t)} {
 		src, err := NewStream(row.tc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := RunStreamStats(c, src, nil)
-		if err != nil {
+		if err := RunStreamStats(c, src, nil, &st); err != nil {
 			t.Fatal(err)
 		}
 		if c.Simulate == nil {

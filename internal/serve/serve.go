@@ -457,6 +457,10 @@ func Run(cfg Config, tr Trace) (Report, error) {
 // internal/fleet's router keeps them to assemble one fleet report whose
 // percentiles are computed over every replica's samples, not averaged
 // from per-replica summaries.
+//
+// Its nine histograms make a RunStats about 74 KB, so it is meant to be
+// kept and refilled in place (RunStreamStats, Reset), where each reuse
+// costs only the buckets its populations occupy, not copied by value.
 type RunStats struct {
 	// Report is the per-run report, identical to RunStream's.
 	Report Report
@@ -481,6 +485,23 @@ type RunStats struct {
 	// populated only on tenant-accounted runs, so a fleet merge can
 	// compute per-class percentiles over every replica's samples.
 	ClassTTFT, ClassLatency [overload.NumClasses]Hist
+}
+
+// Reset empties s for reuse: every field zero, each histogram emptied
+// by span, so a buffer kept across runs pays for the buckets its last
+// run occupied rather than for the whole grid nine times.
+//
+//mugi:noalloc
+func (s *RunStats) Reset() {
+	s.Report = Report{}
+	s.TTFT.reset()
+	s.TPOT.reset()
+	s.Latency.reset()
+	s.FirstArrival, s.End, s.LeakageWatts, s.Orphans = 0, 0, 0, nil
+	for c := range s.ClassTTFT {
+		s.ClassTTFT[c].reset()
+		s.ClassLatency[c].reset()
+	}
 }
 
 // Orphan is one request a fail-stop crash interrupted on a hand-off
@@ -510,14 +531,20 @@ type Orphan struct {
 // pulled from the stream; an invalid request aborts the run with a zero
 // Report.
 func RunStream(cfg Config, src Stream) (Report, error) {
-	st, err := RunStreamStats(cfg, src, nil)
+	var st RunStats
+	err := RunStreamStats(cfg, src, nil, &st)
 	return st.Report, err
 }
 
-// RunStreamStats is RunStream returning the full RunStats: one engine
+// RunStreamStats is RunStream filling in the full RunStats: one engine
 // batch behind the admission queue, plus the serving-side concerns the
 // engine leaves to its caller — arrival pulls, overload admission and
 // brownout, client retries, and crash disposal.
+//
+// The run fills *out in place, replacing whatever it held: a caller
+// that keeps one RunStats per replica across runs, as a capacity
+// search's probes do, pays for the histogram buckets the runs occupy,
+// not for copying nine whole grids. On an error *out is left empty.
 //
 // Steps are priced through costs, a table the caller keeps across runs
 // (NewStepCosts), so a run prices only the shapes earlier runs on the
@@ -526,21 +553,22 @@ func RunStream(cfg Config, src Stream) (Report, error) {
 // parameters, CtxBucket and MaxBatch, or the run fails before it prices
 // anything; it prices with the StepFunc it was built with. A nil costs
 // prices through the engine's own table, which no other run reads.
-func RunStreamStats(cfg Config, src Stream, costs *StepCosts) (RunStats, error) {
+func RunStreamStats(cfg Config, src Stream, costs *StepCosts, out *RunStats) error {
+	out.Reset()
 	e, err := NewEngine(cfg, 1)
 	if err != nil {
-		return RunStats{}, err
+		return err
 	}
 	defer e.Release()
 	cfg = e.cfg
 	if costs != nil {
 		if err := e.useCosts(costs); err != nil {
-			return RunStats{}, err
+			return err
 		}
 	}
 	total := src.Len()
 	if total == 0 {
-		return RunStats{}, fmt.Errorf("serve: empty trace")
+		return fmt.Errorf("serve: empty trace")
 	}
 	clientRetry := cfg.ClientRetry.WithDefaults()
 	var (
@@ -557,7 +585,7 @@ func RunStreamStats(cfg Config, src Stream, costs *StepCosts) (RunStats, error) 
 			}
 		}
 		if err := boSpec.Validate(); err != nil {
-			return RunStats{}, err
+			return err
 		}
 		bo = overload.NewBrownout(boSpec)
 	}
@@ -602,7 +630,7 @@ func RunStreamStats(cfg Config, src Stream, costs *StepCosts) (RunStats, error) 
 	pending, havePending := src.Next()
 	if havePending {
 		if err := e.Validate(pending); err != nil {
-			return RunStats{}, err
+			return err
 		}
 	}
 	var (
@@ -761,7 +789,7 @@ func RunStreamStats(cfg Config, src Stream, costs *StepCosts) (RunStats, error) 
 		}
 		for havePending && pending.Arrival <= now {
 			if err := pull(); err != nil {
-				return RunStats{}, err
+				return err
 			}
 		}
 		for e.rhead < len(e.retries) && e.retries[e.rhead].readyAt <= now {
@@ -815,7 +843,7 @@ func RunStreamStats(cfg Config, src Stream, costs *StepCosts) (RunStats, error) 
 		}
 		if b.Len() == 0 && e.QueueLen() == 0 {
 			if math.IsInf(next, 1) {
-				return RunStats{}, fmt.Errorf("serve: stream ended after %d of %d requests", rep.Completed, total)
+				return fmt.Errorf("serve: stream ended after %d of %d requests", rep.Completed, total)
 			}
 			// Idle: jump to the next arrival or re-delivery.
 			now = next
@@ -833,33 +861,36 @@ func RunStreamStats(cfg Config, src Stream, costs *StepCosts) (RunStats, error) 
 			until = now
 		}
 		if now, err = e.Round(b, now, point, slowdown, true, until); err != nil {
-			return RunStats{}, err
+			return err
 		}
 	}
 
-	out := e.Report()
+	out.Report = e.Report()
+	r := &out.Report
 	if bo != nil && bo.Level() > 0 {
-		out.BrownoutSeconds += now - lastObserve
+		r.BrownoutSeconds += now - lastObserve
 	}
 	// A crashed replica burns no leakage while down, so scheduled
 	// downtime inside the run is not billed (span clamps at zero for the
 	// corner where downtime was accrued outside the makespan envelope).
 	leakSpan := now - firstArrival
-	if out.DowntimeSeconds > 0 {
-		leakSpan = math.Max(0, leakSpan-out.DowntimeSeconds)
+	if r.DowntimeSeconds > 0 {
+		leakSpan = math.Max(0, leakSpan-r.DowntimeSeconds)
 	}
-	out.Settle(firstArrival, lastArrival, now, e.leakage*leakSpan)
-	// The histograms are copied out before the engine returns to the
-	// pool: RunStats owns its populations, the arena is reused.
-	st := RunStats{
-		Report: out,
-		TTFT:   e.ttft, TPOT: e.tpot, Latency: e.lat,
-		FirstArrival: firstArrival, End: now,
-		LeakageWatts: e.leakage,
-		Orphans:      orphans,
-	}
+	r.Settle(firstArrival, lastArrival, now, e.leakage*leakSpan)
+	out.FirstArrival, out.End, out.LeakageWatts, out.Orphans = firstArrival, now, e.leakage, orphans
+	// The histograms are copied out, span by span, before the engine
+	// returns to the pool: RunStats owns its populations, the engine's
+	// are reused.
+	h := e.h
+	out.TTFT.set(&h.ttft)
+	out.TPOT.set(&h.tpot)
+	out.Latency.set(&h.lat)
 	if classed {
-		st.ClassTTFT, st.ClassLatency = e.cttft, e.clat
+		for c := range out.ClassTTFT {
+			out.ClassTTFT[c].set(&h.cttft[c])
+			out.ClassLatency[c].set(&h.clat[c])
+		}
 	}
-	return st, nil
+	return nil
 }

@@ -149,7 +149,8 @@ func TestStepCostsRejectOtherConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunStreamStats(run, src, NewStepCosts(built)); err == nil {
+		var st RunStats
+		if err := RunStreamStats(run, src, NewStepCosts(built), &st); err == nil {
 			t.Errorf("%s: a table built for another %s priced the run", o.name, o.name)
 		}
 		if len(calls) != 0 {
@@ -162,7 +163,8 @@ func TestStepCostsRejectOtherConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStreamStats(spelled, src, NewStepCosts(run)); err != nil {
+	var st RunStats
+	if err := RunStreamStats(spelled, src, NewStepCosts(run), &st); err != nil {
 		t.Errorf("a table built from the defaults rejects them spelled out: %v", err)
 	}
 }
