@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"mugi/internal/arch"
+	"mugi/internal/faults"
 	"mugi/internal/model"
+	"mugi/internal/overload"
+	"mugi/internal/raceflag"
 	"mugi/internal/sim"
 )
 
@@ -212,5 +215,83 @@ func TestStepCostsResetReadsNoStaleEntry(t *testing.T) {
 				t.Errorf("honest run after a lying one: digest %s, pinned %s", got, row.sum)
 			}
 		}
+	}
+}
+
+// brownoutSetups arm, beside the brownout ladder, what else moves the
+// queue it watches: admission with a bounded queue, tenant classes and
+// retrying clients, or crashes with local retry and transient dispatch
+// errors.
+var brownoutSetups = []struct {
+	name string
+	mut  func(t *testing.T, c *Config, tc *TraceConfig, seed int64)
+}{
+	{"ladder", func(*testing.T, *Config, *TraceConfig, int64) {}},
+	{"overload", func(_ *testing.T, c *Config, tc *TraceConfig, _ int64) {
+		c.MaxQueue = 12
+		c.Admission = &overload.AdmissionSpec{}
+		c.ClientRetry = overload.ClientRetrySpec{Backoff: 5, MaxAttempts: 2}
+		tc.Tenants = tenantMix()
+	}},
+	{"faults", func(t *testing.T, c *Config, _ *TraceConfig, seed int64) {
+		c.Faults = faultySchedule(t, faults.Spec{MTBF: 120, MTTR: 20, TransientProb: 0.1, Seed: seed})
+		c.Retry = RetryPolicy{Delay: 1}
+	}},
+}
+
+// TestBrownoutLeapsMatchOneStepRounds is the differential gate on
+// leaping rounds under brownout. Every config of a grid over trace
+// kinds, rates, seeds, dwell times, HighWater and brownoutSetups runs
+// with leaping rounds and with one-step rounds (Config.oneStep), and
+// the two RunStats must be equal in Go syntax: every float bit for bit,
+// every histogram bucket. A four-request batch keeps queues long enough
+// for the ladder to reach its top rung, which the grid must do. Under
+// the race detector each config runs one seed.
+func TestBrownoutLeapsMatchOneStepRounds(t *testing.T) {
+	seeds := []int64{1, 2}
+	if raceflag.Enabled {
+		seeds = seeds[:1]
+	}
+	var leapt, stepped RunStats
+	levels := map[int]int{}
+	for _, kind := range []TraceKind{Poisson, Bursty, Flashcrowd} {
+		for _, rate := range []float64{0.1, 0.3, 1, 3} {
+			for _, seed := range seeds {
+				for _, dwell := range []float64{0.5, 2, 10} {
+					for _, hw := range []int{2, 8} {
+						for _, setup := range brownoutSetups {
+							cfg := fastConfig()
+							cfg.MaxBatch = 4
+							cfg.Brownout = &overload.BrownoutSpec{HighWater: hw, Dwell: dwell}
+							tc := TraceConfig{Kind: kind, Rate: rate, Requests: 120, Seed: seed}
+							setup.mut(t, &cfg, &tc, seed)
+							name := fmt.Sprintf("%v %g req/s seed %d dwell %g high water %d %s", kind, rate, seed, dwell, hw, setup.name)
+							for _, r := range []struct {
+								oneStep bool
+								out     *RunStats
+							}{{false, &leapt}, {true, &stepped}} {
+								src, err := NewStream(tc)
+								if err != nil {
+									t.Fatal(err)
+								}
+								c := cfg
+								c.oneStep = r.oneStep
+								if err := RunStreamStats(c, src, nil, r.out); err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
+							}
+							if a, b := fmt.Sprintf("%#v", leapt), fmt.Sprintf("%#v", stepped); a != b {
+								t.Errorf("%s: leaping rounds differ from one-step rounds\n--- leaping ---\n%s--- one-step ---\n%s", name, leapt.Report, stepped.Report)
+							}
+							levels[stepped.Report.BrownoutMaxLevel]++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("configs by deepest rung reached: %v", levels)
+	if top := len(overload.DefaultBrownoutSteps()); levels[top] == 0 {
+		t.Errorf("no config reached the ladder's top rung %d: %v", top, levels)
 	}
 }

@@ -156,6 +156,10 @@ type Config struct {
 	// loop that lets a retrystorm trace exhibit metastable failure. The
 	// zero value keeps sheds final.
 	ClientRetry overload.ClientRetrySpec
+
+	// oneStep runs every round as one decode step (until = its start):
+	// the reference the differential test holds leaping rounds to.
+	oneStep bool
 }
 
 // withDefaults materializes the zero-value defaults.
@@ -857,7 +861,7 @@ func RunStreamStats(cfg Config, src Stream, costs *StepCosts, out *RunStats) err
 		if haveDown && curDown.Start < until {
 			until = curDown.Start
 		}
-		if bo != nil && (bo.Level() > 0 || e.QueueLen() > 0) {
+		if cfg.oneStep || bo != nil && (bo.Level() > 0 || e.QueueLen() > 0) {
 			until = now
 		}
 		if now, err = e.Round(b, now, point, slowdown, true, until); err != nil {
