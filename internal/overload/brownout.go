@@ -144,6 +144,20 @@ func (b *Brownout) Level() int { return b.level }
 // Step returns the rung active right now.
 func (b *Brownout) Step() BrownoutStep { return b.spec.Step(b.level) }
 
+// pressure is queue length qlen over HighWater.
+func (b *Brownout) pressure(qlen int) float64 {
+	return float64(qlen) / float64(b.spec.HighWater)
+}
+
+// AtRest reports whether the ladder sits at level 0 with queue length
+// qlen below the Enter pressure. Observe cannot then move the level or
+// start a dwell clock until the queue grows, so a caller that observes
+// at every event which can grow the queue may skip the observations
+// between them.
+func (b *Brownout) AtRest(qlen int) bool {
+	return b.level == 0 && !(b.pressure(qlen) >= b.spec.Enter)
+}
+
 // Observe feeds one (time, queue length) sample and returns the level
 // afterwards. Pressure at or above Enter pushes up, at or below Exit
 // pushes down, in between resets the dwell clock; a push that holds for
@@ -151,7 +165,7 @@ func (b *Brownout) Step() BrownoutStep { return b.spec.Step(b.level) }
 // brownout is reached gradually and exited gradually (hysteresis both
 // in threshold and in time).
 func (b *Brownout) Observe(now float64, qlen int) int {
-	pressure := float64(qlen) / float64(b.spec.HighWater)
+	pressure := b.pressure(qlen)
 	dir := 0
 	switch {
 	case pressure >= b.spec.Enter && b.level < len(b.spec.Steps):

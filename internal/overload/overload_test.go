@@ -178,6 +178,41 @@ func TestBrownoutHysteresis(t *testing.T) {
 	}
 }
 
+// TestBrownoutAtRest: the ladder is at rest only at level 0 with
+// pressure below Enter, and once an observation has found it at rest,
+// further observations at that queue length leave the machine as they
+// found it, dwell clock included, even when pressure had been pushing
+// up before.
+func TestBrownoutAtRest(t *testing.T) {
+	spec := BrownoutSpec{HighWater: 8, Dwell: 5}.WithDefaults() // Enter at queue 6
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBrownout(spec)
+	for _, tc := range []struct {
+		qlen int
+		want bool
+	}{{0, true}, {5, true}, {6, false}, {9, false}} {
+		if got := b.AtRest(tc.qlen); got != tc.want {
+			t.Errorf("level 0, queue %d: AtRest %v, want %v", tc.qlen, got, tc.want)
+		}
+	}
+	b.Observe(0, 6) // pressure at Enter starts the dwell clock
+	b.Observe(2, 5) // and falling below it stops the clock
+	level, dir, since := b.level, b.dir, b.since
+	for ti := 3; ti < 50; ti++ {
+		b.Observe(float64(ti), 5)
+	}
+	if b.level != level || b.dir != dir || b.since != since {
+		t.Errorf("at-rest observations moved the machine: level %d dir %d since %g, was %d %d %g", b.level, b.dir, b.since, level, dir, since)
+	}
+	b.Observe(100, 6)
+	b.Observe(105, 6)
+	if b.Level() != 1 || b.AtRest(0) {
+		t.Errorf("level %d: AtRest(0) %v, want level 1 and not at rest", b.Level(), b.AtRest(0))
+	}
+}
+
 func TestBrownoutSpecValidation(t *testing.T) {
 	if err := (BrownoutSpec{Steps: []BrownoutStep{}, HighWater: 4, Enter: 0.75, Exit: 0.25, Dwell: 1}).Validate(); err == nil {
 		t.Fatalf("zero-rung ladder accepted")

@@ -854,14 +854,19 @@ func RunStreamStats(cfg Config, src Stream, costs *StepCosts, out *RunStats) err
 			continue
 		}
 		// The round may leap over decode steps until the next event. A
-		// crash is one; so is every round while brownout is engaged or
-		// the queue it watches is non-empty, as its dwell clock moves
-		// with each observation.
+		// crash is one. Brownout observes the queue every round and its
+		// dwell clock moves with each observation, so a round is one step
+		// unless the ladder is at rest: at level 0 below Enter it cannot
+		// move until the queue grows, and only an arrival, a re-delivery
+		// or a client re-arrival grows it, each of which bounds next.
+		// Above level 0 rounds stay one step even on a quiet queue:
+		// BrownoutSeconds sums each round's span, and a leap would
+		// regroup that float sum.
 		until := next
 		if haveDown && curDown.Start < until {
 			until = curDown.Start
 		}
-		if cfg.oneStep || bo != nil && (bo.Level() > 0 || e.QueueLen() > 0) {
+		if cfg.oneStep || bo != nil && !bo.AtRest(e.QueueLen()) {
 			until = now
 		}
 		if now, err = e.Round(b, now, point, slowdown, true, until); err != nil {
