@@ -51,7 +51,8 @@ func (b *Batch) Len() int { return len(b.active) }
 // StepCosts table, or from a caller's table that outlives the run
 // (RunStreamStats), so each distinct shape and operating point is
 // simulated once per run, or once per caller's table. Engines are
-// pooled: a warmed steady-state round allocates nothing.
+// pooled: a warmed steady-state round allocates nothing, and an engine
+// keeps its latency histograms from run to run, emptied by span.
 type Engine struct {
 	cfg      Config
 	perToken int64

@@ -37,8 +37,8 @@ var (
 // the population's span, so Merge, Percentiles and the package's reset
 // and copy helpers touch only the span's buckets, never the whole grid:
 // a 32-request population spanning two decades occupies about 340 of
-// the 2048. A Hist holds no other state, so it is cheap to keep and
-// reuse, and expensive only to copy by value.
+// the 2048. Refilling a kept Hist therefore costs its span, and only a
+// copy by value pays for the whole grid.
 type Hist struct {
 	counts   [histBuckets]uint32
 	n        int64
