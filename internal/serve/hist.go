@@ -56,7 +56,7 @@ func (h *Hist) Add(x float64) {
 	if h.n == 1 || x < h.min {
 		h.min = x
 	}
-	if x > h.max {
+	if h.n == 1 || x > h.max {
 		h.max = x
 	}
 	h.counts[histBucket(x)]++
@@ -96,8 +96,7 @@ func (h *Hist) Merge(o *Hist) {
 
 // span is the inclusive bucket range [lo, hi] that holds every sample
 // of the population: from the bucket of the exact min to that of the
-// exact max (which Add starts at 0, so it is never below a sample's
-// bucket). histBucket is monotone on every non-NaN input, so no sample
+// exact max. histBucket is monotone on every non-NaN input, so no sample
 // lies outside it. A NaN sample lands in bucket 0 whatever the min is,
 // and makes the sum NaN, so a population whose sum is NaN spans the
 // whole grid. An empty population spans nothing (hi < lo).

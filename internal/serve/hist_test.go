@@ -121,6 +121,16 @@ func TestHistogramEdgeCases(t *testing.T) {
 	if huge.P99 != 1e7 {
 		t.Errorf("super-grid population must clamp to exact max: %+v", huge)
 	}
+	// An all-negative population keeps its exact max, not 0.
+	neg := histFrom([]float64{-1, -3e-3}).Percentiles()
+	if neg.Max != -3e-3 {
+		t.Errorf("all-negative population: max %g, want -3e-3", neg.Max)
+	}
+	for _, p := range []float64{neg.P50, neg.P95, neg.P99} {
+		if p < -1 || p > -3e-3 {
+			t.Errorf("all-negative population: percentile %g outside [-1, -3e-3]: %+v", p, neg)
+		}
+	}
 }
 
 // TestHistogramBoundaryRanks pins quantiles whose nearest rank falls
