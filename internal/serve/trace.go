@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"mugi/internal/overload"
@@ -229,7 +230,8 @@ type TenantSpec struct {
 }
 
 // ParseTenants parses a CLI tenant mix like
-// "interactive:0.25,standard:0.25,best-effort:0.5".
+// "interactive:0.25,standard:0.25,best-effort:0.5". Each share must be a
+// positive finite number with nothing after it.
 func ParseTenants(s string) ([]TenantSpec, error) {
 	if s == "" {
 		return nil, nil
@@ -244,9 +246,9 @@ func ParseTenants(s string) ([]TenantSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		var w float64
-		if _, err := fmt.Sscanf(share, "%g", &w); err != nil || w <= 0 {
-			return nil, fmt.Errorf("serve: tenant %q share must be a positive number", part)
+		w, err := strconv.ParseFloat(strings.TrimSpace(share), 64)
+		if err != nil || !finiteAbove(w, 0) {
+			return nil, fmt.Errorf("serve: tenant %q share must be a positive finite number", part)
 		}
 		tenants = append(tenants, TenantSpec{Class: c, Share: w})
 	}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mugi/internal/overload"
 )
 
 func TestTraceKindRoundTrip(t *testing.T) {
@@ -232,5 +234,42 @@ func TestKindSpecificKnobsScoped(t *testing.T) {
 	}
 	if _, err := NewTrace(TraceConfig{Kind: Diurnal, Rate: 1, Requests: 5, Period: -3}); err == nil {
 		t.Error("negative diurnal period should fail")
+	}
+}
+
+// TestParseTenants: a share is a positive finite number and nothing
+// else, so trailing text, Inf and NaN fail at parse time instead of
+// parsing as a prefix or failing later in NewStream.
+func TestParseTenants(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []TenantSpec // nil with ok: no mix
+		ok   bool
+	}{
+		{"", nil, true},
+		{"interactive:0.25,standard:0.25,best-effort:0.5", []TenantSpec{
+			{Class: overload.Interactive, Share: 0.25},
+			{Class: overload.Standard, Share: 0.25},
+			{Class: overload.BestEffort, Share: 0.5},
+		}, true},
+		{" standard: 3 ", []TenantSpec{{Class: overload.Standard, Share: 3}}, true},
+		{"interactive:1e-3", []TenantSpec{{Class: overload.Interactive, Share: 1e-3}}, true},
+		{"interactive:0.5abc", nil, false},
+		{"interactive:0.5 0.5", nil, false},
+		{"interactive:Inf", nil, false},
+		{"interactive:+Inf", nil, false},
+		{"interactive:NaN", nil, false},
+		{"interactive:1e400", nil, false},
+		{"interactive:0", nil, false},
+		{"interactive:-1", nil, false},
+		{"interactive:", nil, false},
+		{"interactive", nil, false},
+		{"vip:1", nil, false},
+		{"interactive:1,", nil, false},
+	} {
+		got, err := ParseTenants(tc.in)
+		if (err == nil) != tc.ok || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseTenants(%q) = %+v, %v; want %+v, ok %t", tc.in, got, err, tc.want, tc.ok)
+		}
 	}
 }

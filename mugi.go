@@ -538,7 +538,8 @@ func TenantClasses() []TenantClass { return overload.Classes() }
 type TenantSpec = serve.TenantSpec
 
 // ParseTenants parses a "class:share,class:share" mix string (shares
-// normalized; e.g. "interactive:0.3,standard:0.4,best-effort:0.3").
+// positive and finite, then normalized; e.g.
+// "interactive:0.3,standard:0.4,best-effort:0.3").
 func ParseTenants(s string) ([]TenantSpec, error) { return serve.ParseTenants(s) }
 
 // TenantString renders a tenant mix back to its flag syntax.
