@@ -391,9 +391,20 @@ const lengthSeedMix = 0x5bd1e995
 // tagging a trace with tenants changes no arrival time and no length.
 const tenantSeedMix = 0x9e3779b9
 
+// A trace draws from up to three seeded sources, indexed by these: each
+// is seeded with the trace seed XOR its sourceMixes entry.
+const (
+	arrivalSource = iota
+	lengthSource
+	tenantSource // drawn only when the trace has Tenants
+)
+
+var sourceMixes = [...]int64{arrivalSource: 0, lengthSource: lengthSeedMix, tenantSource: tenantSeedMix}
+
 // genStream draws requests lazily from the seeded generators — the
-// Stream behind NewStream. Memory is O(1) regardless of the configured
-// request count, so a million-request trace never materializes.
+// Stream behind NewStream and Draws.Stream. Its own memory is O(1)
+// regardless of the configured request count, so a million-request
+// trace never materializes.
 type genStream struct {
 	cfg  TraceConfig
 	arr  *rand.Rand // arrival process draws
@@ -415,17 +426,26 @@ type genStream struct {
 // generator. NewTrace is exactly this stream drained into a slice, so a
 // streamed run and a materialized run see identical requests.
 func NewStream(cfg TraceConfig) (Stream, error) {
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return newGenStream(cfg, func(i int) rand.Source { return rand.NewSource(cfg.Seed ^ sourceMixes[i]) }), nil
+}
+
+// resolve fills in the config's defaults and validates it.
+func (cfg TraceConfig) resolve() (TraceConfig, error) {
 	if !finiteAbove(cfg.Rate, 0) {
-		return nil, fmt.Errorf("serve: trace Rate %g must be positive and finite", cfg.Rate)
+		return cfg, fmt.Errorf("serve: trace Rate %g must be positive and finite", cfg.Rate)
 	}
 	if cfg.Requests < 1 {
-		return nil, fmt.Errorf("serve: trace needs at least one request, got %d", cfg.Requests)
+		return cfg, fmt.Errorf("serve: trace needs at least one request, got %d", cfg.Requests)
 	}
 	if cfg.Lengths == (LengthProfile{}) {
 		cfg.Lengths = ChatLengths()
 	}
 	if err := cfg.Lengths.validate(); err != nil {
-		return nil, err
+		return cfg, err
 	}
 	// Kind-specific knobs are defaulted and validated only for their own
 	// kind, so a shared config struct carrying another kind's settings
@@ -437,58 +457,65 @@ func NewStream(cfg TraceConfig) (Stream, error) {
 			cfg.BurstFactor = 4
 		}
 		if !finiteAbove(cfg.BurstFactor, 1) {
-			return nil, fmt.Errorf("serve: trace BurstFactor %g must be finite and exceed 1", cfg.BurstFactor)
+			return cfg, fmt.Errorf("serve: trace BurstFactor %g must be finite and exceed 1", cfg.BurstFactor)
 		}
 	case Diurnal:
 		if cfg.Period == 0 {
 			cfg.Period = 60
 		}
 		if !finiteAbove(cfg.Period, 0) {
-			return nil, fmt.Errorf("serve: trace Period %g must be positive and finite", cfg.Period)
+			return cfg, fmt.Errorf("serve: trace Period %g must be positive and finite", cfg.Period)
 		}
 		if cfg.Swing == 0 {
 			cfg.Swing = 0.8
 		}
 		if !(cfg.Swing >= 0 && cfg.Swing < 1) {
-			return nil, fmt.Errorf("serve: trace Swing %g must be in [0,1)", cfg.Swing)
+			return cfg, fmt.Errorf("serve: trace Swing %g must be in [0,1)", cfg.Swing)
 		}
 	case Flashcrowd, Retrystorm:
 		if cfg.SurgeFactor == 0 {
 			cfg.SurgeFactor = 4
 		}
 		if !finiteAbove(cfg.SurgeFactor, 1) {
-			return nil, fmt.Errorf("serve: trace SurgeFactor %g must be finite and exceed 1", cfg.SurgeFactor)
+			return cfg, fmt.Errorf("serve: trace SurgeFactor %g must be finite and exceed 1", cfg.SurgeFactor)
 		}
 		if cfg.SurgeSpan == 0 {
 			cfg.SurgeSpan = 120
 		}
 		if !finiteAbove(cfg.SurgeSpan, 0) {
-			return nil, fmt.Errorf("serve: trace SurgeSpan %g must be positive and finite", cfg.SurgeSpan)
+			return cfg, fmt.Errorf("serve: trace SurgeSpan %g must be positive and finite", cfg.SurgeSpan)
 		}
 		if cfg.SurgePeriod == 0 {
 			cfg.SurgePeriod = 600
 		}
 		if !finiteAbove(cfg.SurgePeriod, 0) {
-			return nil, fmt.Errorf("serve: trace SurgePeriod %g must be positive and finite", cfg.SurgePeriod)
+			return cfg, fmt.Errorf("serve: trace SurgePeriod %g must be positive and finite", cfg.SurgePeriod)
 		}
 	default:
-		return nil, fmt.Errorf("serve: unknown trace kind %v", cfg.Kind)
+		return cfg, fmt.Errorf("serve: unknown trace kind %v", cfg.Kind)
 	}
-	total := 0.0
 	for _, t := range cfg.Tenants {
 		if !finiteAbove(t.Share, 0) {
-			return nil, fmt.Errorf("serve: tenant %s Share %g must be positive and finite", t.Class, t.Share)
+			return cfg, fmt.Errorf("serve: tenant %s Share %g must be positive and finite", t.Class, t.Share)
 		}
-		total += t.Share
 	}
+	return cfg, nil
+}
 
+// newGenStream starts the generator of a resolved config, drawing from
+// the sources that source returns by index (arrivalSource and friends).
+func newGenStream(cfg TraceConfig, source func(i int) rand.Source) *genStream {
 	g := &genStream{
 		cfg:  cfg,
-		arr:  rand.New(rand.NewSource(cfg.Seed)),
-		lens: rand.New(rand.NewSource(cfg.Seed ^ lengthSeedMix)),
+		arr:  rand.New(source(arrivalSource)),
+		lens: rand.New(source(lengthSource)),
 	}
 	if len(cfg.Tenants) > 0 {
-		g.cls = rand.New(rand.NewSource(cfg.Seed ^ tenantSeedMix))
+		g.cls = rand.New(source(tenantSource))
+		total := 0.0
+		for _, t := range cfg.Tenants {
+			total += t.Share
+		}
 		acc := 0.0
 		for _, t := range cfg.Tenants {
 			acc += t.Share / total
@@ -512,8 +539,82 @@ func NewStream(cfg TraceConfig) (Stream, error) {
 		g.on = true
 		g.phaseLeft = g.arr.ExpFloat64() * g.onMean
 	}
-	return g, nil
+	return g
 }
+
+// Draws records a trace's random draws once and replays them to every
+// later stream of the same seed, for callers that draw one seed's trace
+// many times at different rates, as a capacity search's probes do.
+// Every request a stream yields is a fixed function of its sources'
+// outputs, at any rate and for every kind, so a stream from Draws.Stream
+// yields exactly the requests NewStream's would, while seeding each
+// math/rand source once per seed instead of once per stream.
+//
+// A Draws records each source's outputs the first time a stream needs
+// them, so it holds as many draws as the longest stream of the current
+// seed has taken: a one-shot stream is cheaper from NewStream, whose
+// memory stays O(1). A stream of another seed starts a fresh recording.
+// The zero value is ready to use. A Draws and its streams are not safe
+// for concurrent use.
+type Draws struct {
+	seed int64
+	recs [len(sourceMixes)]*recording // by source index; nil until a stream uses it
+}
+
+// Stream validates the config like NewStream and returns a stream of
+// the same requests, replaying the recorded draws of cfg's seed.
+func (d *Draws) Stream(cfg TraceConfig) (Stream, error) {
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Seed != d.seed {
+		*d = Draws{seed: cfg.Seed}
+	}
+	return newGenStream(cfg, d.replay), nil
+}
+
+// replay returns a source that reads source i's recording from its
+// start, seeding the source if no stream of this seed has used it yet.
+func (d *Draws) replay(i int) rand.Source {
+	if d.recs[i] == nil {
+		d.recs[i] = &recording{src: rand.NewSource(d.seed ^ sourceMixes[i]).(rand.Source64)}
+	}
+	return &replay{rec: d.recs[i]}
+}
+
+// recording is the output sequence of one seeded source, extended from
+// the source whenever a replay reads past its end.
+type recording struct {
+	src rand.Source64
+	out []uint64
+}
+
+// replay is a rand.Source64 that reads a recording from its start.
+type replay struct {
+	rec *recording
+	i   int
+}
+
+// Uint64 returns the recording's next output, drawing it first if no
+// replay has reached this far.
+func (r *replay) Uint64() uint64 {
+	rec := r.rec
+	if r.i == len(rec.out) {
+		rec.out = append(rec.out, rec.src.Uint64())
+	}
+	x := rec.out[r.i]
+	r.i++
+	return x
+}
+
+// Int63 is what math/rand's own source returns for the same position:
+// its next Uint64 masked to 63 bits. rand.Rand draws every value a trace
+// uses through Int63.
+func (r *replay) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
+
+// Seed is never called: a replay's draws are fixed by its recording.
+func (r *replay) Seed(int64) { panic("serve: a replayed source cannot be reseeded") }
 
 // finiteAbove reports whether x is finite and exceeds lo. NaN fails every
 // comparison, so a plain "x <= lo" check lets it through; an infinite
