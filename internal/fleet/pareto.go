@@ -186,7 +186,8 @@ func Plan(spec PlanSpec) []CellResult {
 // in trace rate, so they share one probe state: each replica index keeps
 // its step-cost table from probe to probe, as do the JSQ estimator and
 // the RunStats buffer, and each step shape is priced once per cell, not
-// per probe.
+// per probe. They also replay one recording of the trace's draws, so
+// each of its random sources is seeded once per cell.
 func planCell(spec PlanSpec, cell Cell) CellResult {
 	res := CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas}
 	cfg := Config{
@@ -199,10 +200,11 @@ func planCell(spec PlanSpec, cell Cell) CellResult {
 	cfg.Replica.Mesh = cell.Mesh
 
 	st := new(probeState)
+	var draws serve.Draws
 	probe := func(rate float64) (Report, bool, error) {
 		tc := spec.Trace
 		tc.Rate = rate
-		src, err := serve.NewStream(tc)
+		src, err := draws.Stream(tc)
 		if err != nil {
 			return Report{}, false, err
 		}

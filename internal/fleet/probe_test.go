@@ -87,7 +87,8 @@ func checkSharesStepCosts(t *testing.T, spec PlanSpec) {
 
 // TestPlanMatchesFreshState: every pinned plan's cells return exactly
 // the bytes of the same search run the old way, each probe a fleet.Run
-// that builds its own step-cost tables and RunStats buffer.
+// over a fresh serve.NewStream that builds its own step-cost tables and
+// RunStats buffer.
 func TestPlanMatchesFreshState(t *testing.T) {
 	checkMatchesFreshState(t, pinnedPlans())
 }
