@@ -37,17 +37,17 @@ type Config struct {
 }
 
 // HeadDim is the per-head dimension.
-func (c Config) HeadDim() int { return c.Hidden / c.AttnHeads }
+func (c *Config) HeadDim() int { return c.Hidden / c.AttnHeads }
 
 // KVDim is the total key/value projection width.
-func (c Config) KVDim() int { return c.KVHeads * c.HeadDim() }
+func (c *Config) KVDim() int { return c.KVHeads * c.HeadDim() }
 
 // GQAGroup is the number of query heads sharing one KV head.
 func (c Config) GQAGroup() int { return c.AttnHeads / c.KVHeads }
 
 // Params counts weight parameters (projection + FFN) across all layers;
 // embeddings are excluded as they are not executed on the array.
-func (c Config) Params() int64 {
+func (c *Config) Params() int64 {
 	h, f := int64(c.Hidden), int64(c.FFN)
 	kv := int64(c.KVDim())
 	perLayer := h*h + 2*h*kv + h*h // Q, K, V, O
@@ -60,13 +60,13 @@ func (c Config) Params() int64 {
 }
 
 // WeightBytes is the weight footprint at `bits` per parameter.
-func (c Config) WeightBytes(bits int) int64 {
+func (c *Config) WeightBytes(bits int) int64 {
 	return c.Params() * int64(bits) / 8
 }
 
 // KVCacheBytes is the KV-cache footprint for the given batch and context
 // length at `bits` per element.
-func (c Config) KVCacheBytes(batch, ctxLen, bits int) int64 {
+func (c *Config) KVCacheBytes(batch, ctxLen, bits int) int64 {
 	per := int64(2) * int64(c.KVDim()) * int64(c.Layers) // K and V per token
 	return per * int64(batch) * int64(ctxLen) * int64(bits) / 8
 }

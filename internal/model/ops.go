@@ -77,7 +77,7 @@ type Op struct {
 }
 
 // MACs returns the multiply-accumulate count of one repetition.
-func (o Op) MACs() int64 { return int64(o.M) * int64(o.K) * int64(o.N) }
+func (o *Op) MACs() int64 { return int64(o.M) * int64(o.K) * int64(o.N) }
 
 // TotalMACs returns MACs across repetitions.
 func (o Op) TotalMACs() int64 { return o.MACs() * int64(o.Repeat) }
@@ -218,7 +218,7 @@ func (w Workload) NonlinearElementsPerLayer() int64 {
 // DRAMBytesPerPass estimates off-chip traffic for one pass: every INT4
 // weight is read once, the KV cache is read once (decode), and the new
 // KV entries are written.
-func (w Workload) DRAMBytesPerPass() int64 {
+func (w *Workload) DRAMBytesPerPass() int64 {
 	bytes := w.Model.WeightBytes(4)
 	if w.WeightStreamBytes > 0 {
 		bytes = w.WeightStreamBytes

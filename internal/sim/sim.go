@@ -51,6 +51,13 @@ type Params struct {
 // provisioned bandwidth after it: HBM is not on the DVFS rail, while the
 // mesh links clock with the node.
 func (p Params) WithDefaults() Params {
+	p.applyDefaults()
+	return p
+}
+
+// applyDefaults is WithDefaults in place: Simulate defaults its own copy
+// of the Params without copying it again.
+func (p *Params) applyDefaults() {
 	if p.Bandwidth == 0 {
 		p.Bandwidth = HBMBandwidth
 	}
@@ -67,7 +74,6 @@ func (p Params) WithDefaults() Params {
 	if p.NoCBandwidth == 0 {
 		p.NoCBandwidth = p.Mesh.ProvisionedBandwidth(p.Cost.Frequency)
 	}
-	return p
 }
 
 // Result is one simulated pass.
@@ -143,8 +149,8 @@ func (r Result) EnergyPerToken(tokens int) float64 {
 }
 
 // gemmCycles returns array cycles and capacity (PE-equivalents) for one
-// GEMM op repetition on the design.
-func gemmCycles(d arch.Design, op model.Op) (cycles, usefulMACs, capacityMACs float64) {
+// GEMM op repetition on the design, whose peak rate is peakMACs.
+func gemmCycles(d *arch.Design, op *model.Op, peakMACs float64) (cycles, usefulMACs, capacityMACs float64) {
 	m, k, n := op.M, op.K, op.N
 	usefulMACs = float64(op.MACs())
 	switch d.Kind {
@@ -153,28 +159,29 @@ func gemmCycles(d arch.Design, op model.Op) (cycles, usefulMACs, capacityMACs fl
 		// its penalty is buffer area/energy, not cycles.
 		st := core.PlanCycles(core.GEMMConfig{Rows: d.Rows, Cols: d.Cols, Mapping: core.MappingMugi},
 			m, k, n, op.WeightBits)
-		return float64(st.Cycles), usefulMACs, float64(st.Cycles) * d.PeakMACsPerCycle()
+		return float64(st.Cycles), usefulMACs, float64(st.Cycles) * peakMACs
 	case arch.KindSA, arch.KindSD:
 		// Output-stationary M×N tiling: each tile streams K reduction
 		// steps; a tile computes min(M,Rows)×min(N,Cols) outputs.
 		tilesM := ceilDiv(m, d.Rows)
 		tilesN := ceilDiv(n, d.Cols)
 		c := float64(tilesM) * float64(tilesN) * float64(k)
-		return c, usefulMACs, c * d.PeakMACsPerCycle()
+		return c, usefulMACs, c * peakMACs
 	case arch.KindTensor:
 		// Fully pipelined 8×16×16 block per cycle.
 		blocks := float64(ceilDiv(m, d.Rows)) * float64(ceilDiv(n, d.Cols)) * float64(ceilDiv(k, d.Depth))
-		return blocks, usefulMACs, blocks * d.PeakMACsPerCycle()
+		return blocks, usefulMACs, blocks * peakMACs
 	}
 	panic(fmt.Sprintf("sim: unknown design kind %v", d.Kind))
 }
 
-// nlCycles returns the array/vector cycles for a nonlinear op: the
+// nlCycles returns the array/vector cycles for a nonlinear op on a design
+// whose nonlinear unit retires nlPerCycle elements a cycle: the
 // element-wise function plus, for softmax, the reciprocal multiply on the
 // vector unit.
-func nlCycles(d arch.Design, op model.Op) float64 {
+func nlCycles(d *arch.Design, op *model.Op, nlPerCycle float64) float64 {
 	elems := float64(op.Elements)
-	c := elems / d.NLElementsPerCycle()
+	c := elems / nlPerCycle
 	if op.Name == "softmax" {
 		c += elems / float64(d.VectorLanes)
 	}
@@ -183,41 +190,52 @@ func nlCycles(d arch.Design, op model.Op) float64 {
 
 // sramBytes estimates on-chip buffer traffic for one GEMM repetition:
 // activations in BF16, weights at their quantized width, outputs in BF16.
-func sramBytes(op model.Op) float64 {
+func sramBytes(op *model.Op) float64 {
 	return float64(op.M*op.K)*2 + float64(op.K*op.N)*float64(op.WeightBits)/8 + float64(op.M*op.N)*2
 }
 
 // Simulate runs one workload pass through the performance and cost
 // models. It allocates nothing.
 //
+// It reads the design, cost table and operators in place, and computes
+// the rates and energies that depend only on the design and cost table
+// once, before the operator loop; every floating-point expression keeps
+// the operand order it had when each operator recomputed them, so the
+// results are bit-identical (TestSimulatePinned). The by-value signature
+// stays because callers outside the module compile against it.
+//
 //mugi:noalloc
 func Simulate(p Params, w model.Workload) Result {
-	p = p.WithDefaults()
-	d := p.Design
+	p.applyDefaults()
+	d, cost := &p.Design, &p.Cost
 	nodes := p.Mesh.SpeedupFactor()
+	layers := float64(w.Model.Layers)
+	peakMACs := d.PeakMACsPerCycle()
+	nlPerCycle := d.NLElementsPerCycle()                       //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
+	energyMAC := d.EnergyPerMAC(*cost)                         //mugi:coldalloc inlined unknown-kind panic arg; a built design never takes it
+	energyNL := d.EnergyPerNLElement(*cost) + cost.EnergyVecOp //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
 
-	res := Result{Design: d, Mesh: p.Mesh}
+	res := Result{Design: p.Design, Mesh: p.Mesh}
 	var usefulMACs, capacityMACs float64
-	for _, op := range w.Ops {
+	for i := range w.Ops {
+		op := &w.Ops[i]
 		rep := float64(max(op.Repeat, 1))
-		layers := float64(w.Model.Layers)
 		if op.Class == model.Nonlinear {
-			cyc := nlCycles(d, op) * rep * layers / nodes
+			cyc := nlCycles(d, op, nlPerCycle) * rep * layers / nodes
 			res.CyclesByClass[model.Nonlinear] += cyc
-			res.EnergyByClass[model.Nonlinear] += float64(op.Elements) * rep * layers *
-				(d.EnergyPerNLElement(p.Cost) + p.Cost.EnergyVecOp) //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
+			res.EnergyByClass[model.Nonlinear] += float64(op.Elements) * rep * layers * energyNL
 			continue
 		}
-		cyc, useful, capacity := gemmCycles(d, op)
+		cyc, useful, capacity := gemmCycles(d, op, peakMACs)
 		totalCyc := cyc * rep * layers / nodes
 		res.CyclesByClass[op.Class] += totalCyc
 		usefulMACs += useful * rep * layers
 		capacityMACs += capacity * rep * layers
 		idle := (capacity - useful) * rep * layers
-		energy := useful*rep*layers*d.EnergyPerMAC(p.Cost) + //mugi:coldalloc inlined unknown-kind panic arg; a built design never takes it
-			idle*p.Cost.EnergyIdlePE +
-			sramBytes(op)*rep*layers*p.Cost.EnergySRAMByte +
-			float64(op.M*op.N)*rep*layers*p.Cost.EnergyVecOp // dequant rescale
+		energy := useful*rep*layers*energyMAC +
+			idle*cost.EnergyIdlePE +
+			sramBytes(op)*rep*layers*cost.EnergySRAMByte +
+			float64(op.M*op.N)*rep*layers*cost.EnergyVecOp // dequant rescale
 		res.EnergyByClass[op.Class] += energy
 	}
 	// Sum in model.OpClasses order, the arrays' index order, so
@@ -230,8 +248,8 @@ func Simulate(p Params, w model.Workload) Result {
 	}
 
 	res.DRAMBytes = w.DRAMBytesPerPass()
-	res.DRAMEnergy = float64(res.DRAMBytes) * p.Cost.EnergyDRAMByte
-	res.ComputeSeconds = res.TotalCycles / p.Cost.Frequency
+	res.DRAMEnergy = float64(res.DRAMBytes) * cost.EnergyDRAMByte
+	res.ComputeSeconds = res.TotalCycles / cost.Frequency
 	res.MemorySeconds = float64(res.DRAMBytes) / p.Bandwidth
 	res.Seconds = res.ComputeSeconds
 	if res.MemorySeconds > res.Seconds {
@@ -255,7 +273,7 @@ func Simulate(p Params, w model.Workload) Result {
 	res.DynamicEnergy += res.DRAMEnergy
 	res.DynamicEnergy += p.Mesh.TransferEnergy(res.DRAMBytes)
 
-	res.LeakageWatts = d.LeakageWatts(p.Cost)*nodes + p.Mesh.LeakageWatts(p.Cost)
+	res.LeakageWatts = d.LeakageWatts(*cost)*nodes + p.Mesh.LeakageWatts(*cost)
 	if res.Seconds > 0 {
 		res.PowerWatts = res.LeakageWatts + res.DynamicEnergy/res.Seconds
 		res.TokensPerSecond = float64(w.TokensPerPass()) / res.Seconds
