@@ -98,9 +98,9 @@ func (s PlanSpec) withDefaults() PlanSpec {
 }
 
 // validate checks the defaulted spec's knobs: Goodput in (0, 1], a
-// positive finite MinRate, a finite MaxRate of at least MinRate, finite
-// non-negative SLO bounds (0 disables a bound), and the price book. Each
-// check is written so that NaN fails it.
+// positive finite MinRate, a finite MaxRate of at least MinRate, a probe
+// trace valid at both, finite non-negative SLO bounds (0 disables a
+// bound), and the price book. Each check is written so that NaN fails it.
 func (s PlanSpec) validate() error {
 	if !(s.Goodput > 0 && s.Goodput <= 1) {
 		return fmt.Errorf("fleet: Goodput %g must be in (0, 1]", s.Goodput)
@@ -110,6 +110,19 @@ func (s PlanSpec) validate() error {
 	}
 	if !(s.MaxRate >= s.MinRate) || math.IsInf(s.MaxRate, 1) {
 		return fmt.Errorf("fleet: MaxRate %g must be finite and at least MinRate %g", s.MaxRate, s.MinRate)
+	}
+	// Every probe's rate lies in [MinRate, MaxRate], and each bound a
+	// trace puts on its rate is a floor or a ceiling, so a trace valid at
+	// both ends is valid at every probe.
+	for _, end := range [...]struct {
+		name string
+		rate float64
+	}{{"MinRate", s.MinRate}, {"MaxRate", s.MaxRate}} {
+		tc := s.Trace
+		tc.Rate = end.rate
+		if err := tc.Validate(); err != nil {
+			return fmt.Errorf("fleet: %s %g: %w", end.name, end.rate, err)
+		}
 	}
 	if !(s.SLO.TTFTP99 >= 0) || math.IsInf(s.SLO.TTFTP99, 1) {
 		return fmt.Errorf("fleet: TTFTP99 %g must be finite and non-negative (0 disables the bound)", s.SLO.TTFTP99)

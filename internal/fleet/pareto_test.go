@@ -220,7 +220,8 @@ func TestPlanReplicasBuyCapacity(t *testing.T) {
 // TestPlanRejectsBadKnobs: every out-of-range float knob of a plan, its
 // search bracket, goodput, SLO and price book, fails every cell, of two
 // replicas or of four, with an error naming the knob before any probe
-// runs, where a NaN used to plan as if the knob were off.
+// runs, where a NaN used to plan as if the knob were off. So does a
+// bracket whose ends the probe trace rejects.
 func TestPlanRejectsBadKnobs(t *testing.T) {
 	checkRejectsBadKnobs(t, 2, 4)
 }
@@ -250,6 +251,13 @@ func checkRejectsBadKnobs(t *testing.T, replicas ...int) {
 		{"MaxRate", func(s *PlanSpec) { s.MaxRate = nan }},
 		{"MaxRate", func(s *PlanSpec) { s.MaxRate = inf }},
 		{"MaxRate", func(s *PlanSpec) { s.MinRate, s.MaxRate = 4, 2 }},
+		// Rates the probe trace rejects: a peak above the trace
+		// generator's bound at MaxRate, a rate below its floor at MinRate,
+		// and phases too short for MinRate's mean gap.
+		{"MaxRate", func(s *PlanSpec) { s.MaxRate = 1e300 }},
+		{"MaxRate", func(s *PlanSpec) { s.Trace.Kind, s.Trace.BurstFactor = serve.Bursty, 1e9 }},
+		{"MinRate", func(s *PlanSpec) { s.MinRate = 1e-12 }},
+		{"SurgeSpan", func(s *PlanSpec) { s.Trace.Kind, s.Trace.SurgeSpan = serve.Flashcrowd, 1e-6 }},
 		{"TTFTP99", func(s *PlanSpec) { s.SLO.TTFTP99 = nan }},
 		{"TTFTP99", func(s *PlanSpec) { s.SLO.TTFTP99 = -1 }},
 		{"TTFTP99", func(s *PlanSpec) { s.SLO.TTFTP99 = inf }},

@@ -89,26 +89,39 @@ func TestDrawsMatchNewStream(t *testing.T) {
 }
 
 // FuzzDrawsMatchNewStream draws two streams through one recording, the
-// second at its own rate and length and, with reseed, the next seed.
-// Each must yield what a fresh NewStream of its config yields, and a
-// config NewStream rejects must fail Draws.Stream with the same error.
-// The seed corpus covers every kind, a seed change mid-recording and a
-// second stream longer than the first.
+// second at its own rate and length and, with reseed, the next seed. A
+// nonzero timescale sets the diurnal Period and both flashcrowd and
+// retrystorm phase lengths. Each stream must yield what a fresh
+// NewStream of its config yields, and a config NewStream rejects must
+// fail Draws.Stream with the same error. The seed corpus covers every
+// kind, a seed change mid-recording, a second stream longer than the
+// first, and the knob cases of TestTraceKnobsBounded that the fuzzed
+// knobs can express.
 func FuzzDrawsMatchNewStream(f *testing.F) {
 	for _, kind := range TraceKinds() {
-		f.Add(uint8(kind), int64(7), false, kind%2 == 0, 2.0, int16(32), 0.5, int16(16))
+		f.Add(uint8(kind), int64(7), false, kind%2 == 0, 2.0, int16(32), 0.5, int16(16), 0.0)
 	}
-	f.Add(uint8(Poisson), int64(2026), true, false, 1.0, int16(32), 1.0, int16(32))
-	f.Add(uint8(Bursty), int64(-3), true, true, 0.25, int16(8), 4.0, int16(64))
-	f.Add(uint8(Diurnal), int64(11), false, false, 0.125, int16(4), 8.0, int16(200))
-	f.Add(uint8(Flashcrowd), int64(5), false, true, 16.0, int16(0), 16.0, int16(40))
-	f.Fuzz(func(t *testing.T, kind uint8, seed int64, reseed, tenants bool, rate1 float64, n1 int16, rate2 float64, n2 int16) {
+	f.Add(uint8(Poisson), int64(2026), true, false, 1.0, int16(32), 1.0, int16(32), 0.0)
+	f.Add(uint8(Bursty), int64(-3), true, true, 0.25, int16(8), 4.0, int16(64), 0.0)
+	f.Add(uint8(Diurnal), int64(11), false, false, 0.125, int16(4), 8.0, int16(200), 0.0)
+	f.Add(uint8(Flashcrowd), int64(5), false, true, 16.0, int16(0), 16.0, int16(40), 0.0)
+	for _, c := range knobCases() {
+		cfg := c.cfg
+		if cfg.BurstFactor != 0 || cfg.Swing != 0 || cfg.SurgeFactor != 0 || cfg.SurgeSpan != cfg.SurgePeriod {
+			continue // a knob the fuzzer leaves at its default
+		}
+		f.Add(uint8(cfg.Kind), cfg.Seed, false, false, cfg.Rate, int16(cfg.Requests), 1.0, int16(8), cfg.Period+cfg.SurgeSpan)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, seed int64, reseed, tenants bool, rate1 float64, n1 int16, rate2 float64, n2 int16, timescale float64) {
 		var d Draws
 		for i, p := range []struct {
 			rate float64
 			n    int16
 		}{{rate1, n1}, {rate2, n2}} {
-			cfg := TraceConfig{Kind: TraceKind(kind), Rate: p.rate, Requests: int(p.n), Seed: seed}
+			cfg := TraceConfig{
+				Kind: TraceKind(kind), Rate: p.rate, Requests: int(p.n), Seed: seed,
+				Period: timescale, SurgeSpan: timescale, SurgePeriod: timescale,
+			}
 			if tenants {
 				cfg.Tenants = drawsTenants
 			}

@@ -433,10 +433,43 @@ func NewStream(cfg TraceConfig) (Stream, error) {
 	return newGenStream(cfg, func(i int) rand.Source { return rand.NewSource(cfg.Seed ^ sourceMixes[i]) }), nil
 }
 
+// Validate reports whether NewStream and Draws.Stream accept the
+// config, without drawing from it.
+func (cfg TraceConfig) Validate() error {
+	_, err := cfg.resolve()
+	return err
+}
+
+// The outer bounds of the trace knobs. Inside them every gap, phase and
+// clock the generator computes stays finite, and one Next makes a
+// bounded number of draws on average. Outside them a peak rate or a gap
+// 1/Rate overflows to +Inf, the diurnal sinusoid's argument does,
+// thinning almost never accepts, or each draw advances the clock by a
+// negligible phase, and Next may never return.
+const (
+	// minTraceRate is the lowest Rate, in requests/second.
+	minTraceRate = 1e-9
+	// maxTracePeak is the highest peak arrival rate, in requests/second:
+	// Rate itself, or Rate scaled by BurstFactor, 1+Swing or SurgeFactor.
+	maxTracePeak = 1e9
+	// minTimescaleGaps is the shortest diurnal Period and flashcrowd mean
+	// phase (SurgeSpan, SurgePeriod), in mean gaps 1/Rate. Each phase
+	// switch costs a flashcrowd one draw, so this bounds its draws per
+	// arrival.
+	minTimescaleGaps = 1e-3
+	// maxThinning is the highest retrystorm SurgeFactor: thinning against
+	// the surge rate draws SurgeFactor candidates per calm arrival on
+	// average.
+	maxThinning = 1e3
+)
+
 // resolve fills in the config's defaults and validates it.
 func (cfg TraceConfig) resolve() (TraceConfig, error) {
 	if !finiteAbove(cfg.Rate, 0) {
 		return cfg, fmt.Errorf("serve: trace Rate %g must be positive and finite", cfg.Rate)
+	}
+	if cfg.Rate < minTraceRate {
+		return cfg, fmt.Errorf("serve: trace Rate %g must be at least %g req/s", cfg.Rate, minTraceRate)
 	}
 	if cfg.Requests < 1 {
 		return cfg, fmt.Errorf("serve: trace needs at least one request, got %d", cfg.Requests)
@@ -449,7 +482,9 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 	}
 	// Kind-specific knobs are defaulted and validated only for their own
 	// kind, so a shared config struct carrying another kind's settings
-	// stays valid.
+	// stays valid. peak is the process's highest arrival rate and scale
+	// the knob that lifts Rate to it.
+	peak, scale := cfg.Rate, ""
 	switch cfg.Kind {
 	case Poisson:
 	case Bursty:
@@ -459,6 +494,7 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 		if !finiteAbove(cfg.BurstFactor, 1) {
 			return cfg, fmt.Errorf("serve: trace BurstFactor %g must be finite and exceed 1", cfg.BurstFactor)
 		}
+		peak, scale = cfg.BurstFactor*cfg.Rate, fmt.Sprintf("BurstFactor %g", cfg.BurstFactor)
 	case Diurnal:
 		if cfg.Period == 0 {
 			cfg.Period = 60
@@ -466,12 +502,16 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 		if !finiteAbove(cfg.Period, 0) {
 			return cfg, fmt.Errorf("serve: trace Period %g must be positive and finite", cfg.Period)
 		}
+		if err := cfg.spansGaps("Period", cfg.Period); err != nil {
+			return cfg, err
+		}
 		if cfg.Swing == 0 {
 			cfg.Swing = 0.8
 		}
 		if !(cfg.Swing >= 0 && cfg.Swing < 1) {
 			return cfg, fmt.Errorf("serve: trace Swing %g must be in [0,1)", cfg.Swing)
 		}
+		peak, scale = cfg.Rate*(1+cfg.Swing), fmt.Sprintf("Swing %g", cfg.Swing)
 	case Flashcrowd, Retrystorm:
 		if cfg.SurgeFactor == 0 {
 			cfg.SurgeFactor = 4
@@ -491,8 +531,25 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 		if !finiteAbove(cfg.SurgePeriod, 0) {
 			return cfg, fmt.Errorf("serve: trace SurgePeriod %g must be positive and finite", cfg.SurgePeriod)
 		}
+		if cfg.Kind == Flashcrowd {
+			if err := cfg.spansGaps("SurgeSpan", cfg.SurgeSpan); err != nil {
+				return cfg, err
+			}
+			if err := cfg.spansGaps("SurgePeriod", cfg.SurgePeriod); err != nil {
+				return cfg, err
+			}
+		} else if cfg.SurgeFactor > maxThinning {
+			return cfg, fmt.Errorf("serve: retrystorm trace SurgeFactor %g must be at most %g", cfg.SurgeFactor, maxThinning)
+		}
+		peak, scale = cfg.SurgeFactor*cfg.Rate, fmt.Sprintf("SurgeFactor %g", cfg.SurgeFactor)
 	default:
 		return cfg, fmt.Errorf("serve: unknown trace kind %v", cfg.Kind)
+	}
+	if peak > maxTracePeak {
+		if scale == "" {
+			return cfg, fmt.Errorf("serve: trace Rate %g must be at most %g req/s", cfg.Rate, maxTracePeak)
+		}
+		return cfg, fmt.Errorf("serve: trace Rate %g with %s peaks at %g req/s, above %g", cfg.Rate, scale, peak, maxTracePeak)
 	}
 	for _, t := range cfg.Tenants {
 		if !finiteAbove(t.Share, 0) {
@@ -500,6 +557,15 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 		}
 	}
 	return cfg, nil
+}
+
+// spansGaps checks that a time scale of the trace, in seconds, spans at
+// least minTimescaleGaps mean gaps.
+func (cfg TraceConfig) spansGaps(knob string, seconds float64) error {
+	if seconds*cfg.Rate < minTimescaleGaps {
+		return fmt.Errorf("serve: trace %s %g s must span at least %g mean gaps of 1/Rate = %g s", knob, seconds, minTimescaleGaps, 1/cfg.Rate)
+	}
+	return nil
 }
 
 // newGenStream starts the generator of a resolved config, drawing from

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mugi/internal/overload"
 )
@@ -271,5 +273,115 @@ func TestParseTenants(t *testing.T) {
 		if (err == nil) != tc.ok || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("ParseTenants(%q) = %+v, %v; want %+v, ok %t", tc.in, got, err, tc.want, tc.ok)
 		}
+	}
+}
+
+// knobCase is one trace config at the edge of a knob's range.
+type knobCase struct {
+	knob string // the knob a rejection must name; "" when the config is accepted
+	cfg  TraceConfig
+}
+
+// knobCases are the trace configs TestTraceKnobsBounded runs. The
+// rejected ones each hung the generator or gave +Inf arrivals before
+// resolve bounded the knobs: a peak rate that overflows to +Inf, a gap
+// 1/Rate that does, a clock whose sinusoid argument does, thinning that
+// almost never accepts, or phases that each advance the clock by a
+// negligible step. The accepted ones sit on the bounds.
+func knobCases() []knobCase {
+	tc := func(kind TraceKind, rate float64) TraceConfig {
+		return TraceConfig{Kind: kind, Rate: rate, Requests: 64, Seed: 3}
+	}
+	with := func(cfg TraceConfig, set func(*TraceConfig)) TraceConfig {
+		set(&cfg)
+		return cfg
+	}
+	// The shortest time scale the bounds allow, at the lowest rate.
+	shortest := minTimescaleGaps / minTraceRate
+	return []knobCase{
+		{"Rate", tc(Diurnal, 1e308)},
+		{"Rate", tc(Diurnal, 1e-310)},
+		{"Rate", tc(Retrystorm, 1e308)},
+		{"Rate", tc(Flashcrowd, 1e-310)},
+		{"Rate", tc(Poisson, 1e-310)},
+		{"Rate", tc(Bursty, 1e-310)},
+		{"Rate", tc(Poisson, 2*maxTracePeak)},
+		{"BurstFactor", with(tc(Bursty, 1e8), func(c *TraceConfig) { c.BurstFactor = 100 })},
+		{"SurgeFactor", with(tc(Flashcrowd, 1e6), func(c *TraceConfig) { c.SurgeFactor = 1e300 })},
+		{"SurgeSpan", with(tc(Flashcrowd, 1), func(c *TraceConfig) { c.SurgeSpan, c.SurgePeriod = 1e-300, 1e-300 })},
+		{"SurgePeriod", with(tc(Flashcrowd, 1), func(c *TraceConfig) { c.SurgePeriod = 1e-300 })},
+		{"Period", with(tc(Diurnal, 1e-6), func(c *TraceConfig) { c.Period = 1e-300 })},
+		{"SurgeFactor", with(tc(Retrystorm, 1), func(c *TraceConfig) { c.SurgeFactor = 1e9 })},
+
+		{"", tc(Poisson, minTraceRate)},
+		{"", tc(Bursty, minTraceRate)},
+		{"", with(tc(Diurnal, minTraceRate), func(c *TraceConfig) { c.Period = shortest })},
+		{"", with(tc(Flashcrowd, minTraceRate), func(c *TraceConfig) { c.SurgeSpan, c.SurgePeriod = shortest, shortest })},
+		{"", tc(Retrystorm, minTraceRate)},
+		{"", tc(Poisson, maxTracePeak)},
+		{"", with(tc(Bursty, maxTracePeak/4), func(c *TraceConfig) { c.BurstFactor = 4 })},
+		{"", with(tc(Diurnal, maxTracePeak/2), func(c *TraceConfig) { c.Swing = 0.5 })},
+		{"", with(tc(Flashcrowd, 1), func(c *TraceConfig) { c.SurgeSpan, c.SurgePeriod = minTimescaleGaps, minTimescaleGaps })},
+		{"", with(tc(Retrystorm, 1), func(c *TraceConfig) { c.SurgeFactor = maxThinning })},
+	}
+}
+
+// TestTraceKnobsBounded runs every knob case through NewStream and
+// Draws.Stream under a watchdog, so a generator that hangs fails the
+// test instead of stalling it. A rejected case must fail both with an
+// error naming its knob; an accepted one must yield every request with
+// finite, nondecreasing arrivals.
+func TestTraceKnobsBounded(t *testing.T) {
+	const watchdog = 5 * time.Second
+	for _, c := range knobCases() {
+		var d Draws
+		for _, entry := range []struct {
+			name   string
+			stream func(TraceConfig) (Stream, error)
+		}{{"NewStream", NewStream}, {"Draws.Stream", d.Stream}} {
+			label := fmt.Sprintf("%s of %v at %g req/s", entry.name, c.cfg.Kind, c.cfg.Rate)
+			done := make(chan error, 1)
+			go func() { done <- drainChecked(entry.stream, c) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
+			case <-time.After(watchdog):
+				t.Fatalf("%s: no answer within %v", label, watchdog)
+			}
+		}
+	}
+}
+
+// drainChecked builds c's stream and, if c should be accepted, drains it,
+// checking that every arrival is finite and none goes back in time.
+func drainChecked(stream func(TraceConfig) (Stream, error), c knobCase) error {
+	src, err := stream(c.cfg)
+	if c.knob != "" {
+		if err == nil {
+			return fmt.Errorf("accepted; want an error naming %s", c.knob)
+		}
+		if !strings.Contains(err.Error(), c.knob) {
+			return fmt.Errorf("error %q does not name %s", err, c.knob)
+		}
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("rejected: %v", err)
+	}
+	last := 0.0
+	for i := 0; ; i++ {
+		r, ok := src.Next()
+		if !ok {
+			if i != c.cfg.Requests {
+				return fmt.Errorf("%d requests, want %d", i, c.cfg.Requests)
+			}
+			return nil
+		}
+		if math.IsInf(r.Arrival, 0) || math.IsNaN(r.Arrival) || r.Arrival < last {
+			return fmt.Errorf("request %d arrives at %g after %g", i, r.Arrival, last)
+		}
+		last = r.Arrival
 	}
 }
