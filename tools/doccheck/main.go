@@ -18,6 +18,10 @@
 //     carries a doc comment — the worker pool and the cycle simulator
 //     under every experiment and serving run, where a symbol kept only
 //     for the benchmark harness must say so;
+//   - every exported top-level symbol of internal/model, internal/arch and
+//     internal/noc carries a doc comment — the workloads, hardware
+//     designs and mesh the simulator reads, whose methods the pass calls
+//     on every operator and whose receivers say whether it copies them;
 //   - every exported top-level symbol of tools/mugivet carries a doc
 //     comment — the analyzer framework mirrors x/tools' analysis API
 //     (docs/ANALYSIS.md), and an analyzer suite whose own contracts are
@@ -66,10 +70,12 @@ func main() {
 			report("%s: package %s has no package-level doc comment", dir, pkgName)
 		}
 		// The facade, the serving engine, the fleet planner, the
-		// operator-facing autoscaler, the runner, the simulator, and the
-		// analyzer suite get the per-symbol pass.
+		// operator-facing autoscaler, the runner, the simulator and its
+		// model, arch and noc inputs, and the analyzer suite get the
+		// per-symbol pass.
 		if (dir == root && pkgName == "mugi") || pkgName == "serve" || pkgName == "fleet" ||
 			pkgName == "autoscale" || pkgName == "runner" || pkgName == "sim" ||
+			pkgName == "model" || pkgName == "arch" || pkgName == "noc" ||
 			strings.HasSuffix(dir, filepath.Join("tools", "mugivet")) {
 			checkExportedDocs(files, report)
 		}
@@ -83,7 +89,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented declarations\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: %d packages documented; facade, serve, fleet, autoscale, runner, sim and mugivet fully covered (godoc only — `make docs-check` also validates docs/*.md fences)\n", len(dirs))
+	fmt.Printf("doccheck: %d packages documented; facade, serve, fleet, autoscale, runner, sim, model, arch, noc and mugivet fully covered (godoc only — `make docs-check` also validates docs/*.md fences)\n", len(dirs))
 }
 
 // parsePackage parses every non-test Go file of one directory, keyed by
