@@ -181,7 +181,9 @@ func clampLen(x float64, max int) int {
 // TraceConfig parameterizes a synthetic trace.
 type TraceConfig struct {
 	Kind TraceKind
-	// Rate is the long-run mean arrival rate in requests/second.
+	// Rate is the long-run mean arrival rate in requests/second, at
+	// least 1e-9. Scaled by the kind's BurstFactor, 1+Swing or
+	// SurgeFactor, it may peak at 1e9.
 	Rate float64
 	// Requests is the number of requests to draw.
 	Requests int
@@ -194,18 +196,19 @@ type TraceConfig struct {
 	// (default 4).
 	BurstFactor float64
 	// Period is the sinusoid period in seconds for Diurnal traces
-	// (default 60).
+	// (default 60; at least 1e-3 mean gaps 1/Rate).
 	Period float64
 	// Swing is the relative sinusoid amplitude in [0,1) for Diurnal
 	// traces (default 0.8).
 	Swing float64
 
 	// SurgeFactor is the surge-phase rate multiplier for Flashcrowd and
-	// Retrystorm traces (default 4; must exceed 1).
+	// Retrystorm traces (default 4; must exceed 1, and be at most 1e3 for
+	// Retrystorm).
 	SurgeFactor float64
 	// SurgeSpan is the surge length in seconds: the mean surge-phase
 	// length for Flashcrowd, the exact pulse width for Retrystorm
-	// (default 120).
+	// (default 120). A Flashcrowd phase spans at least 1e-3 mean gaps.
 	SurgeSpan float64
 	// SurgePeriod is the calm length in seconds: the mean normal-phase
 	// length for Flashcrowd, the exact pulse start for Retrystorm
@@ -482,9 +485,9 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 	}
 	// Kind-specific knobs are defaulted and validated only for their own
 	// kind, so a shared config struct carrying another kind's settings
-	// stays valid. peak is the process's highest arrival rate and scale
-	// the knob that lifts Rate to it.
-	peak, scale := cfg.Rate, ""
+	// stays valid. peak is the process's highest arrival rate; knob and
+	// factor name the setting that lifts Rate to it.
+	peak, knob, factor := cfg.Rate, "", 0.0
 	switch cfg.Kind {
 	case Poisson:
 	case Bursty:
@@ -494,7 +497,7 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 		if !finiteAbove(cfg.BurstFactor, 1) {
 			return cfg, fmt.Errorf("serve: trace BurstFactor %g must be finite and exceed 1", cfg.BurstFactor)
 		}
-		peak, scale = cfg.BurstFactor*cfg.Rate, fmt.Sprintf("BurstFactor %g", cfg.BurstFactor)
+		peak, knob, factor = cfg.BurstFactor*cfg.Rate, "BurstFactor", cfg.BurstFactor
 	case Diurnal:
 		if cfg.Period == 0 {
 			cfg.Period = 60
@@ -502,7 +505,7 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 		if !finiteAbove(cfg.Period, 0) {
 			return cfg, fmt.Errorf("serve: trace Period %g must be positive and finite", cfg.Period)
 		}
-		if err := cfg.spansGaps("Period", cfg.Period); err != nil {
+		if err := spansGaps("Period", cfg.Period, cfg.Rate); err != nil {
 			return cfg, err
 		}
 		if cfg.Swing == 0 {
@@ -511,7 +514,7 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 		if !(cfg.Swing >= 0 && cfg.Swing < 1) {
 			return cfg, fmt.Errorf("serve: trace Swing %g must be in [0,1)", cfg.Swing)
 		}
-		peak, scale = cfg.Rate*(1+cfg.Swing), fmt.Sprintf("Swing %g", cfg.Swing)
+		peak, knob, factor = cfg.Rate*(1+cfg.Swing), "Swing", cfg.Swing
 	case Flashcrowd, Retrystorm:
 		if cfg.SurgeFactor == 0 {
 			cfg.SurgeFactor = 4
@@ -532,24 +535,24 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 			return cfg, fmt.Errorf("serve: trace SurgePeriod %g must be positive and finite", cfg.SurgePeriod)
 		}
 		if cfg.Kind == Flashcrowd {
-			if err := cfg.spansGaps("SurgeSpan", cfg.SurgeSpan); err != nil {
+			if err := spansGaps("SurgeSpan", cfg.SurgeSpan, cfg.Rate); err != nil {
 				return cfg, err
 			}
-			if err := cfg.spansGaps("SurgePeriod", cfg.SurgePeriod); err != nil {
+			if err := spansGaps("SurgePeriod", cfg.SurgePeriod, cfg.Rate); err != nil {
 				return cfg, err
 			}
 		} else if cfg.SurgeFactor > maxThinning {
 			return cfg, fmt.Errorf("serve: retrystorm trace SurgeFactor %g must be at most %g", cfg.SurgeFactor, maxThinning)
 		}
-		peak, scale = cfg.SurgeFactor*cfg.Rate, fmt.Sprintf("SurgeFactor %g", cfg.SurgeFactor)
+		peak, knob, factor = cfg.SurgeFactor*cfg.Rate, "SurgeFactor", cfg.SurgeFactor
 	default:
 		return cfg, fmt.Errorf("serve: unknown trace kind %v", cfg.Kind)
 	}
 	if peak > maxTracePeak {
-		if scale == "" {
+		if knob == "" {
 			return cfg, fmt.Errorf("serve: trace Rate %g must be at most %g req/s", cfg.Rate, maxTracePeak)
 		}
-		return cfg, fmt.Errorf("serve: trace Rate %g with %s peaks at %g req/s, above %g", cfg.Rate, scale, peak, maxTracePeak)
+		return cfg, fmt.Errorf("serve: trace Rate %g with %s %g peaks at %g req/s, above %g", cfg.Rate, knob, factor, peak, maxTracePeak)
 	}
 	for _, t := range cfg.Tenants {
 		if !finiteAbove(t.Share, 0) {
@@ -559,11 +562,11 @@ func (cfg TraceConfig) resolve() (TraceConfig, error) {
 	return cfg, nil
 }
 
-// spansGaps checks that a time scale of the trace, in seconds, spans at
-// least minTimescaleGaps mean gaps.
-func (cfg TraceConfig) spansGaps(knob string, seconds float64) error {
-	if seconds*cfg.Rate < minTimescaleGaps {
-		return fmt.Errorf("serve: trace %s %g s must span at least %g mean gaps of 1/Rate = %g s", knob, seconds, minTimescaleGaps, 1/cfg.Rate)
+// spansGaps checks that a time scale of a trace at rate req/s, in
+// seconds, spans at least minTimescaleGaps mean gaps.
+func spansGaps(knob string, seconds, rate float64) error {
+	if seconds*rate < minTimescaleGaps {
+		return fmt.Errorf("serve: trace %s %g s must span at least %g mean gaps of 1/Rate = %g s", knob, seconds, minTimescaleGaps, 1/rate)
 	}
 	return nil
 }

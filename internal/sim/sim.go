@@ -207,13 +207,13 @@ func sramBytes(op *model.Op) float64 {
 //mugi:noalloc
 func Simulate(p Params, w model.Workload) Result {
 	p.applyDefaults()
-	d, cost := &p.Design, &p.Cost
+	d := &p.Design
 	nodes := p.Mesh.SpeedupFactor()
 	layers := float64(w.Model.Layers)
 	peakMACs := d.PeakMACsPerCycle()
-	nlPerCycle := d.NLElementsPerCycle()                       //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
-	energyMAC := d.EnergyPerMAC(*cost)                         //mugi:coldalloc inlined unknown-kind panic arg; a built design never takes it
-	energyNL := d.EnergyPerNLElement(*cost) + cost.EnergyVecOp //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
+	nlPerCycle := d.NLElementsPerCycle()                          //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
+	energyMAC := d.EnergyPerMAC(p.Cost)                           //mugi:coldalloc inlined unknown-kind panic arg; a built design never takes it
+	energyNL := d.EnergyPerNLElement(p.Cost) + p.Cost.EnergyVecOp //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
 
 	res := Result{Design: p.Design, Mesh: p.Mesh}
 	var usefulMACs, capacityMACs float64
@@ -233,9 +233,9 @@ func Simulate(p Params, w model.Workload) Result {
 		capacityMACs += capacity * rep * layers
 		idle := (capacity - useful) * rep * layers
 		energy := useful*rep*layers*energyMAC +
-			idle*cost.EnergyIdlePE +
-			sramBytes(op)*rep*layers*cost.EnergySRAMByte +
-			float64(op.M*op.N)*rep*layers*cost.EnergyVecOp // dequant rescale
+			idle*p.Cost.EnergyIdlePE +
+			sramBytes(op)*rep*layers*p.Cost.EnergySRAMByte +
+			float64(op.M*op.N)*rep*layers*p.Cost.EnergyVecOp // dequant rescale
 		res.EnergyByClass[op.Class] += energy
 	}
 	// Sum in model.OpClasses order, the arrays' index order, so
@@ -248,8 +248,8 @@ func Simulate(p Params, w model.Workload) Result {
 	}
 
 	res.DRAMBytes = w.DRAMBytesPerPass()
-	res.DRAMEnergy = float64(res.DRAMBytes) * cost.EnergyDRAMByte
-	res.ComputeSeconds = res.TotalCycles / cost.Frequency
+	res.DRAMEnergy = float64(res.DRAMBytes) * p.Cost.EnergyDRAMByte
+	res.ComputeSeconds = res.TotalCycles / p.Cost.Frequency
 	res.MemorySeconds = float64(res.DRAMBytes) / p.Bandwidth
 	res.Seconds = res.ComputeSeconds
 	if res.MemorySeconds > res.Seconds {
@@ -273,7 +273,7 @@ func Simulate(p Params, w model.Workload) Result {
 	res.DynamicEnergy += res.DRAMEnergy
 	res.DynamicEnergy += p.Mesh.TransferEnergy(res.DRAMBytes)
 
-	res.LeakageWatts = d.LeakageWatts(*cost)*nodes + p.Mesh.LeakageWatts(*cost)
+	res.LeakageWatts = d.LeakageWatts(p.Cost)*nodes + p.Mesh.LeakageWatts(p.Cost)
 	if res.Seconds > 0 {
 		res.PowerWatts = res.LeakageWatts + res.DynamicEnergy/res.Seconds
 		res.TokensPerSecond = float64(w.TokensPerPass()) / res.Seconds
