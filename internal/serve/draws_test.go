@@ -106,11 +106,14 @@ func FuzzDrawsMatchNewStream(f *testing.F) {
 	f.Add(uint8(Diurnal), int64(11), false, false, 0.125, int16(4), 8.0, int16(200), 0.0)
 	f.Add(uint8(Flashcrowd), int64(5), false, true, 16.0, int16(0), 16.0, int16(40), 0.0)
 	for _, c := range knobCases() {
+		// The fuzzer spans Rate and one time scale for Period, SurgeSpan
+		// and SurgePeriod alike; a case setting any other knob is left out.
 		cfg := c.cfg
 		if cfg.BurstFactor != 0 || cfg.Swing != 0 || cfg.SurgeFactor != 0 || cfg.SurgeSpan != cfg.SurgePeriod {
-			continue // a knob the fuzzer leaves at its default
+			continue
 		}
-		f.Add(uint8(cfg.Kind), cfg.Seed, false, false, cfg.Rate, int16(cfg.Requests), 1.0, int16(8), cfg.Period+cfg.SurgeSpan)
+		timescale := max(cfg.Period, cfg.SurgeSpan) // no case sets both
+		f.Add(uint8(cfg.Kind), cfg.Seed, false, false, cfg.Rate, int16(cfg.Requests), 1.0, int16(8), timescale)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, seed int64, reseed, tenants bool, rate1 float64, n1 int16, rate2 float64, n2 int16, timescale float64) {
 		var d Draws
