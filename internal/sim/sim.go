@@ -199,10 +199,10 @@ func sramBytes(op *model.Op) float64 {
 //
 // It reads the design, cost table and operators in place, and computes
 // the rates and energies that depend only on the design and cost table
-// once, before the operator loop; every floating-point expression keeps
-// the operand order it had when each operator recomputed them, so the
-// results are bit-identical (TestSimulatePinned). The by-value signature
-// stays because callers outside the module compile against it.
+// once, before the operator loop. Every floating-point expression keeps
+// a fixed operand order, which TestSimulatePinned holds to the bit. The
+// by-value signature stays because the benchmark module, outside this
+// one, compiles against it.
 //
 //mugi:noalloc
 func Simulate(p Params, w model.Workload) Result {
