@@ -371,3 +371,28 @@ func TestSinPeriodicityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestApproxMatchesFieldPath holds Approx, bit for bit, to the field path
+// it is defined by: narrow the (range-reduced) input to BF16, split it with
+// numerics.Split and look the fields up with lookupClamped. It covers every
+// BF16 code at every window position of each op, at mantissa widths on
+// both sides of BF16's seven bits.
+func TestApproxMatchesFieldPath(t *testing.T) {
+	ops := []nonlinear.Op{nonlinear.Exp, nonlinear.SiLU, nonlinear.GELU, nonlinear.Tanh, nonlinear.Sin, nonlinear.Cos}
+	for _, op := range ops {
+		for _, mb := range []int{3, 5, 7, 8} {
+			a := New(Config{Op: op, ManBits: mb, LUTEMin: -7, LUTEMax: 3})
+			for lo := a.cfg.LUTEMin; lo+a.cfg.WindowWidth-1 <= a.cfg.LUTEMax; lo++ {
+				a.SetWindow(lo)
+				for c := 0; c < 1<<16; c++ {
+					x := float64(numerics.BF16(c).Float32())
+					word := float64(numerics.BF16FromFloat32(float32(a.reduce(x))).Float32())
+					want := a.lut.lookupClamped(numerics.Split(float32(word), mb), lo, a.cfg.WindowWidth, word)
+					if got := a.Approx(x); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v ManBits %d window %d code %#04x (%v): Approx %v, field path %v", op, mb, lo, c, x, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -82,6 +82,94 @@ func TestMultiplyMatchesSeedReference(t *testing.T) {
 		got, _ := Multiply(cfg, a, q)
 		requireBitIdentical(t, got, multiplySeedRef(a, q))
 	}
+	// The layouts the decoder reads: one-row groups with shared (value
+	// cache) and per-column scales, groups that leave 1 to 3 rows after
+	// whole four-row passes, strided key views, and ±0 activations against
+	// zero codes, whose products are signed zeros.
+	for _, tc := range []struct {
+		name        string
+		m, k, n, gs int
+		shared      bool
+		stride      int
+		signedZeros bool
+		cfg         GEMMConfig
+	}{
+		{name: "gs1-shared", m: 1, k: 37, n: 16, gs: 1, shared: true},
+		{name: "gs1-shared-m9", m: 9, k: 64, n: 5, gs: 1, shared: true},
+		{name: "gs1-shared-ctx256", m: 1, k: 256, n: 16, gs: 1, shared: true},
+		{name: "gs1-percol", m: 3, k: 20, n: 11, gs: 1},
+		{name: "gs2", m: 2, k: 9, n: 7, gs: 2},
+		{name: "gs3", m: 4, k: 10, n: 6, gs: 3, shared: true},
+		{name: "gs5-rest1", m: 2, k: 23, n: 13, gs: 5},
+		{name: "gs6-rest2", m: 7, k: 30, n: 9, gs: 6},
+		{name: "gs7-rest3", m: 1, k: 33, n: 21, gs: 7},
+		{name: "gs64", m: 1, k: 256, n: 128, gs: 64},
+		{name: "key-view", m: 1, k: 16, n: 37, gs: 16, stride: 64},
+		{name: "key-view-m8", m: 8, k: 16, n: 200, gs: 16, stride: 256},
+		{name: "key-view-rest3", m: 9, k: 11, n: 5, gs: 11, stride: 9},
+		{name: "signed-zeros-gs1", m: 3, k: 40, n: 16, gs: 1, shared: true, signedZeros: true},
+		{name: "signed-zeros-gs1-percol", m: 2, k: 12, n: 8, gs: 1, signedZeros: true},
+		{name: "signed-zeros-gs6", m: 5, k: 27, n: 10, gs: 6, signedZeros: true},
+		{name: "signed-zeros-key-view", m: 2, k: 16, n: 19, gs: 16, stride: 32, signedZeros: true},
+		{name: "carat-gs1-shared", m: 4, k: 50, n: 16, gs: 1, shared: true,
+			cfg: GEMMConfig{Rows: 16, Cols: 4, Mapping: MappingCaratBF16}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tensor.RandNormal(rng, tc.m, tc.k, 1)
+			q := randQuant(rng, tc.k, tc.n, tc.gs, tc.shared, tc.stride, tc.signedZeros)
+			if tc.signedZeros {
+				// Row 0 is all −0 and code column 0 all zero, so those
+				// outputs sum nothing but signed zeros.
+				negZero := float32(math.Copysign(0, -1))
+				for i := range a.Data {
+					switch {
+					case i < tc.k || rng.Intn(4) == 0:
+						a.Data[i] = negZero
+					case rng.Intn(3) == 0:
+						a.Data[i] = 0
+					}
+				}
+				for kk := 0; kk < tc.k; kk++ {
+					q.Codes[kk*q.stride()] = 0
+				}
+			}
+			cfg := tc.cfg
+			if cfg.Rows == 0 {
+				cfg = GEMMConfig{Rows: 128, Cols: 8, Mapping: MappingMugi}
+			}
+			got, _ := Multiply(cfg, a, q)
+			requireBitIdentical(t, got, multiplySeedRef(a, q))
+		})
+	}
+}
+
+// randQuant builds a k×n INT4 code matrix with positive scales, in the
+// shared (value cache) or per-column layout, optionally as a view of
+// stride columns whose padding holds codes the kernel must not read. With
+// zeros, half the codes are 0.
+func randQuant(rng *rand.Rand, k, n, gs int, shared bool, stride int, zeros bool) QuantMatrix {
+	groups := (k + gs - 1) / gs
+	q := QuantMatrix{Rows: k, Cols: n, Bits: 4, GroupSize: gs, SharedScales: shared, Stride: stride}
+	width := n
+	if stride != 0 {
+		width = stride
+	}
+	q.Codes = make([]int8, k*width)
+	for i := range q.Codes {
+		q.Codes[i] = int8(rng.Intn(15) - 7)
+		if zeros && rng.Intn(2) == 0 {
+			q.Codes[i] = 0
+		}
+	}
+	if shared {
+		q.Scales = make([]float32, groups)
+	} else {
+		q.Scales = make([]float32, n*groups)
+	}
+	for i := range q.Scales {
+		q.Scales[i] = float32(rng.Float64() + 0.05)
+	}
+	return q
 }
 
 func TestMultiplyIntoStrideView(t *testing.T) {

@@ -120,3 +120,96 @@ func TestSplitPanicsOnBadManBits(t *testing.T) {
 	}()
 	Split(1, 0)
 }
+
+// splitRef is Split as it was before the integer field split: the float64
+// Frexp/Ldexp decomposition with a roundHalfEven of the scaled mantissa.
+// Split must return the same Fields for every input and width.
+func splitRef(x float32, manBits int) Fields {
+	f := Fields{ManBits: manBits, Class: Classify(x)}
+	if math.Signbit(float64(x)) {
+		f.Sign = 1
+	}
+	switch f.Class {
+	case ClassZero, ClassInf, ClassNaN:
+		return f
+	case ClassSubnormal:
+		f.Class = ClassZero
+		return f
+	}
+	frac, exp2 := math.Frexp(math.Abs(float64(x)))
+	e := exp2 - 1
+	scaled := (frac*2 - 1) * math.Ldexp(1, manBits)
+	m := int(roundHalfEven(scaled))
+	if m >= 1<<manBits {
+		m = 0
+		e++
+	}
+	f.Mantissa = m
+	f.Exp = e
+	return f
+}
+
+func requireSplitMatchesRef(t *testing.T, bits uint32, manBits int) {
+	t.Helper()
+	x := math.Float32frombits(bits)
+	if got, want := Split(x, manBits), splitRef(x, manBits); got != want {
+		t.Fatalf("Split(%#08x, %d) = %+v, reference %+v", bits, manBits, got, want)
+	}
+}
+
+// TestSplitMatchesReference holds Split to splitRef on every BF16 code
+// point (as float32) at every width, and on every sign and exponent field
+// with the retained mantissa at 0, 1, all ones but one and all ones and
+// the dropped bits at 0, 1, half-1, half, half+1 and all ones: the ties,
+// their neighbours and the carries into the exponent.
+func TestSplitMatchesReference(t *testing.T) {
+	for mb := 1; mb <= 23; mb++ {
+		for c := uint32(0); c < 1<<16; c++ {
+			requireSplitMatchesRef(t, c<<16, mb)
+		}
+		drop := uint(23 - mb)
+		top := uint32(1)<<mb - 1
+		var dropped []uint32
+		if drop == 0 {
+			dropped = []uint32{0}
+		} else {
+			half := uint32(1) << (drop - 1)
+			dropped = []uint32{0, 1, half - 1, half, half + 1, 1<<drop - 1}
+		}
+		for sign := uint32(0); sign < 2; sign++ {
+			for exp := uint32(0); exp < 256; exp++ {
+				for _, kept := range []uint32{0, 1, top - 1, top} {
+					for _, d := range dropped {
+						if d >= 1<<drop {
+							continue
+						}
+						requireSplitMatchesRef(t, sign<<31|exp<<23|(kept&top)<<drop|d, mb)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSplitMatchesReference holds Split to splitRef on raw float32 bits at
+// any width in [1, 23] (manBits is taken modulo 23). The seed corpus holds
+// NaN payloads, signed zeros, subnormals, the largest finite value and
+// rounding ties.
+func FuzzSplitMatchesReference(f *testing.F) {
+	for _, c := range []struct {
+		bits    uint32
+		manBits uint8
+	}{
+		{0x7fc00000, 3}, {0xffc00001, 3}, {0x7f800001, 5}, {0xff812345, 7}, // NaN payloads
+		{0x00000000, 3}, {0x80000000, 3}, // ±0
+		{0x00000001, 3}, {0x807fffff, 7}, {0x00400000, 22}, // subnormals
+		{0x7f7fffff, 3}, {0xff7fffff, 23}, {0x7f7fffff, 1}, // largest finite, carrying into the Inf exponent
+		{0x3f880000, 3}, {0x3f980000, 3}, {0x3fa00000, 1}, {0x3fe00000, 1}, {0x3f800001, 22}, {0x3f800003, 22}, // ties to even, both ways
+		{0x7f800000, 3}, {0xff800000, 23}, // ±Inf
+	} {
+		f.Add(c.bits, c.manBits)
+	}
+	f.Fuzz(func(t *testing.T, bits uint32, manBits uint8) {
+		requireSplitMatchesRef(t, bits, 1+int(manBits)%23)
+	})
+}
