@@ -85,15 +85,28 @@ func TestMultiplyMatchesSeedReference(t *testing.T) {
 	// The layouts the decoder reads: one-row groups with shared (value
 	// cache) and per-column scales, groups that leave 1 to 3 rows after
 	// whole four-row passes, strided key views, and ±0 activations against
-	// zero codes, whose products are signed zeros.
+	// zero codes, whose products are signed zeros. Sums of INT4 products
+	// of similar magnitude are exact in float64, so the cancel rows draw
+	// activations from ±1 and ±2^60, codes from ±1 and scales from 1 and
+	// 2: a small product added while the sum holds a large one is lost,
+	// and the large ones often cancel, so another addition order gives
+	// other bits.
 	for _, tc := range []struct {
 		name        string
 		m, k, n, gs int
 		shared      bool
 		stride      int
 		signedZeros bool
+		cancel      bool
 		cfg         GEMMConfig
 	}{
+		{name: "cancel-gs1-shared", m: 4, k: 14, n: 64, gs: 1, shared: true, cancel: true},
+		{name: "cancel-gs1-percol", m: 4, k: 13, n: 64, gs: 1, cancel: true},
+		{name: "cancel-gs7", m: 4, k: 7, n: 64, gs: 7, cancel: true},
+		{name: "cancel-gs6", m: 4, k: 30, n: 64, gs: 6, cancel: true},
+		{name: "cancel-gs64", m: 2, k: 128, n: 64, gs: 64, cancel: true},
+		{name: "cancel-key-view", m: 8, k: 16, n: 40, gs: 16, stride: 64, cancel: true},
+		{name: "cancel-key-view-rest3", m: 8, k: 11, n: 40, gs: 11, stride: 48, cancel: true},
 		{name: "gs1-shared", m: 1, k: 37, n: 16, gs: 1, shared: true},
 		{name: "gs1-shared-m9", m: 9, k: 64, n: 5, gs: 1, shared: true},
 		{name: "gs1-shared-ctx256", m: 1, k: 256, n: 16, gs: 1, shared: true},
@@ -117,6 +130,17 @@ func TestMultiplyMatchesSeedReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := tensor.RandNormal(rng, tc.m, tc.k, 1)
 			q := randQuant(rng, tc.k, tc.n, tc.gs, tc.shared, tc.stride, tc.signedZeros)
+			if tc.cancel {
+				for i := range q.Codes {
+					q.Codes[i] = int8(1 - 2*rng.Intn(2))
+				}
+				for i := range a.Data {
+					a.Data[i] = float32(math.Ldexp(float64(1-2*rng.Intn(2)), 60*rng.Intn(2)))
+				}
+				for i := range q.Scales {
+					q.Scales[i] = float32(1 + rng.Intn(2))
+				}
+			}
 			if tc.signedZeros {
 				// Row 0 is all −0 and code column 0 all zero, so those
 				// outputs sum nothing but signed zeros.
