@@ -160,11 +160,33 @@ func (a *Approx) CyclesPerElement() float64 {
 // Approx implements nonlinear.Approximator, evaluating one input against
 // the current sliding window. This is the fast functional path; see
 // ApproxTemporal for the cycle-faithful array walk used in tests.
+//
+// The input is narrowed to its BF16 word and split into rounded fields.
+// When ManBits ≤ 7 and the word is normal, the fields come straight from
+// the word's bits and index the LUT; zero, subnormal, NaN and infinite
+// words, and mantissas wider than BF16's 7 bits, take numerics.Split. Both
+// paths return the same bits.
 func (a *Approx) Approx(x float64) float64 {
 	x = a.reduce(x)
-	word := float64(numerics.BF16FromFloat32(float32(x)).Float32())
-	f := numerics.Split(float32(word), a.cfg.ManBits)
-	return a.lut.lookupClamped(f, a.winLo, a.cfg.WindowWidth, word)
+	b := numerics.BF16FromFloat32(float32(x))
+	word := float64(b.Float32())
+	if mb := a.cfg.ManBits; mb <= 7 {
+		if e := b.ExpBits(); e != 0 && e != 0xff {
+			em := roundFields(uint32(b)<<16, mb)
+			return a.lut.lookupNormal(b.Sign(), int(em&(1<<mb-1)), int(em>>mb)-127, a.winLo, a.cfg.WindowWidth, word)
+		}
+	}
+	return a.lut.lookupClamped(numerics.Split(float32(word), a.cfg.ManBits), a.winLo, a.cfg.WindowWidth, word)
+}
+
+// roundFields returns the exponent and mantissa fields of the float32 bits
+// of a normal value with the mantissa rounded to manBits bits, ties to
+// even, as one integer: exponent<<manBits | mantissa. A mantissa carry
+// raises the exponent, as in numerics.Split. manBits must be in [1, 22].
+func roundFields(bits uint32, manBits int) uint32 {
+	em := bits & 0x7fffffff
+	drop := uint(23 - manBits)
+	return (em + 1<<(drop-1) - 1 + (em>>drop)&1) >> drop
 }
 
 // reduce range-reduces periodic operations into [-pi, pi] before the
@@ -238,20 +260,22 @@ func (a *Approx) Softmax(dst, xs []float64) []float64 {
 			}
 		}
 		// Window selection over the max-subtracted operands (what exp
-		// actually sees) without materializing them: the same exponent scan
-		// as SelectWindowMax, inlined so the hot path stays allocation-free.
-		maxE := math.MinInt32
+		// actually sees) without materializing them: SelectWindowMax's
+		// scan, reading each normal operand's rounded biased exponent
+		// from its float32 bits instead of building its Fields.
+		mb := a.cfg.ManBits
+		maxE := -1
 		for _, v := range xs {
-			f := numerics.Split(float32(v-max), a.cfg.ManBits)
-			if f.Class != numerics.ClassNormal {
-				continue
+			bits := math.Float32bits(float32(v - max))
+			if e := bits >> 23 & 0xff; e == 0 || e == 0xff {
+				continue // zero, subnormal, infinite or NaN
 			}
-			if f.Exp > maxE {
-				maxE = f.Exp
+			if e := int(roundFields(bits, mb) >> mb); e > maxE {
+				maxE = e
 			}
 		}
-		if maxE != math.MinInt32 {
-			a.SetWindow(maxE - a.cfg.WindowWidth + 1)
+		if maxE >= 0 {
+			a.SetWindow(maxE - 127 - a.cfg.WindowWidth + 1)
 		}
 	}
 	return nonlinear.Softmax(dst, xs, a.Approx)

@@ -254,6 +254,17 @@ func Multiply(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) (*tensor.Matrix,
 // rows stream contiguously and per-group dequant scales are gathered once
 // per call instead of once per output row.
 //
+// Two shortcuts keep every bit. Over groups of more than one row, a pass
+// streams four code rows and each element adds its four products in row
+// order, as four one-row passes would. A one-row group (GroupSize 1, the
+// KVQ value cache) skips its group sum and adds its rescaled product p
+// straight into the row's accumulator: the group sum 0 + p equals p for
+// every p but −0, and a −0 product adds a zero to an accumulator that
+// starts at +0 and never becomes −0, so the sum is unchanged. With one
+// scale s per row shared by every column, p = (c·a)·s is computed as
+// c·(a·s), the same float64: a and s are float32, so a·s and c·a are
+// exact and both sides are one rounding of c·a·s.
+//
 //mugi:noalloc
 func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.Matrix, scratch *GEMMScratch) GEMMStats {
 	cfg.validate() //mugi:coldalloc inlined validation panic args; a valid config never takes the branch
@@ -295,40 +306,57 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 	// sign ⊕ (magnitude-cycle subscription of the BF16 accumulation).
 	// Group partial sums are rescaled by the vector array after the
 	// subscription phase (WOQ/KVQ dequantization). The loop nest is
-	// (row, group, k, column) so every code row streams contiguously; the
-	// per-(i,j) float operation sequence is exactly Multiply's original
-	// (j, k) walk, keeping results bit-identical.
+	// (row, group, k, column) so every code row streams contiguously; each
+	// output element performs the float operations of Multiply's original
+	// (j, k) walk in the same order, keeping results bit-identical.
 	for i := 0; i < m; i++ {
 		arow := a.Row(i)
-		for j := range acc {
-			acc[j] = 0
-		}
-		for g := 0; g < groups; g++ {
-			for j := range gacc {
-				gacc[j] = 0
+		clear(acc)
+		switch {
+		case gs == 1 && wq.SharedScales:
+			// One-row groups sharing a scale per row: c·(a·s) straight
+			// into acc (see the doc comment for why the bits hold).
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				addRows4(acc, wq.Codes, kk*stride, stride,
+					float64(arow[kk])*float64(wq.Scales[kk]),
+					float64(arow[kk+1])*float64(wq.Scales[kk+1]),
+					float64(arow[kk+2])*float64(wq.Scales[kk+2]),
+					float64(arow[kk+3])*float64(wq.Scales[kk+3]))
 			}
-			lo, hi := g*gs, (g+1)*gs
-			if hi > k {
-				hi = k
+			for ; kk < k; kk++ {
+				addRow(acc, wq.Codes[kk*stride:], float64(arow[kk])*float64(wq.Scales[kk]))
 			}
-			for kk := lo; kk < hi; kk++ {
-				// float64(code) equals the sign-applied magnitude product
-				// bit-for-bit: IEEE negation commutes with multiplication.
+		case gs == 1:
+			for kk := 0; kk < k; kk++ {
 				aik := float64(arow[kk])
-				crow := wq.Codes[kk*stride : kk*stride+n]
-				for j, c := range crow {
-					gacc[j] += float64(c) * aik
+				srow := scaleT[kk*n : (kk+1)*n]
+				for j, c := range wq.Codes[kk*stride : kk*stride+n] {
+					acc[j] += codeF64[uint8(c)] * aik * float64(srow[j])
 				}
 			}
-			if wq.SharedScales {
-				sg := float64(wq.Scales[g])
-				for j := range gacc {
-					acc[j] += gacc[j] * sg
+		default:
+			for g := 0; g < groups; g++ {
+				clear(gacc)
+				lo, hi := g*gs, min((g+1)*gs, k)
+				kk := lo
+				for ; kk+4 <= hi; kk += 4 {
+					addRows4(gacc, wq.Codes, kk*stride, stride,
+						float64(arow[kk]), float64(arow[kk+1]), float64(arow[kk+2]), float64(arow[kk+3]))
 				}
-			} else {
-				srow := scaleT[g*n : (g+1)*n]
-				for j := range gacc {
-					acc[j] += gacc[j] * float64(srow[j])
+				for ; kk < hi; kk++ {
+					addRow(gacc, wq.Codes[kk*stride:], float64(arow[kk]))
+				}
+				if wq.SharedScales {
+					sg := float64(wq.Scales[g])
+					for j := range gacc {
+						acc[j] += gacc[j] * sg
+					}
+				} else {
+					srow := scaleT[g*n : (g+1)*n]
+					for j := range gacc {
+						acc[j] += gacc[j] * float64(srow[j])
+					}
 				}
 			}
 		}
@@ -339,6 +367,44 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 	}
 	return PlanCycles(cfg, m, k, n, wq.Bits)
 }
+
+// addRows4 adds the products of four consecutive code rows, the first at
+// codes[off] and each stride after the last, with the weights w0..w3 into
+// s. Each element adds its four products in row order, exactly as four
+// addRow passes would.
+func addRows4(s []float64, codes []int8, off, stride int, w0, w1, w2, w3 float64) {
+	n := len(s)
+	c0 := codes[off:][:n]
+	c1 := codes[off+stride:][:n]
+	c2 := codes[off+2*stride:][:n]
+	c3 := codes[off+3*stride:][:n]
+	for j := range s {
+		v := s[j]
+		v += codeF64[uint8(c0[j])] * w0
+		v += codeF64[uint8(c1[j])] * w1
+		v += codeF64[uint8(c2[j])] * w2
+		v += codeF64[uint8(c3[j])] * w3
+		s[j] = v
+	}
+}
+
+// addRow adds the products of the code row at the start of codes with w
+// into s.
+func addRow(s []float64, codes []int8, w float64) {
+	for j, c := range codes[:len(s)] {
+		s[j] += codeF64[uint8(c)] * w
+	}
+}
+
+// codeF64 maps an int8 code, indexed as its byte, to float64: the code
+// times a BF16 activation is the sign-applied magnitude product
+// bit-for-bit, since IEEE negation commutes with multiplication.
+var codeF64 = func() (t [256]float64) {
+	for c := range t {
+		t[c] = float64(int8(c))
+	}
+	return t
+}()
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 

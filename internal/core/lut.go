@@ -23,6 +23,8 @@ type LUT struct {
 	// lookups fall back to it with sign 0 rows equal to exp of +|x| being
 	// impossible post max-subtraction.
 	signed bool
+	// zero is op(0), the output of a zero or underflowing input.
+	zero float64
 	// table[signPlane][mantissa][expIdx]
 	table [][][]float64
 }
@@ -37,7 +39,7 @@ func NewLUT(op nonlinear.Op, manBits, eMin, eMax int) *LUT {
 	if eMin > eMax {
 		panic(fmt.Sprintf("core: LUT window [%d,%d] empty", eMin, eMax))
 	}
-	l := &LUT{op: op, manBits: manBits, EMin: eMin, EMax: eMax, signed: op != nonlinear.Exp}
+	l := &LUT{op: op, manBits: manBits, EMin: eMin, EMax: eMax, signed: op != nonlinear.Exp, zero: nonlinear.Exact(op, 0)}
 	planes := 1
 	if l.signed {
 		planes = 2
@@ -107,31 +109,36 @@ func (l *LUT) Row(sign, mantissa, winLo, width int) []float64 {
 func (l *LUT) lookupClamped(f numerics.Fields, winLo, width int, orig float64) float64 {
 	switch f.Class {
 	case numerics.ClassZero:
-		return nonlinear.Exact(l.op, 0)
+		return l.zero
 	case numerics.ClassNaN:
 		return math.NaN()
 	case numerics.ClassInf:
 		// PP muxes the asymptote.
 		return l.overflow(f.Sign, orig)
 	}
-	if f.Exp < winLo {
+	return l.lookupNormal(f.Sign, f.Mantissa, f.Exp, winLo, width, orig)
+}
+
+// lookupNormal is lookupClamped for the rounded fields of a normal input.
+func (l *LUT) lookupNormal(sign, mantissa, exp, winLo, width int, orig float64) float64 {
+	if exp < winLo {
 		// Underflow: treated as zero input.
-		return nonlinear.Exact(l.op, 0)
+		return l.zero
 	}
-	if f.Exp >= winLo+width {
-		return l.overflow(f.Sign, orig)
+	if exp >= winLo+width {
+		return l.overflow(sign, orig)
 	}
 	plane := 0
-	if l.signed && f.Sign == 1 {
+	if l.signed && sign == 1 {
 		plane = 1
 	}
-	if !l.signed && f.Sign == 0 {
+	if !l.signed && sign == 0 {
 		// exp LUT stores the negative plane only; a positive input can
 		// only be the max element itself (value 0), already handled, or a
 		// numerical artifact — saturate at exp(0) = 1.
 		return 1
 	}
-	return l.table[plane][f.Mantissa][f.Exp-l.EMin]
+	return l.table[plane][mantissa][exp-l.EMin]
 }
 
 // overflow applies the operation's saturation behaviour for magnitudes

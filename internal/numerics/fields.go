@@ -58,33 +58,37 @@ func (f Fields) String() string {
 // matching the hardware, which treats anything below the LUT window as an
 // underflow.
 //
+// The split works on the float32 bits: it rounds the exponent and mantissa
+// fields together as one integer, so a mantissa carry raises the exponent
+// (and the largest finite value rounds up to Exp 128 with Mantissa 0).
+// core.Approx reads the fields of a normal BF16 word the same way without
+// building a Fields, and falls back to Split for zeros, subnormals, NaN,
+// infinities and mantissas wider than BF16's 7 bits.
+//
 // manBits must be in [1, 23].
 func Split(x float32, manBits int) Fields {
 	if manBits < 1 || manBits > 23 {
 		panic(fmt.Sprintf("numerics: Split manBits %d out of range [1,23]", manBits))
 	}
-	f := Fields{ManBits: manBits, Class: Classify(x)}
-	if math.Signbit(float64(x)) {
-		f.Sign = 1
-	}
-	switch f.Class {
-	case ClassZero, ClassInf, ClassNaN:
+	bits := math.Float32bits(x)
+	f := Fields{Sign: int(bits >> 31), ManBits: manBits}
+	switch exp := bits >> 23 & 0xff; {
+	case exp == 0:
+		f.Class = ClassZero // a subnormal flushes to zero
 		return f
-	case ClassSubnormal:
-		f.Class = ClassZero
+	case exp == 0xff && bits&0x7fffff != 0:
+		f.Class = ClassNaN
+		return f
+	case exp == 0xff:
+		f.Class = ClassInf
 		return f
 	}
-	frac, exp2 := math.Frexp(math.Abs(float64(x)))
-	// frac in [0.5,1): mantissa-with-hidden-one = frac*2 in [1,2).
-	e := exp2 - 1
-	scaled := (frac*2 - 1) * math.Ldexp(1, manBits)
-	m := int(roundHalfEven(scaled))
-	if m >= 1<<manBits {
-		m = 0
-		e++
+	em := bits & 0x7fffffff
+	if drop := uint(23 - manBits); drop > 0 {
+		em = (em + 1<<(drop-1) - 1 + (em>>drop)&1) >> drop
 	}
-	f.Mantissa = m
-	f.Exp = e
+	f.Mantissa = int(em & (1<<manBits - 1))
+	f.Exp = int(em>>manBits) - 127
 	return f
 }
 
