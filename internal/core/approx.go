@@ -296,7 +296,10 @@ func (a *Approx) ApproxTemporal(x float64) (val float64, manCycle, expCycle int)
 	e := f.Exp
 	underflow := e < a.winLo
 	overflow := e >= a.winLo+a.cfg.WindowWidth
-	if underflow || overflow {
+	// The exp LUT stores only the negative plane, so a positive input
+	// subscribes no row and saturates as in lookupClamped.
+	unstored := !a.lut.signed && f.Sign == 0
+	if underflow || overflow || unstored {
 		return a.lut.lookupClamped(f, a.winLo, a.cfg.WindowWidth, word), -1, -1
 	}
 	// Phase 2+3: stream LUT rows in mantissa-ascending order; the mantissa
