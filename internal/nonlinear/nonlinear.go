@@ -26,9 +26,11 @@ const (
 	GELU
 	// Tanh is the hyperbolic tangent, used by the GELU tanh approximation.
 	Tanh
-	// Sin and Cos are the rotary-positional-embedding kernels (paper
-	// §7.1: RoPE's sine/cosine can be approximated on the VLP array).
+	// Sin is the sine, one of the two rotary-positional-embedding kernels
+	// (paper §7.1: RoPE's sine/cosine can be approximated on the VLP
+	// array).
 	Sin
+	// Cos is the cosine, RoPE's other kernel.
 	Cos
 )
 

@@ -22,6 +22,11 @@
 //     internal/noc carries a doc comment — the workloads, hardware
 //     designs and mesh the simulator reads, whose methods the pass calls
 //     on every operator and whose receivers say whether it copies them;
+//   - every exported top-level symbol of internal/core, internal/numerics,
+//     internal/nonlinear and internal/infer carries a doc comment — the
+//     VLP kernels, the number formats and field split they read, the
+//     nonlinear ops they approximate and the decoder that runs them, whose
+//     fast paths must say what they keep bit-identical;
 //   - every exported top-level symbol of tools/mugivet carries a doc
 //     comment — the analyzer framework mirrors x/tools' analysis API
 //     (docs/ANALYSIS.md), and an analyzer suite whose own contracts are
@@ -71,11 +76,13 @@ func main() {
 		}
 		// The facade, the serving engine, the fleet planner, the
 		// operator-facing autoscaler, the runner, the simulator and its
-		// model, arch and noc inputs, and the analyzer suite get the
-		// per-symbol pass.
+		// model, arch and noc inputs, the VLP kernels with their number
+		// formats, nonlinear ops and decoder, and the analyzer suite get
+		// the per-symbol pass.
 		if (dir == root && pkgName == "mugi") || pkgName == "serve" || pkgName == "fleet" ||
 			pkgName == "autoscale" || pkgName == "runner" || pkgName == "sim" ||
 			pkgName == "model" || pkgName == "arch" || pkgName == "noc" ||
+			pkgName == "core" || pkgName == "numerics" || pkgName == "nonlinear" || pkgName == "infer" ||
 			strings.HasSuffix(dir, filepath.Join("tools", "mugivet")) {
 			checkExportedDocs(files, report)
 		}
@@ -89,7 +96,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented declarations\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: %d packages documented; facade, serve, fleet, autoscale, runner, sim, model, arch, noc and mugivet fully covered (godoc only — `make docs-check` also validates docs/*.md fences)\n", len(dirs))
+	fmt.Printf("doccheck: %d packages documented; facade, serve, fleet, autoscale, runner, sim, model, arch, noc, core, numerics, nonlinear, infer and mugivet fully covered (godoc only — `make docs-check` also validates docs/*.md fences)\n", len(dirs))
 }
 
 // parsePackage parses every non-test Go file of one directory, keyed by
