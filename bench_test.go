@@ -14,6 +14,7 @@ package mugi
 // of the serving kernels below are gated by TestAllocBudgets.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -202,44 +203,86 @@ func BenchmarkVLPApproxElement(b *testing.B) {
 }
 
 // BenchmarkVLPSoftmaxRow measures a full VLP softmax over one attention
-// score row.
+// score row: a 4,096-wide row, and a 256-wide one, the mean context of a
+// 512-token decode.
 func BenchmarkVLPSoftmaxRow(b *testing.B) {
-	a := NewApprox(ApproxConfig{Op: Exp, LUTEMin: -8, LUTEMax: 4})
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 2
-	}
-	dst := make([]float64, len(xs))
-	b.SetBytes(int64(len(xs) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Softmax(dst, xs)
+	for _, n := range []int{4096, 256} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			a := NewApprox(ApproxConfig{Op: Exp, LUTEMin: -8, LUTEMax: 4})
+			rng := rand.New(rand.NewSource(3))
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.NormFloat64() * 2
+			}
+			dst := make([]float64, len(xs))
+			b.SetBytes(int64(len(xs) * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Softmax(dst, xs)
+			}
+		})
 	}
 }
 
 // BenchmarkVLPGEMM measures the functional VLP GEMM engine on its hot
 // path: the blocked MultiplyInto kernel with a warmed scratch, zero
-// steady-state allocations (asserted by TestMultiplyIntoZeroAlloc).
+// steady-state allocations (asserted by TestMultiplyIntoZeroAlloc). It
+// runs an 8×512 by 512×512 GEMM with 128-row groups, and the decoder's
+// shapes at a context of 256: a 1×128 by 128×128 weight GEMV (64-row
+// groups), the 1×16 score GEMM against a strided key-cache view (one
+// 16-row group, a scale per token) and the context GEMM against a
+// value-cache view (one-row groups sharing one scale per token).
 func BenchmarkVLPGEMM(b *testing.B) {
+	const ctx, hd, maxSeq = 256, 16, 512
 	rng := rand.New(rand.NewSource(4))
-	a := NewMatrix(8, 512)
-	w := NewMatrix(512, 512)
-	for i := range a.Data {
-		a.Data[i] = float32(rng.NormFloat64())
+	randMatrix := func(rows, cols int, std float64) *Matrix {
+		m := NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = float32(rng.NormFloat64() * std)
+		}
+		return m
 	}
-	for i := range w.Data {
-		w.Data[i] = float32(rng.NormFloat64() * 0.3)
+	randCodes := func(n int) []int8 {
+		c := make([]int8, n)
+		for i := range c {
+			c[i] = int8(rng.Intn(15) - 7)
+		}
+		return c
 	}
-	q := QuantizeWeights(w, 4, 128)
-	cfg := GEMMConfig{Rows: 128, Cols: 8, Mapping: MappingMugi}
-	out := NewMatrix(8, 512)
-	var scratch GEMMScratch
-	b.SetBytes(int64(8 * 512 * 512))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MultiplyInto(cfg, a, q, out, &scratch)
+	randScales := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = float32(rng.Float64()*0.1 + 0.01)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		a    *Matrix
+		q    QuantMatrix
+	}{
+		{"8x512x512", randMatrix(8, 512, 1), QuantizeWeights(randMatrix(512, 512, 0.3), 4, 128)},
+		{"gemv-1x128x128", randMatrix(1, 128, 1), QuantizeWeights(randMatrix(128, 128, 0.1), 4, 64)},
+		{"scores-key-view", randMatrix(1, hd, 1), QuantMatrix{
+			Rows: hd, Cols: ctx, Bits: 4, GroupSize: hd, Stride: maxSeq,
+			Codes: randCodes(hd * maxSeq), Scales: randScales(ctx),
+		}},
+		{"context-value-view", randMatrix(1, ctx, 0.1), QuantMatrix{
+			Rows: ctx, Cols: hd, Bits: 4, GroupSize: 1, SharedScales: true,
+			Codes: randCodes(ctx * hd), Scales: randScales(ctx),
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := GEMMConfig{Rows: 128, Cols: 8, Mapping: MappingMugi}
+			out := NewMatrix(tc.a.Rows, tc.q.Cols)
+			var scratch GEMMScratch
+			b.SetBytes(int64(tc.a.Rows * tc.q.Rows * tc.q.Cols))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MultiplyInto(cfg, tc.a, tc.q, out, &scratch)
+			}
+		})
 	}
 }
 
