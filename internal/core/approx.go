@@ -172,21 +172,11 @@ func (a *Approx) Approx(x float64) float64 {
 	word := float64(b.Float32())
 	if mb := a.cfg.ManBits; mb <= 7 {
 		if e := b.ExpBits(); e != 0 && e != 0xff {
-			em := roundFields(uint32(b)<<16, mb)
+			em := numerics.RoundFields(uint32(b)<<16, mb)
 			return a.lut.lookupNormal(b.Sign(), int(em&(1<<mb-1)), int(em>>mb)-127, a.winLo, a.cfg.WindowWidth, word)
 		}
 	}
 	return a.lut.lookupClamped(numerics.Split(float32(word), a.cfg.ManBits), a.winLo, a.cfg.WindowWidth, word)
-}
-
-// roundFields returns the exponent and mantissa fields of the float32 bits
-// of a normal value with the mantissa rounded to manBits bits, ties to
-// even, as one integer: exponent<<manBits | mantissa. A mantissa carry
-// raises the exponent, as in numerics.Split. manBits must be in [1, 22].
-func roundFields(bits uint32, manBits int) uint32 {
-	em := bits & 0x7fffffff
-	drop := uint(23 - manBits)
-	return (em + 1<<(drop-1) - 1 + (em>>drop)&1) >> drop
 }
 
 // reduce range-reduces periodic operations into [-pi, pi] before the
@@ -270,7 +260,7 @@ func (a *Approx) Softmax(dst, xs []float64) []float64 {
 			if e := bits >> 23 & 0xff; e == 0 || e == 0xff {
 				continue // zero, subnormal, infinite or NaN
 			}
-			if e := int(roundFields(bits, mb) >> mb); e > maxE {
+			if e := int(numerics.RoundFields(bits, mb) >> mb); e > maxE {
 				maxE = e
 			}
 		}

@@ -254,16 +254,16 @@ func Multiply(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) (*tensor.Matrix,
 // rows stream contiguously and per-group dequant scales are gathered once
 // per call instead of once per output row.
 //
-// Two shortcuts keep every bit. Over groups of more than one row, a pass
-// streams four code rows and each element adds its four products in row
-// order, as four one-row passes would. A one-row group (GroupSize 1, the
-// KVQ value cache) skips its group sum and adds its rescaled product p
-// straight into the row's accumulator: the group sum 0 + p equals p for
-// every p but −0, and a −0 product adds a zero to an accumulator that
-// starts at +0 and never becomes −0, so the sum is unchanged. With one
-// scale s per row shared by every column, p = (c·a)·s is computed as
-// c·(a·s), the same float64: a and s are float32, so a·s and c·a are
-// exact and both sides are one rounding of c·a·s.
+// Two shortcuts keep every bit. A pass streams four code rows and each
+// element adds its four products in row order, as four one-row passes
+// would. One-row groups sharing one scale s per row (GroupSize 1 with
+// SharedScales, the KVQ value cache) skip their group sums and add each
+// rescaled product p = (c·a)·s straight into the row's accumulator: the
+// group sum 0 + p equals p for every p but −0, and a −0 product adds a
+// zero to an accumulator that starts at +0 and never becomes −0, so the
+// sum is unchanged. p is computed as c·(a·s), the same float64: a and s
+// are float32, so a·s and c·a are exact and both sides are one rounding
+// of c·a·s.
 //
 //mugi:noalloc
 func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.Matrix, scratch *GEMMScratch) GEMMStats {
@@ -312,8 +312,7 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 	for i := 0; i < m; i++ {
 		arow := a.Row(i)
 		clear(acc)
-		switch {
-		case gs == 1 && wq.SharedScales:
+		if gs == 1 && wq.SharedScales {
 			// One-row groups sharing a scale per row: c·(a·s) straight
 			// into acc (see the doc comment for why the bits hold).
 			kk := 0
@@ -327,15 +326,7 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 			for ; kk < k; kk++ {
 				addRow(acc, wq.Codes[kk*stride:], float64(arow[kk])*float64(wq.Scales[kk]))
 			}
-		case gs == 1:
-			for kk := 0; kk < k; kk++ {
-				aik := float64(arow[kk])
-				srow := scaleT[kk*n : (kk+1)*n]
-				for j, c := range wq.Codes[kk*stride : kk*stride+n] {
-					acc[j] += codeF64[uint8(c)] * aik * float64(srow[j])
-				}
-			}
-		default:
+		} else {
 			for g := 0; g < groups; g++ {
 				clear(gacc)
 				lo, hi := g*gs, min((g+1)*gs, k)

@@ -58,10 +58,9 @@ func (f Fields) String() string {
 // matching the hardware, which treats anything below the LUT window as an
 // underflow.
 //
-// The split works on the float32 bits: it rounds the exponent and mantissa
-// fields together as one integer, so a mantissa carry raises the exponent
-// (and the largest finite value rounds up to Exp 128 with Mantissa 0).
-// core.Approx reads the fields of a normal BF16 word the same way without
+// A normal input's fields come from RoundFields over its float32 bits, so
+// the largest finite value rounds up to Exp 128 with Mantissa 0.
+// core.Approx reads a normal BF16 word's fields the same way without
 // building a Fields, and falls back to Split for zeros, subnormals, NaN,
 // infinities and mantissas wider than BF16's 7 bits.
 //
@@ -71,25 +70,31 @@ func Split(x float32, manBits int) Fields {
 		panic(fmt.Sprintf("numerics: Split manBits %d out of range [1,23]", manBits))
 	}
 	bits := math.Float32bits(x)
-	f := Fields{Sign: int(bits >> 31), ManBits: manBits}
-	switch exp := bits >> 23 & 0xff; {
-	case exp == 0:
-		f.Class = ClassZero // a subnormal flushes to zero
+	f := Fields{Sign: int(bits >> 31), ManBits: manBits, Class: Classify(x)}
+	switch f.Class {
+	case ClassZero, ClassInf, ClassNaN:
 		return f
-	case exp == 0xff && bits&0x7fffff != 0:
-		f.Class = ClassNaN
-		return f
-	case exp == 0xff:
-		f.Class = ClassInf
+	case ClassSubnormal:
+		f.Class = ClassZero
 		return f
 	}
+	em := RoundFields(bits, manBits)
+	f.Mantissa = int(em & (1<<manBits - 1))
+	f.Exp = int(em>>manBits) - 127
+	return f
+}
+
+// RoundFields rounds the mantissa field of the float32 bits of a normal
+// value to manBits bits, ties to even, and returns the biased exponent and
+// rounded mantissa fields as one integer, exponent<<manBits | mantissa.
+// Rounding both fields as one integer lets a mantissa carry raise the
+// exponent. manBits must be in [1, 23].
+func RoundFields(bits uint32, manBits int) uint32 {
 	em := bits & 0x7fffffff
 	if drop := uint(23 - manBits); drop > 0 {
 		em = (em + 1<<(drop-1) - 1 + (em>>drop)&1) >> drop
 	}
-	f.Mantissa = int(em & (1<<manBits - 1))
-	f.Exp = int(em>>manBits) - 127
-	return f
+	return em
 }
 
 // SplitBF16 first narrows x to BF16 (the Mugi input word) and then splits,
