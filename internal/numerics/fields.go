@@ -59,7 +59,8 @@ func (f Fields) String() string {
 // underflow.
 //
 // A normal input's fields come from RoundFields over its float32 bits, so
-// the largest finite value rounds up to Exp 128 with Mantissa 0.
+// below 23 bits the largest finite value rounds up to Exp 128 with
+// Mantissa 0.
 // core.Approx reads a normal BF16 word's fields the same way without
 // building a Fields, and falls back to Split for zeros, subnormals, NaN,
 // infinities and mantissas wider than BF16's 7 bits.
