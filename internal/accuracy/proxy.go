@@ -17,7 +17,6 @@ import (
 	"mugi/internal/core"
 	"mugi/internal/dist"
 	"mugi/internal/nonlinear"
-	"mugi/internal/runner"
 	"mugi/internal/tensor"
 )
 
@@ -65,16 +64,6 @@ func ExactImpl(act nonlinear.Op) Impl {
 	}
 }
 
-// ApproxImpl wraps element-wise approximators for softmax-exp and the
-// activation into an Impl.
-func ApproxImpl(name string, exp, act nonlinear.Approximator) Impl {
-	return Impl{
-		Name:    name,
-		Softmax: func(dst, xs []float64) { nonlinear.Softmax(dst, xs, exp.Approx) },
-		Act:     act.Approx,
-	}
-}
-
 // VLPImpl builds the Mugi implementation: a VLP exp whose sliding window is
 // selected per score row by the hardware E-proc policy, plus a VLP
 // activation with a mass-selected window.
@@ -114,22 +103,18 @@ type Proxy struct {
 	// same matrices instead of reallocating the whole forward state.
 	scratchMu sync.Mutex
 	scratch   []*fwdScratch
-
-	// headParallel fans the attention heads of each layer across the
-	// runner pool (see SetHeadParallel).
-	headParallel bool
 }
 
 // fwdScratch is one complete set of forward-pass working matrices. Every
-// buffer is fully overwritten by forwardInto before being read, so reuse
+// buffer is fully overwritten by forward before being read, so reuse
 // across Loss calls cannot leak state between evaluations.
 type fwdScratch struct {
 	x, q, k, v       *tensor.Matrix
 	attnOut, proj    *tensor.Matrix
 	hidden, ffnOut   *tensor.Matrix
 	logits           *tensor.Matrix
-	scores, probs    [][]float64 // per head, so parallel heads stay disjoint
-	ctx              [][]float64 // per-head float64 context accumulators
+	scores, probs    []float64 // one attention row of one head
+	ctx              []float64 // float64 context accumulators of one head
 	lossRow, lossPrb []float64
 }
 
@@ -145,18 +130,12 @@ func (p *Proxy) newScratch() *fwdScratch {
 		hidden:  tensor.NewMatrix(cfg.SeqLen, cfg.FFN),
 		ffnOut:  tensor.NewMatrix(cfg.SeqLen, cfg.Dim),
 		logits:  tensor.NewMatrix(cfg.SeqLen, cfg.Vocab),
-		scores:  make([][]float64, cfg.Heads),
-		probs:   make([][]float64, cfg.Heads),
-		ctx:     make([][]float64, cfg.Heads),
+		scores:  make([]float64, cfg.SeqLen),
+		probs:   make([]float64, cfg.SeqLen),
+		ctx:     make([]float64, cfg.Dim/cfg.Heads),
+		lossRow: make([]float64, cfg.Vocab),
+		lossPrb: make([]float64, cfg.Vocab),
 	}
-	hd := cfg.Dim / cfg.Heads
-	for h := 0; h < cfg.Heads; h++ {
-		s.scores[h] = make([]float64, cfg.SeqLen)
-		s.probs[h] = make([]float64, cfg.SeqLen)
-		s.ctx[h] = make([]float64, hd)
-	}
-	s.lossRow = make([]float64, cfg.Vocab)
-	s.lossPrb = make([]float64, cfg.Vocab)
 	return s
 }
 
@@ -177,16 +156,6 @@ func (p *Proxy) putScratch(s *fwdScratch) {
 	p.scratch = append(p.scratch, s)
 	p.scratchMu.Unlock()
 }
-
-// SetHeadParallel toggles deterministic per-head parallelism: the
-// attention heads of each layer are fanned over the experiment runner's
-// worker pool. Every head writes only its own attnOut columns and its own
-// score/probability rows, so the result is byte-identical to the serial
-// walk at any parallelism. The Impl under evaluation must be safe for
-// concurrent Softmax calls (ExactImpl is; a shared stateful VLP window is
-// not), which is why it is opt-in. SetHeadParallel must not be called
-// concurrently with Loss; it is a configuration-time switch.
-func (p *Proxy) SetHeadParallel(on bool) { p.headParallel = on }
 
 // NewProxy builds the proxy model; it panics on invalid configs or unknown
 // families.
@@ -223,7 +192,7 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 	// reference that perturbations can only degrade on average.
 	s := p.getScratch()
 	defer p.putScratch(s)
-	logits := p.forward(s, Uniform(ExactImpl(cfg.Activation)), false)
+	logits := p.forward(s, Uniform(ExactImpl(cfg.Activation)))
 	p.targets = make([]int, cfg.SeqLen)
 	for t := 0; t < cfg.SeqLen; t++ {
 		best, bestV := 0, float32(math.Inf(-1))
@@ -297,17 +266,10 @@ func Uniform(impl Impl) LayerImpls {
 // proxy's scratch pool, so a warmed Loss performs zero steady-state
 // allocations.
 func (p *Proxy) Loss(impls LayerImpls) float64 {
-	return p.loss(impls, p.headParallel)
-}
-
-// loss is Loss with the head fan-out decided by the caller, so
-// CollectSoftmaxInputs can force a serial pass without mutating shared
-// proxy state under concurrent Loss calls.
-func (p *Proxy) loss(impls LayerImpls, headParallel bool) float64 {
 	cfg := p.cfg
 	s := p.getScratch()
 	defer p.putScratch(s)
-	logits := p.forward(s, impls, headParallel)
+	logits := p.forward(s, impls)
 	loss := 0.0
 	row, prob := s.lossRow, s.lossPrb
 	for t := 0; t < cfg.SeqLen; t++ {
@@ -329,7 +291,7 @@ func (p *Proxy) loss(impls LayerImpls, headParallel bool) float64 {
 // hoist contiguous head rows and accumulate the context in row-major
 // order for cache locality; per output element the float operation
 // sequence is unchanged, so results are bit-identical to the seed.
-func (p *Proxy) forward(s *fwdScratch, impls LayerImpls, headParallel bool) *tensor.Matrix {
+func (p *Proxy) forward(s *fwdScratch, impls LayerImpls) *tensor.Matrix {
 	cfg := p.cfg
 	seq := cfg.SeqLen
 	x := s.x
@@ -342,14 +304,8 @@ func (p *Proxy) forward(s *fwdScratch, impls LayerImpls, headParallel bool) *ten
 		tensor.MatMulInto(s.q, x, p.wq[l])
 		tensor.MatMulInto(s.k, x, p.wk[l])
 		tensor.MatMulInto(s.v, x, p.wv[l])
-		if headParallel {
-			// The closure escapes into the pool; the serial path below
-			// stays allocation-free by calling the method directly.
-			runner.Map(cfg.Heads, func(h int) { p.runHead(s, impl, df, h) })
-		} else {
-			for h := 0; h < cfg.Heads; h++ {
-				p.runHead(s, impl, df, h)
-			}
+		for h := 0; h < cfg.Heads; h++ {
+			p.runHead(s, impl, df, h)
 		}
 		proj := tensor.MatMulInto(s.proj, s.attnOut, p.wo[l])
 		for i := range x.Data {
@@ -369,13 +325,12 @@ func (p *Proxy) forward(s *fwdScratch, impls LayerImpls, headParallel bool) *ten
 	return tensor.MatMulInto(s.logits, x, p.wout)
 }
 
-// runHead computes one attention head over the scratch's q/k/v matrices,
-// writing only its own attnOut columns and touching only its own per-head
-// score/probability/context rows — the disjointness that makes per-head
-// parallelism deterministic. The loops hoist contiguous head rows (scores)
-// and walk the value rows j-outer (context) for cache locality; each
-// output element's float accumulation order is exactly the seed's, so
-// results are bit-identical.
+// runHead computes one attention head over the scratch's q/k/v matrices
+// and writes its attnOut columns. Every score, probability and context
+// element is written before it is read, so the heads share one set of
+// rows. The loops hoist contiguous head rows (scores) and walk the value
+// rows j-outer (context) for cache locality; each output element's float
+// accumulation order is exactly the seed's, so results are bit-identical.
 func (p *Proxy) runHead(s *fwdScratch, impl Impl, df float64, h int) {
 	cfg := p.cfg
 	seq := cfg.SeqLen
@@ -383,7 +338,7 @@ func (p *Proxy) runHead(s *fwdScratch, impl Impl, df float64, h int) {
 	sqrtHD := math.Sqrt(float64(hd))
 	off := h * hd
 	q, k, v, attnOut := s.q, s.k, s.v, s.attnOut
-	scores, probs, ctx := s.scores[h], s.probs[h], s.ctx[h]
+	scores, probs, ctx := s.scores, s.probs, s.ctx
 	for i := 0; i < seq; i++ {
 		qrow := q.Row(i)[off : off+hd]
 		for j := 0; j < seq; j++ {
@@ -420,10 +375,6 @@ func (p *Proxy) Perplexity(impls LayerImpls) float64 {
 
 // CollectSoftmaxInputs runs the exact forward pass and gathers the
 // calibrated score rows per layer — the samples the window tuner consumes.
-// The collector closure appends to shared state, so this pass always runs
-// with heads serial, regardless of SetHeadParallel (forced per call rather
-// than by mutating the shared flag, which would race with concurrent Loss
-// evaluations).
 func (p *Proxy) CollectSoftmaxInputs(maxRowsPerLayer int) [][]float64 {
 	out := make([][]float64, p.cfg.Layers)
 	cur := -1
@@ -452,6 +403,6 @@ func (p *Proxy) CollectSoftmaxInputs(maxRowsPerLayer int) [][]float64 {
 			Act: impl.Act,
 		}
 	}
-	p.loss(collector, false)
+	p.Loss(collector)
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"mugi/internal/core"
 	"mugi/internal/dist"
 	"mugi/internal/nonlinear"
-	"mugi/internal/runner"
 )
 
 // TestLossGoldenSeed pins Loss to values captured from the seed
@@ -47,45 +46,5 @@ func TestLossZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed Loss allocated %v times per run", allocs)
-	}
-}
-
-// TestHeadParallelByteIdentical verifies the opt-in per-head fan-out
-// produces bit-identical losses at any runner parallelism (heads write
-// disjoint state; the exact impl is stateless and thread-safe).
-func TestHeadParallelByteIdentical(t *testing.T) {
-	p := NewProxy(DefaultProxy(dist.Llama2))
-	impl := Uniform(ExactImpl(p.Config().Activation))
-	serial := p.Loss(impl)
-	p.SetHeadParallel(true)
-	defer p.SetHeadParallel(false)
-	for _, workers := range []int{1, 4} {
-		runner.SetParallelism(workers)
-		if got := p.Loss(impl); got != serial {
-			t.Fatalf("parallelism %d: loss %.17g != serial %.17g", workers, got, serial)
-		}
-	}
-	runner.SetParallelism(0)
-}
-
-// TestCollectSoftmaxInputsSuspendsHeadParallel guards the collector's
-// shared append state against the head fan-out.
-func TestCollectSoftmaxInputsSuspendsHeadParallel(t *testing.T) {
-	p := NewProxy(DefaultProxy(dist.Llama2))
-	p.SetHeadParallel(true)
-	defer p.SetHeadParallel(false)
-	runner.SetParallelism(4)
-	defer runner.SetParallelism(0)
-	inputs := p.CollectSoftmaxInputs(4)
-	if len(inputs) != p.Config().Layers {
-		t.Fatalf("collected %d layers", len(inputs))
-	}
-	for l, xs := range inputs {
-		if len(xs) == 0 {
-			t.Fatalf("layer %d collected nothing", l)
-		}
-	}
-	if !p.headParallel {
-		t.Fatal("head parallelism not restored after collection")
 	}
 }

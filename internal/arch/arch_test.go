@@ -82,6 +82,15 @@ func TestAreaOrderings(t *testing.T) {
 	if g := s32 / s16; math.Abs(g-4) > 0.01 {
 		t.Errorf("SA PE growth %v should be 4x", g)
 	}
+	// The iso-area pairing of Figs. 11-12: an SA(16) node's area fits a
+	// Mugi of 128 to 320 rows.
+	budget := SystolicArray(16, false).Area(c).Total()
+	if got := Mugi(128).Area(c).Total(); got > budget {
+		t.Errorf("Mugi(128) area %v exceeds SA(16)'s %v", got, budget)
+	}
+	if got := Mugi(352).Area(c).Total(); got <= budget {
+		t.Errorf("Mugi(352) area %v fits within SA(16)'s %v", got, budget)
+	}
 }
 
 func TestPeakMACs(t *testing.T) {

@@ -96,19 +96,3 @@ func (u NLUnit) EnergyEfficiency(c CostTable) float64 {
 func (u NLUnit) PowerEfficiency(c CostTable) float64 {
 	return u.ThroughputPerSecond(c) / u.PowerWatts(c)
 }
-
-// FitMugiRows returns the largest Mugi array height (a multiple of 32, the
-// smallest Table-2 configuration) whose on-chip area fits the given budget
-// — the sizing rule behind the paper's iso-area comparisons (Figs. 11-12
-// pit Mugi heights 128/256 against 16-wide MAC arrays of similar area).
-func FitMugiRows(budgetMM2 float64, c CostTable) int {
-	best := 0
-	for rows := 32; rows <= 4096; rows += 32 {
-		if Mugi(rows).Area(c).Total() <= budgetMM2 {
-			best = rows
-		} else {
-			break
-		}
-	}
-	return best
-}

@@ -69,19 +69,3 @@ func TestCaratNLUnit(t *testing.T) {
 		t.Errorf("Mugi/Carat NL ratio %.2f", r)
 	}
 }
-
-func TestFitMugiRowsIsoArea(t *testing.T) {
-	// The budget of an SA(16) node fits a Mugi of roughly the paper's
-	// evaluated heights, confirming the iso-area pairing of Figs. 11-12.
-	budget := SystolicArray(16, false).Area(Cost45nm).Total()
-	rows := FitMugiRows(budget, Cost45nm)
-	if rows < 128 || rows > 320 {
-		t.Errorf("SA(16)-area Mugi has %d rows, want in [128, 320]", rows)
-	}
-	if got := Mugi(rows).Area(Cost45nm).Total(); got > budget {
-		t.Errorf("fitted design exceeds budget: %v > %v", got, budget)
-	}
-	if FitMugiRows(0.01, Cost45nm) != 0 {
-		t.Error("tiny budget should fit nothing")
-	}
-}

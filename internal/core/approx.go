@@ -218,6 +218,8 @@ func (a *Approx) ApproxSlice(dst, xs []float64) {
 // `rows` rows, writing results to dst (which may alias xs) and returning
 // the timing. Window selection is the caller's responsibility (hardware
 // runs SelectWindowMax per mapping; tuned flows use SelectWindowMass).
+// No production code calls it: it stays for the root package's
+// BenchmarkAblationSlidingWindow, which `make bench` runs.
 func (a *Approx) ApproxBatch(dst, xs []float64, rows int) BatchStats {
 	if rows < 1 {
 		panic("core: ApproxBatch rows < 1")

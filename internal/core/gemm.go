@@ -135,7 +135,9 @@ func (q QuantMatrix) Scale(k, n int) float32 {
 	return q.Scales[n*groups+k/q.GroupSize]
 }
 
-// Dequantize reconstructs the float weight matrix.
+// Dequantize reconstructs the float weight matrix. No production code
+// calls it: it stays as the float reference that tests hold Multiply and
+// QuantizeWeights to, and the KV cache's quantized key view with.
 func (q QuantMatrix) Dequantize() *tensor.Matrix {
 	w := tensor.NewMatrix(q.Rows, q.Cols)
 	for k := 0; k < q.Rows; k++ {

@@ -48,16 +48,6 @@ func (tc *TemporalConverter) Reset(target int) {
 	tc.fired = false
 }
 
-// SpikeCycle returns the cycle index (0-based within the window) at which a
-// value fires: trivially the value itself. It exists to make timing
-// derivations in the simulator self-documenting.
-func SpikeCycle(value int) int {
-	if value < 0 {
-		panic("core: negative temporal value")
-	}
-	return value
-}
-
 // WindowCycles is the temporal window length for an n-bit magnitude: 2^n
 // cycles (paper §2.1: latency grows exponentially with bitwidth, which is
 // why VLP stays at small widths).

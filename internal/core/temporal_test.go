@@ -56,18 +56,6 @@ func TestWindowCycles(t *testing.T) {
 	WindowCycles(17)
 }
 
-func TestSpikeCycle(t *testing.T) {
-	if SpikeCycle(5) != 5 {
-		t.Error("spike cycle mismatch")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SpikeCycle(-1)
-}
-
 func TestAccumulatorHoldsTByAddend(t *testing.T) {
 	acc := NewAccumulator(2.5)
 	for c := 0; c < 8; c++ {

@@ -273,22 +273,6 @@ func (s *Schedule) DownAt(t float64) bool {
 // UpAt is the complement of DownAt.
 func (s *Schedule) UpAt(t float64) bool { return !s.DownAt(t) }
 
-// Downtime sums the down seconds scheduled in [0, upTo).
-func (s *Schedule) Downtime(upTo float64) float64 {
-	if s == nil || s.spec.MTBF <= 0 {
-		return 0
-	}
-	s.ensure(upTo)
-	var sum float64
-	for _, iv := range s.down {
-		if iv.Start >= upTo {
-			break
-		}
-		sum += math.Min(iv.End, upTo) - iv.Start
-	}
-	return sum
-}
-
 // Nines converts availability in [0, 1] to its count of nines,
 // -log10(1-a): 0.999 -> 3. Perfect availability maps to +Inf, so render
 // through NinesString.

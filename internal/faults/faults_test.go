@@ -52,9 +52,6 @@ func TestZeroSpecInactive(t *testing.T) {
 	if s.Slowdown() != 1 {
 		t.Errorf("zero-rate slowdown = %g, want 1", s.Slowdown())
 	}
-	if d := s.Downtime(1e9); d != 0 {
-		t.Errorf("zero-rate downtime = %g, want 0", d)
-	}
 }
 
 // The timeline must not depend on how far it was previously materialized:
@@ -118,25 +115,6 @@ func TestDownAfterAndDownAt(t *testing.T) {
 	next, ok := s.DownAfter(iv.End)
 	if !ok || next.Start < iv.End {
 		t.Errorf("DownAfter(%g) = %+v, want a later interval", iv.End, next)
-	}
-}
-
-func TestDowntimeMatchesIntervals(t *testing.T) {
-	s, _ := New(Spec{MTBF: 100, MTTR: 25, Seed: 9}, 2)
-	const horizon = 5e4
-	s.ensure(horizon)
-	var want float64
-	for _, iv := range s.down {
-		if iv.Start >= horizon {
-			break
-		}
-		want += math.Min(iv.End, horizon) - iv.Start
-	}
-	if got := s.Downtime(horizon); math.Abs(got-want) > 1e-9 {
-		t.Errorf("Downtime = %g, want %g", got, want)
-	}
-	if s.Downtime(horizon) == 0 {
-		t.Error("expected nonzero downtime at MTBF 100 over 5e4 s")
 	}
 }
 

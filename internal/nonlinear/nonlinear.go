@@ -1,8 +1,8 @@
 // Package nonlinear provides the nonlinear operations that dominate
 // transformer runtime beyond GEMM — exp/softmax, SiLU, and GELU — together
 // with the hardware approximation schemes the paper compares against:
-// piecewise-linear (PWL), Taylor series with Horner evaluation, partial
-// approximation (PA), and a precise iterative vector-array reference.
+// piecewise-linear (PWL), Taylor series with Horner evaluation, and partial
+// approximation (PA).
 //
 // The VLP approximator itself lives in internal/core and implements the
 // same Approximator interface defined here.
@@ -75,16 +75,6 @@ func Exact(op Op, x float64) float64 {
 	}
 }
 
-// GELUTanh is the common tanh-based GELU approximation (paper Eq. 4).
-func GELUTanh(x float64) float64 {
-	return x / 2 * (1 + math.Tanh(math.Sqrt(2/math.Pi)*(x+0.044715*x*x*x)))
-}
-
-// GELUTanhFast is the constant-folded variant (paper Eq. 5).
-func GELUTanhFast(x float64) float64 {
-	return x / 2 * (1 + math.Tanh(0.7978845608*x*(1.0+0.044715*x*x)))
-}
-
 // Softmax computes a numerically stable softmax of x using the provided
 // exp function (exact or approximate), writing into dst. The maximum is
 // subtracted before exponentiation, as done both in software and by the
@@ -145,26 +135,3 @@ type Approximator interface {
 	// Name is a short scheme identifier ("PWL", "Taylor", "VLP", ...).
 	Name() string
 }
-
-// ExactRef is the precise iterative implementation executed on a vector
-// array of MAC units; the paper charges it 44 cycles per element
-// (§5.2.2, citing division/exp iterative algorithms).
-type ExactRef struct {
-	Func Op
-}
-
-// PreciseCycles is the per-element latency of the precise vector-array
-// nonlinear implementation (paper §5.2.2).
-const PreciseCycles = 44
-
-// Op implements Approximator.
-func (e ExactRef) Op() Op { return e.Func }
-
-// Approx implements Approximator with the exact function.
-func (e ExactRef) Approx(x float64) float64 { return Exact(e.Func, x) }
-
-// CyclesPerElement implements Approximator.
-func (e ExactRef) CyclesPerElement() float64 { return PreciseCycles }
-
-// Name implements Approximator.
-func (e ExactRef) Name() string { return "Precise" }

@@ -53,17 +53,6 @@ func TestSiLUSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestGELUTanhCloseToExact(t *testing.T) {
-	for x := -5.0; x <= 5.0; x += 0.1 {
-		if d := math.Abs(GELUTanh(x) - Exact(GELU, x)); d > 1e-3 {
-			t.Errorf("GELUTanh(%v) off by %v", x, d)
-		}
-		if d := math.Abs(GELUTanhFast(x) - GELUTanh(x)); d > 1e-6 {
-			t.Errorf("GELUTanhFast(%v) off from Eq.4 by %v", x, d)
-		}
-	}
-}
-
 func TestSoftmaxExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	dst := make([]float64, 4)
@@ -146,19 +135,6 @@ func TestSoftmaxLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	SoftmaxExact(make([]float64, 2), make([]float64, 3))
-}
-
-func TestExactRefImplementsApproximator(t *testing.T) {
-	var a Approximator = ExactRef{Func: SiLU}
-	if a.Approx(1) != Exact(SiLU, 1) {
-		t.Error("ExactRef not exact")
-	}
-	if a.CyclesPerElement() != PreciseCycles {
-		t.Errorf("cycles %v", a.CyclesPerElement())
-	}
-	if a.Name() != "Precise" {
-		t.Errorf("name %q", a.Name())
-	}
 }
 
 func TestSinCosExact(t *testing.T) {

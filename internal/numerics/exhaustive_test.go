@@ -53,43 +53,3 @@ func TestSplitExhaustiveOverBF16(t *testing.T) {
 		}
 	}
 }
-
-// TestFP8ExhaustiveOrdering: decoded finite values must be weakly ordered
-// by their sign-magnitude code order within each sign.
-func TestFP8ExhaustiveOrdering(t *testing.T) {
-	for _, f := range []FP8Format{E4M3, E5M2} {
-		prev := math.Inf(-1)
-		for c := 0; c < 128; c++ { // positive half ascends
-			v := float64(FP8Decode(FP8(c), f))
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			if v < prev {
-				t.Fatalf("%v: code %#02x decodes %v < previous %v", f, c, v, prev)
-			}
-			prev = v
-		}
-	}
-}
-
-// TestFP8EncodePicksNearest: for a dense sample of inputs, no other code
-// point is strictly closer than the encoder's choice.
-func TestFP8EncodePicksNearest(t *testing.T) {
-	// Precompute the finite code values.
-	var vals []float64
-	for c := 0; c < 256; c++ {
-		v := float64(FP8Decode(FP8(c), E4M3))
-		if !math.IsNaN(v) {
-			vals = append(vals, v)
-		}
-	}
-	for x := -440.0; x <= 440.0; x += 0.613 {
-		got := float64(FP8Decode(FP8Encode(float32(x), E4M3), E4M3))
-		gotErr := math.Abs(got - x)
-		for _, v := range vals {
-			if math.Abs(v-x) < gotErr-1e-9 {
-				t.Fatalf("x=%v: encoder chose %v (err %v) but %v is closer", x, got, gotErr, v)
-			}
-		}
-	}
-}

@@ -100,12 +100,8 @@ func RoundFields(bits uint32, manBits int) uint32 {
 
 // SplitBF16 first narrows x to BF16 (the Mugi input word) and then splits,
 // mirroring the on-chip datapath where the input SRAM holds BF16 words.
+// No production code calls it: it stays as the reference that internal/core's
+// tests hold core.Approx's direct BF16-word field read to.
 func SplitBF16(x float32, manBits int) Fields {
 	return Split(BF16FromFloat32(x).Float32(), manBits)
-}
-
-// RoundMantissa returns x with its mantissa rounded to manBits bits; this is
-// exactly the input approximation applied by Mugi before temporal coding.
-func RoundMantissa(x float32, manBits int) float64 {
-	return Split(x, manBits).Value()
 }

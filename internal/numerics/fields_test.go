@@ -102,16 +102,6 @@ func TestSplitBF16MatchesManualNarrowing(t *testing.T) {
 	}
 }
 
-func TestRoundMantissa(t *testing.T) {
-	if got := RoundMantissa(1.0625, 3); got != 1.0 {
-		// 1.0625 = 1 + 1/16; halfway between 1.0 and 1.125 -> even (1.0).
-		t.Errorf("RoundMantissa(1.0625,3) = %v", got)
-	}
-	if got := RoundMantissa(1.1, 3); got != 1.125 {
-		t.Errorf("RoundMantissa(1.1,3) = %v", got)
-	}
-}
-
 func TestSplitPanicsOnBadManBits(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -147,6 +137,23 @@ func splitRef(x float32, manBits int) Fields {
 	f.Mantissa = m
 	f.Exp = e
 	return f
+}
+
+// roundHalfEven rounds x to the nearest integer, ties to even.
+func roundHalfEven(x float64) float64 {
+	floor := math.Floor(x)
+	diff := x - floor
+	switch {
+	case diff > 0.5:
+		return floor + 1
+	case diff < 0.5:
+		return floor
+	default:
+		if math.Mod(floor, 2) == 0 {
+			return floor
+		}
+		return floor + 1
+	}
 }
 
 func requireSplitMatchesRef(t *testing.T, bits uint32, manBits int) {

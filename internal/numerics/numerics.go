@@ -1,12 +1,11 @@
-// Package numerics implements the number formats used throughout the Mugi
-// reproduction: BF16, FP8 (E4M3 and E5M2), and sub-byte integer formats
-// (INT4/INT8) with per-group scales, plus the sign-mantissa-exponent field
-// split that drives VLP temporal coding.
+// Package numerics implements the number format of Mugi's input words,
+// BF16, and the sign-mantissa-exponent field split that drives VLP temporal
+// coding.
 //
-// All codecs are exact bit-level implementations: encoding uses
-// round-to-nearest-even, decoding is lossless, and special values (zero,
-// infinity, NaN, subnormals) follow IEEE-754 conventions restricted to each
-// format's field widths.
+// Both are exact bit-level implementations: BF16 encoding rounds to nearest
+// even, decoding is lossless, the field split rounds the mantissa to nearest
+// even with the carry raising the exponent, and special values (zero,
+// infinity, NaN, subnormals) follow IEEE-754 conventions.
 package numerics
 
 import (
@@ -105,175 +104,3 @@ func (b BF16) ExpBits() int { return int(b>>7) & 0xff }
 
 // ManBits returns the raw 7-bit mantissa field.
 func (b BF16) ManBits() int { return int(b) & 0x7f }
-
-// FP8Format selects one of the two OCP FP8 encodings.
-type FP8Format uint8
-
-const (
-	// E4M3 has 4 exponent bits (bias 7) and 3 mantissa bits. Following the
-	// OCP spec it has no infinities; the all-ones exponent with all-ones
-	// mantissa encodes NaN.
-	E4M3 FP8Format = iota
-	// E5M2 has 5 exponent bits (bias 15) and 2 mantissa bits with IEEE-like
-	// infinities and NaNs.
-	E5M2
-)
-
-// String names the format.
-func (f FP8Format) String() string {
-	if f == E4M3 {
-		return "E4M3"
-	}
-	return "E5M2"
-}
-
-func (f FP8Format) expBits() int {
-	if f == E4M3 {
-		return 4
-	}
-	return 5
-}
-
-func (f FP8Format) manBits() int {
-	if f == E4M3 {
-		return 3
-	}
-	return 2
-}
-
-func (f FP8Format) bias() int {
-	if f == E4M3 {
-		return 7
-	}
-	return 15
-}
-
-// MaxFinite returns the largest finite magnitude representable in f.
-func (f FP8Format) MaxFinite() float32 {
-	if f == E4M3 {
-		return 448 // 0b1111.111 x 2^(15-7-3) = 1.75 * 2^8
-	}
-	return 57344 // 1.75 * 2^15
-}
-
-// FP8 is an 8-bit float in the wire format selected by its codec.
-type FP8 uint8
-
-// FP8Encode converts x to FP8 in the given format with round-to-nearest-even
-// and saturation to the maximum finite value (the convention used by LLM
-// quantization kernels).
-func FP8Encode(x float32, f FP8Format) FP8 {
-	eb, mb, bias := f.expBits(), f.manBits(), f.bias()
-	signBit := uint8(0)
-	if math.Signbit(float64(x)) {
-		signBit = 1 << 7
-	}
-	switch Classify(x) {
-	case ClassNaN:
-		if f == E4M3 {
-			return FP8(signBit | 0x7f)
-		}
-		return FP8(signBit | 0x7e | 0x01)
-	case ClassZero:
-		return FP8(signBit)
-	case ClassInf:
-		if f == E4M3 {
-			// E4M3 has no inf: saturate.
-			return FP8(signBit | 0x7e)
-		}
-		return FP8(signBit | uint8((1<<eb)-1)<<mb)
-	}
-	ax := float64(math.Abs(float64(x)))
-	if float32(ax) > f.MaxFinite() {
-		// Saturate (after RNE check below for exactly-representable edge).
-		if f == E4M3 {
-			return FP8(signBit | 0x7e)
-		}
-		return FP8(signBit | uint8((1<<eb)-2)<<mb | uint8((1<<mb)-1))
-	}
-	// Decompose ax = frac * 2^exp2 with frac in [0.5, 1).
-	frac, exp2 := math.Frexp(ax)
-	// Normalize to mantissa in [1, 2): m = frac*2, e = exp2-1.
-	e := exp2 - 1
-	m := frac * 2
-	minExp := 1 - bias // unbiased exponent of the smallest normal
-	var mantissa, biasedExp int
-	if e < minExp {
-		// Subnormal: value = mant * 2^(minExp - mb)
-		scaled := ax / math.Ldexp(1, minExp-mb)
-		mantissa = int(roundHalfEven(scaled))
-		if mantissa >= 1<<mb {
-			// Rounded up into the smallest normal.
-			biasedExp = 1
-			mantissa = 0
-		} else {
-			biasedExp = 0
-		}
-	} else {
-		scaled := (m - 1) * math.Ldexp(1, mb)
-		mantissa = int(roundHalfEven(scaled))
-		biasedExp = e + bias
-		if mantissa >= 1<<mb {
-			mantissa = 0
-			biasedExp++
-		}
-		maxBiased := (1 << eb) - 1
-		limitExp, limitMan := maxBiased, 0
-		if f == E4M3 {
-			limitExp, limitMan = maxBiased, (1<<mb)-2 // 0x7e pattern
-			if biasedExp > maxBiased || (biasedExp == maxBiased && mantissa > limitMan) {
-				return FP8(signBit | 0x7e)
-			}
-		} else {
-			// E5M2: biased exponent maxBiased is inf/NaN space; saturate
-			// to the largest finite.
-			if biasedExp >= limitExp {
-				return FP8(signBit | uint8(maxBiased-1)<<mb | uint8((1<<mb)-1))
-			}
-		}
-	}
-	return FP8(signBit | uint8(biasedExp)<<mb | uint8(mantissa))
-}
-
-// FP8Decode converts the wire byte back to float32 exactly.
-func FP8Decode(v FP8, f FP8Format) float32 {
-	eb, mb, bias := f.expBits(), f.manBits(), f.bias()
-	sign := float64(1)
-	if v&0x80 != 0 {
-		sign = -1
-	}
-	exp := int(v>>uint(mb)) & ((1 << eb) - 1)
-	man := int(v) & ((1 << mb) - 1)
-	if f == E4M3 {
-		if exp == (1<<eb)-1 && man == (1<<mb)-1 {
-			return float32(math.NaN())
-		}
-	} else {
-		if exp == (1<<eb)-1 {
-			if man != 0 {
-				return float32(math.NaN())
-			}
-			return float32(sign * math.Inf(1))
-		}
-	}
-	if exp == 0 {
-		return float32(sign * float64(man) * math.Ldexp(1, 1-bias-mb))
-	}
-	return float32(sign * (1 + float64(man)/float64(int(1)<<mb)) * math.Ldexp(1, exp-bias))
-}
-
-func roundHalfEven(x float64) float64 {
-	floor := math.Floor(x)
-	diff := x - floor
-	switch {
-	case diff > 0.5:
-		return floor + 1
-	case diff < 0.5:
-		return floor
-	default:
-		if math.Mod(floor, 2) == 0 {
-			return floor
-		}
-		return floor + 1
-	}
-}

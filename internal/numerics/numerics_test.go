@@ -90,80 +90,3 @@ func TestBF16FieldAccessors(t *testing.T) {
 		t.Errorf("ManBits = %#x", b.ManBits())
 	}
 }
-
-func TestFP8RoundTripCodes(t *testing.T) {
-	// Property: decode->encode is identity on every non-NaN code point.
-	for _, f := range []FP8Format{E4M3, E5M2} {
-		for c := 0; c < 256; c++ {
-			v := FP8Decode(FP8(c), f)
-			if math.IsNaN(float64(v)) {
-				continue
-			}
-			back := FP8Encode(v, f)
-			if FP8Decode(back, f) != v {
-				t.Errorf("%v: code %#x -> %v -> code %#x -> %v", f, c, v, uint8(back), FP8Decode(back, f))
-			}
-		}
-	}
-}
-
-func TestFP8Saturation(t *testing.T) {
-	if got := FP8Decode(FP8Encode(1e9, E4M3), E4M3); got != 448 {
-		t.Errorf("E4M3 saturation got %v, want 448", got)
-	}
-	if got := FP8Decode(FP8Encode(-1e9, E4M3), E4M3); got != -448 {
-		t.Errorf("E4M3 negative saturation got %v, want -448", got)
-	}
-	if got := FP8Decode(FP8Encode(float32(math.Inf(1)), E5M2), E5M2); !math.IsInf(float64(got), 1) {
-		t.Errorf("E5M2 inf got %v", got)
-	}
-}
-
-func TestFP8SpecialValues(t *testing.T) {
-	if !math.IsNaN(float64(FP8Decode(FP8Encode(float32(math.NaN()), E4M3), E4M3))) {
-		t.Error("E4M3 NaN lost")
-	}
-	if !math.IsNaN(float64(FP8Decode(FP8Encode(float32(math.NaN()), E5M2), E5M2))) {
-		t.Error("E5M2 NaN lost")
-	}
-	if FP8Decode(FP8Encode(0, E4M3), E4M3) != 0 {
-		t.Error("E4M3 zero lost")
-	}
-}
-
-func TestFP8MonotoneProperty(t *testing.T) {
-	// Property: encoding is monotone non-decreasing in the input.
-	f := func(a, b float32) bool {
-		if math.IsNaN(float64(a)) || math.IsNaN(float64(b)) {
-			return true
-		}
-		if a > b {
-			a, b = b, a
-		}
-		da := FP8Decode(FP8Encode(a, E4M3), E4M3)
-		db := FP8Decode(FP8Encode(b, E4M3), E4M3)
-		if math.IsNaN(float64(da)) || math.IsNaN(float64(db)) {
-			return true
-		}
-		return da <= db
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFP8ErrorBound(t *testing.T) {
-	// Property: E4M3 relative error <= 2^-4 within the finite range.
-	f := func(x float32) bool {
-		ax := math.Abs(float64(x))
-		if !(ax > 1e-2 && ax < 400) {
-			return true
-		}
-		got := FP8Decode(FP8Encode(x, E4M3), E4M3)
-		rel := math.Abs(float64(got)-float64(x)) / ax
-		return rel <= 1.0/16+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}

@@ -1,35 +1,12 @@
 package sim
 
-import (
-	"fmt"
-
-	"mugi/internal/arch"
-)
+import "mugi/internal/arch"
 
 // This file models the double-buffered memory hierarchy of §5.2.1: every
 // SRAM/FIFO level is double buffered so tile loads overlap tile computes,
 // and the wSRAM/oSRAM widths are provisioned so a full array refill
 // completes within one temporal window ("loading ... in 8 cycles"),
 // guaranteeing the overlap never exposes load latency.
-
-// DoubleBufferedLatency returns the total cycles to process `tiles` tiles
-// when each tile needs `load` cycles of buffer filling and `compute`
-// cycles of array work, with one buffer filling while the other drains.
-// The pipeline is load(1) then max(load, compute) per remaining tile plus
-// the last compute.
-func DoubleBufferedLatency(load, compute float64, tiles int) float64 {
-	if tiles <= 0 {
-		return 0
-	}
-	if load < 0 || compute < 0 {
-		panic(fmt.Sprintf("sim: negative pipeline stage (%v, %v)", load, compute))
-	}
-	step := compute
-	if load > step {
-		step = load
-	}
-	return load + float64(tiles-1)*step + compute
-}
 
 // SRAMWidths reports the weight- and output-buffer widths (bytes/cycle)
 // each design needs so that refilling the array never stalls compute: the

@@ -2,49 +2,9 @@ package sim
 
 import (
 	"testing"
-	"testing/quick"
 
 	"mugi/internal/arch"
 )
-
-func TestDoubleBufferedLatency(t *testing.T) {
-	// Compute-bound: load hides completely after the first fill.
-	if got := DoubleBufferedLatency(4, 10, 3); got != 4+2*10+10 {
-		t.Errorf("compute-bound latency %v", got)
-	}
-	// Load-bound: the array waits on every refill.
-	if got := DoubleBufferedLatency(10, 4, 3); got != 10+2*10+4 {
-		t.Errorf("load-bound latency %v", got)
-	}
-	if DoubleBufferedLatency(1, 1, 0) != 0 {
-		t.Error("zero tiles should cost zero")
-	}
-}
-
-func TestDoubleBufferedLatencyValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DoubleBufferedLatency(-1, 1, 1)
-}
-
-func TestDoubleBufferedNeverBeatsIdeal(t *testing.T) {
-	// Property: latency is at least the pure compute time and at most
-	// serial load+compute.
-	f := func(l, c uint16, n uint8) bool {
-		load, compute := float64(l%1000), float64(c%1000)
-		tiles := int(n%32) + 1
-		got := DoubleBufferedLatency(load, compute, tiles)
-		ideal := float64(tiles) * compute
-		serial := float64(tiles) * (load + compute)
-		return got >= ideal && got <= serial+load
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestSRAMWidthsPositive(t *testing.T) {
 	for _, d := range []arch.Design{

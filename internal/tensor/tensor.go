@@ -1,5 +1,5 @@
 // Package tensor provides the small dense linear-algebra substrate the
-// reproduction needs: row-major float32 matrices, reference GEMM/GEMV, and
+// reproduction needs: row-major float32 matrices, a reference GEMM, and
 // deterministic random initialisation. It exists so the VLP engines and the
 // accuracy proxy have an exact reference to be validated against.
 package tensor
@@ -24,7 +24,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
+// FromRows builds a matrix from a slice of equal-length rows. No production
+// code calls it: it stays so tests can write small matrices literally.
 func FromRows(rows [][]float32) *Matrix {
 	if len(rows) == 0 {
 		return NewMatrix(0, 0)
@@ -111,23 +112,6 @@ func RMSNormRow(x []float32) {
 	}
 }
 
-// MatVec computes a×x for a vector x.
-func MatVec(a *Matrix, x []float32) []float32 {
-	if a.Cols != len(x) {
-		panic("tensor: MatVec shape mismatch")
-	}
-	out := make([]float32, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		acc := 0.0
-		row := a.Row(i)
-		for k := range x {
-			acc += float64(row[k]) * float64(x[k])
-		}
-		out[i] = float32(acc)
-	}
-	return out
-}
-
 // RandNormal fills a new rows×cols matrix with N(0, std²) samples from a
 // deterministic source.
 func RandNormal(rng *rand.Rand, rows, cols int, std float64) *Matrix {
@@ -138,7 +122,10 @@ func RandNormal(rng *rand.Rand, rows, cols int, std float64) *Matrix {
 	return m
 }
 
-// MaxAbsDiff returns the largest absolute element-wise difference.
+// MaxAbsDiff returns the largest absolute element-wise difference. No
+// production code calls it: it stays as the comparison that internal/core's
+// and internal/infer's tests hold the VLP GEMM paths and the dequantized KV
+// cache to their references with.
 func MaxAbsDiff(a, b *Matrix) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("tensor: MaxAbsDiff shape mismatch")

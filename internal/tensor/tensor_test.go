@@ -49,30 +49,11 @@ func TestMatMulTransposeProperty(t *testing.T) {
 	}
 }
 
-func TestMatVecMatchesMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := RandNormal(rng, 7, 5, 1)
-	x := make([]float32, 5)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	col := NewMatrix(5, 1)
-	copy(col.Data, x)
-	want := MatMul(a, col)
-	got := MatVec(a, x)
-	for i := range got {
-		if got[i] != want.At(i, 0) {
-			t.Fatalf("row %d: %v vs %v", i, got[i], want.At(i, 0))
-		}
-	}
-}
-
 func TestShapePanics(t *testing.T) {
 	a := NewMatrix(2, 3)
 	b := NewMatrix(2, 3)
 	for name, f := range map[string]func(){
 		"matmul":  func() { MatMul(a, b) },
-		"matvec":  func() { MatVec(a, make([]float32, 2)) },
 		"diff":    func() { MaxAbsDiff(a, NewMatrix(3, 2)) },
 		"negdims": func() { NewMatrix(-1, 2) },
 		"ragged":  func() { FromRows([][]float32{{1}, {1, 2}}) },
