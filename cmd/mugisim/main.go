@@ -234,7 +234,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mesh, err := parseMesh(*meshStr)
+	mesh, err := noc.ParseMesh(*meshStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -442,7 +442,7 @@ func runAutoscale(designName string, rows int, meshStr, modelName, traceKind, le
 	if err != nil {
 		fatal(err)
 	}
-	mesh, err := parseMesh(meshStr)
+	mesh, err := noc.ParseMesh(meshStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -601,7 +601,7 @@ func runOverload(designName string, rows int, meshStr, modelName, traceKind, len
 	if err != nil {
 		fatal(err)
 	}
-	mesh, err := parseMesh(meshStr)
+	mesh, err := noc.ParseMesh(meshStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -705,7 +705,7 @@ func parseDesigns(csv string, rows int) []arch.Design {
 func parseMeshes(csv string) []noc.Mesh {
 	var out []noc.Mesh
 	for _, s := range strings.Split(csv, ",") {
-		mesh, err := parseMesh(strings.TrimSpace(s))
+		mesh, err := noc.ParseMesh(strings.TrimSpace(s))
 		if err != nil {
 			fatal(err)
 		}
@@ -716,17 +716,6 @@ func parseMeshes(csv string) []noc.Mesh {
 
 func buildDesign(kind string, rows int) (arch.Design, error) {
 	return arch.ByName(kind, rows)
-}
-
-func parseMesh(s string) (noc.Mesh, error) {
-	var r, c int
-	if _, err := fmt.Sscanf(s, "%dx%d", &r, &c); err != nil {
-		return noc.Mesh{}, fmt.Errorf("bad mesh %q (want RxC)", s)
-	}
-	if r < 1 || c < 1 {
-		return noc.Mesh{}, fmt.Errorf("bad mesh %q", s)
-	}
-	return noc.NewMesh(r, c), nil
 }
 
 // parseCounts parses a comma-separated list of non-negative integers,

@@ -56,22 +56,6 @@ func TestBuildDesign(t *testing.T) {
 	}
 }
 
-func TestParseMesh(t *testing.T) {
-	m, err := parseMesh("4x4")
-	if err != nil || m.Nodes() != 16 {
-		t.Errorf("parseMesh(4x4): %v %v", m, err)
-	}
-	m, err = parseMesh("2x1")
-	if err != nil || m.Nodes() != 2 {
-		t.Errorf("parseMesh(2x1): %v %v", m, err)
-	}
-	for _, bad := range []string{"", "4", "ax4", "0x4", "-1x2"} {
-		if _, err := parseMesh(bad); err == nil {
-			t.Errorf("parseMesh(%q) should error", bad)
-		}
-	}
-}
-
 // flagCase perturbs one field of a passing baseline at a time.
 type flagCase struct {
 	name                     string

@@ -2,6 +2,7 @@ package minuteserve
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -40,5 +41,33 @@ func FuzzVerify(f *testing.F) {
 			}
 		}
 		_, _ = Diff(data, good) // must not panic either
+	})
+}
+
+// FuzzParseEntry is the entry-spec fuzz target: ParseEntry must never
+// panic, every entry it accepts must pass Validate, and the accepted
+// entry written back as a full spec (kind@rows:RxC:replicas:profile)
+// must parse to the same Entry. The corpus seeds every TestParseEntry
+// row.
+func FuzzParseEntry(f *testing.F) {
+	for _, tc := range parseEntryCases {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		e, err := ParseEntry(s) // must not panic
+		if err != nil {
+			return
+		}
+		if err := e.Validate(); err != nil {
+			t.Fatalf("ParseEntry(%q) accepted %+v, which fails Validate: %v", s, e, err)
+		}
+		spec := fmt.Sprintf("%s@%d:%dx%d:%d:%s", e.Kind, e.Rows, e.MeshRows, e.MeshCols, e.Replicas, e.Profile)
+		back, err := ParseEntry(spec)
+		if err != nil {
+			t.Fatalf("ParseEntry(%q) = %+v, but its spec %q fails: %v", s, e, spec, err)
+		}
+		if back != e {
+			t.Fatalf("ParseEntry(%q) = %+v, but its spec %q parses to %+v", s, e, spec, back)
+		}
 	})
 }

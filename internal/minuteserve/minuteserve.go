@@ -189,14 +189,23 @@ func ParseEntry(s string) (Entry, error) {
 	} else {
 		e.Rows = defaultRows(e.Kind)
 	}
-	if _, err := fmt.Sscanf(parts[1], "%dx%d", &e.MeshRows, &e.MeshCols); err != nil {
-		return Entry{}, fmt.Errorf("minuteserve: bad mesh %q (want RxC)", parts[1])
+	mesh, err := noc.ParseMesh(parts[1])
+	if err != nil {
+		return Entry{}, fmt.Errorf("minuteserve: %w", err)
 	}
+	e.MeshRows, e.MeshCols = mesh.Rows, mesh.Cols
+	var sawReplicas, sawProfile bool
 	for _, tok := range parts[2:] {
 		if n, err := strconv.Atoi(tok); err == nil {
-			e.Replicas = n
+			if sawReplicas {
+				return Entry{}, fmt.Errorf("minuteserve: entry %q gives replicas twice", s)
+			}
+			e.Replicas, sawReplicas = n, true
 		} else {
-			e.Profile = tok
+			if sawProfile {
+				return Entry{}, fmt.Errorf("minuteserve: entry %q gives a profile twice", s)
+			}
+			e.Profile, sawProfile = tok, true
 		}
 	}
 	if err := e.Validate(); err != nil {

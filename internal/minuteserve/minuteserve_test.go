@@ -208,24 +208,32 @@ func TestBoardCorruptionInsideEntry(t *testing.T) {
 	}
 }
 
+// parseEntryCases are TestParseEntry's rows and FuzzParseEntry's seeds.
+var parseEntryCases = []struct {
+	in   string
+	want string // expected ID, "" for error
+}{
+	{"mugi:4x4", "mugi256-4x4-r1-chat"},
+	{"mugi@128:2x2:2:rag", "mugi128-2x2-r2-rag"},
+	{"carat:4x4", "carat128-4x4-r1-chat"},
+	{"tensor:1x1", "tensor-1x1-r1-chat"},
+	{"saf:4x4:rag", "saf16-4x4-r1-rag"},
+	{"mugi", ""},
+	{"mugi:4", ""},
+	{"mugi@x:4x4", ""},
+	{"mugi:4x4:0", ""},
+	{"mugi:4x4:nosuchprofile", ""},
+	{"warp:4x4", ""},
+	{"mugi:4x4junk", ""},
+	{"mugi:2x2x9", ""},
+	{"mugi:4x", ""},
+	{"mugi:x4", ""},
+	{"mugi:4x4:2:3", ""},
+	{"mugi:4x4:chat:rag", ""},
+}
+
 func TestParseEntry(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string // expected ID, "" for error
-	}{
-		{"mugi:4x4", "mugi256-4x4-r1-chat"},
-		{"mugi@128:2x2:2:rag", "mugi128-2x2-r2-rag"},
-		{"carat:4x4", "carat128-4x4-r1-chat"},
-		{"tensor:1x1", "tensor-1x1-r1-chat"},
-		{"saf:4x4:rag", "saf16-4x4-r1-rag"},
-		{"mugi", ""},
-		{"mugi:4", ""},
-		{"mugi@x:4x4", ""},
-		{"mugi:4x4:0", ""},
-		{"mugi:4x4:nosuchprofile", ""},
-		{"warp:4x4", ""},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseEntryCases {
 		e, err := ParseEntry(tc.in)
 		if tc.want == "" {
 			if err == nil {

@@ -7,6 +7,8 @@ package noc
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"mugi/internal/arch"
 )
@@ -36,6 +38,28 @@ func (m Mesh) Nodes() int { return m.Rows * m.Cols }
 
 // String renders "4x4".
 func (m Mesh) String() string { return fmt.Sprintf("%dx%d", m.Rows, m.Cols) }
+
+// ParseMesh is the inverse of String: it accepts two positive decimal
+// integers joined by 'x' and nothing else, so a sign, a space or trailing
+// text is an error.
+func ParseMesh(s string) (Mesh, error) {
+	r, c, _ := strings.Cut(s, "x")
+	rows, rok := parseDim(r)
+	cols, cok := parseDim(c)
+	if !rok || !cok {
+		return Mesh{}, fmt.Errorf("noc: bad mesh %q (want RxC, two positive integers)", s)
+	}
+	return Mesh{Rows: rows, Cols: cols}, nil
+}
+
+// parseDim parses one mesh dimension: decimal digits only, at least 1.
+func parseDim(s string) (int, bool) {
+	if s == "" || strings.Trim(s, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 1
+}
 
 // Router cost constants, calibrated with the rest of the 45 nm table: the
 // Fig. 13 NoC-level bars put the 4×4 NoC overhead at ~0.5 mm².

@@ -19,6 +19,22 @@ func TestMeshBasics(t *testing.T) {
 	}
 }
 
+func TestParseMesh(t *testing.T) {
+	m, err := ParseMesh("4x4")
+	if err != nil || m.Nodes() != 16 || m.String() != "4x4" {
+		t.Errorf("ParseMesh(4x4): %v %v", m, err)
+	}
+	m, err = ParseMesh("2x1")
+	if err != nil || m.Nodes() != 2 {
+		t.Errorf("ParseMesh(2x1): %v %v", m, err)
+	}
+	for _, bad := range []string{"", "4", "ax4", "0x4", "-1x2", "4x4junk", "2x2x9", "4x", "x4", "+4x4", "4x 4"} {
+		if _, err := ParseMesh(bad); err == nil {
+			t.Errorf("ParseMesh(%q) should error", bad)
+		}
+	}
+}
+
 func TestMeshValidates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
