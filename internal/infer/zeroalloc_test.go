@@ -12,25 +12,50 @@ import (
 // implementation: the zero-allocation refactor (blocked GEMM, zero-copy
 // KV views, precomputed RoPE table, scratch softmax) must reproduce the
 // exact token stream and logits of the pre-refactor engine, captured
-// before any hot-path change landed.
+// before any hot-path change landed. The g-prefixed cases pin other GQA
+// group sizes g = Heads/KVHeads (testConfig has g = 2), captured before
+// the attention ran each KV head's g query heads as one GEMM: g = 4 and
+// 8 fill the four-row GEMM block, g = 3 leaves every row to the one-row
+// path, and g = 1 is plain multi-head attention.
 func TestGenerateGoldenSeed(t *testing.T) {
 	cases := []struct {
-		name     string
-		ops      func(nonlinear.Op) Ops
-		tokens   []int
-		checksum float64
+		name                string
+		heads, kvHeads, dim int // zero keeps testConfig's geometry
+		ops                 func(nonlinear.Op) Ops
+		tokens              []int
+		checksum            float64
 	}{
-		{"exact", ExactOps, []int{2, 23, 25, 31, 8, 13, 23, 25, 31, 8, 13, 36}, -1176.7192811230198},
-		{"vlp", VLPOps, []int{2, 23, 25, 31, 8, 13, 23, 25, 31, 8, 13, 36}, -1006.1344034630456},
+		{"exact", 0, 0, 0, ExactOps, []int{2, 23, 25, 31, 8, 13, 23, 25, 31, 8, 13, 36}, -1176.7192811230198},
+		{"vlp", 0, 0, 0, VLPOps, []int{2, 23, 25, 31, 8, 13, 23, 25, 31, 8, 13, 36}, -1006.1344034630456},
+		{"g4-exact", 8, 2, 64, ExactOps,
+			[]int{40, 63, 40, 19, 16, 47, 18, 47, 18, 29, 6, 22}, 4043.4751381851602},
+		{"g4-vlp", 8, 2, 64, VLPOps,
+			[]int{40, 63, 40, 19, 16, 47, 18, 47, 18, 29, 6, 22}, 4111.4197763158008},
+		{"g8-exact", 8, 1, 64, ExactOps,
+			[]int{39, 52, 39, 44, 3, 35, 25, 46, 27, 46, 54, 52}, -586.81141976627987},
+		{"g8-vlp", 8, 1, 64, VLPOps,
+			[]int{39, 28, 29, 5, 39, 28, 31, 19, 39, 28, 31, 28}, -537.37210755964043},
+		{"g3-exact", 6, 2, 48, ExactOps,
+			[]int{15, 15, 15, 15, 15, 15, 15, 31, 15, 15, 15, 15}, 2239.6174878985621},
+		{"g3-vlp", 6, 2, 48, VLPOps,
+			[]int{15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15}, 2151.461244377977},
+		{"g1-exact", 4, 4, 32, ExactOps,
+			[]int{36, 32, 61, 8, 36, 26, 37, 37, 37, 37, 37, 37}, 3036.135019504698},
+		{"g1-vlp", 4, 4, 32, VLPOps,
+			[]int{36, 49, 11, 1, 57, 17, 32, 32, 32, 32, 32, 32}, 5610.5250714892754},
 	}
 	prompt := []int{5, 17, 42}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := New(testConfig())
+			cfg := testConfig()
+			if tc.heads != 0 {
+				cfg.Heads, cfg.KVHeads, cfg.Dim = tc.heads, tc.kvHeads, tc.dim
+			}
+			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ops := tc.ops(testConfig().Activation)
+			ops := tc.ops(cfg.Activation)
 			got, err := e.Generate(prompt, 12, ops)
 			if err != nil {
 				t.Fatal(err)
@@ -42,7 +67,7 @@ func TestGenerateGoldenSeed(t *testing.T) {
 			}
 			// Position-weighted logit checksum over the same step sequence,
 			// sensitive to any single-bit logit change.
-			e2, _ := New(testConfig())
+			e2, _ := New(cfg)
 			sum := 0.0
 			for _, tok := range append(append([]int{}, prompt...), got...) {
 				logits, err := e2.Step(tok, ops)
@@ -64,15 +89,29 @@ func TestGenerateGoldenSeed(t *testing.T) {
 // zero steady-state allocations under both the exact and the full VLP
 // stacks. Allocations are sampled exactly (runs=1, no averaging that
 // could truncate sub-1/op rates to zero) at shallow, mid, and deep KV
-// contexts — an earlier bug allocated only once the context outgrew the
-// scale-gather reservation, which an averaged shallow sample missed.
+// contexts, the last samples reaching MaxSeq — an earlier bug allocated
+// only once the context outgrew the scale-gather reservation, which an
+// averaged shallow sample missed. The g4 and g8 cases (GQA groups of 4
+// and 8 query heads per KV head) run the attention's four-row GEMM
+// blocks, whose scratch must not grow with the context either.
 func TestStepZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		ops  func(nonlinear.Op) Ops
-	}{{"exact", ExactOps}, {"vlp", VLPOps}} {
+		name                string
+		heads, kvHeads, dim int // zero keeps testConfig's geometry
+		ops                 func(nonlinear.Op) Ops
+	}{
+		{"exact", 0, 0, 0, ExactOps},
+		{"vlp", 0, 0, 0, VLPOps},
+		{"g4-exact", 8, 2, 64, ExactOps},
+		{"g4-vlp", 8, 2, 64, VLPOps},
+		{"g8-exact", 8, 1, 64, ExactOps},
+		{"g8-vlp", 8, 1, 64, VLPOps},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
+			if tc.heads != 0 {
+				cfg.Heads, cfg.KVHeads, cfg.Dim = tc.heads, tc.kvHeads, tc.dim
+			}
 			cfg.MaxSeq = 1024
 			e, err := New(cfg)
 			if err != nil {
@@ -89,7 +128,9 @@ func TestStepZeroAlloc(t *testing.T) {
 			for i := 0; i < 4; i++ { // warm scratch and KV planes
 				step()
 			}
-			for _, depth := range []int{8, 300, 900} {
+			// AllocsPerRun(1, step) runs step twice, so the 8 samples after
+			// the last depth take 16 steps and end at MaxSeq.
+			for _, depth := range []int{8, 300, 900, cfg.MaxSeq - 16} {
 				for e.Pos() < depth {
 					step()
 				}
