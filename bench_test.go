@@ -231,7 +231,10 @@ func BenchmarkVLPSoftmaxRow(b *testing.B) {
 // shapes at a context of 256: a 1×128 by 128×128 weight GEMV (64-row
 // groups), the 1×16 score GEMM against a strided key-cache view (one
 // 16-row group, a scale per token) and the context GEMM against a
-// value-cache view (one-row groups sharing one scale per token).
+// value-cache view (one-row groups sharing one scale per token). The
+// gqa- cases are the same two attention GEMMs for a GQA group of four
+// query heads sharing one KV head, the shape the decoder runs them in,
+// which take MultiplyInto's four-row block path.
 func BenchmarkVLPGEMM(b *testing.B) {
 	const ctx, hd, maxSeq = 256, 16, 512
 	rng := rand.New(rand.NewSource(4))
@@ -268,6 +271,14 @@ func BenchmarkVLPGEMM(b *testing.B) {
 			Codes: randCodes(hd * maxSeq), Scales: randScales(ctx),
 		}},
 		{"context-value-view", randMatrix(1, ctx, 0.1), QuantMatrix{
+			Rows: ctx, Cols: hd, Bits: 4, GroupSize: 1, SharedScales: true,
+			Codes: randCodes(ctx * hd), Scales: randScales(ctx),
+		}},
+		{"gqa-scores", randMatrix(4, hd, 1), QuantMatrix{
+			Rows: hd, Cols: ctx, Bits: 4, GroupSize: hd, Stride: maxSeq,
+			Codes: randCodes(hd * maxSeq), Scales: randScales(ctx),
+		}},
+		{"gqa-context", randMatrix(4, ctx, 0.1), QuantMatrix{
 			Rows: ctx, Cols: hd, Bits: 4, GroupSize: 1, SharedScales: true,
 			Codes: randCodes(ctx * hd), Scales: randScales(ctx),
 		}},

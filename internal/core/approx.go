@@ -237,40 +237,123 @@ func (a *Approx) ApproxBatch(dst, xs []float64, rows int) BatchStats {
 // Softmax computes a full softmax with VLP-approximated exp: max
 // subtraction (E-proc), sliding-window selection on the subtracted values
 // (the operands exp actually sees), VLP exp, accumulation in oAcc, and the
-// reciprocal multiply in the vector array (paper §4.1).
+// reciprocal multiply in the vector array (paper §4.1). Every output bit,
+// and the window it leaves set, equal SelectWindowMax over the shifted
+// operands followed by nonlinear.Softmax(dst, xs, a.Approx).
+//
+// The window top is the largest rounded exponent among the normal float32
+// words of the shifted operands v − max, and Softmax reads it from the
+// row's minimum alone: v − max and its float32 rounding are monotone in
+// v, and so is the rounded exponent of the word's magnitude, so no normal
+// word's exponent exceeds that of min − max. A zero or subnormal
+// min − max leaves every word zero or subnormal, which moves no window.
+// A NaN past index 0 is skipped by the max and min comparisons and by the
+// scan alike. When min − max is not finite in float32 (a NaN at index 0,
+// an infinity, or a difference beyond float32's range), Softmax scans
+// every operand instead.
+//
+// With ManBits ≤ 7, a negative normal BF16 word of v − max, the
+// operand of every element but the max, is read inline: the BF16 and
+// field roundings on its bits, one compare against the window, and one
+// load from the LUT's flat negative plane. Zero, subnormal, NaN and
+// infinite words take Approx. ManBits 8 runs nonlinear.Softmax.
 //
 //mugi:noalloc
 func (a *Approx) Softmax(dst, xs []float64) []float64 {
 	if a.cfg.Op != nonlinear.Exp {
 		panic("core: Softmax requires an exp approximator")
 	}
-	if len(xs) > 0 {
-		max := xs[0]
-		for _, v := range xs[1:] {
-			if v > max {
-				max = v
-			}
+	if len(dst) != len(xs) {
+		panic("core: Softmax length mismatch")
+	}
+	if len(xs) == 0 {
+		return dst
+	}
+	max, min := xs[0], xs[0]
+	for _, v := range xs[1:] {
+		if v > max {
+			max = v
 		}
-		// Window selection over the max-subtracted operands (what exp
-		// actually sees) without materializing them: SelectWindowMax's
-		// scan, reading each normal operand's rounded biased exponent
-		// from its float32 bits instead of building its Fields.
-		mb := a.cfg.ManBits
-		maxE := -1
-		for _, v := range xs {
-			bits := math.Float32bits(float32(v - max))
-			if e := bits >> 23 & 0xff; e == 0 || e == 0xff {
-				continue // zero, subnormal, infinite or NaN
-			}
-			if e := int(numerics.RoundFields(bits, mb) >> mb); e > maxE {
-				maxE = e
-			}
-		}
-		if maxE >= 0 {
-			a.SetWindow(maxE - 127 - a.cfg.WindowWidth + 1)
+		if v < min {
+			min = v
 		}
 	}
-	return nonlinear.Softmax(dst, xs, a.Approx)
+	mb := a.cfg.ManBits
+	switch bits := math.Float32bits(float32(min - max)); bits >> 23 & 0xff {
+	case 0xff:
+		a.selectShiftedWindow(xs, max)
+	case 0:
+		// Every shifted word is zero or subnormal: the window stays.
+	default:
+		a.SetWindow(int(numerics.RoundFields(bits, mb)>>mb) - 127 - a.cfg.WindowWidth + 1)
+	}
+	if mb > 7 {
+		return nonlinear.Softmax(dst, xs, a.Approx)
+	}
+	// The rounded fields em = exponent<<mb | mantissa of a word in the
+	// window lie in [lo, lo+span), and em − base indexes the flat plane.
+	l := a.lut
+	lo := (a.winLo + 127) << mb
+	span := a.cfg.WindowWidth << mb
+	off := lo - (l.EMin+127)<<mb
+	sat := l.overflow(1, 0)
+	sum := 0.0
+	for i, v := range xs {
+		x := v - max
+		f := math.Float32bits(float32(x))
+		// BF16 round to nearest even; a NaN or infinity lands outside
+		// the negative normal words [0x8080, 0xff7f].
+		b := (f + 0x7fff + f>>16&1) >> 16
+		var e float64
+		if b-0x8080 < 0x7f00 {
+			switch d := int(numerics.RoundFields(b<<16, mb)) - lo; {
+			case uint(d) < uint(span):
+				e = l.neg[off+d]
+			case d < 0:
+				e = l.zero // underflow
+			default:
+				e = sat
+			}
+		} else {
+			e = a.Approx(x)
+		}
+		dst[i] = e
+		sum += e
+	}
+	// nonlinear.Softmax's normalization.
+	if sum == 0 {
+		u := 1 / float64(len(xs))
+		for i := range dst {
+			dst[i] = u
+		}
+		return dst
+	}
+	inv := 1 / sum
+	for i := range dst {
+		dst[i] *= inv
+	}
+	return dst
+}
+
+// selectShiftedWindow is SelectWindowMax over the shifted operands
+// v − max without materializing them, reading each normal operand's
+// rounded biased exponent from its float32 bits instead of building its
+// Fields.
+func (a *Approx) selectShiftedWindow(xs []float64, max float64) {
+	mb := a.cfg.ManBits
+	maxE := -1
+	for _, v := range xs {
+		bits := math.Float32bits(float32(v - max))
+		if e := bits >> 23 & 0xff; e == 0 || e == 0xff {
+			continue // zero, subnormal, infinite or NaN
+		}
+		if e := int(numerics.RoundFields(bits, mb) >> mb); e > maxE {
+			maxE = e
+		}
+	}
+	if maxE >= 0 {
+		a.SetWindow(maxE - 127 - a.cfg.WindowWidth + 1)
+	}
 }
 
 // ApproxTemporal evaluates one input by literally walking the temporal

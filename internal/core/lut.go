@@ -27,6 +27,11 @@ type LUT struct {
 	zero float64
 	// table[signPlane][mantissa][expIdx]
 	table [][][]float64
+	// neg is the negative sign plane flattened exponent-major:
+	// neg[expIdx<<manBits | mantissa]. A negative normal input's rounded
+	// fields, biased exponent<<manBits | mantissa, index it after
+	// subtracting those of (EMin, 0), which is how Softmax reads it.
+	neg []float64
 }
 
 // NewLUT precomputes the table. For exp (softmax kernel) only the negative
@@ -60,6 +65,13 @@ func NewLUT(op nonlinear.Op, manBits, eMin, eMax int) *LUT {
 				row[e] = nonlinear.Exact(op, x)
 			}
 			l.table[p][m] = row
+		}
+	}
+	negPlane := l.table[planes-1] // plane 1 when signed, else the only one
+	l.neg = make([]float64, nMan*nExp)
+	for e := 0; e < nExp; e++ {
+		for m := 0; m < nMan; m++ {
+			l.neg[e<<manBits|m] = negPlane[m][e]
 		}
 	}
 	return l

@@ -121,6 +121,10 @@ type Engine struct {
 	// dimension pair i, precomputed once so Step never calls math.Pow.
 	ropeInv []float64
 	sc      stepScratch
+	// rec, when set, sees the shape and cycle statistics of every GEMM a
+	// Step runs; tests set it to check the decoder against the operator
+	// model the simulator prices. It is nil in production.
+	rec func(m, k, n int, st core.GEMMStats)
 }
 
 // stepScratch is the engine's persistent per-step working memory: the
@@ -132,15 +136,16 @@ type stepScratch struct {
 	proj       []float32
 	hidden     []float32
 	ffn        []float32
-	sRow, pRow []float32
-	cRow       []float32
-	logitsF    []float32
-	scores     []float64
-	probs      []float64
-	logits     []float64
-	aWrap      tensor.Matrix
-	outWrap    tensor.Matrix
-	gemm       core.GEMMScratch
+	// sRows and pRows hold one GQA group's score and probability rows,
+	// Group() rows of up to MaxSeq each.
+	sRows, pRows []float32
+	logitsF      []float32
+	scores       []float64
+	probs        []float64
+	logits       []float64
+	aWrap        tensor.Matrix
+	outWrap      tensor.Matrix
+	gemm         core.GEMMScratch
 }
 
 // New builds the decoder with seeded random weights.
@@ -194,9 +199,8 @@ func (e *Engine) initScratch() {
 	e.sc.proj = make([]float32, cfg.Dim)
 	e.sc.hidden = make([]float32, cfg.FFN)
 	e.sc.ffn = make([]float32, cfg.Dim)
-	e.sc.sRow = make([]float32, cfg.MaxSeq)
-	e.sc.pRow = make([]float32, cfg.MaxSeq)
-	e.sc.cRow = make([]float32, cfg.HeadDim())
+	e.sc.sRows = make([]float32, cfg.Group()*cfg.MaxSeq)
+	e.sc.pRows = make([]float32, cfg.Group()*cfg.MaxSeq)
 	e.sc.logitsF = make([]float32, cfg.Vocab)
 	e.sc.scores = make([]float64, cfg.MaxSeq)
 	e.sc.probs = make([]float64, cfg.MaxSeq)
@@ -250,15 +254,19 @@ func (e *Engine) Reset() {
 	e.pos = 0
 }
 
-// matmul runs x (1×K) through the quantized weights on the VLP array,
-// writing the 1×N product into dst and returning it sliced to width. The
-// matrix headers and GEMM scratch persist on the engine, so a warmed call
-// allocates nothing.
+// matmul runs x (M×K, M = len(x)/K rows) through the quantized weights
+// on the VLP array, writing the M×N product into dst and returning it
+// sliced to size. The matrix headers and GEMM scratch persist on the
+// engine, so a warmed call allocates nothing.
 func (e *Engine) matmul(dst, x []float32, w core.QuantMatrix) []float32 {
-	e.sc.aWrap = tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
-	e.sc.outWrap = tensor.Matrix{Rows: 1, Cols: w.Cols, Data: dst[:w.Cols]}
-	core.MultiplyInto(e.array, &e.sc.aWrap, w, &e.sc.outWrap, &e.sc.gemm)
-	return dst[:w.Cols]
+	m := len(x) / w.Rows
+	e.sc.aWrap = tensor.Matrix{Rows: m, Cols: w.Rows, Data: x}
+	e.sc.outWrap = tensor.Matrix{Rows: m, Cols: w.Cols, Data: dst[:m*w.Cols]}
+	st := core.MultiplyInto(e.array, &e.sc.aWrap, w, &e.sc.outWrap, &e.sc.gemm)
+	if e.rec != nil {
+		e.rec(m, w.Rows, w.Cols, st)
+	}
+	return dst[:m*w.Cols]
 }
 
 // applyRoPE rotates consecutive dimension pairs of one head vector by the
@@ -325,33 +333,36 @@ func (e *Engine) Step(token int, ops Ops) ([]float64, error) {
 		}
 		e.cache.Append(li, k, v)
 
-		attnOut := e.sc.attnOut
+		// Each KV head's GQA group of g query heads attends as one g-row
+		// score GEMM and one g-row context GEMM, the shape the simulator
+		// prices: the group's heads are contiguous in q and attnOut, so
+		// neither GEMM copies its rows.
 		ctxLen := e.pos + 1
 		scores := e.sc.scores[:ctxLen]
 		probs := e.sc.probs[:ctxLen]
+		pRows := e.sc.pRows[:g*ctxLen]
+		scale := 1 / math.Sqrt(float64(hd))
 		for kvh := 0; kvh < cfg.KVHeads; kvh++ {
+			group := kvh * g * hd
 			keys := e.cache.Keys(li, kvh)     // headDim × ctxLen view
 			values := e.cache.Values(li, kvh) // ctxLen × headDim view
+			// Scores: the g×hd query rows against the KVQ key cache.
+			sRows := e.matmul(e.sc.sRows, q[group:group+g*hd], keys)
 			for qi := 0; qi < g; qi++ {
-				h := kvh*g + qi
-				qHead := q[h*hd : (h+1)*hd]
-				// Scores: q (1×hd) against the KVQ key cache.
-				sRow := e.matmul(e.sc.sRow, qHead, keys)
-				scale := 1 / math.Sqrt(float64(hd))
-				for t := 0; t < ctxLen; t++ {
-					scores[t] = float64(sRow[t]) * scale
+				for t, s := range sRows[qi*ctxLen : (qi+1)*ctxLen] {
+					scores[t] = float64(s) * scale
 				}
 				ops.Softmax(probs, scores)
-				// Context: probabilities against the KVQ value cache.
-				pRow := e.sc.pRow[:ctxLen]
+				pRow := pRows[qi*ctxLen : (qi+1)*ctxLen]
 				for t := range probs {
 					pRow[t] = float32(probs[t])
 				}
-				cRow := e.matmul(e.sc.cRow, pRow, values)
-				copy(attnOut[h*hd:(h+1)*hd], cRow)
 			}
+			// Context: the g×ctxLen probabilities against the KVQ value
+			// cache, straight into the group's attnOut rows.
+			e.matmul(e.sc.attnOut[group:], pRows, values)
 		}
-		proj := e.matmul(e.sc.proj, attnOut, l.wo)
+		proj := e.matmul(e.sc.proj, e.sc.attnOut, l.wo)
 		for i := range x {
 			x[i] += proj[i]
 		}
