@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,7 +92,7 @@ func TestMultiplyMatchesSeedReference(t *testing.T) {
 	// 2: a small product added while the sum holds a large one is lost,
 	// and the large ones often cancel, so another addition order gives
 	// other bits.
-	for _, tc := range []struct {
+	type seedCase struct {
 		name        string
 		m, k, n, gs int
 		shared      bool
@@ -99,7 +100,8 @@ func TestMultiplyMatchesSeedReference(t *testing.T) {
 		signedZeros bool
 		cancel      bool
 		cfg         GEMMConfig
-	}{
+	}
+	cases := []seedCase{
 		{name: "cancel-gs1-shared", m: 4, k: 14, n: 64, gs: 1, shared: true, cancel: true},
 		{name: "cancel-gs1-percol", m: 4, k: 13, n: 64, gs: 1, cancel: true},
 		{name: "cancel-gs7", m: 4, k: 7, n: 64, gs: 7, cancel: true},
@@ -126,7 +128,34 @@ func TestMultiplyMatchesSeedReference(t *testing.T) {
 		{name: "signed-zeros-key-view", m: 2, k: 16, n: 19, gs: 16, stride: 32, signedZeros: true},
 		{name: "carat-gs1-shared", m: 4, k: 50, n: 16, gs: 1, shared: true,
 			cfg: GEMMConfig{Rows: 16, Cols: 4, Mapping: MappingCaratBF16}},
-	} {
+	}
+	// Every layout again at M = 4, 5, 7 and 8, so four-row blocks run
+	// alone and followed by one to three one-row tails. The gs rows leave
+	// 0 to 3 code rows after a group's whole four-row passes.
+	for _, m := range []int{4, 5, 7, 8} {
+		for _, l := range []seedCase{
+			{name: "gs1-shared", k: 37, n: 16, gs: 1, shared: true},
+			{name: "gs1-percol", k: 21, n: 11, gs: 1},
+			{name: "gs4-rest0", k: 24, n: 9, gs: 4},
+			{name: "gs5-rest1", k: 23, n: 13, gs: 5},
+			{name: "gs6-rest2", k: 30, n: 9, gs: 6, shared: true},
+			{name: "gs7-rest3", k: 33, n: 21, gs: 7},
+			{name: "key-view", k: 16, n: 37, gs: 16, stride: 64},
+			{name: "key-view-rest3", k: 11, n: 5, gs: 11, stride: 9},
+			{name: "signed-zeros-gs1", k: 40, n: 16, gs: 1, shared: true, signedZeros: true},
+			{name: "signed-zeros-gs1-percol", k: 12, n: 8, gs: 1, signedZeros: true},
+			{name: "signed-zeros-gs6", k: 27, n: 10, gs: 6, signedZeros: true},
+			{name: "signed-zeros-key-view", k: 16, n: 19, gs: 16, stride: 32, signedZeros: true},
+			{name: "cancel-gs1-shared", k: 14, n: 64, gs: 1, shared: true, cancel: true},
+			{name: "cancel-gs1-percol", k: 13, n: 64, gs: 1, cancel: true},
+			{name: "cancel-gs6", k: 30, n: 64, gs: 6, cancel: true},
+			{name: "cancel-key-view-rest3", k: 11, n: 40, gs: 11, stride: 48, cancel: true},
+		} {
+			l.m, l.name = m, fmt.Sprintf("m%d-%s", m, l.name)
+			cases = append(cases, l)
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := tensor.RandNormal(rng, tc.m, tc.k, 1)
 			q := randQuant(rng, tc.k, tc.n, tc.gs, tc.shared, tc.stride, tc.signedZeros)
