@@ -25,12 +25,32 @@ type Mesh struct {
 // Single is the degenerate single-node mesh.
 var Single = Mesh{Rows: 1, Cols: 1}
 
-// NewMesh validates and builds a mesh.
+// MaxNodes is the largest node count a mesh may have (a 1024×1024
+// mesh). It lies far beyond any NoC the paper or the planners study, and
+// it keeps Rows*Cols and every product the simulator forms from a node
+// count far inside int range.
+const MaxNodes = 1 << 20
+
+// NewMesh validates and builds a mesh; it panics where Validate errs.
 func NewMesh(rows, cols int) Mesh {
-	if rows < 1 || cols < 1 {
-		panic(fmt.Sprintf("noc: invalid mesh %dx%d", rows, cols))
+	m := Mesh{Rows: rows, Cols: cols}
+	if err := m.Validate(); err != nil {
+		panic(err.Error())
 	}
-	return Mesh{Rows: rows, Cols: cols}
+	return m
+}
+
+// Validate requires both dimensions positive and at most MaxNodes nodes.
+// It bounds each dimension before it multiplies them, so the check
+// itself cannot overflow.
+func (m Mesh) Validate() error {
+	if m.Rows < 1 || m.Cols < 1 {
+		return fmt.Errorf("noc: invalid mesh %dx%d", m.Rows, m.Cols)
+	}
+	if m.Rows > MaxNodes || m.Cols > MaxNodes || m.Rows*m.Cols > MaxNodes {
+		return fmt.Errorf("noc: mesh %dx%d has more than %d nodes", m.Rows, m.Cols, MaxNodes)
+	}
+	return nil
 }
 
 // Nodes is the node count.
@@ -41,7 +61,7 @@ func (m Mesh) String() string { return fmt.Sprintf("%dx%d", m.Rows, m.Cols) }
 
 // ParseMesh is the inverse of String: it accepts two positive decimal
 // integers joined by 'x' and nothing else, so a sign, a space or trailing
-// text is an error.
+// text is an error, and a mesh Validate rejects is one too.
 func ParseMesh(s string) (Mesh, error) {
 	r, c, _ := strings.Cut(s, "x")
 	rows, rok := parseDim(r)
@@ -49,7 +69,11 @@ func ParseMesh(s string) (Mesh, error) {
 	if !rok || !cok {
 		return Mesh{}, fmt.Errorf("noc: bad mesh %q (want RxC, two positive integers)", s)
 	}
-	return Mesh{Rows: rows, Cols: cols}, nil
+	m := Mesh{Rows: rows, Cols: cols}
+	if err := m.Validate(); err != nil {
+		return Mesh{}, err
+	}
+	return m, nil
 }
 
 // parseDim parses one mesh dimension: decimal digits only, at least 1.

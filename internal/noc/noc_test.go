@@ -97,3 +97,33 @@ func TestProvisionedBandwidth(t *testing.T) {
 		t.Errorf("2x1 provisioned %.3g does not cover the HBM stream", bw)
 	}
 }
+
+// TestMeshNodeCeiling: ParseMesh, NewMesh and Validate share one bound
+// of MaxNodes nodes, checked per dimension before the product, so a
+// mesh whose node count overflows int is rejected, not simulated.
+func TestMeshNodeCeiling(t *testing.T) {
+	for _, m := range []Mesh{{1024, 1024}, {1, MaxNodes}, {MaxNodes, 1}, {512, 2048}} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("%v: %v", m, err)
+		}
+		if got, err := ParseMesh(m.String()); err != nil || got != m {
+			t.Errorf("ParseMesh(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, m := range []Mesh{{1025, 1024}, {1, MaxNodes + 1}, {MaxNodes + 1, 1}, {3037000500, 3037000500}, {1 << 32, 1 << 32}, {0, 4}, {4, -1}} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("%v: Validate accepted it", m)
+		}
+		if _, err := ParseMesh(m.String()); err == nil {
+			t.Errorf("ParseMesh(%q) accepted it", m.String())
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMesh(%d, %d) did not panic", m.Rows, m.Cols)
+				}
+			}()
+			NewMesh(m.Rows, m.Cols)
+		}()
+	}
+}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"mugi/internal/arch"
@@ -321,6 +323,52 @@ func TestClassSumsFixedOrder(t *testing.T) {
 		if math.Float64bits(again.TotalCycles) != math.Float64bits(res.TotalCycles) ||
 			math.Float64bits(again.DynamicEnergy) != math.Float64bits(res.DynamicEnergy) {
 			t.Fatalf("run %d: nondeterministic totals", i)
+		}
+	}
+}
+
+// TestLargestMeshesSimulateFinite runs a decode pass on the largest
+// meshes noc.ParseMesh accepts (noc.MaxNodes nodes, square and in one
+// row or column) and requires every float of the Result finite and
+// non-negative; one more node, or the 3037000500x3037000500 mesh whose
+// node count once overflowed into a negative compute time, is an error.
+func TestLargestMeshesSimulateFinite(t *testing.T) {
+	for _, s := range []string{"1025x1024", "1x1048577", "1048577x1", "3037000500x3037000500", "9999999999x9999999999"} {
+		if m, err := noc.ParseMesh(s); err == nil {
+			t.Errorf("ParseMesh(%q) accepted %v, beyond %d nodes", s, m, noc.MaxNodes)
+		}
+	}
+	w := model.Llama2_7B.DecodeOps(1, 1024)
+	for _, s := range []string{"1024x1024", "1x1048576", "1048576x1"} {
+		m, err := noc.ParseMesh(s)
+		if err != nil {
+			t.Fatalf("ParseMesh(%q): %v", s, err)
+		}
+		r := Simulate(Params{Design: arch.Mugi(256), Mesh: m}, w)
+		var walk func(name string, v reflect.Value)
+		walk = func(name string, v reflect.Value) {
+			switch v.Kind() {
+			case reflect.Float64:
+				if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+					t.Errorf("%s: %s = %v", s, name, f)
+				}
+			case reflect.Int64:
+				if v.Int() < 0 {
+					t.Errorf("%s: %s = %d", s, name, v.Int())
+				}
+			case reflect.Array:
+				for i := 0; i < v.Len(); i++ {
+					walk(fmt.Sprintf("%s[%d]", name, i), v.Index(i))
+				}
+			case reflect.Struct:
+				for i := 0; i < v.NumField(); i++ {
+					walk(name+"."+v.Type().Field(i).Name, v.Field(i))
+				}
+			}
+		}
+		walk("Result", reflect.ValueOf(r))
+		if r.ComputeSeconds <= 0 || r.Seconds <= 0 {
+			t.Errorf("%s: compute %v s, pass %v s", s, r.ComputeSeconds, r.Seconds)
 		}
 	}
 }
