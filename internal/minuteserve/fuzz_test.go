@@ -3,7 +3,11 @@ package minuteserve
 import (
 	"bytes"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
+
+	"mugi/internal/noc"
 )
 
 // FuzzVerify is the report-decoder fuzz target: Verify (and the diff
@@ -47,8 +51,9 @@ func FuzzVerify(f *testing.F) {
 // FuzzParseEntry is the entry-spec fuzz target: ParseEntry must never
 // panic, every entry it accepts must pass Validate, and the accepted
 // entry written back as a full spec (kind@rows:RxC:replicas:profile)
-// must parse to the same Entry. The corpus seeds every TestParseEntry
-// row.
+// must parse to the same Entry with the same ID. entryFromID must read
+// the entry back from its ID, so distinct accepted entries have distinct
+// IDs. The corpus seeds every TestParseEntry row.
 func FuzzParseEntry(f *testing.F) {
 	for _, tc := range parseEntryCases {
 		f.Add(tc.in)
@@ -66,8 +71,42 @@ func FuzzParseEntry(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParseEntry(%q) = %+v, but its spec %q fails: %v", s, e, spec, err)
 		}
-		if back != e {
-			t.Fatalf("ParseEntry(%q) = %+v, but its spec %q parses to %+v", s, e, spec, back)
+		if back != e || back.ID() != e.ID() {
+			t.Fatalf("ParseEntry(%q) = %+v (ID %q), but its spec %q parses to %+v (ID %q)", s, e, e.ID(), spec, back, back.ID())
+		}
+		if got, ok := entryFromID(e.ID()); !ok || got != e {
+			t.Fatalf("ParseEntry(%q) = %+v, but its ID %q reads back as %+v", s, e, e.ID(), got)
 		}
 	})
+}
+
+// entryFromID inverts Entry.ID, "<kind><rows>-<R>x<C>-r<replicas>-
+// <profile>" with the rows omitted when 0; it reports false on any other
+// text. A canonical kind has no digit and no '-', so the split is
+// unambiguous.
+func entryFromID(id string) (Entry, bool) {
+	parts := strings.Split(id, "-")
+	if len(parts) != 4 || !strings.HasPrefix(parts[2], "r") {
+		return Entry{}, false
+	}
+	kind := strings.TrimRight(parts[0], "0123456789")
+	e := Entry{Kind: kind, Profile: parts[3]}
+	if digits := parts[0][len(kind):]; digits != "" {
+		rows, err := strconv.Atoi(digits)
+		if err != nil {
+			return Entry{}, false
+		}
+		e.Rows = rows
+	}
+	mesh, err := noc.ParseMesh(parts[1])
+	if err != nil {
+		return Entry{}, false
+	}
+	e.MeshRows, e.MeshCols = mesh.Rows, mesh.Cols
+	replicas, err := strconv.Atoi(parts[2][1:])
+	if err != nil {
+		return Entry{}, false
+	}
+	e.Replicas = replicas
+	return e, true
 }

@@ -108,21 +108,49 @@ type Entry struct {
 	Profile string `json:"profile"`
 }
 
-// Validate rejects entries the rules cannot score.
+// Validate rejects entries the rules cannot score, and entries not in
+// their one canonical spelling, so that two accepted entries with the
+// same ID are the same entry: Kind and Profile lower case with no alias
+// (see canonicalKind), and Rows 0 for tensor, which takes none.
 func (e Entry) Validate() error {
+	if k := canonicalKind(e.Kind); k != e.Kind {
+		return fmt.Errorf("minuteserve: kind %q is spelled %q in an entry", e.Kind, k)
+	}
+	if e.Kind == "tensor" && e.Rows != 0 {
+		return fmt.Errorf("minuteserve: kind tensor takes no rows, got %d", e.Rows)
+	}
 	if _, err := arch.ByName(e.Kind, e.Rows); err != nil {
 		return fmt.Errorf("minuteserve: %w", err)
 	}
-	if e.MeshRows < 1 || e.MeshCols < 1 {
-		return fmt.Errorf("minuteserve: mesh %dx%d invalid", e.MeshRows, e.MeshCols)
+	if err := (noc.Mesh{Rows: e.MeshRows, Cols: e.MeshCols}).Validate(); err != nil {
+		return fmt.Errorf("minuteserve: %w", err)
 	}
 	if e.Replicas < 1 {
 		return fmt.Errorf("minuteserve: replica count %d must be positive", e.Replicas)
+	}
+	if p := strings.ToLower(e.Profile); p != e.Profile {
+		return fmt.Errorf("minuteserve: profile %q is spelled %q in an entry", e.Profile, p)
 	}
 	if _, err := serve.ParseLengthProfile(e.Profile); err != nil {
 		return fmt.Errorf("minuteserve: %w", err)
 	}
 	return nil
+}
+
+// canonicalKind is the one spelling of a design kind in an entry: lower
+// case, with arch.ByName's hyphenated aliases folded ("mugi-l" is
+// "mugil", "sa-f" "saf", "sd-f" "sdf").
+func canonicalKind(kind string) string {
+	switch k := strings.ToLower(kind); k {
+	case "mugi-l":
+		return "mugil"
+	case "sa-f":
+		return "saf"
+	case "sd-f":
+		return "sdf"
+	default:
+		return k
+	}
 }
 
 // ID is the entry's stable slug — the key Diff matches entries on.
@@ -152,12 +180,13 @@ func (e Entry) Display() string {
 }
 
 // defaultRows is the per-kind default array height ParseEntry applies
-// when the spec omits "@rows" (the Table 2 / Table 3 study points).
+// when the spec omits "@rows" (the Table 2 / Table 3 study points); kind
+// is canonical.
 func defaultRows(kind string) int {
-	switch strings.ToLower(kind) {
+	switch kind {
 	case "carat":
 		return 128
-	case "sa", "sa-f", "saf", "sd", "sd-f", "sdf":
+	case "sa", "saf", "sd", "sdf":
 		return 16
 	case "tensor":
 		return 0
@@ -171,16 +200,18 @@ func defaultRows(kind string) int {
 //	kind[@rows]:RxC[:replicas][:profile]
 //
 // e.g. "mugi:4x4", "mugi@128:2x2:2:rag". Replicas default to 1 and the
-// profile to "chat".
+// profile to "chat". Kind and profile are case-insensitive and the
+// kind's aliases are accepted; the entry holds their canonical spelling,
+// so every spelling of one entry has one ID.
 func ParseEntry(s string) (Entry, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) < 2 || len(parts) > 4 {
 		return Entry{}, fmt.Errorf("minuteserve: bad entry %q (want kind[@rows]:RxC[:replicas][:profile])", s)
 	}
 	e := Entry{Replicas: 1, Profile: "chat"}
-	e.Kind = parts[0]
+	e.Kind = canonicalKind(parts[0])
 	if at := strings.IndexByte(parts[0], '@'); at >= 0 {
-		e.Kind = parts[0][:at]
+		e.Kind = canonicalKind(parts[0][:at])
 		rows, err := strconv.Atoi(parts[0][at+1:])
 		if err != nil {
 			return Entry{}, fmt.Errorf("minuteserve: bad rows in entry %q", s)
@@ -205,7 +236,7 @@ func ParseEntry(s string) (Entry, error) {
 			if sawProfile {
 				return Entry{}, fmt.Errorf("minuteserve: entry %q gives a profile twice", s)
 			}
-			e.Profile, sawProfile = tok, true
+			e.Profile, sawProfile = strings.ToLower(tok), true
 		}
 	}
 	if err := e.Validate(); err != nil {

@@ -230,6 +230,44 @@ var parseEntryCases = []struct {
 	{"mugi:x4", ""},
 	{"mugi:4x4:2:3", ""},
 	{"mugi:4x4:chat:rag", ""},
+	// One ID per entry: spellings of one entry share its canonical ID,
+	// and rows that would only change the ID are errors.
+	{"tensor@-5:1x1", ""},
+	{"tensor@7:1x1", ""},
+	{"tensor@0:1x1", "tensor-1x1-r1-chat"},
+	{"mugi@-256:4x4", ""},
+	{"MUGI:4x4", "mugi256-4x4-r1-chat"},
+	{"mugi:4x4:RAG", "mugi256-4x4-r1-rag"},
+	{"Mugi-L:4x4", "mugil256-4x4-r1-chat"},
+	{"sa-f@16:4x4", "saf16-4x4-r1-chat"},
+	{"SD-F:2x2:Chat", "sdf16-2x2-r1-chat"},
+	{"mugi:3037000500x3037000500", ""},
+	{"mugi:1025x1024", ""},
+}
+
+// TestValidateRequiresCanonicalEntries: an Entry built without ParseEntry
+// must already be in the spelling ParseEntry gives, or its ID would
+// differ from its twin's.
+func TestValidateRequiresCanonicalEntries(t *testing.T) {
+	ok := Entry{Kind: "mugi", Rows: 256, MeshRows: 4, MeshCols: 4, Replicas: 1, Profile: "chat"}
+	if err := ok.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []func(*Entry){
+		func(e *Entry) { e.Kind = "MUGI" },
+		func(e *Entry) { e.Kind = "mugi-l" },
+		func(e *Entry) { e.Profile = "RAG" },
+		func(e *Entry) { e.Kind, e.Rows = "tensor", -5 },
+		func(e *Entry) { e.Kind, e.Rows = "tensor", 7 },
+		func(e *Entry) { e.Rows = -256 },
+		func(e *Entry) { e.MeshRows, e.MeshCols = 3037000500, 3037000500 },
+	} {
+		e := ok
+		bad(&e)
+		if err := e.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", e)
+		}
+	}
 }
 
 func TestParseEntry(t *testing.T) {
