@@ -216,10 +216,10 @@ func TensorCore() Design {
 // other kind. This is the one mapping every CLI and benchmark-entry
 // parser shares.
 func ByName(kind string, rows int) (Design, error) {
-	k := strings.ToLower(kind)
+	k := CanonicalKind(kind)
 	least := 1
 	switch k {
-	case "mugil", "mugi-l":
+	case "mugil":
 		least = minMugiLRows
 	case "carat":
 		least = minCaratRows
@@ -230,22 +230,38 @@ func ByName(kind string, rows int) (Design, error) {
 	switch k {
 	case "mugi":
 		return Mugi(rows), nil
-	case "mugil", "mugi-l":
+	case "mugil":
 		return MugiL(rows), nil
 	case "carat":
 		return Carat(rows), nil
 	case "sa":
 		return SystolicArray(rows, false), nil
-	case "saf", "sa-f":
+	case "saf":
 		return SystolicArray(rows, true), nil
 	case "sd":
 		return SIMDArray(rows, false), nil
-	case "sdf", "sd-f":
+	case "sdf":
 		return SIMDArray(rows, true), nil
 	case "tensor":
 		return TensorCore(), nil
 	default:
 		return Design{}, fmt.Errorf("arch: unknown design %q (want mugi|mugil|carat|sa|saf|sd|sdf|tensor)", kind)
+	}
+}
+
+// CanonicalKind is the one spelling of a ByName kind: lower case, with
+// the hyphenated aliases folded ("mugi-l" is "mugil", "sa-f" "saf",
+// "sd-f" "sdf"). Unknown kinds are only lower-cased.
+func CanonicalKind(kind string) string {
+	switch k := strings.ToLower(kind); k {
+	case "mugi-l":
+		return "mugil"
+	case "sa-f":
+		return "saf"
+	case "sd-f":
+		return "sdf"
+	default:
+		return k
 	}
 }
 

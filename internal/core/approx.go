@@ -291,7 +291,8 @@ func (a *Approx) Softmax(dst, xs []float64) []float64 {
 		return nonlinear.Softmax(dst, xs, a.Approx)
 	}
 	// The rounded fields em = exponent<<mb | mantissa of a word in the
-	// window lie in [lo, lo+span), and em − base indexes the flat plane.
+	// window lie in [lo, lo+span), and em − lo + off indexes the flat
+	// plane.
 	l := a.lut
 	lo := (a.winLo + 127) << mb
 	span := a.cfg.WindowWidth << mb

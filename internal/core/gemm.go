@@ -220,17 +220,17 @@ func (s *GEMMScratch) Reserve(n, scaleLen int) {
 	}
 }
 
-// ensure grows the scratch to cover accWidth accumulators (the row width,
-// times four for a four-row block) with a gathered scale table of
-// scaleLen entries (zero for SharedScales operands, whose gather is
-// skipped, so a growing value-cache context never resizes it).
-func (s *GEMMScratch) ensure(accWidth, scaleLen int) {
-	if cap(s.acc) < accWidth {
-		s.acc = make([]float64, accWidth)
-		s.gacc = make([]float64, accWidth)
+// ensure grows the scratch to cover a four-row block of n-column
+// outputs with a gathered scale table of scaleLen entries (zero for
+// SharedScales operands, whose gather is skipped, so a growing
+// value-cache context never resizes it).
+func (s *GEMMScratch) ensure(n, scaleLen int) {
+	if cap(s.acc) < blockRows*n {
+		s.acc = make([]float64, blockRows*n)
+		s.gacc = make([]float64, blockRows*n)
 	}
-	s.acc = s.acc[:accWidth]
-	s.gacc = s.gacc[:accWidth]
+	s.acc = s.acc[:blockRows*n]
+	s.gacc = s.gacc[:blockRows*n]
 	if cap(s.scaleT) < scaleLen {
 		s.scaleT = make([]float32, scaleLen)
 	}
@@ -300,11 +300,7 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 	if !wq.SharedScales {
 		scaleLen = n * groups
 	}
-	accWidth := n
-	if m >= blockRows {
-		accWidth = blockRows * n
-	}
-	scratch.ensure(accWidth, scaleLen) //mugi:coldalloc scratch growth on first use; a warmed scratch never re-makes
+	scratch.ensure(n, scaleLen) //mugi:coldalloc scratch growth on first use; a warmed scratch never re-makes
 	stride := wq.stride()
 	// Gather the dequant scales g-major once per call (they are stored
 	// column-major); the value cache shares one scale per group across
@@ -328,7 +324,7 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 	// bit-identical.
 	i := 0
 	for ; i+blockRows <= m; i += blockRows {
-		multiplyBlock(a, i, wq, stride, groups, scaleT, scratch.acc[:blockRows*n], scratch.gacc[:blockRows*n])
+		multiplyBlock(a, i, wq, stride, groups, scaleT, scratch.acc, scratch.gacc)
 		for r := 0; r < blockRows; r++ {
 			orow := out.Row(i + r)
 			for j, v := range scratch.acc[r*n : (r+1)*n] {
@@ -385,9 +381,10 @@ func multiplyRow(arow []float32, wq QuantMatrix, stride, groups int, scaleT []fl
 }
 
 // multiplyBlock is multiplyRow for the four activation rows i to i+3 of
-// a, each code read once for all four: acc and gacc hold four rows of n
-// accumulators, row r at [r*n, (r+1)*n), and every row adds its products
-// in the order multiplyRow would.
+// a, each code of a four-row pass read once for all four (the one to
+// three code rows left after a group's passes go row by row): acc and
+// gacc hold four rows of n accumulators, row r at [r*n, (r+1)*n), and
+// every row adds its products in the order multiplyRow would.
 func multiplyBlock(a *tensor.Matrix, i int, wq QuantMatrix, stride, groups int, scaleT []float32, acc, gacc []float64) {
 	k, gs, n := wq.Rows, wq.GroupSize, wq.Cols
 	a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
@@ -405,8 +402,9 @@ func multiplyBlock(a *tensor.Matrix, i int, wq QuantMatrix, stride, groups int, 
 		}
 		for ; kk < k; kk++ {
 			s := float64(wq.Scales[kk])
-			addBlock1(acc, n, wq.Codes[kk*stride:],
-				float64(a0[kk])*s, float64(a1[kk])*s, float64(a2[kk])*s, float64(a3[kk])*s)
+			for r, ar := range [blockRows][]float32{a0, a1, a2, a3} {
+				addRow(acc[r*n:(r+1)*n], wq.Codes[kk*stride:], float64(ar[kk])*s)
+			}
 		}
 		return
 	}
@@ -423,8 +421,9 @@ func multiplyBlock(a *tensor.Matrix, i int, wq QuantMatrix, stride, groups int, 
 			})
 		}
 		for ; kk < hi; kk++ {
-			addBlock1(gacc, n, wq.Codes[kk*stride:],
-				float64(a0[kk]), float64(a1[kk]), float64(a2[kk]), float64(a3[kk]))
+			for r, ar := range [blockRows][]float32{a0, a1, a2, a3} {
+				addRow(gacc[r*n:(r+1)*n], wq.Codes[kk*stride:], float64(ar[kk]))
+			}
 		}
 		for r := 0; r < blockRows; r++ {
 			rescale(acc[r*n:(r+1)*n], gacc[r*n:(r+1)*n], wq, g, scaleT)
@@ -497,20 +496,6 @@ func addBlock4(s []float64, n int, codes []int8, off, stride int, w *[16]float64
 		s1[j] = s1[j] + x0*w10 + x1*w11 + x2*w12 + x3*w13
 		s2[j] = s2[j] + x0*w20 + x1*w21 + x2*w22 + x3*w23
 		s3[j] = s3[j] + x0*w30 + x1*w31 + x2*w32 + x3*w33
-	}
-}
-
-// addBlock1 is addRow for four accumulator rows of n elements, row r at
-// s[r*n:], weighing the one code row by w0..w3.
-func addBlock1(s []float64, n int, codes []int8, w0, w1, w2, w3 float64) {
-	c := codes[:n]
-	s0, s1, s2, s3 := s[:n], s[n:2*n], s[2*n:3*n], s[3*n:4*n]
-	for j := range c {
-		x := codeF64[uint8(c[j])]
-		s0[j] += x * w0
-		s1[j] += x * w1
-		s2[j] += x * w2
-		s3[j] += x * w3
 	}
 }
 

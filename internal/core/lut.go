@@ -12,7 +12,9 @@ import (
 // rows are indexed by (sign, rounded mantissa) and each row holds the
 // nonlinear results for every exponent in the LUT window, so that a row can
 // be value-reused by all inputs sharing the S-M pair while each input
-// subscribes its own exponent entry.
+// subscribes its own exponent entry. NewLUT also lays the negative sign
+// plane out flat, exponent-major, once, so that Approx.Softmax reads an
+// entry with one load indexed by a normal input's rounded fields.
 type LUT struct {
 	op      nonlinear.Op
 	manBits int

@@ -371,28 +371,47 @@ func softmaxSeedRef(a *Approx, dst, xs []float64) []float64 {
 	return nonlinear.Softmax(dst, xs, a.Approx)
 }
 
+// TestVLPSoftmaxMatchesSeedSelection holds Softmax to softmaxSeedRef
+// (checkSoftmaxMatchesRef) on seeded random rows: normal scores from the
+// default window at ManBits 3; scores at scales from 2^-30 to 2^40,
+// salted with signed zeros, subnormals, infinities and NaNs at random
+// positions, at every ManBits and random starting windows; and tie rows,
+// a 0 and negative words halfway between two BF16 words, so the shifted
+// operands are the ties themselves.
 func TestVLPSoftmaxMatchesSeedSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(200)
-		xs := make([]float64, n)
+		xs := make([]float64, 1+rng.Intn(200))
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 4
 		}
-		a := New(Config{Op: nonlinear.Exp, LUTEMin: -10, LUTEMax: 5})
-		b := New(Config{Op: nonlinear.Exp, LUTEMin: -10, LUTEMax: 5})
-		got := a.Softmax(make([]float64, n), xs)
-		want := softmaxSeedRef(b, make([]float64, n), xs)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d element %d: %v != %v", trial, i, got[i], want[i])
-			}
+		checkSoftmaxMatchesRef(t, DefaultManBits, 5-DefaultWindowWidth+1, xs)
+	}
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, math.Inf(1), math.Inf(-1), math.NaN(), 3e38, -3e38}
+	rows := 4000
+	if testing.Short() {
+		rows = 500
+	}
+	for r := 0; r < rows; r++ {
+		xs := make([]float64, 1+rng.Intn(64))
+		scale := math.Ldexp(1, rng.Intn(71)-30)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * scale
 		}
-		alo, _ := a.Window()
-		blo, _ := b.Window()
-		if alo != blo {
-			t.Fatalf("trial %d: window divergence %d vs %d", trial, alo, blo)
+		if rng.Intn(4) == 0 {
+			xs[rng.Intn(len(xs))] = specials[rng.Intn(len(specials))]
 		}
+		checkSoftmaxMatchesRef(t, 1+rng.Intn(8), rng.Intn(20)-14, xs)
+	}
+	for r := 0; r < rows/4; r++ {
+		xs := make([]float64, 2+rng.Intn(32))
+		for i := 1; i < len(xs); i++ {
+			// Sign 1, a biased exponent in [115, 132], any BF16
+			// mantissa, and the dropped half exactly 0x8000.
+			bf := 0x8000 | uint32(115+rng.Intn(18))<<7 | uint32(rng.Intn(128))
+			xs[i] = float64(math.Float32frombits(bf<<16 | 0x8000))
+		}
+		checkSoftmaxMatchesRef(t, 1+rng.Intn(8), rng.Intn(20)-14, xs)
 	}
 }
 

@@ -110,10 +110,10 @@ type Entry struct {
 
 // Validate rejects entries the rules cannot score, and entries not in
 // their one canonical spelling, so that two accepted entries with the
-// same ID are the same entry: Kind and Profile lower case with no alias
-// (see canonicalKind), and Rows 0 for tensor, which takes none.
+// same ID are the same entry: Kind as arch.CanonicalKind spells it,
+// Profile lower case, and Rows 0 for tensor, which takes none.
 func (e Entry) Validate() error {
-	if k := canonicalKind(e.Kind); k != e.Kind {
+	if k := arch.CanonicalKind(e.Kind); k != e.Kind {
 		return fmt.Errorf("minuteserve: kind %q is spelled %q in an entry", e.Kind, k)
 	}
 	if e.Kind == "tensor" && e.Rows != 0 {
@@ -135,22 +135,6 @@ func (e Entry) Validate() error {
 		return fmt.Errorf("minuteserve: %w", err)
 	}
 	return nil
-}
-
-// canonicalKind is the one spelling of a design kind in an entry: lower
-// case, with arch.ByName's hyphenated aliases folded ("mugi-l" is
-// "mugil", "sa-f" "saf", "sd-f" "sdf").
-func canonicalKind(kind string) string {
-	switch k := strings.ToLower(kind); k {
-	case "mugi-l":
-		return "mugil"
-	case "sa-f":
-		return "saf"
-	case "sd-f":
-		return "sdf"
-	default:
-		return k
-	}
 }
 
 // ID is the entry's stable slug — the key Diff matches entries on.
@@ -209,9 +193,9 @@ func ParseEntry(s string) (Entry, error) {
 		return Entry{}, fmt.Errorf("minuteserve: bad entry %q (want kind[@rows]:RxC[:replicas][:profile])", s)
 	}
 	e := Entry{Replicas: 1, Profile: "chat"}
-	e.Kind = canonicalKind(parts[0])
+	e.Kind = arch.CanonicalKind(parts[0])
 	if at := strings.IndexByte(parts[0], '@'); at >= 0 {
-		e.Kind = canonicalKind(parts[0][:at])
+		e.Kind = arch.CanonicalKind(parts[0][:at])
 		rows, err := strconv.Atoi(parts[0][at+1:])
 		if err != nil {
 			return Entry{}, fmt.Errorf("minuteserve: bad rows in entry %q", s)

@@ -28,20 +28,36 @@ func TestParseMesh(t *testing.T) {
 	if err != nil || m.Nodes() != 2 {
 		t.Errorf("ParseMesh(2x1): %v %v", m, err)
 	}
-	for _, bad := range []string{"", "4", "ax4", "0x4", "-1x2", "4x4junk", "2x2x9", "4x", "x4", "+4x4", "4x 4"} {
+	// The largest meshes, MaxNodes nodes, parse; one node more does not.
+	for _, s := range []string{"1024x1024", "1x1048576", "1048576x1", "512x2048"} {
+		if m, err := ParseMesh(s); err != nil || m.Nodes() != MaxNodes || m.String() != s {
+			t.Errorf("ParseMesh(%q): %v %v", s, m, err)
+		}
+	}
+	for _, bad := range []string{"", "4", "ax4", "0x4", "-1x2", "4x4junk", "2x2x9", "4x", "x4", "+4x4", "4x 4",
+		"1025x1024", "1x1048577", "1048577x1", "3037000500x3037000500", "4294967296x4294967296"} {
 		if _, err := ParseMesh(bad); err == nil {
 			t.Errorf("ParseMesh(%q) should error", bad)
 		}
 	}
 }
 
+// TestMeshValidates: NewMesh panics and Validate errs on the meshes
+// ParseMesh rejects, whose node count may overflow int.
 func TestMeshValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, m := range []Mesh{{0, 4}, {4, -1}, {1025, 1024}, {1, MaxNodes + 1}, {3037000500, 3037000500}, {1 << 32, 1 << 32}} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("%v: Validate accepted it", m)
 		}
-	}()
-	NewMesh(0, 4)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMesh(%d, %d) did not panic", m.Rows, m.Cols)
+				}
+			}()
+			NewMesh(m.Rows, m.Cols)
+		}()
+	}
 }
 
 func TestSingleNodeHasNoNoCOverhead(t *testing.T) {
@@ -95,35 +111,5 @@ func TestProvisionedBandwidth(t *testing.T) {
 	// stream, the worst-case NoC demand of any simulated pass.
 	if bw := NewMesh(2, 1).ProvisionedBandwidth(400e6); bw <= 256e9 {
 		t.Errorf("2x1 provisioned %.3g does not cover the HBM stream", bw)
-	}
-}
-
-// TestMeshNodeCeiling: ParseMesh, NewMesh and Validate share one bound
-// of MaxNodes nodes, checked per dimension before the product, so a
-// mesh whose node count overflows int is rejected, not simulated.
-func TestMeshNodeCeiling(t *testing.T) {
-	for _, m := range []Mesh{{1024, 1024}, {1, MaxNodes}, {MaxNodes, 1}, {512, 2048}} {
-		if err := m.Validate(); err != nil {
-			t.Errorf("%v: %v", m, err)
-		}
-		if got, err := ParseMesh(m.String()); err != nil || got != m {
-			t.Errorf("ParseMesh(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	for _, m := range []Mesh{{1025, 1024}, {1, MaxNodes + 1}, {MaxNodes + 1, 1}, {3037000500, 3037000500}, {1 << 32, 1 << 32}, {0, 4}, {4, -1}} {
-		if err := m.Validate(); err == nil {
-			t.Errorf("%v: Validate accepted it", m)
-		}
-		if _, err := ParseMesh(m.String()); err == nil {
-			t.Errorf("ParseMesh(%q) accepted it", m.String())
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewMesh(%d, %d) did not panic", m.Rows, m.Cols)
-				}
-			}()
-			NewMesh(m.Rows, m.Cols)
-		}()
 	}
 }

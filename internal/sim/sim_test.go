@@ -330,14 +330,9 @@ func TestClassSumsFixedOrder(t *testing.T) {
 // TestLargestMeshesSimulateFinite runs a decode pass on the largest
 // meshes noc.ParseMesh accepts (noc.MaxNodes nodes, square and in one
 // row or column) and requires every float of the Result finite and
-// non-negative; one more node, or the 3037000500x3037000500 mesh whose
-// node count once overflowed into a negative compute time, is an error.
+// non-negative. Larger meshes, whose node count could overflow into a
+// negative compute time, are parse errors (noc's TestParseMesh).
 func TestLargestMeshesSimulateFinite(t *testing.T) {
-	for _, s := range []string{"1025x1024", "1x1048577", "1048577x1", "3037000500x3037000500", "9999999999x9999999999"} {
-		if m, err := noc.ParseMesh(s); err == nil {
-			t.Errorf("ParseMesh(%q) accepted %v, beyond %d nodes", s, m, noc.MaxNodes)
-		}
-	}
 	w := model.Llama2_7B.DecodeOps(1, 1024)
 	for _, s := range []string{"1024x1024", "1x1048576", "1048576x1"} {
 		m, err := noc.ParseMesh(s)
