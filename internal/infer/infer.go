@@ -136,16 +136,16 @@ type stepScratch struct {
 	proj       []float32
 	hidden     []float32
 	ffn        []float32
-	// sRows and pRows hold one GQA group's score and probability rows,
-	// Group() rows of up to MaxSeq each.
-	sRows, pRows []float32
-	logitsF      []float32
-	scores       []float64
-	probs        []float64
-	logits       []float64
-	aWrap        tensor.Matrix
-	outWrap      tensor.Matrix
-	gemm         core.GEMMScratch
+	// attn holds one GQA group's score rows, Group() rows of up to
+	// MaxSeq each, each overwritten by its probabilities.
+	attn    []float32
+	logitsF []float32
+	scores  []float64
+	probs   []float64
+	logits  []float64
+	aWrap   tensor.Matrix
+	outWrap tensor.Matrix
+	gemm    core.GEMMScratch
 }
 
 // New builds the decoder with seeded random weights.
@@ -199,8 +199,7 @@ func (e *Engine) initScratch() {
 	e.sc.proj = make([]float32, cfg.Dim)
 	e.sc.hidden = make([]float32, cfg.FFN)
 	e.sc.ffn = make([]float32, cfg.Dim)
-	e.sc.sRows = make([]float32, cfg.Group()*cfg.MaxSeq)
-	e.sc.pRows = make([]float32, cfg.Group()*cfg.MaxSeq)
+	e.sc.attn = make([]float32, cfg.Group()*cfg.MaxSeq)
 	e.sc.logitsF = make([]float32, cfg.Vocab)
 	e.sc.scores = make([]float64, cfg.MaxSeq)
 	e.sc.probs = make([]float64, cfg.MaxSeq)
@@ -340,27 +339,26 @@ func (e *Engine) Step(token int, ops Ops) ([]float64, error) {
 		ctxLen := e.pos + 1
 		scores := e.sc.scores[:ctxLen]
 		probs := e.sc.probs[:ctxLen]
-		pRows := e.sc.pRows[:g*ctxLen]
 		scale := 1 / math.Sqrt(float64(hd))
 		for kvh := 0; kvh < cfg.KVHeads; kvh++ {
 			group := kvh * g * hd
 			keys := e.cache.Keys(li, kvh)     // headDim × ctxLen view
 			values := e.cache.Values(li, kvh) // ctxLen × headDim view
 			// Scores: the g×hd query rows against the KVQ key cache.
-			sRows := e.matmul(e.sc.sRows, q[group:group+g*hd], keys)
+			attn := e.matmul(e.sc.attn, q[group:group+g*hd], keys)
 			for qi := 0; qi < g; qi++ {
-				for t, s := range sRows[qi*ctxLen : (qi+1)*ctxLen] {
+				row := attn[qi*ctxLen : (qi+1)*ctxLen]
+				for t, s := range row {
 					scores[t] = float64(s) * scale
 				}
 				ops.Softmax(probs, scores)
-				pRow := pRows[qi*ctxLen : (qi+1)*ctxLen]
-				for t := range probs {
-					pRow[t] = float32(probs[t])
+				for t, p := range probs {
+					row[t] = float32(p)
 				}
 			}
 			// Context: the g×ctxLen probabilities against the KVQ value
 			// cache, straight into the group's attnOut rows.
-			e.matmul(e.sc.attnOut[group:], pRows, values)
+			e.matmul(e.sc.attnOut[group:], attn, values)
 		}
 		proj := e.matmul(e.sc.proj, e.sc.attnOut, l.wo)
 		for i := range x {
