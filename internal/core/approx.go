@@ -297,7 +297,7 @@ func (a *Approx) Softmax(dst, xs []float64) []float64 {
 	lo := (a.winLo + 127) << mb
 	span := a.cfg.WindowWidth << mb
 	off := lo - (l.EMin+127)<<mb
-	sat := l.overflow(1, 0)
+	sat := l.overflow(1, 0) // exp saturates to one value whatever the input
 	sum := 0.0
 	for i, v := range xs {
 		x := v - max

@@ -336,6 +336,7 @@ func (e *Engine) Step(token int, ops Ops) ([]float64, error) {
 		// score GEMM and one g-row context GEMM, the shape the simulator
 		// prices: the group's heads are contiguous in q and attnOut, so
 		// neither GEMM copies its rows.
+		attnOut := e.sc.attnOut
 		ctxLen := e.pos + 1
 		scores := e.sc.scores[:ctxLen]
 		probs := e.sc.probs[:ctxLen]
@@ -358,9 +359,9 @@ func (e *Engine) Step(token int, ops Ops) ([]float64, error) {
 			}
 			// Context: the g×ctxLen probabilities against the KVQ value
 			// cache, straight into the group's attnOut rows.
-			e.matmul(e.sc.attnOut[group:], attn, values)
+			e.matmul(attnOut[group:], attn, values)
 		}
-		proj := e.matmul(e.sc.proj, e.sc.attnOut, l.wo)
+		proj := e.matmul(e.sc.proj, attnOut, l.wo)
 		for i := range x {
 			x[i] += proj[i]
 		}
