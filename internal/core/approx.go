@@ -252,11 +252,10 @@ func (a *Approx) ApproxBatch(dst, xs []float64, rows int) BatchStats {
 // an infinity, or a difference beyond float32's range), Softmax scans
 // every operand instead.
 //
-// With ManBits ≤ 7, a negative normal BF16 word of v − max, the
-// operand of every element but the max, is read inline: the BF16 and
-// field roundings on its bits, one compare against the window, and one
-// load from the LUT's flat negative plane. Zero, subnormal, NaN and
-// infinite words take Approx. ManBits 8 runs nonlinear.Softmax.
+// A negative normal BF16 word of v − max, the operand of every element
+// but the max, is read inline: the BF16 and field roundings on its bits,
+// one compare against the window, and one load from the LUT's flat
+// negative plane. Zero, subnormal, NaN and infinite words take Approx.
 //
 //mugi:noalloc
 func (a *Approx) Softmax(dst, xs []float64) []float64 {
@@ -286,9 +285,6 @@ func (a *Approx) Softmax(dst, xs []float64) []float64 {
 		// Every shifted word is zero or subnormal: the window stays.
 	default:
 		a.SetWindow(int(numerics.RoundFields(bits, mb)>>mb) - 127 - a.cfg.WindowWidth + 1)
-	}
-	if mb > 7 {
-		return nonlinear.Softmax(dst, xs, a.Approx)
 	}
 	// The rounded fields em = exponent<<mb | mantissa of a word in the
 	// window lie in [lo, lo+span), and em − lo + off indexes the flat
