@@ -41,13 +41,13 @@ func NewMesh(rows, cols int) Mesh {
 }
 
 // Validate requires both dimensions positive and at most MaxNodes nodes.
-// It bounds each dimension before it multiplies them, so the check
-// itself cannot overflow.
+// It divides the ceiling by one dimension rather than multiply the two,
+// so the check cannot overflow at any int width.
 func (m Mesh) Validate() error {
 	if m.Rows < 1 || m.Cols < 1 {
 		return fmt.Errorf("noc: invalid mesh %dx%d", m.Rows, m.Cols)
 	}
-	if m.Rows > MaxNodes || m.Cols > MaxNodes || m.Rows*m.Cols > MaxNodes {
+	if m.Rows > MaxNodes/m.Cols {
 		return fmt.Errorf("noc: mesh %dx%d has more than %d nodes", m.Rows, m.Cols, MaxNodes)
 	}
 	return nil

@@ -43,9 +43,11 @@ func TestParseMesh(t *testing.T) {
 }
 
 // TestMeshValidates: NewMesh panics and Validate errs on the meshes
-// ParseMesh rejects, whose node count may overflow int.
+// ParseMesh rejects, whose node count may overflow int (a 32-bit int
+// wraps MaxNodes×MaxNodes to 0 and 65537×65536 to 65536).
 func TestMeshValidates(t *testing.T) {
-	for _, m := range []Mesh{{0, 4}, {4, -1}, {1025, 1024}, {1, MaxNodes + 1}, {3037000500, 3037000500}, {1 << 32, 1 << 32}} {
+	for _, m := range []Mesh{{0, 4}, {4, -1}, {1025, 1024}, {1, MaxNodes + 1}, {MaxNodes, MaxNodes}, {65537, 65536},
+		{3037000500, 3037000500}, {1 << 32, 1 << 32}} {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%v: Validate accepted it", m)
 		}
