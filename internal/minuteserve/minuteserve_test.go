@@ -121,6 +121,13 @@ func TestVerifyCorruption(t *testing.T) {
 	editedHeadline.ReqPerDollar *= 2
 	editedHeadlineBytes := editedHeadline.Encode()
 
+	// A report signed from an entry stored as typed: current rules and a
+	// good digest, but a kind in another spelling, whose ID is not its
+	// entry's ID.
+	otherSpelling := rep
+	otherSpelling.Entry.Kind = strings.ToUpper(rep.Entry.Kind)
+	otherSpelling.sign()
+
 	cases := []struct {
 		name string
 		data []byte
@@ -135,6 +142,7 @@ func TestVerifyCorruption(t *testing.T) {
 		{"flipped digest", flippedDigest, ErrDigest},
 		{"stale rules hash", staleRules, ErrStaleRules},
 		{"edited headline", editedHeadlineBytes, ErrDigest},
+		{"entry in another spelling", otherSpelling.Encode(), ErrInconsistent},
 		{"edited headline raw bytes", bytes.Replace(good, []byte("\"requests_per_dollar\": "), []byte("\"requests_per_dollar\": 9"), 1), ErrNotCanonical},
 		{"reordered keys", reorderKeys(good), ErrNotCanonical},
 		{"reformatted whitespace", bytes.Replace(good, []byte("  \"schema\""), []byte("   \"schema\""), 1), ErrNotCanonical},
