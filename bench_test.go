@@ -233,8 +233,7 @@ func BenchmarkVLPSoftmaxRow(b *testing.B) {
 // 16-row group, a scale per token) and the context GEMM against a
 // value-cache view (one-row groups sharing one scale per token). The
 // gqa- cases are the same two attention GEMMs for a GQA group of four
-// query heads sharing one KV head, the shape the decoder runs them in,
-// which take MultiplyInto's four-row block path.
+// query heads sharing one KV head, the shape the decoder runs them in.
 func BenchmarkVLPGEMM(b *testing.B) {
 	const ctx, hd, maxSeq = 256, 16, 512
 	rng := rand.New(rand.NewSource(4))

@@ -191,46 +191,40 @@ func (s GEMMStats) EffectiveMACsPerCycle() float64 {
 }
 
 // GEMMScratch holds the reusable buffers of MultiplyInto: the float64
-// group/row accumulators of one four-row block and the per-group dequant
-// scale rows gathered once per call. Buffers grow on demand and are
-// retained, so a warmed scratch makes MultiplyInto allocation-free. A
-// scratch must not be shared between concurrent calls.
+// group/row accumulators and the per-group dequant-scale rows gathered once
+// per call. Buffers grow on demand and are retained, so a warmed scratch
+// makes MultiplyInto allocation-free. A scratch must not be shared between
+// concurrent calls.
 type GEMMScratch struct {
 	acc, gacc []float64
 	scaleT    []float32
 }
 
-// blockRows is the number of activation rows MultiplyInto multiplies per
-// pass over the codes.
-const blockRows = 4
-
-// Reserve pre-sizes the scratch for outputs up to n columns, in blocks of
-// four rows, and gathered scale tables up to scaleLen (= groups × columns)
-// entries, so subsequent MultiplyInto calls within those bounds never
-// allocate. The functional decoder reserves for its largest projection
-// and the full KV context up front, making every warmed Step
-// allocation-free.
+// Reserve pre-sizes the scratch for outputs up to n columns and gathered
+// scale tables up to scaleLen (= groups × columns) entries, so subsequent
+// MultiplyInto calls within those bounds never allocate. The functional
+// decoder reserves for its largest projection and the full KV context up
+// front, making every warmed Step allocation-free.
 func (s *GEMMScratch) Reserve(n, scaleLen int) {
-	if cap(s.acc) < blockRows*n {
-		s.acc = make([]float64, blockRows*n)
-		s.gacc = make([]float64, blockRows*n)
+	if cap(s.acc) < n {
+		s.acc = make([]float64, n)
+		s.gacc = make([]float64, n)
 	}
 	if cap(s.scaleT) < scaleLen {
 		s.scaleT = make([]float32, scaleLen)
 	}
 }
 
-// ensure grows the scratch to cover a four-row block of n-column
-// outputs with a gathered scale table of scaleLen entries (zero for
-// SharedScales operands, whose gather is skipped, so a growing
-// value-cache context never resizes it).
+// ensure grows the scratch to cover an n-column output with a gathered
+// scale table of scaleLen entries (zero for SharedScales operands, whose
+// gather is skipped, so a growing value-cache context never resizes it).
 func (s *GEMMScratch) ensure(n, scaleLen int) {
-	if cap(s.acc) < blockRows*n {
-		s.acc = make([]float64, blockRows*n)
-		s.gacc = make([]float64, blockRows*n)
+	if cap(s.acc) < n {
+		s.acc = make([]float64, n)
+		s.gacc = make([]float64, n)
 	}
-	s.acc = s.acc[:blockRows*n]
-	s.gacc = s.gacc[:blockRows*n]
+	s.acc = s.acc[:n]
+	s.gacc = s.gacc[:n]
 	if cap(s.scaleT) < scaleLen {
 		s.scaleT = make([]float32, scaleLen)
 	}
@@ -262,14 +256,9 @@ func Multiply(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) (*tensor.Matrix,
 // rows stream contiguously and per-group dequant scales are gathered once
 // per call instead of once per output row.
 //
-// Three shortcuts keep every bit. A pass streams four code rows and each
+// Two shortcuts keep every bit. A pass streams four code rows and each
 // element adds its four products in row order, as four one-row passes
-// would. Activation rows go in blocks of four (a GQA group's query heads
-// against their shared KV cache): a pass reads each code once and adds
-// its product into each of the four rows' own accumulators, so every row
-// performs the float operations of a one-row call in the same order; the
-// one to three rows that do not fill a block take the one-row path.
-// One-row groups sharing one scale s per row (GroupSize 1 with
+// would. One-row groups sharing one scale s per row (GroupSize 1 with
 // SharedScales, the KVQ value cache) skip their group sums and add each
 // rescaled product p = (c·a)·s straight into the row's accumulator: the
 // group sum 0 + p equals p for every p but −0, and a −0 product adds a
@@ -301,6 +290,7 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 		scaleLen = n * groups
 	}
 	scratch.ensure(n, scaleLen) //mugi:coldalloc scratch growth on first use; a warmed scratch never re-makes
+	acc, gacc := scratch.acc, scratch.gacc
 	stride := wq.stride()
 	// Gather the dequant scales g-major once per call (they are stored
 	// column-major); the value cache shares one scale per group across
@@ -318,135 +308,57 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 	// sign ⊕ (magnitude-cycle subscription of the BF16 accumulation).
 	// Group partial sums are rescaled by the vector array after the
 	// subscription phase (WOQ/KVQ dequantization). The loop nest is
-	// (row block, group, k, column) so every code row streams
-	// contiguously; each output element performs the float operations of
-	// Multiply's original (j, k) walk in the same order, keeping results
-	// bit-identical.
-	i := 0
-	for ; i+blockRows <= m; i += blockRows {
-		multiplyBlock(a, i, wq, stride, groups, scaleT, scratch.acc, scratch.gacc)
-		for r := 0; r < blockRows; r++ {
-			orow := out.Row(i + r)
-			for j, v := range scratch.acc[r*n : (r+1)*n] {
-				orow[j] = float32(v)
+	// (row, group, k, column) so every code row streams contiguously; each
+	// output element performs the float operations of Multiply's original
+	// (j, k) walk in the same order, keeping results bit-identical.
+	for i := 0; i < m; i++ {
+		arow := a.Row(i)
+		clear(acc)
+		if gs == 1 && wq.SharedScales {
+			// One-row groups sharing a scale per row: c·(a·s) straight
+			// into acc (see the doc comment for why the bits hold).
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				addRows4(acc, wq.Codes, kk*stride, stride,
+					float64(arow[kk])*float64(wq.Scales[kk]),
+					float64(arow[kk+1])*float64(wq.Scales[kk+1]),
+					float64(arow[kk+2])*float64(wq.Scales[kk+2]),
+					float64(arow[kk+3])*float64(wq.Scales[kk+3]))
+			}
+			for ; kk < k; kk++ {
+				addRow(acc, wq.Codes[kk*stride:], float64(arow[kk])*float64(wq.Scales[kk]))
+			}
+		} else {
+			for g := 0; g < groups; g++ {
+				clear(gacc)
+				lo, hi := g*gs, min((g+1)*gs, k)
+				kk := lo
+				for ; kk+4 <= hi; kk += 4 {
+					addRows4(gacc, wq.Codes, kk*stride, stride,
+						float64(arow[kk]), float64(arow[kk+1]), float64(arow[kk+2]), float64(arow[kk+3]))
+				}
+				for ; kk < hi; kk++ {
+					addRow(gacc, wq.Codes[kk*stride:], float64(arow[kk]))
+				}
+				if wq.SharedScales {
+					sg := float64(wq.Scales[g])
+					for j := range gacc {
+						acc[j] += gacc[j] * sg
+					}
+				} else {
+					srow := scaleT[g*n : (g+1)*n]
+					for j := range gacc {
+						acc[j] += gacc[j] * float64(srow[j])
+					}
+				}
 			}
 		}
-	}
-	for ; i < m; i++ {
-		acc := scratch.acc[:n]
-		multiplyRow(a.Row(i), wq, stride, groups, scaleT, acc, scratch.gacc[:n])
 		orow := out.Row(i)
 		for j := range acc {
 			orow[j] = float32(acc[j])
 		}
 	}
 	return PlanCycles(cfg, m, k, n, wq.Bits)
-}
-
-// multiplyRow computes one activation row times wq into acc (len n), using
-// gacc (len n) for the group sums and scaleT for the gathered per-column
-// scales.
-func multiplyRow(arow []float32, wq QuantMatrix, stride, groups int, scaleT []float32, acc, gacc []float64) {
-	k, gs := wq.Rows, wq.GroupSize
-	clear(acc)
-	if gs == 1 && wq.SharedScales {
-		// One-row groups sharing a scale per row: c·(a·s) straight
-		// into acc (see MultiplyInto's doc comment for why the bits hold).
-		kk := 0
-		for ; kk+4 <= k; kk += 4 {
-			addRows4(acc, wq.Codes, kk*stride, stride,
-				float64(arow[kk])*float64(wq.Scales[kk]),
-				float64(arow[kk+1])*float64(wq.Scales[kk+1]),
-				float64(arow[kk+2])*float64(wq.Scales[kk+2]),
-				float64(arow[kk+3])*float64(wq.Scales[kk+3]))
-		}
-		for ; kk < k; kk++ {
-			addRow(acc, wq.Codes[kk*stride:], float64(arow[kk])*float64(wq.Scales[kk]))
-		}
-		return
-	}
-	for g := 0; g < groups; g++ {
-		clear(gacc)
-		lo, hi := g*gs, min((g+1)*gs, k)
-		kk := lo
-		for ; kk+4 <= hi; kk += 4 {
-			addRows4(gacc, wq.Codes, kk*stride, stride,
-				float64(arow[kk]), float64(arow[kk+1]), float64(arow[kk+2]), float64(arow[kk+3]))
-		}
-		for ; kk < hi; kk++ {
-			addRow(gacc, wq.Codes[kk*stride:], float64(arow[kk]))
-		}
-		rescale(acc, gacc, wq, g, scaleT)
-	}
-}
-
-// multiplyBlock is multiplyRow for the four activation rows i to i+3 of
-// a, each code of a four-row pass read once for all four (the one to
-// three code rows left after a group's passes go row by row): acc and
-// gacc hold four rows of n accumulators, row r at [r*n, (r+1)*n), and
-// every row adds its products in the order multiplyRow would.
-func multiplyBlock(a *tensor.Matrix, i int, wq QuantMatrix, stride, groups int, scaleT []float32, acc, gacc []float64) {
-	k, gs, n := wq.Rows, wq.GroupSize, wq.Cols
-	a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-	clear(acc)
-	if gs == 1 && wq.SharedScales {
-		kk := 0
-		for ; kk+4 <= k; kk += 4 {
-			s0, s1, s2, s3 := float64(wq.Scales[kk]), float64(wq.Scales[kk+1]), float64(wq.Scales[kk+2]), float64(wq.Scales[kk+3])
-			addBlock4(acc, n, wq.Codes, kk*stride, stride, &[16]float64{
-				float64(a0[kk]) * s0, float64(a0[kk+1]) * s1, float64(a0[kk+2]) * s2, float64(a0[kk+3]) * s3,
-				float64(a1[kk]) * s0, float64(a1[kk+1]) * s1, float64(a1[kk+2]) * s2, float64(a1[kk+3]) * s3,
-				float64(a2[kk]) * s0, float64(a2[kk+1]) * s1, float64(a2[kk+2]) * s2, float64(a2[kk+3]) * s3,
-				float64(a3[kk]) * s0, float64(a3[kk+1]) * s1, float64(a3[kk+2]) * s2, float64(a3[kk+3]) * s3,
-			})
-		}
-		for ; kk < k; kk++ {
-			s := float64(wq.Scales[kk])
-			for r, ar := range [blockRows][]float32{a0, a1, a2, a3} {
-				addRow(acc[r*n:(r+1)*n], wq.Codes[kk*stride:], float64(ar[kk])*s)
-			}
-		}
-		return
-	}
-	for g := 0; g < groups; g++ {
-		clear(gacc)
-		lo, hi := g*gs, min((g+1)*gs, k)
-		kk := lo
-		for ; kk+4 <= hi; kk += 4 {
-			addBlock4(gacc, n, wq.Codes, kk*stride, stride, &[16]float64{
-				float64(a0[kk]), float64(a0[kk+1]), float64(a0[kk+2]), float64(a0[kk+3]),
-				float64(a1[kk]), float64(a1[kk+1]), float64(a1[kk+2]), float64(a1[kk+3]),
-				float64(a2[kk]), float64(a2[kk+1]), float64(a2[kk+2]), float64(a2[kk+3]),
-				float64(a3[kk]), float64(a3[kk+1]), float64(a3[kk+2]), float64(a3[kk+3]),
-			})
-		}
-		for ; kk < hi; kk++ {
-			for r, ar := range [blockRows][]float32{a0, a1, a2, a3} {
-				addRow(gacc[r*n:(r+1)*n], wq.Codes[kk*stride:], float64(ar[kk]))
-			}
-		}
-		for r := 0; r < blockRows; r++ {
-			rescale(acc[r*n:(r+1)*n], gacc[r*n:(r+1)*n], wq, g, scaleT)
-		}
-	}
-}
-
-// rescale adds the group sums gacc of group g, dequantized, into acc:
-// by the group's shared scale, or by its row of the gathered per-column
-// scales scaleT.
-func rescale(acc, gacc []float64, wq QuantMatrix, g int, scaleT []float32) {
-	if wq.SharedScales {
-		sg := float64(wq.Scales[g])
-		for j := range gacc {
-			acc[j] += gacc[j] * sg
-		}
-		return
-	}
-	n := len(gacc)
-	srow := scaleT[g*n : (g+1)*n]
-	for j := range gacc {
-		acc[j] += gacc[j] * float64(srow[j])
-	}
 }
 
 // addRows4 adds the products of four consecutive code rows, the first at
@@ -474,28 +386,6 @@ func addRows4(s []float64, codes []int8, off, stride int, w0, w1, w2, w3 float64
 func addRow(s []float64, codes []int8, w float64) {
 	for j, c := range codes[:len(s)] {
 		s[j] += codeF64[uint8(c)] * w
-	}
-}
-
-// addBlock4 is addRows4 for four accumulator rows of n elements, row r at
-// s[r*n:]: w[4*r+q] weighs code row q in row r. Each code is read once,
-// and each element of each row adds its four products in code-row order.
-func addBlock4(s []float64, n int, codes []int8, off, stride int, w *[16]float64) {
-	c0 := codes[off:][:n]
-	c1 := codes[off+stride:][:n]
-	c2 := codes[off+2*stride:][:n]
-	c3 := codes[off+3*stride:][:n]
-	s0, s1, s2, s3 := s[:n], s[n:2*n], s[2*n:3*n], s[3*n:4*n]
-	w00, w01, w02, w03 := w[0], w[1], w[2], w[3]
-	w10, w11, w12, w13 := w[4], w[5], w[6], w[7]
-	w20, w21, w22, w23 := w[8], w[9], w[10], w[11]
-	w30, w31, w32, w33 := w[12], w[13], w[14], w[15]
-	for j := range c0 {
-		x0, x1, x2, x3 := codeF64[uint8(c0[j])], codeF64[uint8(c1[j])], codeF64[uint8(c2[j])], codeF64[uint8(c3[j])]
-		s0[j] = s0[j] + x0*w00 + x1*w01 + x2*w02 + x3*w03
-		s1[j] = s1[j] + x0*w10 + x1*w11 + x2*w12 + x3*w13
-		s2[j] = s2[j] + x0*w20 + x1*w21 + x2*w22 + x3*w23
-		s3[j] = s3[j] + x0*w30 + x1*w31 + x2*w32 + x3*w33
 	}
 }
 

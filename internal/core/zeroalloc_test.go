@@ -129,9 +129,9 @@ func TestMultiplyMatchesSeedReference(t *testing.T) {
 		{name: "carat-gs1-shared", m: 4, k: 50, n: 16, gs: 1, shared: true,
 			cfg: GEMMConfig{Rows: 16, Cols: 4, Mapping: MappingCaratBF16}},
 	}
-	// Every layout again at M = 4, 5, 7 and 8, so four-row blocks run
-	// alone and followed by one to three one-row tails. The gs rows leave
-	// 0 to 3 code rows after a group's whole four-row passes.
+	// Every layout again at M = 4, 5, 7 and 8, the row counts of a GQA
+	// group's attention GEMMs. The gs rows leave 0 to 3 code rows after a
+	// group's whole four-row passes.
 	for _, m := range []int{4, 5, 7, 8} {
 		for _, l := range []seedCase{
 			{name: "gs1-shared", k: 37, n: 16, gs: 1, shared: true},

@@ -14,9 +14,9 @@ import (
 // exact token stream and logits of the pre-refactor engine, captured
 // before any hot-path change landed. The g-prefixed cases pin other GQA
 // group sizes g = Heads/KVHeads (testConfig has g = 2), captured before
-// the attention ran each KV head's g query heads as one GEMM: g = 4 and
-// 8 fill the four-row GEMM block, g = 3 leaves every row to the one-row
-// path, and g = 1 is plain multi-head attention.
+// the attention ran each KV head's g query heads as one g-row GEMM:
+// g = 4 is the benchmark's decoder, g = 8 the paper's GQA group, g = 3
+// an odd group, and g = 1 plain multi-head attention.
 func TestGenerateGoldenSeed(t *testing.T) {
 	cases := []struct {
 		name                string
@@ -92,8 +92,8 @@ func TestGenerateGoldenSeed(t *testing.T) {
 // contexts, the last samples reaching MaxSeq — an earlier bug allocated
 // only once the context outgrew the scale-gather reservation, which an
 // averaged shallow sample missed. The g4 and g8 cases (GQA groups of 4
-// and 8 query heads per KV head) run the attention's four-row GEMM
-// blocks, whose scratch must not grow with the context either.
+// and 8 query heads per KV head) run the attention as 4- and 8-row
+// GEMMs, whose scratch must not grow with the context either.
 func TestStepZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
