@@ -205,11 +205,14 @@ func checkShellFence(root, doc string, f fence, flags map[string]map[string]bool
 	}
 }
 
-// declRe matches a flag registration like flag.String("name", ...).
-var declRe = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint|Float64|Duration)\("([^"]+)"`)
+// declRe matches a flag registration on any receiver: the package
+// function form flag.String("name", ...), a flag set's fs.Bool("name",
+// ...), and the Var forms fs.StringVar(&o.x, "name", ...).
+var declRe = regexp.MustCompile(`\w+\.(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)(?:\(|Var\([^,"]+,\s*)"([^"]+)"`)
 
-// commandFlags reads each cmd/<name>/*.go source and collects the flags
-// it registers (plus the flag package's built-in -h/-help).
+// commandFlags reads each cmd/<name>/*.go source, tests aside, and
+// collects the flags it registers (plus the flag package's built-in
+// -h/-help).
 func commandFlags(root string) (map[string]map[string]bool, error) {
 	out := map[string]map[string]bool{}
 	cmds, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
@@ -224,6 +227,9 @@ func commandFlags(root string) (map[string]map[string]bool, error) {
 			return nil, err
 		}
 		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue // a test binary's flags are not the command's
+			}
 			data, err := os.ReadFile(path)
 			if err != nil {
 				return nil, err

@@ -76,6 +76,38 @@ func TestCommandFlagsReadsRealCommands(t *testing.T) {
 			t.Errorf("%s: flag -%s not discovered (got %v)", cmd, want, flags[cmd])
 		}
 	}
+	// mugisim's golden test registers -capture on the test binary.
+	if flags["mugisim"]["capture"] {
+		t.Error("a test file's flag was read as mugisim's")
+	}
+}
+
+// TestDeclReForms covers each registration form declRe reads, on any
+// receiver, and calls that register no flag.
+func TestDeclReForms(t *testing.T) {
+	for src, want := range map[string]string{
+		`flag.String("design", "mugi", "design")`:            "design",
+		`fs.Bool("serve", false, "serve mode")`:              "serve",
+		`fs.StringVar(&o.traceKind, "trace", "poisson", "")`: "trace",
+		`set.Float64Var(&cfg.rate, "rate", 0.5, "")`:         "rate",
+		`flag.IntVar(&rows,"rows", 256, "")`:                 "rows",
+		`fs.Int64Var(&o.seed, "seed", 1, "")`:                "seed",
+	} {
+		m := declRe.FindStringSubmatch(src)
+		if m == nil || m[1] != want {
+			t.Errorf("%s: got %v, want flag %q", src, m, want)
+		}
+	}
+	for _, src := range []string{
+		`fmt.Println("design")`,
+		`fs.Lookup("serve")`,
+		`strings.Index(s, "trace")`,
+		`fs.StringVar(&o.x, name, "", "")`,
+	} {
+		if m := declRe.FindStringSubmatch(src); m != nil {
+			t.Errorf("%s: read as flag %q", src, m[1])
+		}
+	}
 }
 
 // TestRepositoryDocsAreClean is the live gate: the committed docs must
