@@ -112,20 +112,19 @@ func runBinary(bin string, args []string) (golden, error) {
 }
 
 // TestModesMatchGoldens runs every invocation pinned in
-// testdata/*.golden and requires its exit status, stdout and stderr
-// byte for byte. The goldens cover each mode at its defaults and with
-// other flags, -h, -all, and a usage or run error of each parser.
+// testdata/*.golden through run and requires its exit status, stdout and
+// stderr byte for byte. The goldens cover each mode at its defaults and
+// with other flags, -h, -all, and a usage or run error of each parser.
+//
+// To re-capture goldens from a built binary, after a deliberate output
+// change or for a new golden file holding only its args line:
+//
+//	go build -o /tmp/bin/ ./cmd/mugisim
+//	go test ./cmd/mugisim -run 'TestModesMatchGoldens/<name>' -capture /tmp/bin/mugisim
 func TestModesMatchGoldens(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no goldens: %v", err)
-	}
-	bin := *capture
-	if bin == "" {
-		bin = filepath.Join(t.TempDir(), "mugisim")
-		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-			t.Fatalf("go build: %v\n%s", err, out)
-		}
 	}
 	for _, path := range files {
 		t.Run(strings.TrimSuffix(filepath.Base(path), ".golden"), func(t *testing.T) {
@@ -137,24 +136,25 @@ func TestModesMatchGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
-			got, err := runBinary(bin, want.args)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if *capture != "" {
+				got, err := runBinary(*capture, want.args)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if err := os.WriteFile(path, got.encode(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			if got.exit != want.exit {
-				t.Errorf("exit %d, want %d", got.exit, want.exit)
+			var stdout, stderr bytes.Buffer
+			if got := run(want.args, &stdout, &stderr); got != want.exit {
+				t.Errorf("exit %d, want %d", got, want.exit)
 			}
-			if !bytes.Equal(got.stdout, want.stdout) {
-				t.Errorf("stdout differs:\n%s\nwant:\n%s", got.stdout, want.stdout)
+			if got := stdout.Bytes(); !bytes.Equal(got, want.stdout) {
+				t.Errorf("stdout differs:\n%s\nwant:\n%s", got, want.stdout)
 			}
-			if !bytes.Equal(got.stderr, want.stderr) {
-				t.Errorf("stderr differs:\n%s\nwant:\n%s", got.stderr, want.stderr)
+			if got := stderr.Bytes(); !bytes.Equal(got, want.stderr) {
+				t.Errorf("stderr differs:\n%s\nwant:\n%s", got, want.stderr)
 			}
 		})
 	}

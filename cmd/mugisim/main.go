@@ -22,10 +22,12 @@
 //	mugisim -overload -breaker 0.1      # ... plus circuit breakers over faults
 //	mugisim -all -parallel 8            # every paper artifact, 8 workers
 //
-// See docs/CLI.md for the full flag reference and recipes.
+// The exit status is 0 on success, 1 when a run fails and 2 for a usage
+// error. See docs/CLI.md for the full flag reference and recipes.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,664 +60,310 @@ var usageGroups = []cliusage.Group{
 	{Title: "shared"},
 }
 
-func main() {
-	design := flag.String("design", "mugi", "design: mugi|mugil|carat|sa|saf|sd|sdf|tensor")
-	rows := flag.Int("rows", 256, "array height (VLP) or dimension (SA/SD)")
-	meshStr := flag.String("mesh", "1x1", "NoC mesh, e.g. 1x1 or 4x4")
-	modelName := flag.String("model", "Llama 2 70B (GQA)", "model name (see Table 1)")
-	batch := flag.Int("batch", 8, "batch size")
-	seq := flag.Int("seq", 4096, "context/sequence length")
-	prefill := flag.Bool("prefill", false, "simulate prefill instead of decode")
-	all := flag.Bool("all", false, "regenerate every registered experiment instead of one point")
-	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-	serveMode := flag.Bool("serve", false, "run a request-level serving scenario instead of one pass")
-	traceKind := flag.String("trace", "poisson", "arrival process: poisson|bursty|diurnal")
-	rate := flag.Float64("rate", 0.5, "mean arrival rate in requests/s")
-	requests := flag.Int("requests", 48, "request count (per probe in -capacity/-fleet)")
-	traceSeed := flag.Int64("seed", 1, "trace seed")
-	lengths := flag.String("lengths", "chat", "request length profile: chat|rag")
-	maxBatch := flag.Int("maxbatch", 0, "decode batch cap (0 = default)")
-	kvBudgetGB := flag.Float64("kvbudget", 0, "KV-cache budget in GiB (0 = default 8)")
-	capacityMode := flag.Bool("capacity", false, "binary-search the max sustained req/s per (design, mesh) cell")
-	designsCSV := flag.String("designs", "mugi,saf", "comma-separated designs for -capacity/-fleet")
-	meshesCSV := flag.String("meshes", "1x1,2x2,4x4", "comma-separated meshes for -capacity/-fleet")
-	fleetMode := flag.Bool("fleet", false, "plan fleets: SLO capacity, TCO, and price-performance frontiers")
-	replicasCSV := flag.String("replicas", "1,2,4", "comma-separated replica counts for -fleet")
-	policyName := flag.String("policy", "jsq", "fleet routing policy (round-robin|jsq|affinity) or, with -autoscale, scaling policy (target-util|queue|oracle)")
-	sloTTFT := flag.Float64("slo-ttft", 60, "fleet SLO: p99 TTFT bound in seconds (0 = unbounded)")
-	sloLatency := flag.Float64("slo-latency", 300, "fleet SLO: p99 latency bound in seconds (0 = unbounded)")
-	utilization := flag.Float64("utilization", 0, "fleet TCO target utilization in (0,1] (0 = default 0.6)")
-	autoscaleMode := flag.Bool("autoscale", false, "compare the static fleet plan against the online autoscaler (power states + DVFS)")
-	week := flag.Bool("week", true, "autoscale horizon: a simulated week (false = one day)")
-	maxReplicas := flag.Int("max-replicas", 0, "autoscale: owned replica ceiling (0 = size from the static plan)")
-	minReplicas := flag.Int("min-replicas", 1, "autoscale: always-warm replica floor")
-	faultsMode := flag.Bool("faults", false, "sweep N+k spare capacity under fault injection: the price of nines")
-	mtbf := flag.Float64("mtbf", 120, "faults: mean time between per-replica crashes in seconds")
-	mttr := flag.Float64("mttr", 60, "faults: mean time to repair in seconds")
-	straggler := flag.Float64("straggler", 0, "faults: probability a replica is a straggler (slowed rounds)")
-	sparesCSV := flag.String("spares", "0,1,2", "faults: comma-separated spare counts for the N+k axis")
-	ninesTarget := flag.Float64("nines", 0.99, "faults: availability target for the cheapest-config verdict, in (0,1]")
-	overloadMode := flag.Bool("overload", false, "demo graceful degradation: a flash crowd against tenanted admission control, priced by class")
-	tenantsStr := flag.String("tenants", "interactive:0.3,standard:0.4,best-effort:0.3", "overload: tenant mix as class:share[,class:share...]")
-	surge := flag.Float64("surge", 4, "overload: surge factor over the baseline rate (must exceed 1)")
-	brownoutLadder := flag.Int("brownout", 3, "overload: brownout ladder depth, 1..3 rungs")
-	breakerThreshold := flag.Float64("breaker", 0, "overload: circuit-breaker downtime threshold in (0,1] (0 = breakers off; arms -mtbf/-mttr faults)")
-	flag.Usage = cliusage.Grouped(flag.CommandLine,
+// options holds every flag's value. The modes read nothing else.
+type options struct {
+	// The mode flags: at most one is set, and none selects the single pass.
+	all, serve, capacity, fleet, autoscale, faults, overload bool
+
+	design, mesh, model string
+	rows, batch, seq    int
+	prefill             bool
+	parallel            int
+
+	traceKind, lengths string
+	rate, kvBudgetGiB  float64
+	requests, maxBatch int
+	seed               int64
+
+	designs, meshes, replicas, policy string
+	sloTTFT, sloLatency, utilization  float64
+
+	week                     bool
+	maxReplicas, minReplicas int
+
+	spares                       string
+	mtbf, mttr, straggler, nines float64
+
+	tenants        string
+	surge, breaker float64
+	brownoutLadder int
+
+	// set records which flags the command line spelled out, so mode
+	// defaults never override an explicit choice.
+	set map[string]bool
+}
+
+// newOptions binds every flag to a field of one options value, on a flag
+// set that prints its usage and parse errors to stderr.
+func newOptions(stderr io.Writer) (*options, *flag.FlagSet) {
+	o := &options{set: map[string]bool{}}
+	fs := flag.NewFlagSet("mugisim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.design, "design", "mugi", "design: mugi|mugil|carat|sa|saf|sd|sdf|tensor")
+	fs.IntVar(&o.rows, "rows", 256, "array height (VLP) or dimension (SA/SD)")
+	fs.StringVar(&o.mesh, "mesh", "1x1", "NoC mesh, e.g. 1x1 or 4x4")
+	fs.StringVar(&o.model, "model", "Llama 2 70B (GQA)", "model name (see Table 1)")
+	fs.IntVar(&o.batch, "batch", 8, "batch size")
+	fs.IntVar(&o.seq, "seq", 4096, "context/sequence length")
+	fs.BoolVar(&o.prefill, "prefill", false, "simulate prefill instead of decode")
+	fs.BoolVar(&o.all, "all", false, "regenerate every registered experiment instead of one point")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.serve, "serve", false, "run a request-level serving scenario instead of one pass")
+	fs.StringVar(&o.traceKind, "trace", "poisson", "arrival process: poisson|bursty|diurnal")
+	fs.Float64Var(&o.rate, "rate", 0.5, "mean arrival rate in requests/s")
+	fs.IntVar(&o.requests, "requests", 48, "request count (per probe in -capacity/-fleet)")
+	fs.Int64Var(&o.seed, "seed", 1, "trace seed")
+	fs.StringVar(&o.lengths, "lengths", "chat", "request length profile: chat|rag")
+	fs.IntVar(&o.maxBatch, "maxbatch", 0, "decode batch cap (0 = default)")
+	fs.Float64Var(&o.kvBudgetGiB, "kvbudget", 0, "KV-cache budget in GiB (0 = default 8)")
+	fs.BoolVar(&o.capacity, "capacity", false, "binary-search the max sustained req/s per (design, mesh) cell")
+	fs.StringVar(&o.designs, "designs", "mugi,saf", "comma-separated designs for -capacity/-fleet")
+	fs.StringVar(&o.meshes, "meshes", "1x1,2x2,4x4", "comma-separated meshes for -capacity/-fleet")
+	fs.BoolVar(&o.fleet, "fleet", false, "plan fleets: SLO capacity, TCO, and price-performance frontiers")
+	fs.StringVar(&o.replicas, "replicas", "1,2,4", "comma-separated replica counts for -fleet")
+	fs.StringVar(&o.policy, "policy", "jsq", "fleet routing policy (round-robin|jsq|affinity) or, with -autoscale, scaling policy (target-util|queue|oracle)")
+	fs.Float64Var(&o.sloTTFT, "slo-ttft", 60, "fleet SLO: p99 TTFT bound in seconds (0 = unbounded)")
+	fs.Float64Var(&o.sloLatency, "slo-latency", 300, "fleet SLO: p99 latency bound in seconds (0 = unbounded)")
+	fs.Float64Var(&o.utilization, "utilization", 0, "fleet TCO target utilization in (0,1] (0 = default 0.6)")
+	fs.BoolVar(&o.autoscale, "autoscale", false, "compare the static fleet plan against the online autoscaler (power states + DVFS)")
+	fs.BoolVar(&o.week, "week", true, "autoscale horizon: a simulated week (false = one day)")
+	fs.IntVar(&o.maxReplicas, "max-replicas", 0, "autoscale: owned replica ceiling (0 = size from the static plan)")
+	fs.IntVar(&o.minReplicas, "min-replicas", 1, "autoscale: always-warm replica floor")
+	fs.BoolVar(&o.faults, "faults", false, "sweep N+k spare capacity under fault injection: the price of nines")
+	fs.Float64Var(&o.mtbf, "mtbf", 120, "faults: mean time between per-replica crashes in seconds")
+	fs.Float64Var(&o.mttr, "mttr", 60, "faults: mean time to repair in seconds")
+	fs.Float64Var(&o.straggler, "straggler", 0, "faults: probability a replica is a straggler (slowed rounds)")
+	fs.StringVar(&o.spares, "spares", "0,1,2", "faults: comma-separated spare counts for the N+k axis")
+	fs.Float64Var(&o.nines, "nines", 0.99, "faults: availability target for the cheapest-config verdict, in (0,1]")
+	fs.BoolVar(&o.overload, "overload", false, "demo graceful degradation: a flash crowd against tenanted admission control, priced by class")
+	fs.StringVar(&o.tenants, "tenants", "interactive:0.3,standard:0.4,best-effort:0.3", "overload: tenant mix as class:share[,class:share...]")
+	fs.Float64Var(&o.surge, "surge", 4, "overload: surge factor over the baseline rate (must exceed 1)")
+	fs.IntVar(&o.brownoutLadder, "brownout", 3, "overload: brownout ladder depth, 1..3 rungs")
+	fs.Float64Var(&o.breaker, "breaker", 0, "overload: circuit-breaker downtime threshold in (0,1] (0 = breakers off; arms -mtbf/-mttr faults)")
+	fs.Usage = cliusage.Grouped(fs,
 		"mugisim — architecture, serving, capacity, and fleet simulations.\nUsage: mugisim [mode flag] [flags]",
 		usageGroups)
-	flag.Parse()
-
-	// set records which flags the user spelled out, so mode-specific
-	// defaults never override an explicit choice.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	modes := 0
-	for _, on := range []bool{*all, *serveMode, *capacityMode, *fleetMode, *autoscaleMode, *faultsMode, *overloadMode} {
-		if on {
-			modes++
-		}
-	}
-	if err := validateFlags(modes, *batch, *seq, *minReplicas, *maxReplicas, *rate, *requests,
-		*parallel, *mtbf, *mttr, *straggler, *ninesTarget,
-		*sloTTFT, *sloLatency, *utilization, *kvBudgetGB); err != nil {
-		usageError(err)
-	}
-	if err := validateOverloadFlags(*overloadMode, set["surge"], *surge, *brownoutLadder, *breakerThreshold); err != nil {
-		usageError(err)
-	}
-
-	if *all {
-		runAll(*parallel)
-		return
-	}
-	if *autoscaleMode {
-		// The autoscale demo has its own sensible defaults (a diurnal
-		// trace on a multi-replica-worthy mesh at a rate with a real
-		// day/night swing); flags the user set explicitly always win.
-		if !set["trace"] {
-			*traceKind = "diurnal"
-		}
-		if !set["model"] {
-			*modelName = "Llama 2 7B"
-		}
-		if !set["mesh"] {
-			*meshStr = "4x4"
-		}
-		if !set["rate"] {
-			*rate = 0.1
-		}
-		if !set["policy"] {
-			*policyName = "target-util"
-		}
-		if !set["seed"] {
-			*traceSeed = 42
-		}
-		if !set["requests"] {
-			*requests = 0 // sized from the rate and horizon below
-		}
-		runAutoscale(*design, *rows, *meshStr, *modelName, *traceKind, *lengths,
-			*policyName, *rate, *requests, *traceSeed, *maxBatch, *kvBudgetGB,
-			*week, *maxReplicas, *minReplicas, *sloTTFT, *sloLatency, *parallel)
-		return
-	}
-	if *faultsMode {
-		// The faults demo defaults to a bursty trace on a small faulty
-		// fleet whose baseline sheds visibly, so the spare-capacity axis
-		// has a story to tell; explicit flags always win.
-		if !set["trace"] {
-			*traceKind = "bursty"
-		}
-		if !set["model"] {
-			*modelName = "Llama 2 7B"
-		}
-		if !set["meshes"] {
-			*meshesCSV = "2x2"
-		}
-		if !set["replicas"] {
-			*replicasCSV = "2"
-		}
-		if !set["designs"] {
-			*designsCSV = "mugi,saf"
-		}
-		if !set["rate"] {
-			*rate = 0.15
-		}
-		if !set["seed"] {
-			*traceSeed = 7
-		}
-		runFaults(*designsCSV, *meshesCSV, *replicasCSV, *sparesCSV, *rows, *modelName,
-			*traceKind, *lengths, *policyName, *rate, *requests, *traceSeed,
-			*maxBatch, *kvBudgetGB, *mtbf, *mttr, *straggler, *ninesTarget, *parallel)
-		return
-	}
-	if *overloadMode {
-		// The overload demo fields a flash crowd against a small tenanted
-		// fleet whose admission controller has real work to do; explicit
-		// flags always win.
-		if !set["trace"] {
-			*traceKind = "flashcrowd"
-		}
-		if !set["model"] {
-			*modelName = "Llama 2 7B"
-		}
-		if !set["mesh"] {
-			*meshStr = "4x4"
-		}
-		if !set["rate"] {
-			*rate = 0.5
-		}
-		if !set["requests"] {
-			*requests = 600
-		}
-		if !set["seed"] {
-			*traceSeed = 7
-		}
-		runOverload(*design, *rows, *meshStr, *modelName, *traceKind, *lengths, *tenantsStr,
-			*rate, *surge, *requests, *traceSeed, *maxBatch, *kvBudgetGB,
-			*brownoutLadder, *breakerThreshold, *mtbf, *mttr, *parallel)
-		return
-	}
-	if *capacityMode {
-		runCapacity(*designsCSV, *meshesCSV, *rows, *modelName, *traceKind,
-			*lengths, *requests, *traceSeed, *maxBatch, *kvBudgetGB, *parallel)
-		return
-	}
-	if *fleetMode {
-		runFleet(*designsCSV, *meshesCSV, *replicasCSV, *rows, *modelName, *traceKind,
-			*lengths, *policyName, *requests, *traceSeed, *maxBatch, *kvBudgetGB,
-			*sloTTFT, *sloLatency, *utilization, *parallel)
-		return
-	}
-	d, err := buildDesign(*design, *rows)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := model.ByName(*modelName)
-	if err != nil {
-		fatal(err)
-	}
-	mesh, err := noc.ParseMesh(*meshStr)
-	if err != nil {
-		fatal(err)
-	}
-	if *serveMode {
-		if err := runServe(os.Stdout, d, m, mesh, *traceKind, *lengths, *rate, *requests, *traceSeed, *maxBatch, *kvBudgetGB); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	var w model.Workload
-	if *prefill {
-		w = m.PrefillOps(*batch, *seq)
-	} else {
-		w = m.DecodeOps(*batch, *seq)
-	}
-	res := sim.Simulate(sim.Params{Design: d, Mesh: mesh}, w)
-	tokens := w.TokensPerPass()
-
-	fmt.Printf("design        %s  mesh %s\n", d.Name, mesh)
-	fmt.Printf("workload      %s batch %d seq %d (decode=%v)\n", m.Name, *batch, *seq, w.Decode)
-	fmt.Printf("throughput    %.3f tokens/s\n", res.TokensPerSecond)
-	fmt.Printf("latency       %.4f s (compute %.4f, memory %.4f)\n", res.Seconds, res.ComputeSeconds, res.MemorySeconds)
-	fmt.Printf("utilization   %.1f%%\n", res.Utilization*100)
-	fmt.Printf("energy        %.4f J/pass  (%.2f mJ/token)\n", res.DynamicEnergy, res.EnergyPerToken(tokens)*1e3)
-	fmt.Printf("power         %.3f W (leakage %.3f W)\n", res.PowerWatts, res.LeakageWatts)
-	fmt.Printf("efficiency    %.2f tokens/J  %.3f tokens/s/W\n", res.TokensPerJoule(tokens), res.TokensPerSecondPerWatt())
-	fmt.Printf("DRAM traffic  %.2f GB/pass\n", float64(res.DRAMBytes)/1e9)
-	area := d.Area(arch.Cost45nm)
-	fmt.Printf("area          %.2f mm2 (array %.2f, SRAM %.2f)\n", area.Total(), area.ArrayTotal(), area.SRAM)
-	fmt.Println("latency breakdown (array cycles):")
-	for _, cls := range []model.OpClass{model.Projection, model.Attention, model.FFN, model.Nonlinear} {
-		fmt.Printf("  %-10v %14.0f (%.1f%%)\n", cls, res.CyclesByClass[cls],
-			res.CyclesByClass[cls]/res.TotalCycles*100)
-	}
+	return o, fs
 }
 
-// runServe drives one request-level serving scenario and writes the
-// report to w. The trace is drawn lazily as the scheduler pulls it, so
-// memory stays independent of the request count.
-func runServe(w io.Writer, d arch.Design, m model.Config, mesh noc.Mesh,
-	traceKind, lengths string, rate float64, requests int, seed int64,
-	maxBatch int, kvBudgetGB float64) error {
-	kind, err := mugi.ParseTraceKind(traceKind)
-	if err != nil {
-		return err
-	}
-	profile, err := mugi.ParseLengthProfile(lengths)
-	if err != nil {
-		return err
-	}
-	src, err := mugi.NewTraceStream(mugi.TraceConfig{
-		Kind: kind, Rate: rate, Requests: requests, Seed: seed, Lengths: profile,
-	})
-	if err != nil {
-		return err
-	}
-	rep, err := mugi.ServeStream(mugi.ServeConfig{
-		Model: m, Design: d, Mesh: mesh,
-		MaxBatch:      maxBatch,
-		KVBudgetBytes: int64(kvBudgetGB * (1 << 30)),
-	}, src)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, rep.String())
-	return err
+// modes runs each mode by its flag's name; "" is the single pass, which
+// runs when no mode flag is set.
+var modes = map[string]func(io.Writer, *options) error{
+	"":          runPoint,
+	"serve":     runServe,
+	"capacity":  runCapacity,
+	"fleet":     runFleet,
+	"autoscale": runAutoscale,
+	"faults":    runFaults,
+	"overload":  runOverload,
+	"all":       runAll,
 }
 
-// runCapacity binary-searches the max sustained request rate of one
-// replica of every (design, mesh) cell of the grid, as one-replica fleet
-// plan cells sharded across the runner pool, and prints the sizing
-// table. Cells are searched with the default bracketing
-// (fleet.DefaultMinRate..DefaultMaxRate) and goodput, and no SLO.
-func runCapacity(designsCSV, meshesCSV string, rows int, modelName, traceKind, lengths string,
-	requests int, seed int64, maxBatch int, kvBudgetGB float64, parallel int) {
-	m, err := model.ByName(modelName)
-	if err != nil {
-		fatal(err)
+// modeDefaults holds the demo modes' own defaults, applied to the flags
+// the command line did not set. The autoscale demo runs a diurnal trace
+// with a real day/night swing on a multi-replica-worthy mesh, and its
+// -requests 0 is sized from the rate and horizon. The faults demo runs a
+// bursty trace on a small faulty fleet whose baseline sheds visibly, so
+// the spare-capacity axis has a story to tell. The overload demo fields a
+// flash crowd against a small tenanted fleet whose admission controller
+// has real work to do.
+var modeDefaults = map[string]map[string]string{
+	"autoscale": {"trace": "diurnal", "model": "Llama 2 7B", "mesh": "4x4", "rate": "0.1",
+		"policy": "target-util", "seed": "42", "requests": "0"},
+	"faults": {"trace": "bursty", "model": "Llama 2 7B", "meshes": "2x2", "replicas": "2",
+		"rate": "0.15", "seed": "7"},
+	"overload": {"trace": "flashcrowd", "model": "Llama 2 7B", "mesh": "4x4", "rate": "0.5",
+		"requests": "600", "seed": "7"},
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the mode they select with its report on stdout,
+// and returns the exit status: 0 on success and for -h, 1 when the run
+// fails, and 2 for a usage error. Usage and errors go to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, fs := newOptions(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	kind, err := mugi.ParseTraceKind(traceKind)
-	if err != nil {
-		fatal(err)
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(stderr, "mugisim:", err)
+		fmt.Fprintln(stderr, "run 'mugisim -h' for the flag reference")
+		return 2
 	}
-	profile, err := mugi.ParseLengthProfile(lengths)
-	if err != nil {
-		fatal(err)
-	}
-	if parallel != 0 {
-		runner.SetParallelism(parallel)
-	}
-	results := mugi.PlanFleet(mugi.FleetPlanSpec{
-		Base:  mugi.ServeConfig{Model: m, MaxBatch: maxBatch, KVBudgetBytes: int64(kvBudgetGB * (1 << 30))},
-		Cells: mugi.FleetGrid(parseDesigns(designsCSV, rows), parseMeshes(meshesCSV), []int{1}),
-		Trace: mugi.TraceConfig{Kind: kind, Requests: requests, Seed: seed, Lengths: profile},
-		// Six bisections, one more than the planner's default, for a
-		// finer sizing table.
-		Iters: 6,
-	})
-	fmt.Printf("capacity search: %s, %s %s traffic, %d requests/probe, seed %d\n",
-		m.Name, traceKind, profile.Name, requests, seed)
-	fmt.Printf("%-12s %6s %10s %7s %10s %9s %9s\n",
-		"design", "mesh", "capacity", "probes", "tok/s out", "TTFT p99", "p99 lat")
-	for _, res := range results {
-		if res.Err != nil {
-			fmt.Printf("%-12s %6s ERROR %v\n", res.Design, res.Mesh, res.Err)
+	mode, _ := o.mode()
+	for name, value := range modeDefaults[mode] {
+		if o.set[name] {
 			continue
 		}
-		if res.Capacity == 0 {
-			fmt.Printf("%-12s %6s  unsustainable at floor rate\n", res.Design, res.Mesh)
-			continue
+		if err := fs.Set(name, value); err != nil {
+			panic(fmt.Sprintf("mugisim: -%s default %q: %v", name, value, err))
 		}
-		at := res.At.Fleet
-		fmt.Printf("%-12s %6s %10.4f %7d %10.2f %8.1fs %8.1fs\n",
-			res.Design, res.Mesh, res.Capacity, res.Probes,
-			at.TokensPerSecond, at.TTFT.P99, at.Latency.P99)
 	}
+	runner.SetParallelism(o.parallel)
+	if err := modes[mode](stdout, o); err != nil {
+		fmt.Fprintln(stderr, "mugisim:", err)
+		return 1
+	}
+	return 0
 }
 
-// runFleet plans the design × mesh × replicas grid against the SLO and
-// prints the priced cells plus the dominated-cell-pruned perf/$ and
-// perf/W frontiers.
-func runFleet(designsCSV, meshesCSV, replicasCSV string, rows int, modelName, traceKind,
-	lengths, policyName string, requests int, seed int64, maxBatch int, kvBudgetGB float64,
-	sloTTFT, sloLatency, utilization float64, parallel int) {
-	m, err := model.ByName(modelName)
-	if err != nil {
-		fatal(err)
-	}
-	kind, err := mugi.ParseTraceKind(traceKind)
-	if err != nil {
-		fatal(err)
-	}
-	profile, err := mugi.ParseLengthProfile(lengths)
-	if err != nil {
-		fatal(err)
-	}
-	policy, err := mugi.ParseFleetPolicy(policyName)
-	if err != nil {
-		fatal(err)
-	}
-	var replicas []int
-	for _, s := range strings.Split(replicasCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			fatal(fmt.Errorf("bad replica count %q", s))
-		}
-		replicas = append(replicas, n)
-	}
-	if parallel != 0 {
-		runner.SetParallelism(parallel)
-	}
-	spec := mugi.FleetPlanSpec{
-		Base: mugi.ServeConfig{
-			Model: m, MaxBatch: maxBatch, KVBudgetBytes: int64(kvBudgetGB * (1 << 30)),
-		},
-		Cells:  mugi.FleetGrid(parseDesigns(designsCSV, rows), parseMeshes(meshesCSV), replicas),
-		Policy: policy,
-		Trace:  mugi.TraceConfig{Kind: kind, Requests: requests, Seed: seed, Lengths: profile},
-		SLO:    mugi.FleetSLO{TTFTP99: sloTTFT, LatencyP99: sloLatency},
-		Book:   mugi.PriceBook{Utilization: utilization},
-	}
-	results := mugi.PlanFleet(spec)
-	fmt.Printf("fleet plan: %s, %s %s probes (%d requests, seed %d), %s routing\n",
-		m.Name, traceKind, profile.Name, spec.Trace.Requests, seed, policy)
-	fmt.Printf("SLO: TTFT p99 <= %gs, latency p99 <= %gs\n", sloTTFT, sloLatency)
-	fmt.Printf("%-12s %5s %4s %9s %9s %9s %10s %9s\n",
-		"design", "mesh", "reps", "capacity", "$/hour", "$/1k req", "$/Mtok", "watts")
-	for _, res := range results {
-		if res.Err != nil {
-			fmt.Printf("%-12s %5s %4d ERROR %v\n", res.Design, res.Mesh, res.Replicas, res.Err)
-			continue
-		}
-		if res.Capacity == 0 {
-			fmt.Printf("%-12s %5s %4d  cannot hold the SLO at the floor rate\n", res.Design, res.Mesh, res.Replicas)
-			continue
-		}
-		fmt.Printf("%-12s %5s %4d %9.4f %9.4f %9.4f %10.4f %9.2f\n",
-			res.Design, res.Mesh, res.Replicas, res.Capacity,
-			res.TCO.DollarsPerHour, res.TCO.DollarsPer1k, res.TCO.DollarsPerMTok, res.TCO.AvgWatts)
-	}
-	for _, axis := range []mugi.FleetFrontierAxis{mugi.FrontierByDollar, mugi.FrontierByWatt} {
-		front := mugi.FleetFrontier(results, axis)
-		fmt.Printf("-- %s frontier (%d of %d cells) --\n", axis, len(front), len(results))
-		for _, f := range front {
-			fmt.Printf("%-12s %5s x%d  %.4f req/s  $%.4f/h  %.2f W\n",
-				f.Design, f.Mesh, f.Replicas, f.Capacity, f.TCO.DollarsPerHour, f.TCO.AvgWatts)
+// mode returns the name of a mode flag that is set ("" when none is) and
+// how many are set.
+func (o *options) mode() (name string, set int) {
+	for _, m := range []struct {
+		name string
+		on   bool
+	}{
+		{"all", o.all}, {"serve", o.serve}, {"capacity", o.capacity}, {"fleet", o.fleet},
+		{"autoscale", o.autoscale}, {"faults", o.faults}, {"overload", o.overload},
+	} {
+		if m.on {
+			name, set = m.name, set+1
 		}
 	}
+	return name, set
 }
 
-// runAutoscale compares the static fleet plan against the online
-// autoscaler on one long diurnal trace: first size the owned fleet the
-// way PR 5's planner would buy it (the cheapest replica count whose
-// SLO-compliant capacity covers the peak rate), then run the same
-// stream through the always-on baseline and the dynamic controller and
-// report both in $/day and SLO-violation minutes.
-func runAutoscale(designName string, rows int, meshStr, modelName, traceKind, lengths,
-	policyName string, rate float64, requests int, seed int64, maxBatch int, kvBudgetGB float64,
-	week bool, maxReplicas, minReplicas int, sloTTFT, sloLatency float64, parallel int) {
-	d, err := buildDesign(designName, rows)
-	if err != nil {
-		fatal(err)
+// validate rejects contradictory flag combinations up front, before any
+// mode starts simulating: one mode flag at a time, a non-empty
+// single-pass shape, a replica floor below the ceiling, rates,
+// probabilities, SLO bounds, the TCO utilization and the KV budget inside
+// their domains, -surge spelled out only with the mode it shapes, a
+// brownout ladder with rungs (and no more than the built-in ladder has),
+// and a breaker threshold inside its (0,1] domain.
+func (o *options) validate() error {
+	if _, n := o.mode(); n > 1 {
+		return fmt.Errorf("choose one mode flag: -all, -serve, -capacity, -fleet, -autoscale, -faults, or -overload")
 	}
-	m, err := model.ByName(modelName)
-	if err != nil {
-		fatal(err)
+	if o.batch < 1 {
+		return fmt.Errorf("-batch %d must be at least 1", o.batch)
 	}
-	mesh, err := noc.ParseMesh(meshStr)
-	if err != nil {
-		fatal(err)
+	if o.seq < 1 {
+		return fmt.Errorf("-seq %d must be at least 1", o.seq)
 	}
-	kind, err := mugi.ParseTraceKind(traceKind)
-	if err != nil {
-		fatal(err)
+	if o.maxReplicas > 0 && o.minReplicas > o.maxReplicas {
+		return fmt.Errorf("-min-replicas %d exceeds -max-replicas %d", o.minReplicas, o.maxReplicas)
 	}
-	profile, err := mugi.ParseLengthProfile(lengths)
-	if err != nil {
-		fatal(err)
+	if o.minReplicas < 0 {
+		return fmt.Errorf("-min-replicas %d must be non-negative", o.minReplicas)
 	}
-	policy, err := mugi.ParseAutoscalePolicy(policyName)
-	if err != nil {
-		fatal(err)
+	if !(o.rate > 0) || math.IsInf(o.rate, 1) {
+		return fmt.Errorf("-rate %g must be positive and finite", o.rate)
 	}
-	if parallel != 0 {
-		runner.SetParallelism(parallel)
+	if o.requests < 0 {
+		return fmt.Errorf("-requests %d must be non-negative", o.requests)
 	}
-	horizon := 86400.0
-	if week {
-		horizon *= 7
+	if o.parallel < 0 {
+		return fmt.Errorf("-parallel %d must be non-negative", o.parallel)
 	}
-	if requests == 0 {
-		// Over whole diurnal periods the mean rate is the nominal rate,
-		// so this request count spans the horizon.
-		requests = int(rate * horizon)
+	if !(o.mtbf >= 0) || math.IsInf(o.mtbf, 1) {
+		return fmt.Errorf("-mtbf %g must be finite and non-negative", o.mtbf)
 	}
-	replica := mugi.ServeConfig{
-		Model: m, Design: d, Mesh: mesh,
-		MaxBatch: maxBatch, KVBudgetBytes: int64(kvBudgetGB * (1 << 30)),
+	if !(o.mttr >= 0) || math.IsInf(o.mttr, 1) {
+		return fmt.Errorf("-mttr %g must be finite and non-negative", o.mttr)
 	}
-	// Peak arrival rate the static plan must cover: the top of the
-	// diurnal swing (TraceConfig's default swing is 0.8), or the nominal
-	// rate for flat arrival processes.
-	peak := rate
-	if kind == mugi.TraceDiurnal {
-		peak = rate * 1.8
+	if !(o.straggler >= 0 && o.straggler <= 1) {
+		return fmt.Errorf("-straggler %g must be a probability in [0,1]", o.straggler)
 	}
-	if maxReplicas == 0 {
-		results := mugi.PlanFleet(mugi.FleetPlanSpec{
-			Base:   replica,
-			Cells:  mugi.FleetGrid([]mugi.Design{d}, []mugi.Mesh{mesh}, []int{1, 2, 4, 8}),
-			Policy: mugi.FleetJSQ,
-			Trace:  mugi.TraceConfig{Kind: mugi.TracePoisson, Requests: 24, Seed: seed, Lengths: profile},
-			SLO:    mugi.FleetSLO{TTFTP99: sloTTFT, LatencyP99: sloLatency},
-		})
-		for _, res := range results {
-			if res.Err == nil && res.Capacity >= peak {
-				maxReplicas = res.Replicas
-				fmt.Printf("static plan: %d x %s %s covers the %.3f req/s peak (cell capacity %.4f req/s)\n",
-					res.Replicas, res.Design, res.Mesh, peak, res.Capacity)
-				break
-			}
-		}
-		if maxReplicas == 0 {
-			fatal(fmt.Errorf("no planned cell covers the %.3f req/s peak; raise -max-replicas or shrink -rate", peak))
-		}
+	if !(o.nines > 0 && o.nines <= 1) {
+		return fmt.Errorf("-nines %g must be an availability in (0,1]", o.nines)
 	}
-	cmp, err := mugi.CompareAutoscale(mugi.AutoscaleConfig{
-		Replica:     replica,
-		MinReplicas: minReplicas,
-		MaxReplicas: maxReplicas,
-		Policy:      policy,
-		SLO:         mugi.AutoscaleSLO{TTFT: sloTTFT, Latency: sloLatency},
-	}, mugi.TraceConfig{
-		Kind: kind, Rate: rate, Requests: requests, Seed: seed,
-		Lengths: profile, Period: 86400,
-	})
-	if err != nil {
-		fatal(err)
+	if !(o.sloTTFT >= 0) || math.IsInf(o.sloTTFT, 1) {
+		return fmt.Errorf("-slo-ttft %g must be finite and non-negative (0 = unbounded)", o.sloTTFT)
 	}
-	fmt.Print(cmp.String())
+	if !(o.sloLatency >= 0) || math.IsInf(o.sloLatency, 1) {
+		return fmt.Errorf("-slo-latency %g must be finite and non-negative (0 = unbounded)", o.sloLatency)
+	}
+	if !(o.utilization >= 0 && o.utilization <= 1) {
+		return fmt.Errorf("-utilization %g must be in (0,1], or 0 for the default", o.utilization)
+	}
+	// The budget becomes int64(kvBudgetGiB * 2^30) bytes.
+	if !(o.kvBudgetGiB >= 0 && o.kvBudgetGiB < math.MaxInt64/(1<<30)) {
+		return fmt.Errorf("-kvbudget %g GiB must be non-negative and under 8 EiB (0 = default)", o.kvBudgetGiB)
+	}
+	if o.set["surge"] && !o.overload {
+		return fmt.Errorf("-surge only shapes the -overload flash crowd; add -overload")
+	}
+	if o.overload && o.surge <= 1 {
+		return fmt.Errorf("-surge %g must exceed 1 (it multiplies the baseline rate)", o.surge)
+	}
+	if o.brownoutLadder < 1 || o.brownoutLadder > 3 {
+		return fmt.Errorf("-brownout %d must be a ladder depth in 1..3", o.brownoutLadder)
+	}
+	if !(o.breaker >= 0 && o.breaker <= 1) {
+		return fmt.Errorf("-breaker %g must be a downtime fraction in (0,1], or 0 to disable", o.breaker)
+	}
+	return nil
 }
 
-// runFaults sweeps the design × mesh × replicas grid crossed with the
-// N+k spares axis under seeded fault injection and prints the
-// availability table, the price-of-nines frontier, and the cheapest
-// configuration meeting the -nines availability target.
-func runFaults(designsCSV, meshesCSV, replicasCSV, sparesCSV string, rows int,
-	modelName, traceKind, lengths, policyName string, rate float64, requests int,
-	seed int64, maxBatch int, kvBudgetGB, mtbf, mttr, straggler, ninesTarget float64,
-	parallel int) {
-	m, err := model.ByName(modelName)
+// replica resolves what every replica of a serving mode shares: -model,
+// the -maxbatch cap and the -kvbudget in bytes. The grid modes' cells
+// fill in design and mesh.
+func (o *options) replica() (mugi.ServeConfig, error) {
+	m, err := model.ByName(o.model)
 	if err != nil {
-		fatal(err)
+		return mugi.ServeConfig{}, err
 	}
-	kind, err := mugi.ParseTraceKind(traceKind)
-	if err != nil {
-		fatal(err)
-	}
-	profile, err := mugi.ParseLengthProfile(lengths)
-	if err != nil {
-		fatal(err)
-	}
-	policy, err := mugi.ParseFleetPolicy(policyName)
-	if err != nil {
-		fatal(err)
-	}
-	replicas, err := parseCounts(replicasCSV, 1)
-	if err != nil {
-		fatal(err)
-	}
-	spares, err := parseCounts(sparesCSV, 0)
-	if err != nil {
-		fatal(err)
-	}
-	if parallel != 0 {
-		runner.SetParallelism(parallel)
-	}
-	spec := mugi.NinesSpec{
-		Base: mugi.ServeConfig{
-			Model: m, MaxBatch: maxBatch, KVBudgetBytes: int64(kvBudgetGB * (1 << 30)),
-		},
-		Cells:  mugi.FleetGrid(parseDesigns(designsCSV, rows), parseMeshes(meshesCSV), replicas),
-		Spares: spares,
-		Policy: policy,
-		Trace:  mugi.TraceConfig{Kind: kind, Rate: rate, Requests: requests, Seed: seed, Lengths: profile},
-		Faults: mugi.FaultSpec{MTBF: mtbf, MTTR: mttr, StragglerProb: straggler, Seed: seed},
-	}
-	results := mugi.PlanNines(spec)
-	fmt.Printf("price of nines: %s, %s %s probes (%d requests at %.3f req/s, seed %d), %s routing\n",
-		m.Name, traceKind, profile.Name, requests, rate, seed, policy)
-	fmt.Printf("faults: MTBF %gs  MTTR %gs  straggler prob %g\n", mtbf, mttr, straggler)
-	for _, res := range results {
-		fmt.Println(res)
-	}
-	front := mugi.NinesFrontier(results)
-	fmt.Printf("-- price-of-nines frontier (%d of %d points) --\n", len(front), len(results))
-	for _, f := range front {
-		fmt.Println(f)
-	}
-	if best, ok := mugi.CheapestNines(results, ninesTarget); ok {
-		fmt.Printf("cheapest at >= %g availability: %s %s N=%d+%d  $%.4f/1k  availability %.4f%% (%s)\n",
-			ninesTarget, best.Design, best.Mesh, best.Replicas, best.Spares,
-			best.DollarsPer1k, best.Availability*100, mugi.NinesString(best.Availability))
-	} else {
-		fmt.Printf("no planned point reaches availability %g — add spares or relax -nines\n", ninesTarget)
-	}
+	return mugi.ServeConfig{Model: m, MaxBatch: o.maxBatch, KVBudgetBytes: int64(o.kvBudgetGiB * (1 << 30))}, nil
 }
 
-// runOverload fields a surging tenanted trace against a two-replica
-// fleet armed with admission control, strict-priority dispatch and a
-// brownout ladder, then prices the isolation premium against the same
-// silicon run as a shared best-effort fleet. With -breaker above zero
-// the fleet also injects -mtbf/-mttr faults and arms per-replica
-// circuit breakers over them.
-func runOverload(designName string, rows int, meshStr, modelName, traceKind, lengths,
-	tenantsStr string, rate, surge float64, requests int, seed int64,
-	maxBatch int, kvBudgetGB float64, brownoutLadder int,
-	breakerThreshold, mtbf, mttr float64, parallel int) {
-	d, err := buildDesign(designName, rows)
+// point is replica on one design and mesh: -design at -rows, -model and
+// -mesh, resolved in that order.
+func (o *options) point() (mugi.ServeConfig, error) {
+	d, err := arch.ByName(o.design, o.rows)
 	if err != nil {
-		fatal(err)
+		return mugi.ServeConfig{}, err
 	}
-	m, err := model.ByName(modelName)
+	rep, err := o.replica()
 	if err != nil {
-		fatal(err)
+		return rep, err
 	}
-	mesh, err := noc.ParseMesh(meshStr)
-	if err != nil {
-		fatal(err)
-	}
-	kind, err := mugi.ParseTraceKind(traceKind)
-	if err != nil {
-		fatal(err)
-	}
-	profile, err := mugi.ParseLengthProfile(lengths)
-	if err != nil {
-		fatal(err)
-	}
-	tenants, err := mugi.ParseTenants(tenantsStr)
-	if err != nil {
-		fatal(err)
-	}
-	if parallel != 0 {
-		runner.SetParallelism(parallel)
-	}
-	if maxBatch == 0 {
-		// Uncapped, overload pools inside the KV-limited decode batch and
-		// the queue — the admission controller's whole domain — stays empty.
-		maxBatch = 8
-	}
-	replica := mugi.ServeConfig{
-		Model: m, Design: d, Mesh: mesh,
-		MaxQueue: 12, MaxBatch: maxBatch,
-		KVBudgetBytes: int64(kvBudgetGB * (1 << 30)),
-		Admission:     &mugi.AdmissionSpec{},
-		Brownout: &mugi.BrownoutSpec{
-			Steps: mugi.DefaultBrownoutSteps()[:brownoutLadder], HighWater: 8, Dwell: 10,
-		},
-	}
-	fleetCfg := mugi.FleetConfig{Replica: replica, Replicas: 2, Policy: mugi.FleetJSQ}
-	if breakerThreshold > 0 {
-		fleetCfg.Faults = mugi.FaultSpec{MTBF: mtbf, MTTR: mttr, Seed: seed}
-		fleetCfg.MaxRedispatch = 2
-		fleetCfg.Breaker = &mugi.BreakerSpec{Window: 300, Threshold: breakerThreshold, Cooldown: 60, Probes: 1}
-	}
-	spec := mugi.PrioritySpec{
-		Fleet: fleetCfg,
-		Trace: mugi.TraceConfig{
-			Kind: kind, Rate: rate, Requests: requests, Seed: seed, Lengths: profile,
-			SurgeFactor: surge, SurgeSpan: 120, SurgePeriod: 600,
-			Tenants: tenants,
-		},
-	}
-	spec.SLOs[mugi.TenantInteractive] = mugi.ClassSLO{TTFTP99: 15, LatencyP99: 60}
-	spec.SLOs[mugi.TenantStandard] = mugi.ClassSLO{TTFTP99: 60, LatencyP99: 120}
-	spec.SLOs[mugi.TenantBestEffort] = mugi.ClassSLO{LatencyP99: 900}
-	res, err := mugi.PlanPriority(spec)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("graceful degradation: %s, %s %s x2, %s traffic %.2f req/s with %gx surges, seed %d\n",
-		m.Name, d.Name, mesh, traceKind, rate, surge, seed)
-	fmt.Print(res.String())
-	tf := res.Tenanted.Fleet
-	fmt.Printf("degradation under the surge: %d evicted  %d degraded  %d shed  brownout max level %d (%.0f s)\n",
-		tf.Evicted, tf.Degraded, tf.Shed, tf.BrownoutMaxLevel, tf.BrownoutSeconds)
-	if breakerThreshold > 0 {
-		trips := 0
-		for _, n := range res.Tenanted.BreakerTrips {
-			trips += n
-		}
-		fmt.Printf("circuit breakers (MTBF %gs, MTTR %gs, threshold %.0f%%): %d trips %v  availability %.4f\n",
-			mtbf, mttr, breakerThreshold*100, trips, res.Tenanted.BreakerTrips, tf.Availability)
-	}
-	sf := res.Shared.Fleet
-	slo := spec.SLOs[mugi.TenantInteractive]
-	verdict := "MISSED"
-	if slo.Met(sf.TTFT.P99, sf.Latency.P99) {
-		verdict = "met"
-	}
-	fmt.Printf("shared fleet tail everyone shares: ttft p99 %.2f s  latency p99 %.2f s  (interactive slo %gs: %s)\n",
-		sf.TTFT.P99, sf.Latency.P99, slo.TTFTP99, verdict)
+	rep.Design = d
+	rep.Mesh, err = noc.ParseMesh(o.mesh)
+	return rep, err
 }
 
-// runAll regenerates the full registry on the bounded worker pool and
-// prints each artifact in paper order.
-func runAll(parallel int) {
-	for _, res := range mugi.RunAll(mugi.Parallelism(parallel)) {
-		fmt.Println(res.Text)
+// trace resolves -trace and -lengths into the trace of -rate, -requests
+// and -seed. The capacity and fleet searches set their own rate per probe.
+func (o *options) trace() (mugi.TraceConfig, error) {
+	kind, err := mugi.ParseTraceKind(o.traceKind)
+	if err != nil {
+		return mugi.TraceConfig{}, err
 	}
+	profile, err := mugi.ParseLengthProfile(o.lengths)
+	if err != nil {
+		return mugi.TraceConfig{}, err
+	}
+	return mugi.TraceConfig{Kind: kind, Rate: o.rate, Requests: o.requests, Seed: o.seed, Lengths: profile}, nil
 }
 
-// parseDesigns builds every design of a comma-separated spec, fataling
-// on the first unknown name.
-func parseDesigns(csv string, rows int) []arch.Design {
-	var out []arch.Design
-	for _, s := range strings.Split(csv, ",") {
-		d, err := buildDesign(strings.TrimSpace(s), rows)
+// grid resolves -designs, each at -rows, then -meshes into every
+// design × mesh × replica-count cell.
+func (o *options) grid(replicas []int) ([]mugi.FleetCell, error) {
+	var designs []mugi.Design
+	for _, s := range strings.Split(o.designs, ",") {
+		d, err := arch.ByName(strings.TrimSpace(s), o.rows)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		out = append(out, d)
+		designs = append(designs, d)
 	}
-	return out
-}
-
-// parseMeshes parses every mesh of a comma-separated spec.
-func parseMeshes(csv string) []noc.Mesh {
-	var out []noc.Mesh
-	for _, s := range strings.Split(csv, ",") {
+	var meshes []mugi.Mesh
+	for _, s := range strings.Split(o.meshes, ",") {
 		mesh, err := noc.ParseMesh(strings.TrimSpace(s))
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		out = append(out, mesh)
+		meshes = append(meshes, mesh)
 	}
-	return out
-}
-
-func buildDesign(kind string, rows int) (arch.Design, error) {
-	return arch.ByName(kind, rows)
+	return mugi.FleetGrid(designs, meshes, replicas), nil
 }
 
 // parseCounts parses a comma-separated list of non-negative integers,
@@ -732,95 +380,376 @@ func parseCounts(csv string, floor int) ([]int, error) {
 	return out, nil
 }
 
-// validateFlags rejects contradictory flag combinations up front, before
-// any mode starts simulating — one mode flag at a time, a non-empty
-// single-pass shape, a replica floor below the ceiling, and
-// rates/probabilities, SLO bounds, the TCO utilization and the KV budget
-// inside their domains.
-func validateFlags(modes, batch, seq, minReplicas, maxReplicas int, rate float64, requests,
-	parallel int, mtbf, mttr, straggler, ninesTarget,
-	sloTTFT, sloLatency, utilization, kvBudgetGB float64) error {
-	if modes > 1 {
-		return fmt.Errorf("choose one mode flag: -all, -serve, -capacity, -fleet, -autoscale, -faults, or -overload")
+// runPoint simulates one pass of -model on -design and -mesh and prints
+// the Table-3 style metrics and the latency breakdown.
+func runPoint(w io.Writer, o *options) error {
+	rep, err := o.point()
+	if err != nil {
+		return err
 	}
-	if batch < 1 {
-		return fmt.Errorf("-batch %d must be at least 1", batch)
+	d, m := rep.Design, rep.Model
+	var wl model.Workload
+	if o.prefill {
+		wl = m.PrefillOps(o.batch, o.seq)
+	} else {
+		wl = m.DecodeOps(o.batch, o.seq)
 	}
-	if seq < 1 {
-		return fmt.Errorf("-seq %d must be at least 1", seq)
-	}
-	if maxReplicas > 0 && minReplicas > maxReplicas {
-		return fmt.Errorf("-min-replicas %d exceeds -max-replicas %d", minReplicas, maxReplicas)
-	}
-	if minReplicas < 0 {
-		return fmt.Errorf("-min-replicas %d must be non-negative", minReplicas)
-	}
-	if !(rate > 0) || math.IsInf(rate, 1) {
-		return fmt.Errorf("-rate %g must be positive and finite", rate)
-	}
-	if requests < 0 {
-		return fmt.Errorf("-requests %d must be non-negative", requests)
-	}
-	if parallel < 0 {
-		return fmt.Errorf("-parallel %d must be non-negative", parallel)
-	}
-	if !(mtbf >= 0) || math.IsInf(mtbf, 1) {
-		return fmt.Errorf("-mtbf %g must be finite and non-negative", mtbf)
-	}
-	if !(mttr >= 0) || math.IsInf(mttr, 1) {
-		return fmt.Errorf("-mttr %g must be finite and non-negative", mttr)
-	}
-	if !(straggler >= 0 && straggler <= 1) {
-		return fmt.Errorf("-straggler %g must be a probability in [0,1]", straggler)
-	}
-	if !(ninesTarget > 0 && ninesTarget <= 1) {
-		return fmt.Errorf("-nines %g must be an availability in (0,1]", ninesTarget)
-	}
-	if !(sloTTFT >= 0) || math.IsInf(sloTTFT, 1) {
-		return fmt.Errorf("-slo-ttft %g must be finite and non-negative (0 = unbounded)", sloTTFT)
-	}
-	if !(sloLatency >= 0) || math.IsInf(sloLatency, 1) {
-		return fmt.Errorf("-slo-latency %g must be finite and non-negative (0 = unbounded)", sloLatency)
-	}
-	if !(utilization >= 0 && utilization <= 1) {
-		return fmt.Errorf("-utilization %g must be in (0,1], or 0 for the default", utilization)
-	}
-	// The budget becomes int64(kvBudgetGB * 2^30) bytes.
-	if !(kvBudgetGB >= 0 && kvBudgetGB < math.MaxInt64/(1<<30)) {
-		return fmt.Errorf("-kvbudget %g GiB must be non-negative and under 8 EiB (0 = default)", kvBudgetGB)
+	res := sim.Simulate(sim.Params{Design: d, Mesh: rep.Mesh}, wl)
+	tokens := wl.TokensPerPass()
+
+	fmt.Fprintf(w, "design        %s  mesh %s\n", d.Name, rep.Mesh)
+	fmt.Fprintf(w, "workload      %s batch %d seq %d (decode=%v)\n", m.Name, o.batch, o.seq, wl.Decode)
+	fmt.Fprintf(w, "throughput    %.3f tokens/s\n", res.TokensPerSecond)
+	fmt.Fprintf(w, "latency       %.4f s (compute %.4f, memory %.4f)\n", res.Seconds, res.ComputeSeconds, res.MemorySeconds)
+	fmt.Fprintf(w, "utilization   %.1f%%\n", res.Utilization*100)
+	fmt.Fprintf(w, "energy        %.4f J/pass  (%.2f mJ/token)\n", res.DynamicEnergy, res.EnergyPerToken(tokens)*1e3)
+	fmt.Fprintf(w, "power         %.3f W (leakage %.3f W)\n", res.PowerWatts, res.LeakageWatts)
+	fmt.Fprintf(w, "efficiency    %.2f tokens/J  %.3f tokens/s/W\n", res.TokensPerJoule(tokens), res.TokensPerSecondPerWatt())
+	fmt.Fprintf(w, "DRAM traffic  %.2f GB/pass\n", float64(res.DRAMBytes)/1e9)
+	area := d.Area(arch.Cost45nm)
+	fmt.Fprintf(w, "area          %.2f mm2 (array %.2f, SRAM %.2f)\n", area.Total(), area.ArrayTotal(), area.SRAM)
+	fmt.Fprintln(w, "latency breakdown (array cycles):")
+	for _, cls := range []model.OpClass{model.Projection, model.Attention, model.FFN, model.Nonlinear} {
+		fmt.Fprintf(w, "  %-10v %14.0f (%.1f%%)\n", cls, res.CyclesByClass[cls],
+			res.CyclesByClass[cls]/res.TotalCycles*100)
 	}
 	return nil
 }
 
-// validateOverloadFlags rejects overload-flag contradictions: -surge
-// spelled out without the mode it shapes, a brownout ladder with no
-// rungs (or more rungs than the built-in ladder has), and a breaker
-// threshold outside its (0,1] domain.
-func validateOverloadFlags(overloadMode, surgeSet bool, surge float64, brownoutLadder int, breakerThreshold float64) error {
-	if surgeSet && !overloadMode {
-		return fmt.Errorf("-surge only shapes the -overload flash crowd; add -overload")
+// runServe drives one request-level serving scenario and writes the
+// report to w. The trace is drawn lazily as the scheduler pulls it, so
+// memory stays independent of the request count.
+func runServe(w io.Writer, o *options) error {
+	rep, err := o.point()
+	if err != nil {
+		return err
 	}
-	if overloadMode && surge <= 1 {
-		return fmt.Errorf("-surge %g must exceed 1 (it multiplies the baseline rate)", surge)
+	tr, err := o.trace()
+	if err != nil {
+		return err
 	}
-	if brownoutLadder < 1 || brownoutLadder > 3 {
-		return fmt.Errorf("-brownout %d must be a ladder depth in 1..3", brownoutLadder)
+	src, err := mugi.NewTraceStream(tr)
+	if err != nil {
+		return err
 	}
-	if !(breakerThreshold >= 0 && breakerThreshold <= 1) {
-		return fmt.Errorf("-breaker %g must be a downtime fraction in (0,1], or 0 to disable", breakerThreshold)
+	report, err := mugi.ServeStream(rep, src)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, report.String())
+	return err
+}
+
+// runCapacity binary-searches the max sustained request rate of one
+// replica of every (design, mesh) cell of the grid, as one-replica fleet
+// plan cells sharded across the runner pool, and prints the sizing
+// table. Cells are searched with the default bracketing
+// (fleet.DefaultMinRate..DefaultMaxRate) and goodput, and no SLO.
+func runCapacity(w io.Writer, o *options) error {
+	base, err := o.replica()
+	if err != nil {
+		return err
+	}
+	tr, err := o.trace()
+	if err != nil {
+		return err
+	}
+	cells, err := o.grid([]int{1})
+	if err != nil {
+		return err
+	}
+	results := mugi.PlanFleet(mugi.FleetPlanSpec{
+		Base:  base,
+		Cells: cells,
+		Trace: tr,
+		// Six bisections, one more than the planner's default, for a
+		// finer sizing table.
+		Iters: 6,
+	})
+	fmt.Fprintf(w, "capacity search: %s, %s %s traffic, %d requests/probe, seed %d\n",
+		base.Model.Name, o.traceKind, tr.Lengths.Name, o.requests, o.seed)
+	fmt.Fprintf(w, "%-12s %6s %10s %7s %10s %9s %9s\n",
+		"design", "mesh", "capacity", "probes", "tok/s out", "TTFT p99", "p99 lat")
+	for _, res := range results {
+		if res.Err != nil {
+			fmt.Fprintf(w, "%-12s %6s ERROR %v\n", res.Design, res.Mesh, res.Err)
+			continue
+		}
+		if res.Capacity == 0 {
+			fmt.Fprintf(w, "%-12s %6s  unsustainable at floor rate\n", res.Design, res.Mesh)
+			continue
+		}
+		at := res.At.Fleet
+		fmt.Fprintf(w, "%-12s %6s %10.4f %7d %10.2f %8.1fs %8.1fs\n",
+			res.Design, res.Mesh, res.Capacity, res.Probes,
+			at.TokensPerSecond, at.TTFT.P99, at.Latency.P99)
 	}
 	return nil
 }
 
-// usageError reports a flag contradiction and exits with the
-// conventional usage status.
-func usageError(err error) {
-	fmt.Fprintln(os.Stderr, "mugisim:", err)
-	fmt.Fprintln(os.Stderr, "run 'mugisim -h' for the flag reference")
-	os.Exit(2)
+// runFleet plans the design × mesh × replicas grid against the SLO and
+// prints the priced cells plus the dominated-cell-pruned perf/$ and
+// perf/W frontiers.
+func runFleet(w io.Writer, o *options) error {
+	base, err := o.replica()
+	if err != nil {
+		return err
+	}
+	tr, err := o.trace()
+	if err != nil {
+		return err
+	}
+	policy, err := mugi.ParseFleetPolicy(o.policy)
+	if err != nil {
+		return err
+	}
+	replicas, err := parseCounts(o.replicas, 1)
+	if err != nil {
+		return err
+	}
+	cells, err := o.grid(replicas)
+	if err != nil {
+		return err
+	}
+	results := mugi.PlanFleet(mugi.FleetPlanSpec{
+		Base:   base,
+		Cells:  cells,
+		Policy: policy,
+		Trace:  tr,
+		SLO:    mugi.FleetSLO{TTFTP99: o.sloTTFT, LatencyP99: o.sloLatency},
+		Book:   mugi.PriceBook{Utilization: o.utilization},
+	})
+	fmt.Fprintf(w, "fleet plan: %s, %s %s probes (%d requests, seed %d), %s routing\n",
+		base.Model.Name, o.traceKind, tr.Lengths.Name, o.requests, o.seed, policy)
+	fmt.Fprintf(w, "SLO: TTFT p99 <= %gs, latency p99 <= %gs\n", o.sloTTFT, o.sloLatency)
+	fmt.Fprintf(w, "%-12s %5s %4s %9s %9s %9s %10s %9s\n",
+		"design", "mesh", "reps", "capacity", "$/hour", "$/1k req", "$/Mtok", "watts")
+	for _, res := range results {
+		if res.Err != nil {
+			fmt.Fprintf(w, "%-12s %5s %4d ERROR %v\n", res.Design, res.Mesh, res.Replicas, res.Err)
+			continue
+		}
+		if res.Capacity == 0 {
+			fmt.Fprintf(w, "%-12s %5s %4d  cannot hold the SLO at the floor rate\n", res.Design, res.Mesh, res.Replicas)
+			continue
+		}
+		fmt.Fprintf(w, "%-12s %5s %4d %9.4f %9.4f %9.4f %10.4f %9.2f\n",
+			res.Design, res.Mesh, res.Replicas, res.Capacity,
+			res.TCO.DollarsPerHour, res.TCO.DollarsPer1k, res.TCO.DollarsPerMTok, res.TCO.AvgWatts)
+	}
+	for _, axis := range []mugi.FleetFrontierAxis{mugi.FrontierByDollar, mugi.FrontierByWatt} {
+		front := mugi.FleetFrontier(results, axis)
+		fmt.Fprintf(w, "-- %s frontier (%d of %d cells) --\n", axis, len(front), len(results))
+		for _, f := range front {
+			fmt.Fprintf(w, "%-12s %5s x%d  %.4f req/s  $%.4f/h  %.2f W\n",
+				f.Design, f.Mesh, f.Replicas, f.Capacity, f.TCO.DollarsPerHour, f.TCO.AvgWatts)
+		}
+	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mugisim:", err)
-	os.Exit(1)
+// runAutoscale compares the static fleet plan against the online
+// autoscaler on one long diurnal trace: first size the owned fleet the
+// way the fleet planner would buy it (the cheapest replica count whose
+// SLO-compliant capacity covers the peak rate), then run the same
+// stream through the always-on baseline and the dynamic controller and
+// report both in $/day and SLO-violation minutes.
+func runAutoscale(w io.Writer, o *options) error {
+	replica, err := o.point()
+	if err != nil {
+		return err
+	}
+	tr, err := o.trace()
+	if err != nil {
+		return err
+	}
+	policy, err := mugi.ParseAutoscalePolicy(o.policy)
+	if err != nil {
+		return err
+	}
+	horizon := 86400.0
+	if o.week {
+		horizon *= 7
+	}
+	if tr.Requests == 0 {
+		// Over whole diurnal periods the mean rate is the nominal rate,
+		// so this request count spans the horizon.
+		tr.Requests = int(tr.Rate * horizon)
+	}
+	tr.Period = 86400
+	// Peak arrival rate the static plan must cover: the top of the
+	// diurnal swing (TraceConfig's default swing is 0.8), or the nominal
+	// rate for flat arrival processes.
+	peak := tr.Rate
+	if tr.Kind == mugi.TraceDiurnal {
+		peak = tr.Rate * 1.8
+	}
+	maxReplicas := o.maxReplicas
+	if maxReplicas == 0 {
+		results := mugi.PlanFleet(mugi.FleetPlanSpec{
+			Base:   replica,
+			Cells:  mugi.FleetGrid([]mugi.Design{replica.Design}, []mugi.Mesh{replica.Mesh}, []int{1, 2, 4, 8}),
+			Policy: mugi.FleetJSQ,
+			Trace:  mugi.TraceConfig{Kind: mugi.TracePoisson, Requests: 24, Seed: tr.Seed, Lengths: tr.Lengths},
+			SLO:    mugi.FleetSLO{TTFTP99: o.sloTTFT, LatencyP99: o.sloLatency},
+		})
+		for _, res := range results {
+			if res.Err == nil && res.Capacity >= peak {
+				maxReplicas = res.Replicas
+				fmt.Fprintf(w, "static plan: %d x %s %s covers the %.3f req/s peak (cell capacity %.4f req/s)\n",
+					res.Replicas, res.Design, res.Mesh, peak, res.Capacity)
+				break
+			}
+		}
+		if maxReplicas == 0 {
+			return fmt.Errorf("no planned cell covers the %.3f req/s peak; raise -max-replicas or shrink -rate", peak)
+		}
+	}
+	cmp, err := mugi.CompareAutoscale(mugi.AutoscaleConfig{
+		Replica:     replica,
+		MinReplicas: o.minReplicas,
+		MaxReplicas: maxReplicas,
+		Policy:      policy,
+		SLO:         mugi.AutoscaleSLO{TTFT: o.sloTTFT, Latency: o.sloLatency},
+	}, tr)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, cmp.String())
+	return err
+}
+
+// runFaults sweeps the design × mesh × replicas grid crossed with the
+// N+k spares axis under seeded fault injection and prints the
+// availability table, the price-of-nines frontier, and the cheapest
+// configuration meeting the -nines availability target.
+func runFaults(w io.Writer, o *options) error {
+	base, err := o.replica()
+	if err != nil {
+		return err
+	}
+	tr, err := o.trace()
+	if err != nil {
+		return err
+	}
+	policy, err := mugi.ParseFleetPolicy(o.policy)
+	if err != nil {
+		return err
+	}
+	replicas, err := parseCounts(o.replicas, 1)
+	if err != nil {
+		return err
+	}
+	spares, err := parseCounts(o.spares, 0)
+	if err != nil {
+		return err
+	}
+	cells, err := o.grid(replicas)
+	if err != nil {
+		return err
+	}
+	results := mugi.PlanNines(mugi.NinesSpec{
+		Base:   base,
+		Cells:  cells,
+		Spares: spares,
+		Policy: policy,
+		Trace:  tr,
+		Faults: mugi.FaultSpec{MTBF: o.mtbf, MTTR: o.mttr, StragglerProb: o.straggler, Seed: o.seed},
+	})
+	fmt.Fprintf(w, "price of nines: %s, %s %s probes (%d requests at %.3f req/s, seed %d), %s routing\n",
+		base.Model.Name, o.traceKind, tr.Lengths.Name, o.requests, o.rate, o.seed, policy)
+	fmt.Fprintf(w, "faults: MTBF %gs  MTTR %gs  straggler prob %g\n", o.mtbf, o.mttr, o.straggler)
+	for _, res := range results {
+		fmt.Fprintln(w, res)
+	}
+	front := mugi.NinesFrontier(results)
+	fmt.Fprintf(w, "-- price-of-nines frontier (%d of %d points) --\n", len(front), len(results))
+	for _, f := range front {
+		fmt.Fprintln(w, f)
+	}
+	if best, ok := mugi.CheapestNines(results, o.nines); ok {
+		fmt.Fprintf(w, "cheapest at >= %g availability: %s %s N=%d+%d  $%.4f/1k  availability %.4f%% (%s)\n",
+			o.nines, best.Design, best.Mesh, best.Replicas, best.Spares,
+			best.DollarsPer1k, best.Availability*100, mugi.NinesString(best.Availability))
+	} else {
+		fmt.Fprintf(w, "no planned point reaches availability %g — add spares or relax -nines\n", o.nines)
+	}
+	return nil
+}
+
+// runOverload fields a surging tenanted trace against a two-replica
+// fleet armed with admission control, strict-priority dispatch and a
+// brownout ladder, then prices the isolation premium against the same
+// silicon run as a shared best-effort fleet. With -breaker above zero
+// the fleet also injects -mtbf/-mttr faults and arms per-replica
+// circuit breakers over them.
+func runOverload(w io.Writer, o *options) error {
+	replica, err := o.point()
+	if err != nil {
+		return err
+	}
+	tr, err := o.trace()
+	if err != nil {
+		return err
+	}
+	if tr.Tenants, err = mugi.ParseTenants(o.tenants); err != nil {
+		return err
+	}
+	tr.SurgeFactor, tr.SurgeSpan, tr.SurgePeriod = o.surge, 120, 600
+	if replica.MaxBatch == 0 {
+		// Uncapped, overload pools inside the KV-limited decode batch and
+		// the queue — the admission controller's whole domain — stays empty.
+		replica.MaxBatch = 8
+	}
+	replica.MaxQueue = 12
+	replica.Admission = &mugi.AdmissionSpec{}
+	replica.Brownout = &mugi.BrownoutSpec{
+		Steps: mugi.DefaultBrownoutSteps()[:o.brownoutLadder], HighWater: 8, Dwell: 10,
+	}
+	fleetCfg := mugi.FleetConfig{Replica: replica, Replicas: 2, Policy: mugi.FleetJSQ}
+	if o.breaker > 0 {
+		fleetCfg.Faults = mugi.FaultSpec{MTBF: o.mtbf, MTTR: o.mttr, Seed: o.seed}
+		fleetCfg.MaxRedispatch = 2
+		fleetCfg.Breaker = &mugi.BreakerSpec{Window: 300, Threshold: o.breaker, Cooldown: 60, Probes: 1}
+	}
+	spec := mugi.PrioritySpec{Fleet: fleetCfg, Trace: tr}
+	spec.SLOs[mugi.TenantInteractive] = mugi.ClassSLO{TTFTP99: 15, LatencyP99: 60}
+	spec.SLOs[mugi.TenantStandard] = mugi.ClassSLO{TTFTP99: 60, LatencyP99: 120}
+	spec.SLOs[mugi.TenantBestEffort] = mugi.ClassSLO{LatencyP99: 900}
+	res, err := mugi.PlanPriority(spec)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "graceful degradation: %s, %s %s x2, %s traffic %.2f req/s with %gx surges, seed %d\n",
+		replica.Model.Name, replica.Design.Name, replica.Mesh, o.traceKind, o.rate, o.surge, o.seed)
+	fmt.Fprint(w, res.String())
+	tf := res.Tenanted.Fleet
+	fmt.Fprintf(w, "degradation under the surge: %d evicted  %d degraded  %d shed  brownout max level %d (%.0f s)\n",
+		tf.Evicted, tf.Degraded, tf.Shed, tf.BrownoutMaxLevel, tf.BrownoutSeconds)
+	if o.breaker > 0 {
+		trips := 0
+		for _, n := range res.Tenanted.BreakerTrips {
+			trips += n
+		}
+		fmt.Fprintf(w, "circuit breakers (MTBF %gs, MTTR %gs, threshold %.0f%%): %d trips %v  availability %.4f\n",
+			o.mtbf, o.mttr, o.breaker*100, trips, res.Tenanted.BreakerTrips, tf.Availability)
+	}
+	sf := res.Shared.Fleet
+	slo := spec.SLOs[mugi.TenantInteractive]
+	verdict := "MISSED"
+	if slo.Met(sf.TTFT.P99, sf.Latency.P99) {
+		verdict = "met"
+	}
+	fmt.Fprintf(w, "shared fleet tail everyone shares: ttft p99 %.2f s  latency p99 %.2f s  (interactive slo %gs: %s)\n",
+		sf.TTFT.P99, sf.Latency.P99, slo.TTFTP99, verdict)
+	return nil
+}
+
+// runAll regenerates the full registry on the worker pool and prints
+// each artifact in paper order.
+func runAll(w io.Writer, _ *options) error {
+	for _, res := range mugi.RunAll() {
+		fmt.Fprintln(w, res.Text)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -207,5 +208,52 @@ func TestConstructorsValidate(t *testing.T) {
 	}
 	if l := Carat(3).NLLanes; l != 1 {
 		t.Errorf("Carat(3) has %d nonlinear lanes, want 1", l)
+	}
+}
+
+// TestByName builds every design kind by name, in any case and through
+// the hyphenated aliases, and rejects unknown kinds and dimensions below
+// a design's smallest nonlinear lane.
+func TestByName(t *testing.T) {
+	cases := []struct {
+		kind string
+		rows int
+		want string
+	}{
+		{"mugi", 128, "Mugi (128)"},
+		{"MUGI", 64, "Mugi (64)"},
+		{"mugil", 128, "Mugi-L (128)"},
+		{"mugi-l", 128, "Mugi-L (128)"},
+		{"carat", 256, "Carat (256)"},
+		{"sa", 16, "SA (16)"},
+		{"saf", 16, "SA-F (16)"},
+		{"sa-f", 16, "SA-F (16)"},
+		{"sd", 16, "SD (16)"},
+		{"sdf", 16, "SD-F (16)"},
+		{"tensor", 0, "Tensor"},
+	}
+	for _, c := range cases {
+		d, err := ByName(c.kind, c.rows)
+		if err != nil || d.Name != c.want {
+			t.Errorf("ByName(%q, %d) = %q, %v", c.kind, c.rows, d.Name, err)
+		}
+	}
+	if _, err := ByName("tpu", 8); err == nil {
+		t.Error("unknown design should error")
+	}
+	// Below its smallest dimension a design's nonlinear unit has no lane;
+	// the error names that dimension.
+	for _, c := range []struct {
+		kind string
+		rows int
+		want string
+	}{
+		{"mugil", 4, "at least 8"},
+		{"mugi-l", 7, "at least 8"},
+		{"carat", 2, "at least 3"},
+	} {
+		if _, err := ByName(c.kind, c.rows); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ByName(%q, %d) error %v, want one containing %q", c.kind, c.rows, err, c.want)
+		}
 	}
 }
