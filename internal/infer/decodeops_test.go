@@ -14,14 +14,12 @@ import (
 // nonlinear element count, against model.Config.AppendDecodeOps(nil, 1,
 // ctx) for the same geometry (Hidden = Dim, AttnHeads = Heads, an ungated
 // FFN). GEMMs are seen through the engine's recorder, nonlinear counts
-// through wrapped Ops.
+// through wrapped Ops. The decoder's k and v projections run as the
+// model's one "kv" GEMM of width 2·KVDim.
 //
-// What the model merges: its one "kv" op of width 2·KVDim is the
-// decoder's separate k and v projections of width KVDim each, so their
-// MACs add up but their cycles may not (the model tiles 2·KVDim weight
-// columns at once). What the model leaves out: the vocab projection after
-// the last layer, RoPE's Sin and Cos, and RMSNorm (tensor.RMSNormRow,
-// which the vector unit runs twice per layer and no op prices).
+// What the model leaves out: the vocab projection after the last layer,
+// RoPE's Sin and Cos, and RMSNorm (tensor.RMSNormRow, which the vector
+// unit runs twice per layer and no op prices).
 func TestStepMatchesDecodeOps(t *testing.T) {
 	for _, geo := range []struct {
 		name                string
@@ -74,15 +72,12 @@ func TestStepMatchesDecodeOps(t *testing.T) {
 			for _, o := range w.Ops {
 				op[o.Name] = o
 			}
-			kv := op["kv"]
-			if kv.N != 2*mc.KVDim() {
+			if kv := op["kv"]; kv.N != 2*mc.KVDim() {
 				t.Fatalf("model kv op is %d wide, want 2·KVDim = %d", kv.N, 2*mc.KVDim())
 			}
-			half := kv
-			half.N /= 2
-			// One layer of the decoder in its run order: q, k, v, the
-			// score and context GEMMs of each KV head, o, up and down.
-			layer := []model.Op{op["q"], half, half}
+			// One layer of the decoder in its run order: q, kv, the score
+			// and context GEMMs of each KV head, o, up and down.
+			layer := []model.Op{op["q"], op["kv"]}
 			for r := 0; r < op["scores"].Repeat; r++ {
 				layer = append(layer, op["scores"], op["context"])
 			}
@@ -108,10 +103,6 @@ func TestStepMatchesDecodeOps(t *testing.T) {
 			if want := w.TotalMACsPerLayer() * int64(cfg.Layers); macs != want {
 				t.Fatalf("decoder layers run %d MACs, model %d", macs, want)
 			}
-			kvModel := core.PlanCycles(e.array, kv.M, kv.K, kv.N, kv.WeightBits).Cycles
-			kvDecoder := gemms[1].st.Cycles + gemms[2].st.Cycles
-			t.Logf("kv projection: model prices %d cycles for one %dx%dx%d GEMM, the decoder's k and v take %d",
-				kvModel, kv.M, kv.K, kv.N, kvDecoder)
 			if v := gemms[len(gemms)-1]; v.m != 1 || v.k != cfg.Dim || v.n != cfg.Vocab {
 				t.Fatalf("last GEMM %dx%dx%d, want the 1x%dx%d vocab projection", v.m, v.k, v.n, cfg.Dim, cfg.Vocab)
 			}

@@ -100,9 +100,12 @@ func VLPOps(act nonlinear.Op) Ops {
 // quantized once at construction; the exact reference runs against the
 // dequantized values so that VLP-vs-exact differences isolate the
 // nonlinear approximations, exactly like the paper's accuracy studies.
+//
+// wkv holds the k projection's KVDim columns, then the v projection's, so
+// one GEMM computes both, as the simulator's kv op prices them.
 type layer struct {
-	wq, wk, wv, wo core.QuantMatrix
-	w1, w2         core.QuantMatrix
+	wq, wkv, wo core.QuantMatrix
+	w1, w2      core.QuantMatrix
 }
 
 // Engine is a deterministic decoder instance with its KV cache. All
@@ -131,11 +134,11 @@ type Engine struct {
 // residual stream, projection outputs, attention rows, logits, and the
 // GEMM scratch, all sized once at construction.
 type stepScratch struct {
-	x, q, k, v []float32
-	attnOut    []float32
-	proj       []float32
-	hidden     []float32
-	ffn        []float32
+	x, q, kv []float32
+	attnOut  []float32
+	proj     []float32
+	hidden   []float32
+	ffn      []float32
 	// attn holds one GQA group's score rows, Group() rows of up to
 	// MaxSeq each, each overwritten by its probabilities.
 	attn    []float32
@@ -169,12 +172,11 @@ func New(cfg Config) (*Engine, error) {
 	kvDim := cfg.KVHeads * cfg.HeadDim()
 	for l := 0; l < cfg.Layers; l++ {
 		e.layers = append(e.layers, layer{
-			wq: quant(tensor.RandNormal(rng, cfg.Dim, cfg.Dim, std)),
-			wk: quant(tensor.RandNormal(rng, cfg.Dim, kvDim, std)),
-			wv: quant(tensor.RandNormal(rng, cfg.Dim, kvDim, std)),
-			wo: quant(tensor.RandNormal(rng, cfg.Dim, cfg.Dim, std)),
-			w1: quant(tensor.RandNormal(rng, cfg.Dim, cfg.FFN, std)),
-			w2: quant(tensor.RandNormal(rng, cfg.FFN, cfg.Dim, std/2)),
+			wq:  quant(tensor.RandNormal(rng, cfg.Dim, cfg.Dim, std)),
+			wkv: quant(randNormalPair(rng, cfg.Dim, kvDim, std)),
+			wo:  quant(tensor.RandNormal(rng, cfg.Dim, cfg.Dim, std)),
+			w1:  quant(tensor.RandNormal(rng, cfg.Dim, cfg.FFN, std)),
+			w2:  quant(tensor.RandNormal(rng, cfg.FFN, cfg.Dim, std/2)),
 		})
 	}
 	e.wout = quant(tensor.RandNormal(rng, cfg.Dim, cfg.Vocab, std))
@@ -193,8 +195,7 @@ func (e *Engine) initScratch() {
 	kvDim := cfg.KVHeads * cfg.HeadDim()
 	e.sc.x = make([]float32, cfg.Dim)
 	e.sc.q = make([]float32, cfg.Dim)
-	e.sc.k = make([]float32, kvDim)
-	e.sc.v = make([]float32, kvDim)
+	e.sc.kv = make([]float32, 2*kvDim)
 	e.sc.attnOut = make([]float32, cfg.Dim)
 	e.sc.proj = make([]float32, cfg.Dim)
 	e.sc.hidden = make([]float32, cfg.FFN)
@@ -210,7 +211,7 @@ func (e *Engine) initScratch() {
 	// single-group row at full context), so the scratch never grows
 	// mid-decode as the KV context lengthens.
 	maxN := cfg.Dim
-	for _, n := range []int{kvDim, cfg.FFN, cfg.Vocab, cfg.MaxSeq} {
+	for _, n := range []int{2 * kvDim, cfg.FFN, cfg.Vocab, cfg.MaxSeq} {
 		if n > maxN {
 			maxN = n
 		}
@@ -224,12 +225,28 @@ func (e *Engine) initScratch() {
 	}
 	for i := range e.layers {
 		l := &e.layers[i]
-		for _, w := range []core.QuantMatrix{l.wq, l.wk, l.wv, l.wo, l.w1, l.w2} {
+		for _, w := range []core.QuantMatrix{l.wq, l.wkv, l.wo, l.w1, l.w2} {
 			reserve(w)
 		}
 	}
 	reserve(e.wout)
 	e.sc.gemm.Reserve(maxN, maxScale)
+}
+
+// randNormalPair draws the two rows × cols matrices tensor.RandNormal
+// would draw in turn, straight into the left and right column halves of
+// one rows × 2·cols matrix.
+func randNormalPair(rng *rand.Rand, rows, cols int, std float64) *tensor.Matrix {
+	m := tensor.NewMatrix(rows, 2*cols)
+	for _, off := range [2]int{0, cols} {
+		for r := 0; r < rows; r++ {
+			half := m.Row(r)[off : off+cols]
+			for i := range half {
+				half[i] = float32(rng.NormFloat64() * std)
+			}
+		}
+	}
+	return m
 }
 
 func quant(w *tensor.Matrix) core.QuantMatrix {
@@ -313,6 +330,7 @@ func (e *Engine) Step(token int, ops Ops) ([]float64, error) {
 	cfg := e.cfg
 	hd := cfg.HeadDim()
 	g := cfg.Group()
+	kvDim := cfg.KVHeads * hd
 
 	x := e.sc.x
 	copy(x, e.embed.Row(token))
@@ -320,8 +338,8 @@ func (e *Engine) Step(token int, ops Ops) ([]float64, error) {
 	for li := range e.layers {
 		l := &e.layers[li]
 		q := e.matmul(e.sc.q, x, l.wq)
-		k := e.matmul(e.sc.k, x, l.wk)
-		v := e.matmul(e.sc.v, x, l.wv)
+		kv := e.matmul(e.sc.kv, x, l.wkv)
+		k, v := kv[:kvDim], kv[kvDim:]
 		if cfg.RoPE {
 			for h := 0; h < cfg.Heads; h++ {
 				applyRoPEInv(q[h*hd:(h+1)*hd], e.pos, e.ropeInv, ops.Sin, ops.Cos)
