@@ -109,7 +109,7 @@ func newOptions(stderr io.Writer) (*options, *flag.FlagSet) {
 	fs.BoolVar(&o.all, "all", false, "regenerate every registered experiment instead of one point")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.serve, "serve", false, "run a request-level serving scenario instead of one pass")
-	fs.StringVar(&o.traceKind, "trace", "poisson", "arrival process: poisson|bursty|diurnal")
+	fs.StringVar(&o.traceKind, "trace", "poisson", "arrival process: poisson|bursty|diurnal|flashcrowd|retrystorm")
 	fs.Float64Var(&o.rate, "rate", 0.5, "mean arrival rate in requests/s")
 	fs.IntVar(&o.requests, "requests", 48, "request count (per probe in -capacity/-fleet)")
 	fs.Int64Var(&o.seed, "seed", 1, "trace seed")
@@ -216,7 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // mode returns the name of a mode flag that is set ("" when none is) and
 // how many are set.
-func (o *options) mode() (name string, set int) {
+func (o *options) mode() (name string, n int) {
 	for _, m := range []struct {
 		name string
 		on   bool
@@ -225,10 +225,10 @@ func (o *options) mode() (name string, set int) {
 		{"autoscale", o.autoscale}, {"faults", o.faults}, {"overload", o.overload},
 	} {
 		if m.on {
-			name, set = m.name, set+1
+			name, n = m.name, n+1
 		}
 	}
-	return name, set
+	return name, n
 }
 
 // validate rejects contradictory flag combinations up front, before any
