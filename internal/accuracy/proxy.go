@@ -66,17 +66,15 @@ func ExactImpl(act nonlinear.Op) Impl {
 
 // VLPImpl builds the Mugi implementation: a VLP exp whose sliding window is
 // selected per score row by the hardware E-proc policy, plus a VLP
-// activation with a mass-selected window.
+// activation with a mass-selected window. The softmax selects its window
+// itself, from the max-subtracted row.
 func VLPImpl(expCfg, actCfg core.Config) Impl {
 	expA := core.New(expCfg)
 	actA := core.New(actCfg)
 	return Impl{
-		Name: "VLP",
-		Softmax: func(dst, xs []float64) {
-			expA.SelectWindowMax(xs)
-			expA.Softmax(dst, xs)
-		},
-		Act: actA.Approx,
+		Name:    "VLP",
+		Softmax: func(dst, xs []float64) { expA.Softmax(dst, xs) },
+		Act:     actA.Approx,
 	}
 }
 
