@@ -85,6 +85,49 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestParseOrder pins which error a command with several bad flags
+// reports. Each mode resolves the inputs it reads in a fixed order,
+// whatever order the command line gives them in, so with every flag from
+// some point of a mode's chain on bad, the first of them is named.
+func TestParseOrder(t *testing.T) {
+	bad := map[string]struct{ value, err string }{
+		"design":   {"tpu", `unknown design "tpu"`},
+		"model":    {"GPT-5", `unknown model "GPT-5"`},
+		"mesh":     {"0x4", `bad mesh "0x4"`},
+		"trace":    {"spiky", `unknown trace kind "spiky"`},
+		"lengths":  {"code", `unknown length profile "code"`},
+		"policy":   {"random", `unknown policy "random"`},
+		"replicas": {"0", `bad count "0"`},
+		"spares":   {"x", `bad count "x"`},
+		"designs":  {"mugi,npu", `unknown design "npu"`},
+		"meshes":   {"2x2,4x0", `bad mesh "4x0"`},
+		"tenants":  {"vip:1", `unknown class "vip"`},
+	}
+	for mode, chain := range map[string][]string{
+		"":          {"design", "model", "mesh"},
+		"serve":     {"design", "model", "mesh", "trace", "lengths"},
+		"capacity":  {"model", "trace", "lengths", "designs", "meshes"},
+		"fleet":     {"model", "trace", "lengths", "policy", "replicas", "designs", "meshes"},
+		"autoscale": {"design", "model", "mesh", "trace", "lengths", "policy"},
+		"faults":    {"model", "trace", "lengths", "policy", "replicas", "spares", "designs", "meshes"},
+		"overload":  {"design", "model", "mesh", "trace", "lengths", "tenants"},
+	} {
+		for i, first := range chain {
+			var args []string
+			if mode != "" {
+				args = append(args, "-"+mode)
+			}
+			for j := len(chain) - 1; j >= i; j-- {
+				args = append(args, "-"+chain[j], bad[chain[j]].value)
+			}
+			var stderr strings.Builder
+			if code := run(args, io.Discard, &stderr); code != 1 || !strings.Contains(stderr.String(), bad[first].err) {
+				t.Errorf("%q: exit %d, %q; want exit 1 naming -%s", args, code, stderr.String(), first)
+			}
+		}
+	}
+}
+
 // TestParseCounts covers the CSV count parser behind -replicas and
 // -spares.
 func TestParseCounts(t *testing.T) {
