@@ -13,19 +13,32 @@ import (
 	"mugi/internal/raceflag"
 )
 
-// TestValidate pins the contradictory-combo rejections: two mode flags
-// at once, an empty single-pass batch or context, a replica floor above
-// the ceiling, rates or probabilities outside their domains, -surge
-// without -overload, a brownout ladder with no rungs (or more than the
-// built-in ladder has), and breaker thresholds outside (0,1] must all
-// fail before any simulation starts. Each row changes the flag defaults.
-func TestValidate(t *testing.T) {
+// validateCase changes the flag defaults; validate must reject the
+// result exactly when wantErr is set.
+type validateCase struct {
+	name    string
+	mutate  func(o *options)
+	wantErr bool
+}
+
+func checkValidate(t *testing.T, cases []validateCase) {
+	t.Helper()
+	for _, c := range cases {
+		o, _ := newOptions(io.Discard)
+		c.mutate(o)
+		if err := o.validate(); (err != nil) != c.wantErr {
+			t.Errorf("%s: got err %v, want error=%v", c.name, err, c.wantErr)
+		}
+	}
+}
+
+// TestValidateFlags pins the contradictory-combo rejections: two mode
+// flags at once, an empty single-pass batch or context, a replica floor
+// above the ceiling, and rates or probabilities outside their domains
+// must all fail before any simulation starts.
+func TestValidateFlags(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	cases := []struct {
-		name    string
-		mutate  func(o *options)
-		wantErr bool
-	}{
+	checkValidate(t, []validateCase{
 		{"baseline", func(o *options) { o.fleet = true }, false},
 		{"unsized ceiling", func(o *options) { o.maxReplicas, o.minReplicas = 0, 9 }, false},
 		{"two modes", func(o *options) { o.serve, o.fleet = true, true }, true},
@@ -62,6 +75,15 @@ func TestValidate(t *testing.T) {
 		{"negative KV budget", func(o *options) { o.kvBudgetGiB = -1 }, true},
 		{"NaN KV budget", func(o *options) { o.kvBudgetGiB = nan }, true},
 		{"KV budget past int64 bytes", func(o *options) { o.kvBudgetGiB = 1e10 }, true},
+	})
+}
+
+// TestValidateOverloadFlags pins the overload-flag rejections: -surge
+// without -overload, a brownout ladder with zero rungs (or more than
+// the built-in ladder has), and breaker thresholds outside (0,1].
+func TestValidateOverloadFlags(t *testing.T) {
+	nan := math.NaN()
+	checkValidate(t, []validateCase{
 		{"defaults no mode", func(o *options) {}, false},
 		{"overload defaults", func(o *options) { o.overload = true }, false},
 		{"surge with overload", func(o *options) { o.overload, o.set["surge"], o.surge = true, true, 6 }, false},
@@ -75,14 +97,7 @@ func TestValidate(t *testing.T) {
 		{"breaker above one", func(o *options) { o.overload, o.breaker = true, 1.5 }, true},
 		{"negative breaker", func(o *options) { o.overload, o.breaker = true, -0.1 }, true},
 		{"NaN breaker", func(o *options) { o.overload, o.breaker = true, nan }, true},
-	}
-	for _, c := range cases {
-		o, _ := newOptions(io.Discard)
-		c.mutate(o)
-		if err := o.validate(); (err != nil) != c.wantErr {
-			t.Errorf("%s: got err %v, want error=%v", c.name, err, c.wantErr)
-		}
-	}
+	})
 }
 
 // TestParseOrder pins which error a command with several bad flags
