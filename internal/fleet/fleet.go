@@ -302,7 +302,7 @@ func run(cfg Config, src serve.Stream, st *probeState) (Report, error) {
 	if cfg.Window.Width > 0 {
 		wins = make([]*serve.Windows, cfg.Replicas)
 	}
-	retry := serve.RetryPolicy{MaxRedispatch: cfg.MaxRedispatch, Delay: cfg.FailoverDelay, HandOff: true}
+	retry := serve.RetryPolicy{MaxRedispatch: cfg.MaxRedispatch, Delay: cfg.FailoverDelay}
 	// handled keys every orphan already re-dispatched (or shed) by its
 	// stable (request, attempt) identity, so re-runs never double-handle.
 	// Membership tests only — never iterated — so no map-order hazard.

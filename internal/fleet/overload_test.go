@@ -32,8 +32,8 @@ func tenantedStream(t *testing.T, requests int) serve.Stream {
 }
 
 // TestTenantedFaultyFleetClassAttribution is the hand-off regression
-// test: under crashes, failover re-dispatch (HandOff keeps the tenant
-// class on the moved request), and budget-exhausted shedding, the
+// test: under crashes, failover re-dispatch (the hand-off keeps the
+// tenant class on the moved request), and budget-exhausted shedding, the
 // merged fleet report's per-class fate counters must balance — every
 // class's offered requests end completed or shed, none dangling, and
 // the classes sum back to the fleet totals.

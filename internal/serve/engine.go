@@ -389,7 +389,7 @@ func (e *Engine) restart(idx int32) {
 
 // addTokens/discard keep the token totals (overall and per class)
 // counting only work the run actually delivers (or will deliver after a
-// local retry): hand-offs and sheds return theirs.
+// transient retry): orphans and sheds return theirs.
 func (e *Engine) addTokens(r Request) { e.countTokens(r, 1) }
 func (e *Engine) discard(r Request)   { e.countTokens(r, -1) }
 

@@ -59,40 +59,6 @@ func faultySchedule(t *testing.T, spec faults.Spec) *faults.Schedule {
 	return s
 }
 
-// TestCrashOrphansAreAccounted drives a single replica through crashes
-// with local retries and pins the no-silent-drop invariant: every
-// arrival ends the run completed or shed, and the availability section
-// renders.
-func TestCrashOrphansAreAccounted(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Faults = faultySchedule(t, faults.Spec{MTBF: 250, MTTR: 25, Seed: 5})
-	cfg.Retry.MaxRedispatch = 8
-	tr := chatTrace(t, 0.015, 20)
-	rep, err := Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Crashes == 0 {
-		t.Fatal("no crashes at MTBF 250 over a ~20-minute trace — schedule not wired")
-	}
-	if rep.Completed+rep.Shed != rep.Requests {
-		t.Errorf("accounting leak: completed %d + shed %d != requests %d",
-			rep.Completed, rep.Shed, rep.Requests)
-	}
-	if rep.Orphaned != 0 {
-		t.Errorf("local-retry run handed off %d orphans", rep.Orphaned)
-	}
-	if rep.Redispatched == 0 {
-		t.Error("crashes orphaned work but nothing was redispatched")
-	}
-	if !rep.FaultsOn || rep.Availability <= 0 || rep.Availability > 1 {
-		t.Errorf("availability %g (faultsOn=%v) out of range", rep.Availability, rep.FaultsOn)
-	}
-	if !strings.Contains(rep.String(), "availability:") {
-		t.Error("faulty report is missing its availability section")
-	}
-}
-
 // TestTinyUpTimesStillAdvance: with a 1e-7 s MTBF and a 1e9 s MTTR the
 // clock soon passes the point where one ULP exceeds an up draw, and the
 // schedule must still start every down window after the previous one
@@ -117,24 +83,27 @@ func TestTinyUpTimesStillAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Completed+rep.Shed != rep.Requests {
-		t.Errorf("accounting leak: completed %d + shed %d != requests %d",
-			rep.Completed, rep.Shed, rep.Requests)
+	if rep.Completed+rep.Shed+rep.Orphaned != rep.Requests {
+		t.Errorf("accounting leak: completed %d + shed %d + orphaned %d != requests %d",
+			rep.Completed, rep.Shed, rep.Orphaned, rep.Requests)
 	}
 }
 
-// TestHandOffReturnsOrphans pins the fleet-facing contract: with HandOff
-// set, crash-interrupted requests come back in RunStats.Orphans instead
-// of retrying locally, and the per-replica accounting includes them.
+// TestHandOffReturnsOrphans pins the fleet-facing contract and the
+// no-silent-drop invariant: crash-interrupted requests come back in
+// RunStats.Orphans, every arrival ends the run completed, shed or
+// orphaned, and the availability section renders.
 func TestHandOffReturnsOrphans(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Faults = faultySchedule(t, faults.Spec{MTBF: 250, MTTR: 25, Seed: 5})
-	cfg.Retry = RetryPolicy{HandOff: true}
 	var st RunStats
 	if err := RunStreamStats(cfg, chatTrace(t, 0.015, 20).Stream(), nil, &st); err != nil {
 		t.Fatal(err)
 	}
 	rep := st.Report
+	if rep.Crashes == 0 {
+		t.Fatal("no crashes at MTBF 250 over a ~20-minute trace — schedule not wired")
+	}
 	if rep.Orphaned == 0 || len(st.Orphans) != rep.Orphaned {
 		t.Fatalf("orphan accounting: report %d, stats %d", rep.Orphaned, len(st.Orphans))
 	}
@@ -146,6 +115,12 @@ func TestHandOffReturnsOrphans(t *testing.T) {
 		if o.At < 0 || o.Req.Output < 1 {
 			t.Fatalf("orphan %d malformed: %+v", i, o)
 		}
+	}
+	if !rep.FaultsOn || rep.Availability <= 0 || rep.Availability > 1 {
+		t.Errorf("availability %g (faultsOn=%v) out of range", rep.Availability, rep.FaultsOn)
+	}
+	if !strings.Contains(rep.String(), "availability:") {
+		t.Error("faulty report is missing its availability section")
 	}
 }
 

@@ -220,8 +220,8 @@ func TestStepCostsResetReadsNoStaleEntry(t *testing.T) {
 
 // brownoutSetups arm, beside the brownout ladder, what else moves the
 // queue it watches: admission with a bounded queue, tenant classes and
-// retrying clients, or crashes with local retry and transient dispatch
-// errors.
+// retrying clients, or crashes, whose orphans go back to the caller, and
+// transient dispatch errors.
 var brownoutSetups = []struct {
 	name string
 	mut  func(t *testing.T, c *Config, tc *TraceConfig, seed int64)

@@ -29,7 +29,7 @@ func fastConfig() Config {
 // pinnedRows covers every place a scheduling round can stop early: a
 // full batch with a waiting queue, a KV-deferred queue head, context
 // bucket edges (including a MaxSeq clamp that is not a bucket multiple),
-// crashes and a straggler with local retry and with hand-off, transient
+// crashes handed off under a straggler, transient
 // re-deliveries due within a round, the brownout ladder (climbing on a
 // queue and walking back down on an empty one, with a dwell shorter
 // than a round can leap), the full overload stack and bounded-queue
@@ -39,14 +39,6 @@ func pinnedRows() []pinnedRow {
 		return func(*testing.T) Config {
 			cfg := fastConfig()
 			mut(&cfg)
-			return cfg
-		}
-	}
-	crashy := func(handOff bool) func(*testing.T) Config {
-		return func(t *testing.T) Config {
-			cfg := fastConfig()
-			cfg.Faults = faultySchedule(t, faults.Spec{MTBF: 150, MTTR: 30, StragglerProb: 1, StragglerFactor: 1.5, Seed: 5})
-			cfg.Retry = RetryPolicy{MaxRedispatch: 4, Delay: 2, HandOff: handOff}
 			return cfg
 		}
 	}
@@ -63,11 +55,11 @@ func pinnedRows() []pinnedRow {
 		{"ctx bucket 7 rag", plain(func(c *Config) { c.CtxBucket = 7 }),
 			TraceConfig{Kind: Poisson, Rate: 0.5, Requests: 300, Seed: 8, Lengths: RAGLengths()},
 			"41b28baa68bb1087bf1f05fd2d94f1cc83cf9a38fb380e9219ad7e339355ae3b"},
-		{"crash local retry", crashy(false),
-			TraceConfig{Kind: Poisson, Rate: 0.3, Requests: 200, Seed: 9},
-			"19c8f3e681db5e580d88ebea81844e2f429a4429a65e67059ea3701589e6c81e"},
-		{"crash hand-off", crashy(true),
-			TraceConfig{Kind: Poisson, Rate: 0.3, Requests: 200, Seed: 9},
+		{"crash hand-off", func(t *testing.T) Config {
+			cfg := fastConfig()
+			cfg.Faults = faultySchedule(t, faults.Spec{MTBF: 150, MTTR: 30, StragglerProb: 1, StragglerFactor: 1.5, Seed: 5})
+			return cfg
+		}, TraceConfig{Kind: Poisson, Rate: 0.3, Requests: 200, Seed: 9},
 			"e38b6439a52bd85917c460ed8e0668b29a4a4d19bc0d85e3740914604f44bb02"},
 		{"transient low load", func(t *testing.T) Config {
 			cfg := fastConfig()

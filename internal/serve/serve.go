@@ -43,24 +43,20 @@ const (
 	DefaultRetryDelay = 5.0
 )
 
-// RetryPolicy shapes how a faulty run disposes of interrupted work. The
-// zero value means the defaults; it is read only under fault injection
-// (Config.Faults), by crash disposal and transient dispatch errors.
-// Bounded-queue shedding (Config.MaxQueue) never retries.
+// RetryPolicy shapes how a faulty run retries transient dispatch errors.
+// The zero value means the defaults; it is read only under fault
+// injection (Config.Faults). Crash orphans never retry here: they go
+// back to the caller in RunStats.Orphans. Bounded-queue shedding
+// (Config.MaxQueue) never retries.
 type RetryPolicy struct {
 	// MaxRedispatch bounds re-dispatch attempts per request beyond its
-	// first dispatch (default DefaultMaxRedispatch). Work interrupted
+	// first dispatch (default DefaultMaxRedispatch). Work that fails
 	// past the budget is shed — counted, never silently dropped.
 	MaxRedispatch int
 	// Delay is the failure-detection + re-dispatch latency in seconds
 	// (default DefaultRetryDelay); attempt k is re-delivered k*Delay
 	// after the failure.
 	Delay float64
-	// HandOff, when true, returns crash-orphaned requests to the caller
-	// in RunStats.Orphans instead of retrying them locally after repair —
-	// the fleet router's failover mode, where another replica takes the
-	// work. Transient dispatch errors always retry locally.
-	HandOff bool
 }
 
 // withDefaults materializes the zero-value defaults.
@@ -130,8 +126,8 @@ type Config struct {
 	// latency. A schedule drawn from a zero-rate Spec injects nothing and
 	// leaves the run byte-identical to Faults == nil.
 	Faults *faults.Schedule
-	// Retry shapes failure disposal (re-dispatch bounds, detection delay,
-	// local-retry vs hand-off); read only under Faults.
+	// Retry bounds and delays the retries of transient dispatch errors;
+	// read only under Faults.
 	Retry RetryPolicy
 	// MaxQueue bounds the admission queue: a fresh arrival that finds
 	// MaxQueue requests already waiting is shed with accounting instead
@@ -299,9 +295,9 @@ type Report struct {
 	DowntimeSeconds float64
 	Slowdown        float64
 	// Orphaned counts requests interrupted by a crash and handed back to
-	// the caller for failover (RetryPolicy.HandOff); Redispatched counts
-	// re-deliveries this run absorbed (local crash retries plus transient
-	// retries); TransientErrors counts injected dispatch failures.
+	// the caller for failover (RunStats.Orphans); Redispatched counts
+	// the transient-error retries this run absorbed; TransientErrors
+	// counts injected dispatch failures.
 	Orphaned, Redispatched, TransientErrors int
 	// Shed counts requests dropped with accounting — arrivals refused at
 	// a full bounded queue (ShedOverload) plus work whose re-dispatch
@@ -481,9 +477,8 @@ type RunStats struct {
 	// each replica's own busy span; internal/autoscale charges wall-clock
 	// per power state).
 	LeakageWatts float64
-	// Orphans lists the requests a crash interrupted when
-	// RetryPolicy.HandOff is set, in deterministic (crash-time, admission)
-	// order, for the fleet router to re-dispatch. Empty otherwise.
+	// Orphans lists the requests a crash interrupted, in deterministic
+	// (crash-time, admission) order, for the fleet router to re-dispatch.
 	Orphans []Orphan
 	// ClassTTFT/ClassLatency are the per-class latency populations,
 	// populated only on tenant-accounted runs, so a fleet merge can
@@ -508,15 +503,15 @@ func (s *RunStats) Reset() {
 	}
 }
 
-// Orphan is one request a fail-stop crash interrupted on a hand-off
-// replica: the router's failover unit of work.
+// Orphan is one request a fail-stop crash interrupted: the router's
+// failover unit of work.
 type Orphan struct {
 	// Req is the interrupted request as last dispatched (Req.Retries
 	// counts its failed attempts so far; the router increments it when
 	// re-dispatching).
 	Req Request
-	// At is the crash instant in absolute simulated seconds; a failover
-	// re-delivery arrives RetryPolicy.Delay-scaled after it.
+	// At is the crash instant in absolute simulated seconds; the fleet
+	// router re-delivers attempt k k×FailoverDelay after it.
 	At float64
 }
 
@@ -748,27 +743,18 @@ func RunStreamStats(cfg Config, src Stream, costs *StepCosts, out *RunStats) err
 	// crash loses every resident request at the first scheduler boundary
 	// at or after the scheduled crash instant (a decode round in flight
 	// completes — the loop is iteration-level — but all resident work is
-	// lost). Each orphan is handed off to the caller, re-queued locally
-	// for after the repair, or shed once its re-dispatch budget is gone.
+	// lost). Each orphan goes back to the caller in RunStats.Orphans.
 	crash := func() {
 		rep.Crashes++
 		rep.DowntimeSeconds += curDown.Duration()
 		orphanAt := math.Max(now, curDown.Start)
 		lose := func(idx int32) {
 			req := e.states[idx].req
-			if !e.retry.HandOff && req.Retries < e.retry.MaxRedispatch {
-				e.redispatch(idx, math.Max(orphanAt, curDown.End)+float64(req.Retries+1)*e.retry.Delay)
-				return
+			rep.Orphaned++
+			if classed {
+				rep.Classes[req.Class].Orphaned++
 			}
-			if e.retry.HandOff {
-				rep.Orphaned++
-				if classed {
-					rep.Classes[req.Class].Orphaned++
-				}
-				orphans = append(orphans, Orphan{Req: req, At: orphanAt})
-			} else {
-				e.shed(req)
-			}
+			orphans = append(orphans, Orphan{Req: req, At: orphanAt})
 			e.discard(req)
 			e.release(idx)
 		}
