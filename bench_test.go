@@ -182,7 +182,9 @@ func BenchmarkAblationSlidingWindow(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.ApproxBatch(dst, xs, 256)
+				for j, x := range xs {
+					dst[j] = a.Approx(x)
+				}
 			}
 		})
 	}
@@ -314,15 +316,18 @@ func BenchmarkDecodeStep(b *testing.B) {
 	if _, err := dec.Step(1, ops); err != nil { // warm scratch + tables
 		b.Fatal(err)
 	}
+	pos := 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dec.Pos() >= cfg.MaxSeq {
+		if pos >= cfg.MaxSeq {
 			dec.Reset()
+			pos = 0
 		}
 		if _, err := dec.Step(i%cfg.Vocab, ops); err != nil {
 			b.Fatal(err)
 		}
+		pos++
 	}
 }
 

@@ -307,8 +307,3 @@ func (d Design) PeakMACsPerCycle() float64 {
 		return float64(d.PEs())
 	}
 }
-
-// IsVLP reports whether the design's GEMM array is a VLP array.
-func (d Design) IsVLP() bool {
-	return d.Kind == KindMugi || d.Kind == KindMugiL || d.Kind == KindCarat
-}

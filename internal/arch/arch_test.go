@@ -159,11 +159,8 @@ func TestLeakageProportionalToArea(t *testing.T) {
 }
 
 func TestDesignMetadata(t *testing.T) {
-	if Mugi(128).Name != "Mugi (128)" || !Mugi(128).IsVLP() {
+	if Mugi(128).Name != "Mugi (128)" {
 		t.Error("Mugi metadata")
-	}
-	if SystolicArray(16, false).IsVLP() {
-		t.Error("SA is not VLP")
 	}
 	if TensorCore().PEs() != 2048 {
 		t.Errorf("tensor PEs %d", TensorCore().PEs())

@@ -75,9 +75,6 @@ func New(cfg Config) *Approx {
 // Config returns the approximator's configuration (with defaults applied).
 func (a *Approx) Config() Config { return a.cfg }
 
-// LUT exposes the underlying table (for the area model).
-func (a *Approx) LUT() *LUT { return a.lut }
-
 // Window reports the current sliding window [lo, hi] inclusive.
 func (a *Approx) Window() (lo, hi int) { return a.winLo, a.winLo + a.cfg.WindowWidth - 1 }
 
@@ -95,7 +92,9 @@ func (a *Approx) SetWindow(lo int) {
 
 // SelectWindowMax implements the hardware E-proc policy: the window top is
 // pinned to the largest exponent seen in the mapping (paper §4 block 1),
-// clamped into the LUT range.
+// clamped into the LUT range. No production code calls it: it stays as
+// the policy that this package's tests (softmaxSeedRef) hold Softmax's
+// inline window selection to.
 func (a *Approx) SelectWindowMax(xs []float64) {
 	maxE := math.MinInt32
 	for _, x := range xs {
@@ -188,50 +187,6 @@ func (a *Approx) reduce(x float64) float64 {
 		return math.Remainder(x, 2*math.Pi)
 	}
 	return x
-}
-
-// BatchStats reports the timing of one batch mapped onto an H-row array.
-type BatchStats struct {
-	// Elements is the number of inputs processed.
-	Elements int
-	// Waves is the number of row-fill waves: ceil(Elements / Rows).
-	Waves int
-	// Cycles is the total latency: waves pipeline every mantissa window,
-	// plus the exponent subscription drain of the last wave.
-	Cycles int
-}
-
-// ApproxSlice evaluates every input against the current sliding window,
-// writing results into dst (which may alias xs). It is the batched,
-// allocation-free form of Approx the GEMM/softmax hot paths call instead of
-// dispatching one element at a time through the Approximator interface.
-func (a *Approx) ApproxSlice(dst, xs []float64) {
-	if len(dst) != len(xs) {
-		panic("core: ApproxSlice length mismatch")
-	}
-	for i, x := range xs {
-		dst[i] = a.Approx(x)
-	}
-}
-
-// ApproxBatch evaluates all inputs with the current window on an array of
-// `rows` rows, writing results to dst (which may alias xs) and returning
-// the timing. Window selection is the caller's responsibility (hardware
-// runs SelectWindowMax per mapping; tuned flows use SelectWindowMass).
-// No production code calls it: it stays for the root package's
-// BenchmarkAblationSlidingWindow, which `make bench` runs.
-func (a *Approx) ApproxBatch(dst, xs []float64, rows int) BatchStats {
-	if rows < 1 {
-		panic("core: ApproxBatch rows < 1")
-	}
-	a.ApproxSlice(dst, xs)
-	waves := (len(xs) + rows - 1) / rows
-	manWin := WindowCycles(a.cfg.ManBits)
-	cycles := 0
-	if waves > 0 {
-		cycles = waves*manWin + a.cfg.WindowWidth
-	}
-	return BatchStats{Elements: len(xs), Waves: waves, Cycles: cycles}
 }
 
 // Softmax computes a full softmax with VLP-approximated exp: max
@@ -356,8 +311,9 @@ func (a *Approx) selectShiftedWindow(xs []float64, max float64) {
 // ApproxTemporal evaluates one input by literally walking the temporal
 // machinery cycle by cycle — the mantissa TC subscribing the streamed LUT
 // rows, then the exponent TC subscribing within the captured row — and
-// returns the value plus the subscription cycle indices. It must agree
-// exactly with Approx; the property tests enforce this.
+// returns the value plus the subscription cycle indices. No production
+// code calls it: it stays as the cycle-faithful reference that this
+// package's property tests hold Approx to, exactly.
 func (a *Approx) ApproxTemporal(x float64) (val float64, manCycle, expCycle int) {
 	x = a.reduce(x)
 	word := float64(numerics.BF16FromFloat32(float32(x)).Float32())

@@ -35,8 +35,8 @@ func TestLUTSizeConfig(t *testing.T) {
 		t.Fatalf("window [%d,%d]", cfg.LUTEMin, cfg.LUTEMax)
 	}
 	a := New(cfg)
-	if a.LUT().Exponents() != 10 {
-		t.Errorf("stored exponents %d", a.LUT().Exponents())
+	if n := a.lut.EMax - a.lut.EMin + 1; n != 10 {
+		t.Errorf("stored exponents %d", n)
 	}
 }
 
@@ -204,44 +204,6 @@ func TestSelectWindowMassCoversCluster(t *testing.T) {
 	lo, hi := a.Window()
 	if lo > -7 || hi < -5 {
 		t.Errorf("window [%d,%d] misses cluster", lo, hi)
-	}
-}
-
-func TestApproxBatchStats(t *testing.T) {
-	a := newExpApprox()
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = -float64(i%17) - 0.5
-	}
-	dst := make([]float64, len(xs))
-	st := a.ApproxBatch(dst, xs, 128)
-	if st.Elements != 300 || st.Waves != 3 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.Cycles != 3*8+8 {
-		t.Errorf("cycles %d, want 32", st.Cycles)
-	}
-	for i := range dst {
-		if dst[i] != a.Approx(xs[i]) {
-			t.Fatalf("batch element %d mismatch", i)
-		}
-	}
-}
-
-func TestApproxBatchValidates(t *testing.T) {
-	a := newExpApprox()
-	for name, f := range map[string]func(){
-		"len":  func() { a.ApproxBatch(make([]float64, 1), make([]float64, 2), 8) },
-		"rows": func() { a.ApproxBatch(nil, nil, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }
 

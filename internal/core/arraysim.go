@@ -21,9 +21,10 @@ type ArrayGEMMResult struct {
 // and each reduction step, the per-row temporal converters code the INT4
 // weight magnitudes, the per-column accumulators add the BF16 activations
 // every cycle, and each PE captures its product on its row's spike with
-// the sign applied by the SC XOR. It exists to validate PlanCycles — the
-// walked cycle count must equal the analytic model exactly — and Multiply,
-// whose outputs it must reproduce.
+// the sign applied by the SC XOR. No production code calls it: it stays
+// as the reference that this package's tests hold PlanCycles — the walked
+// cycle count must equal the analytic model exactly — and Multiply, whose
+// outputs it must reproduce, to.
 //
 // The walk is O(cycles × H × W); use it on test-sized problems only.
 func SimulateArrayGEMM(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) ArrayGEMMResult {

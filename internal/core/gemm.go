@@ -123,10 +123,12 @@ func QuantizeWeights(w *tensor.Matrix, bits, groupSize int) QuantMatrix {
 	return q
 }
 
-// Code returns the integer code at (k, n).
+// Code returns the integer code at (k, n). No production code calls it:
+// it serves the references SimulateArrayGEMM and Dequantize.
 func (q QuantMatrix) Code(k, n int) int8 { return q.Codes[k*q.stride()+n] }
 
-// Scale returns the dequantization scale for (k, n).
+// Scale returns the dequantization scale for (k, n). No production code
+// calls it: it serves the reference Dequantize and this package's tests.
 func (q QuantMatrix) Scale(k, n int) float32 {
 	if q.SharedScales {
 		return q.Scales[k/q.GroupSize]

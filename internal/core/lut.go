@@ -82,25 +82,10 @@ func NewLUT(op nonlinear.Op, manBits, eMin, eMax int) *LUT {
 // Op reports the approximated function.
 func (l *LUT) Op() nonlinear.Op { return l.op }
 
-// ManBits reports the rounded mantissa width.
-func (l *LUT) ManBits() int { return l.manBits }
-
-// Size reports the number of stored entries, the iSRAM footprint driver
-// (paper Fig. 6 sweeps "LUT size" = number of exponents stored).
-func (l *LUT) Size() int {
-	planes := 1
-	if l.signed {
-		planes = 2
-	}
-	return planes * (1 << l.manBits) * (l.EMax - l.EMin + 1)
-}
-
-// Exponents reports the stored window width.
-func (l *LUT) Exponents() int { return l.EMax - l.EMin + 1 }
-
 // Row returns the LUT row for a sign/mantissa pair restricted to the
 // sliding window [winLo, winLo+width): this is the vector broadcast across
-// the array during the value-reuse phase.
+// the array during the value-reuse phase. No production code calls it: it
+// serves the reference ApproxTemporal, which streams these rows.
 func (l *LUT) Row(sign, mantissa, winLo, width int) []float64 {
 	if winLo < l.EMin || winLo+width-1 > l.EMax {
 		panic(fmt.Sprintf("core: sliding window [%d,%d] outside LUT [%d,%d]",

@@ -16,7 +16,6 @@ type OnlineWindow struct {
 	a     *Approx
 	decay float64
 	hist  map[int]float64
-	seen  int
 }
 
 // NewOnlineWindow wraps an approximator with drift tracking. decay in
@@ -27,12 +26,6 @@ func NewOnlineWindow(a *Approx, decay float64) *OnlineWindow {
 	}
 	return &OnlineWindow{a: a, decay: decay, hist: map[int]float64{}}
 }
-
-// Approx exposes the wrapped approximator.
-func (o *OnlineWindow) Approx() *Approx { return o.a }
-
-// Batches reports how many batches have been observed.
-func (o *OnlineWindow) Batches() int { return o.seen }
 
 // Observe folds one batch's exponent distribution into the decayed
 // histogram and re-selects the sliding window to cover the current mass.
@@ -56,7 +49,6 @@ func (o *OnlineWindow) Observe(xs []float64) {
 		}
 		o.hist[e] += w
 	}
-	o.seen++
 	bestLo, bestMass := cfg.LUTEMin, math.Inf(-1)
 	for lo := cfg.LUTEMin; lo+cfg.WindowWidth-1 <= cfg.LUTEMax; lo++ {
 		m := 0.0

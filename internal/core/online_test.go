@@ -58,14 +58,11 @@ func TestOnlineWindowTracksDrift(t *testing.T) {
 			staticErr += math.Abs(static.Approx(x) - math.Exp(x))
 		}
 	}
-	if adaptive.Batches() != 40 {
-		t.Errorf("batches %d", adaptive.Batches())
-	}
 	if adaptiveErr >= staticErr {
 		t.Errorf("adaptive err %v should beat static %v under drift", adaptiveErr, staticErr)
 	}
 	// After the drift, the adaptive window must sit near the new mass.
-	lo, hi := adaptive.Approx().Window()
+	lo, hi := adaptive.a.Window()
 	if lo > -8 || hi < -7 {
 		t.Errorf("window [%d,%d] did not follow drift to exponent -7", lo, hi)
 	}
@@ -85,7 +82,7 @@ func TestOnlineWindowStationaryMatchesMass(t *testing.T) {
 	}
 	offline := New(Config{Op: nonlinear.Exp, LUTEMin: -12, LUTEMax: 6})
 	offline.SelectWindowMass(xs)
-	gotLo, _ := online.Approx().Window()
+	gotLo, _ := online.a.Window()
 	wantLo, _ := offline.Window()
 	if d := gotLo - wantLo; d < -1 || d > 1 {
 		t.Errorf("online window lo %d vs offline %d", gotLo, wantLo)

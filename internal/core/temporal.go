@@ -17,7 +17,9 @@ type TemporalConverter struct {
 }
 
 // NewTemporalConverter prepares a TC for the given target value, which must
-// be non-negative (the sign travels separately to the PP/SC blocks).
+// be non-negative (the sign travels separately to the PP/SC blocks). No
+// production code calls it: it serves the references ApproxTemporal,
+// SimulateArrayGEMM and MultiplyViaSubscription.
 func NewTemporalConverter(target int) *TemporalConverter {
 	if target < 0 {
 		panic(fmt.Sprintf("core: TC target %d < 0", target))
@@ -26,26 +28,15 @@ func NewTemporalConverter(target int) *TemporalConverter {
 }
 
 // Step advances one cycle with the shared counter value and reports whether
-// the spike fires this cycle. A TC fires exactly once per coding window.
+// the spike fires this cycle. A TC fires exactly once per coding window. No
+// production code calls it: it serves the same references as
+// NewTemporalConverter.
 func (tc *TemporalConverter) Step(counter int) bool {
 	if !tc.fired && counter == tc.target {
 		tc.fired = true
 		return true
 	}
 	return false
-}
-
-// Fired reports whether the spike has been emitted in this window.
-func (tc *TemporalConverter) Fired() bool { return tc.fired }
-
-// Reset rearms the TC for the next coding window, optionally with a new
-// target.
-func (tc *TemporalConverter) Reset(target int) {
-	if target < 0 {
-		panic(fmt.Sprintf("core: TC target %d < 0", target))
-	}
-	tc.target = target
-	tc.fired = false
 }
 
 // WindowCycles is the temporal window length for an n-bit magnitude: 2^n
@@ -64,38 +55,31 @@ func WindowCycles(bits int) int {
 type Accumulator struct {
 	addend float64
 	value  float64
-	cycles int
 }
 
-// NewAccumulator prepares an accumulator for one coding window.
+// NewAccumulator prepares an accumulator for one coding window. No
+// production code calls it: it serves the references SimulateArrayGEMM and
+// MultiplyViaSubscription.
 func NewAccumulator(addend float64) *Accumulator {
 	return &Accumulator{addend: addend}
 }
 
 // Step advances one cycle, accumulating the addend, and returns the running
 // value *before* this cycle's addition — the value a subscription at this
-// cycle captures. At cycle t the captured value is t×addend.
+// cycle captures. At cycle t the captured value is t×addend. No
+// production code calls it: it serves the same references as
+// NewAccumulator.
 func (a *Accumulator) Step() float64 {
 	v := a.value
 	a.value += a.addend
-	a.cycles++
 	return v
-}
-
-// Value returns the current accumulated value.
-func (a *Accumulator) Value() float64 { return a.value }
-
-// Reset rearms the accumulator with a new addend.
-func (a *Accumulator) Reset(addend float64) {
-	a.addend = addend
-	a.value = 0
-	a.cycles = 0
 }
 
 // MultiplyViaSubscription computes mag×w purely with the temporal
 // machinery: a TC coding mag subscribes the accumulation of w. It is the
-// single-PE kernel of Fig. 2(d) and the ground truth the array engines are
-// tested against. mag must fit in the window (mag < 2^bits).
+// single-PE kernel of Fig. 2(d). No production code calls it: it stays as
+// the ground truth that this package's tests hold the array engines to.
+// mag must fit in the window (mag < 2^bits).
 func MultiplyViaSubscription(mag int, w float64, bits int) float64 {
 	window := WindowCycles(bits)
 	if mag >= window {

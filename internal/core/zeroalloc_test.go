@@ -330,28 +330,6 @@ func TestMultiplyIntoValidatesOut(t *testing.T) {
 	MultiplyInto(GEMMConfig{Rows: 8, Cols: 8}, a, q, tensor.NewMatrix(2, 2), nil)
 }
 
-func TestApproxSliceMatchesApprox(t *testing.T) {
-	a := New(Config{Op: nonlinear.Exp, LUTEMin: -8, LUTEMax: 4})
-	rng := rand.New(rand.NewSource(15))
-	xs := make([]float64, 256)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 3
-	}
-	dst := make([]float64, len(xs))
-	a.ApproxSlice(dst, xs)
-	for i, x := range xs {
-		if want := a.Approx(x); dst[i] != want && !(math.IsNaN(dst[i]) && math.IsNaN(want)) {
-			t.Fatalf("element %d: %v != %v", i, dst[i], want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected length-mismatch panic")
-		}
-	}()
-	a.ApproxSlice(dst[:1], xs)
-}
-
 // softmaxSeedRef replicates the seed Softmax: materialize the shifted
 // operands, run SelectWindowMax on them, then the shared softmax kernel.
 func softmaxSeedRef(a *Approx, dst, xs []float64) []float64 {

@@ -62,9 +62,6 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("fleet: unknown policy %q (want round-robin|jsq|affinity)", s)
 }
 
-// Policies lists every routing policy.
-func Policies() []Policy { return []Policy{RoundRobin, JSQ, Affinity} }
-
 // estimator prices a request's service demand for the JSQ virtual clock.
 // Costs come from the replica's own StepFunc at batch 1 on the quantized
 // step-shape grid, through a step-cost table of the probe state, so

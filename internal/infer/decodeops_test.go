@@ -44,7 +44,7 @@ func TestStepMatchesDecodeOps(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ctx := e.Pos() + 1 // the recorded step attends over 7 tokens
+			ctx := e.pos + 1 // the recorded step attends over 7 tokens
 
 			type gemm struct {
 				m, k, n int

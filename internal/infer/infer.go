@@ -257,12 +257,6 @@ func quant(w *tensor.Matrix) core.QuantMatrix {
 	return core.QuantizeWeights(w, 4, group)
 }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// Pos returns the number of cached positions.
-func (e *Engine) Pos() int { return e.pos }
-
 // Reset clears the KV cache in place (the preallocated planes are
 // retained, so Reset itself allocates nothing).
 func (e *Engine) Reset() {

@@ -72,14 +72,14 @@ func TestKVCacheGrowsAndOverflows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Pos() != 3 {
-		t.Errorf("pos %d", e.Pos())
+	if e.pos != 3 {
+		t.Errorf("pos %d", e.pos)
 	}
 	if _, err := e.Step(0, ops); err == nil {
 		t.Error("cache overflow should fail")
 	}
 	e.Reset()
-	if e.Pos() != 0 {
+	if e.pos != 0 {
 		t.Error("reset did not clear")
 	}
 	if _, err := e.Step(0, ops); err != nil {
@@ -171,8 +171,8 @@ func TestKVCacheQuantizationError(t *testing.T) {
 			t.Fatalf("dim %d: dequant err %v > half step", d, diff)
 		}
 	}
-	if c.Tokens() != 1 {
-		t.Errorf("tokens %d", c.Tokens())
+	if c.tokens != 1 {
+		t.Errorf("tokens %d", c.tokens)
 	}
 	if c.Bytes() <= 0 {
 		t.Error("bytes should be positive")

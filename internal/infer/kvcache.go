@@ -54,9 +54,6 @@ func NewKVCache(cfg Config) *KVCache {
 	return c
 }
 
-// Tokens reports the cached context length.
-func (c *KVCache) Tokens() int { return c.tokens }
-
 // Reset truncates the cache to zero tokens in place, retaining the
 // preallocated code planes: Keys/Values views are sized by the scale-slice
 // lengths, and codes are rewritten by Append before they can be read, so
@@ -72,7 +69,9 @@ func (c *KVCache) Reset() {
 }
 
 // Bytes reports the approximate cache footprint: 4 bits per code plus one
-// float16-equivalent scale per token per head.
+// float16-equivalent scale per token per head. No production code calls
+// it: it stays as the functional cache's footprint that internal/serve's
+// tests hold the scheduler's KVBytesPerToken to.
 func (c *KVCache) Bytes() int64 {
 	perToken := int64(2*c.cfg.KVHeads*c.cfg.HeadDim())/2 + int64(2*c.cfg.KVHeads)*2
 	return perToken * int64(c.tokens) * int64(c.cfg.Layers)
@@ -171,8 +170,9 @@ func (c *KVCache) Values(layer, head int) core.QuantMatrix {
 	}
 }
 
-// DequantKeys reconstructs the float key matrix (tokens × headDim) for
-// reference checks.
+// DequantKeys reconstructs the float key matrix (tokens × headDim). No
+// production code calls it: it stays as the reference that this package's
+// tests hold the INT4 codes and the transposed key view of Keys to.
 func (c *KVCache) DequantKeys(layer, head int) *tensor.Matrix {
 	hd := c.cfg.HeadDim()
 	tokens := len(c.keyScale[layer][head])

@@ -131,12 +131,12 @@ func TestStepZeroAlloc(t *testing.T) {
 			// AllocsPerRun(1, step) runs step twice, so the 8 samples after
 			// the last depth take 16 steps and end at MaxSeq.
 			for _, depth := range []int{8, 300, 900, cfg.MaxSeq - 16} {
-				for e.Pos() < depth {
+				for e.pos < depth {
 					step()
 				}
 				for sample := 0; sample < 8; sample++ {
 					if allocs := testing.AllocsPerRun(1, step); allocs != 0 {
-						t.Fatalf("step at ctx %d allocated %v times", e.Pos(), allocs)
+						t.Fatalf("step at ctx %d allocated %v times", e.pos, allocs)
 					}
 				}
 			}

@@ -121,7 +121,7 @@ func TestDecodeMACsMatchParams(t *testing.T) {
 	var weightMACs int64
 	for _, op := range w.Ops {
 		if op.Class == Projection || op.Class == FFN {
-			weightMACs += op.TotalMACs()
+			weightMACs += op.MACs() * int64(op.Repeat)
 		}
 	}
 	weightMACs *= int64(m.Layers)
@@ -173,26 +173,5 @@ func TestOpsValidateArgs(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestNonlinearElementsPerLayer(t *testing.T) {
-	w := ViViTBase.DecodeOps(2, 100)
-	want := int64(2*12*100 + 2*3072)
-	if got := w.NonlinearElementsPerLayer(); got != want {
-		t.Errorf("nonlinear elements %d, want %d", got, want)
-	}
-}
-
-func TestOpClassesEnumeratesAll(t *testing.T) {
-	classes := OpClasses()
-	want := []OpClass{Projection, Attention, FFN, Nonlinear}
-	if len(classes) != len(want) {
-		t.Fatalf("got %d classes, want %d", len(classes), len(want))
-	}
-	for i := range want {
-		if classes[i] != want[i] {
-			t.Fatalf("position %d: %v, want %v (fixed order is the determinism contract)", i, classes[i], want[i])
-		}
 	}
 }

@@ -71,12 +71,12 @@ func TestMoEComputeVsDense(t *testing.T) {
 	var moeFFN, denseFFN int64
 	for _, op := range moe.Ops {
 		if op.Class == FFN {
-			moeFFN += op.TotalMACs()
+			moeFFN += op.MACs() * int64(op.Repeat)
 		}
 	}
 	for _, op := range dense.Ops {
 		if op.Class == FFN {
-			denseFFN += op.TotalMACs()
+			denseFFN += op.MACs() * int64(op.Repeat)
 		}
 	}
 	ratio := float64(moeFFN) / float64(denseFFN)

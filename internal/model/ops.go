@@ -30,13 +30,6 @@ const (
 // array indexed by OpClass, such as sim.Result's per-class breakdowns.
 const NumOpClasses = int(Nonlinear) + 1
 
-// OpClasses lists every operator class in declaration order, which is
-// also the index order of per-class arrays and so the fixed summation
-// order of their totals.
-func OpClasses() []OpClass {
-	return []OpClass{Projection, Attention, FFN, Nonlinear}
-}
-
 // String names the class as in the paper's legends.
 func (c OpClass) String() string {
 	switch c {
@@ -78,9 +71,6 @@ type Op struct {
 
 // MACs returns the multiply-accumulate count of one repetition.
 func (o *Op) MACs() int64 { return int64(o.M) * int64(o.K) * int64(o.N) }
-
-// TotalMACs returns MACs across repetitions.
-func (o Op) TotalMACs() int64 { return o.MACs() * int64(o.Repeat) }
 
 // Workload is an operator list for one forward pass (all layers).
 type Workload struct {
@@ -202,17 +192,6 @@ func (w Workload) TotalMACsPerLayer() int64 {
 // TotalMACs sums GEMM MACs over the full pass.
 func (w Workload) TotalMACs() int64 {
 	return w.TotalMACsPerLayer() * int64(w.Model.Layers)
-}
-
-// NonlinearElementsPerLayer sums nonlinear element counts over one layer.
-func (w Workload) NonlinearElementsPerLayer() int64 {
-	var s int64
-	for _, op := range w.Ops {
-		if op.Class == Nonlinear {
-			s += int64(op.Elements)
-		}
-	}
-	return s
 }
 
 // DRAMBytesPerPass estimates off-chip traffic for one pass: every INT4

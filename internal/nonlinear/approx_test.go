@@ -71,15 +71,8 @@ func TestPWLConstructorsValidate(t *testing.T) {
 
 func TestPWLMetadata(t *testing.T) {
 	p := NewPWLSoftmax(-20, 22)
-	if p.Segments() != 22 || p.Name() != "PWL" || p.Op() != Exp {
-		t.Errorf("metadata: %d %q %v", p.Segments(), p.Name(), p.Op())
-	}
-	lo, hi := p.Range()
-	if lo != -20 || hi != 0 {
-		t.Errorf("range [%v,%v]", lo, hi)
-	}
-	if p.BufferEntries() != 44 {
-		t.Errorf("buffer entries %d", p.BufferEntries())
+	if p.Name() != "PWL" || p.Op() != Exp {
+		t.Errorf("metadata: %q %v", p.Name(), p.Op())
 	}
 	if p.CyclesPerElement() != 5 { // ceil(log2(22))
 		t.Errorf("cycles %v", p.CyclesPerElement())
@@ -131,14 +124,11 @@ func TestTaylorTanh(t *testing.T) {
 
 func TestTaylorMetadata(t *testing.T) {
 	ta := NewTaylor(Exp, -3, 9)
-	if ta.Degree() != 9 || ta.Center() != -3 || ta.Name() != "Taylor" {
-		t.Errorf("metadata: %d %v %q", ta.Degree(), ta.Center(), ta.Name())
+	if ta.Degree() != 9 || ta.Name() != "Taylor" {
+		t.Errorf("metadata: %d %q", ta.Degree(), ta.Name())
 	}
 	if ta.CyclesPerElement() != 9 {
 		t.Errorf("cycles %v", ta.CyclesPerElement())
-	}
-	if ta.BufferEntries() != 10 {
-		t.Errorf("buffers %d", ta.BufferEntries())
 	}
 }
 

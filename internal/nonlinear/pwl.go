@@ -71,12 +71,6 @@ func NewPWLActivation(op Op, segmentRange float64, segments int) *PWL {
 // Op implements Approximator.
 func (p *PWL) Op() Op { return p.fn }
 
-// Segments reports the number of linear pieces.
-func (p *PWL) Segments() int { return len(p.slope) }
-
-// Range reports the covered input interval.
-func (p *PWL) Range() (lo, hi float64) { return p.lo, p.hi }
-
 // Approx implements Approximator. Out-of-range inputs follow asymptotes:
 // exp flushes to 0 below the range and grows exactly above 0 is not
 // possible in hardware, so it clamps to the last segment's line; SiLU and
@@ -131,7 +125,3 @@ func (p *PWL) CyclesPerElement() float64 {
 
 // Name implements Approximator.
 func (p *PWL) Name() string { return "PWL" }
-
-// BufferEntries reports the number of coefficient registers the hardware
-// needs per lane (slope+intercept per segment), used by the area model.
-func (p *PWL) BufferEntries() int { return 2 * len(p.slope) }

@@ -85,9 +85,6 @@ func (t *Taylor) Op() Op { return t.fn }
 // Degree reports the expansion degree.
 func (t *Taylor) Degree() int { return len(t.coeffs) - 1 }
 
-// Center reports the expansion point.
-func (t *Taylor) Center() float64 { return t.center }
-
 // Approx implements Approximator using Horner evaluation.
 func (t *Taylor) Approx(x float64) float64 {
 	d := x - t.center
@@ -108,6 +105,3 @@ func (t *Taylor) CyclesPerElement() float64 { return float64(t.Degree()) }
 
 // Name implements Approximator.
 func (t *Taylor) Name() string { return "Taylor" }
-
-// BufferEntries reports the coefficient registers needed per lane.
-func (t *Taylor) BufferEntries() int { return len(t.coeffs) }

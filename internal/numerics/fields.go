@@ -24,7 +24,9 @@ type Fields struct {
 	Class Class
 }
 
-// Value reconstructs the approximate value represented by the fields.
+// Value reconstructs the approximate value represented by the fields. No
+// production code calls it: it stays as the decoder that this package's
+// tests, TestSplitExhaustiveOverBF16 among them, hold every split to.
 func (f Fields) Value() float64 {
 	switch f.Class {
 	case ClassZero:
@@ -42,14 +44,6 @@ func (f Fields) Value() float64 {
 		return -v
 	}
 	return v
-}
-
-// String renders the split in the paper's S-M-E notation.
-func (f Fields) String() string {
-	if f.Class != ClassNormal {
-		return f.Class.String()
-	}
-	return fmt.Sprintf("%d-%d-%d", f.Sign, f.Mantissa, f.Exp)
 }
 
 // Split performs the input field split with the mantissa rounded to manBits

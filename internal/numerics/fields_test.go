@@ -49,15 +49,6 @@ func TestSplitMantissaOverflowCarries(t *testing.T) {
 	}
 }
 
-func TestSplitString(t *testing.T) {
-	if s := Split(-1.5, 3).String(); s != "1-4-0" {
-		t.Errorf("String() = %q", s)
-	}
-	if s := Split(float32(math.NaN()), 3).String(); s != "nan" {
-		t.Errorf("NaN String() = %q", s)
-	}
-}
-
 func TestSplitRoundTripProperty(t *testing.T) {
 	// Property: the reconstructed value has relative error <= 2^-(manBits+1)
 	// and preserves the sign and exponent neighborhood.

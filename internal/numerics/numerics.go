@@ -8,10 +8,7 @@
 // infinity, NaN, subnormals) follow IEEE-754 conventions.
 package numerics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Class labels the special-value category of a floating-point input. The
 // Mugi post-processing (PP) block multiplexes these onto dedicated outputs
@@ -31,24 +28,6 @@ const (
 	// nonzero mantissa).
 	ClassSubnormal
 )
-
-// String returns the conventional name of the class.
-func (c Class) String() string {
-	switch c {
-	case ClassNormal:
-		return "normal"
-	case ClassZero:
-		return "zero"
-	case ClassInf:
-		return "inf"
-	case ClassNaN:
-		return "nan"
-	case ClassSubnormal:
-		return "subnormal"
-	default:
-		return fmt.Sprintf("class(%d)", uint8(c))
-	}
-}
 
 // Classify reports the special-value class of x.
 func Classify(x float32) Class {
@@ -101,6 +80,3 @@ func (b BF16) Sign() int { return int(b >> 15) }
 
 // ExpBits returns the raw (biased) 8-bit exponent field.
 func (b BF16) ExpBits() int { return int(b>>7) & 0xff }
-
-// ManBits returns the raw 7-bit mantissa field.
-func (b BF16) ManBits() int { return int(b) & 0x7f }

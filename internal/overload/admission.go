@@ -27,22 +27,6 @@ const (
 	Shed
 )
 
-// String names the decision.
-func (d Decision) String() string {
-	switch d {
-	case Admit:
-		return "admit"
-	case Evict:
-		return "evict"
-	case Degrade:
-		return "degrade"
-	case Shed:
-		return "shed"
-	default:
-		panic(fmt.Sprintf("overload: unknown decision %d", int(d)))
-	}
-}
-
 // TokenBucket rate-limits one class at admission. Tokens refill at Rate
 // per second up to Burst; each admitted request consumes one. The zero
 // value is unlimited — a class without a bucket is bounded only by the

@@ -19,20 +19,6 @@ const (
 	BreakerHalfOpen
 )
 
-// String names the state.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		panic(fmt.Sprintf("overload: unknown breaker state %d", int(s)))
-	}
-}
-
 // BreakerSpec configures the fleet router's per-replica circuit
 // breaker. The failure signal is the replica's downtime share of a
 // trailing window — fully determined by the seeded fault schedule, so

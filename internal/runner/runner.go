@@ -38,10 +38,9 @@ type Point struct {
 
 // Engine is a bounded worker pool.
 type Engine struct {
-	mu      sync.Mutex
-	workers int
-	// helpers holds workers-1 tokens; Map borrows helper goroutines from
-	// it non-blockingly, so the total concurrency across nested calls
+	mu sync.Mutex
+	// helpers holds parallelism-1 tokens; Map borrows helper goroutines
+	// from it non-blockingly, so the total concurrency across nested calls
 	// stays bounded by the configured parallelism.
 	helpers chan struct{}
 }
@@ -61,16 +60,8 @@ func (e *Engine) SetParallelism(n int) {
 		n = runtime.GOMAXPROCS(0)
 	}
 	e.mu.Lock()
-	e.workers = n
 	e.helpers = make(chan struct{}, n-1)
 	e.mu.Unlock()
-}
-
-// Parallelism returns the configured worker count.
-func (e *Engine) Parallelism() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.workers
 }
 
 // acquireHelpers borrows up to want helper tokens without blocking and

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -62,12 +63,12 @@ func TestMapPropagatesPanic(t *testing.T) {
 
 func TestSetParallelism(t *testing.T) {
 	e := New(0)
-	if e.Parallelism() < 1 {
-		t.Fatalf("default parallelism %d", e.Parallelism())
+	if n := cap(e.helpers) + 1; n != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default parallelism %d, want GOMAXPROCS %d", n, runtime.GOMAXPROCS(0))
 	}
 	e.SetParallelism(7)
-	if e.Parallelism() != 7 {
-		t.Fatalf("parallelism %d, want 7", e.Parallelism())
+	if n := cap(e.helpers) + 1; n != 7 {
+		t.Fatalf("parallelism %d, want 7", n)
 	}
 }
 

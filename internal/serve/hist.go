@@ -62,9 +62,6 @@ func (h *Hist) Add(x float64) {
 	h.counts[histBucket(x)]++
 }
 
-// Count is the population size.
-func (h *Hist) Count() int64 { return h.n }
-
 // Merge folds another population into h, bucket by bucket over o's
 // span. The shared fixed grid makes this exact: the merged histogram is
 // bit-identical to one that had seen every sample directly (up to

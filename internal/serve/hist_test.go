@@ -265,8 +265,8 @@ func TestHistMergeEmpty(t *testing.T) {
 	var a, b, empty Hist
 	a.Add(0.5)
 	a.Merge(&empty)
-	if a.Count() != 1 {
-		t.Errorf("merging empty changed count to %d", a.Count())
+	if a.n != 1 {
+		t.Errorf("merging empty changed count to %d", a.n)
 	}
 	b.Merge(&a)
 	if got := b.Percentiles(); got != a.Percentiles() {

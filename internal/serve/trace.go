@@ -360,31 +360,6 @@ func (s *sliceStream) Next() (Request, bool) {
 	return r, true
 }
 
-// Horizon is the arrival time of the last request.
-func (t Trace) Horizon() float64 {
-	if len(t.Requests) == 0 {
-		return 0
-	}
-	return t.Requests[len(t.Requests)-1].Arrival
-}
-
-// OfferedRate is the realized arrival rate over the trace horizon.
-func (t Trace) OfferedRate() float64 {
-	if h := t.Horizon(); h > 0 {
-		return float64(len(t.Requests)) / h
-	}
-	return 0
-}
-
-// TotalTokens sums prompt and output tokens over the trace.
-func (t Trace) TotalTokens() (prompt, output int64) {
-	for _, r := range t.Requests {
-		prompt += int64(r.Prompt)
-		output += int64(r.Output)
-	}
-	return prompt, output
-}
-
 // lengthSeedMix decorrelates the length generator from the arrival
 // generator so both can draw lazily, one request at a time, from
 // independent deterministic sources.
@@ -682,7 +657,8 @@ func (r *replay) Uint64() uint64 {
 // uses through Int63.
 func (r *replay) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
 
-// Seed is never called: a replay's draws are fixed by its recording.
+// Seed exists because rand.Source requires it. No code calls it: a
+// replay's draws are fixed by its recording.
 func (r *replay) Seed(int64) { panic("serve: a replayed source cannot be reseeded") }
 
 // finiteAbove reports whether x is finite and exceeds lo. NaN fails every

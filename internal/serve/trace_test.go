@@ -78,7 +78,7 @@ func TestTraceMeanRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := tr.OfferedRate()
+		r := float64(len(tr.Requests)) / tr.Requests[len(tr.Requests)-1].Arrival
 		switch kind {
 		case Flashcrowd, Retrystorm:
 			if r <= 5 || r >= 5*4 {
@@ -148,8 +148,11 @@ func TestDiurnalRateVaries(t *testing.T) {
 func TestLengthProfilesDiffer(t *testing.T) {
 	chat, _ := NewTrace(TraceConfig{Kind: Poisson, Rate: 1, Requests: 500, Seed: 1})
 	rag, _ := NewTrace(TraceConfig{Kind: Poisson, Rate: 1, Requests: 500, Seed: 1, Lengths: RAGLengths()})
-	cp, _ := chat.TotalTokens()
-	rp, _ := rag.TotalTokens()
+	var cp, rp int64
+	for i := range chat.Requests {
+		cp += int64(chat.Requests[i].Prompt)
+		rp += int64(rag.Requests[i].Prompt)
+	}
 	if rp <= cp*2 {
 		t.Errorf("rag prompts (%d tokens) should dwarf chat prompts (%d tokens)", rp, cp)
 	}

@@ -58,9 +58,6 @@ func NewWindows(spec WindowSpec) *Windows {
 	return &Windows{spec: spec.withDefaults()}
 }
 
-// Spec returns the (defaulted) spec the accumulator judges against.
-func (w *Windows) Spec() WindowSpec { return w.spec }
-
 // Reserve pre-grows the window slice to cover a horizon in seconds, so a
 // run whose span is known up front performs no appends while observing.
 func (w *Windows) Reserve(horizon float64) {
@@ -126,14 +123,6 @@ func (w *Windows) Merge(o *Windows) error {
 
 // Len is the number of windows touched so far.
 func (w *Windows) Len() int { return len(w.wins) }
-
-// At returns window i (zero WindowStat past the touched range).
-func (w *Windows) At(i int) WindowStat {
-	if i < 0 || i >= len(w.wins) {
-		return WindowStat{}
-	}
-	return w.wins[i]
-}
 
 // Violated counts windows containing at least one violating request.
 func (w *Windows) Violated() int {

@@ -15,13 +15,13 @@ func TestWindowsObserveAndViolations(t *testing.T) {
 	if w.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", w.Len())
 	}
-	if got := w.At(0); got.Arrivals != 2 || got.Violations != 1 {
+	if got := w.wins[0]; got.Arrivals != 2 || got.Violations != 1 {
 		t.Fatalf("window 0 = %+v, want 2 arrivals 1 violation", got)
 	}
-	if got := w.At(1); got != (WindowStat{}) {
+	if got := w.wins[1]; got != (WindowStat{}) {
 		t.Fatalf("window 1 = %+v, want empty", got)
 	}
-	if got := w.At(2); got.Violations != 1 || got.MaxLatency != 15 {
+	if got := w.wins[2]; got.Violations != 1 || got.MaxLatency != 15 {
 		t.Fatalf("window 2 = %+v, want 1 violation maxLatency 15", got)
 	}
 	if w.Violated() != 2 {
@@ -63,8 +63,8 @@ func TestWindowsMergeMatchesDirect(t *testing.T) {
 		t.Fatalf("merged Len = %d, direct %d", a.Len(), direct.Len())
 	}
 	for i := 0; i < direct.Len(); i++ {
-		if a.At(i) != direct.At(i) {
-			t.Fatalf("window %d: merged %+v, direct %+v", i, a.At(i), direct.At(i))
+		if a.wins[i] != direct.wins[i] {
+			t.Fatalf("window %d: merged %+v, direct %+v", i, a.wins[i], direct.wins[i])
 		}
 	}
 	// Merging an empty accumulator is a no-op, whatever its width.
@@ -87,8 +87,8 @@ func TestWindowsMergeMatchesDirect(t *testing.T) {
 
 func TestWindowsReserve(t *testing.T) {
 	w := NewWindows(WindowSpec{})
-	if w.Spec().Width != DefaultWindowWidth {
-		t.Fatalf("default width = %g, want %g", w.Spec().Width, DefaultWindowWidth)
+	if w.spec.Width != DefaultWindowWidth {
+		t.Fatalf("default width = %g, want %g", w.spec.Width, DefaultWindowWidth)
 	}
 	w.Reserve(600)
 	if w.Len() != 11 {

@@ -33,7 +33,7 @@ type Params struct {
 	// mesh's provisioned bandwidth at the cost table's clock). Ignored on
 	// a single node.
 	NoCBandwidth float64
-	// DVFS is the node's voltage–frequency operating point. WithDefaults
+	// DVFS is the node's voltage–frequency operating point. Simulate
 	// folds it into Cost (clock × f, per-op switching energy × v², leakage
 	// × v — see arch.DVFSPoint) and clears the field, so downstream
 	// consumers see only the re-derived cost table. The zero value is the
@@ -41,22 +41,15 @@ type Params struct {
 	DVFS arch.DVFSPoint
 }
 
-// WithDefaults materializes the zero-value defaults (HBM bandwidth, single
-// node, 45 nm cost table) and folds the DVFS operating point into the
-// cost table. Simulate applies it internally; callers that compare Params
-// use it so an implicit default and its explicit spelling stay
-// interchangeable — and so a DVFS-scaled Params equals the equivalent
-// hand-scaled cost table.
+// applyDefaults materializes the zero-value defaults (HBM bandwidth,
+// single node, 45 nm cost table) in place and folds the DVFS operating
+// point into the cost table, so an implicit default and its explicit
+// spelling price alike, and a DVFS-scaled Params prices like the
+// equivalent hand-scaled cost table. Simulate defaults its own copy of
+// the Params without copying it again.
 // Note the off-chip Bandwidth is defaulted before the fold and the NoC's
 // provisioned bandwidth after it: HBM is not on the DVFS rail, while the
 // mesh links clock with the node.
-func (p Params) WithDefaults() Params {
-	p.applyDefaults()
-	return p
-}
-
-// applyDefaults is WithDefaults in place: Simulate defaults its own copy
-// of the Params without copying it again.
 func (p *Params) applyDefaults() {
 	if p.Bandwidth == 0 {
 		p.Bandwidth = HBMBandwidth
@@ -238,7 +231,7 @@ func Simulate(p Params, w model.Workload) Result {
 			float64(op.M*op.N)*rep*layers*p.Cost.EnergyVecOp // dequant rescale
 		res.EnergyByClass[op.Class] += energy
 	}
-	// Sum in model.OpClasses order, the arrays' index order, so
+	// Sum in model.OpClass order, the arrays' index order, so
 	// TotalCycles (and DynamicEnergy below) are bit-stable.
 	for _, c := range res.CyclesByClass {
 		res.TotalCycles += c

@@ -292,30 +292,26 @@ func TestNoCBandwidthFailSafe(t *testing.T) {
 
 // TestClassSumsFixedOrder pins the deterministic summation: the aggregate
 // cycle and energy totals must equal the per-class sums taken in fixed
-// model.OpClasses order, bit for bit, on every run.
+// model.OpClass order, bit for bit, on every run.
 func TestClassSumsFixedOrder(t *testing.T) {
-	p := Params{Design: arch.Mugi(256), Mesh: noc.NewMesh(2, 2)}.WithDefaults()
+	p := Params{Design: arch.Mugi(256), Mesh: noc.NewMesh(2, 2)}
+	p.applyDefaults()
 	res := Simulate(p, decode70B())
 	cycles := 0.0
-	for _, c := range model.OpClasses() {
+	for c := range model.OpClass(model.NumOpClasses) {
 		cycles += res.CyclesByClass[c]
 	}
 	if res.TotalCycles != cycles {
 		t.Errorf("TotalCycles %v != ordered class sum %v", res.TotalCycles, cycles)
 	}
 	energy := 0.0
-	for _, c := range model.OpClasses() {
+	for c := range model.OpClass(model.NumOpClasses) {
 		energy += res.EnergyByClass[c]
 	}
 	energy += res.DRAMEnergy
 	energy += p.Mesh.TransferEnergy(res.DRAMBytes)
 	if res.DynamicEnergy != energy {
 		t.Errorf("DynamicEnergy %v != ordered sum %v", res.DynamicEnergy, energy)
-	}
-	// Every class array has one entry per class of the fixed enumeration.
-	if n := len(model.OpClasses()); len(res.CyclesByClass) != n || len(res.EnergyByClass) != n {
-		t.Errorf("class arrays hold %d and %d entries, model.OpClasses() has %d",
-			len(res.CyclesByClass), len(res.EnergyByClass), n)
 	}
 	// Bit-stability across repeated runs of the same inputs.
 	for i := 0; i < 5; i++ {

@@ -49,14 +49,9 @@ func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// T returns the transpose as a new matrix.
+// T returns the transpose as a new matrix. No production code calls it:
+// it stays so internal/infer's tests can lay a reference key matrix out
+// like the KV cache's quantized key view.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
@@ -68,7 +63,9 @@ func (m *Matrix) T() *Matrix {
 }
 
 // MatMul computes a×b with float64 accumulation, the exact reference for
-// the VLP GEMM engines. Panics on shape mismatch.
+// the VLP GEMM engines. Panics on shape mismatch. No production code calls
+// it: it stays as the reference that internal/core's tests hold Multiply
+// to; production paths write into their own buffers with MatMulInto.
 func MatMul(a, b *Matrix) *Matrix {
 	return MatMulInto(NewMatrix(a.Rows, b.Cols), a, b)
 }
@@ -139,7 +136,9 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 	return max
 }
 
-// Frobenius returns the Frobenius norm of m.
+// Frobenius returns the Frobenius norm of m. No production code calls it:
+// it stays as the scale of the error tolerances internal/core's tests hold
+// the VLP GEMM paths to.
 func (m *Matrix) Frobenius() float64 {
 	s := 0.0
 	for _, v := range m.Data {

@@ -69,15 +69,6 @@ func TestShapePanics(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	a := FromRows([][]float32{{1, 2}})
-	c := a.Clone()
-	c.Set(0, 0, 9)
-	if a.At(0, 0) != 1 {
-		t.Error("clone aliases original")
-	}
-}
-
 func TestFrobenius(t *testing.T) {
 	a := FromRows([][]float32{{3, 4}})
 	if math.Abs(a.Frobenius()-5) > 1e-12 {

@@ -1,6 +1,7 @@
 package mugi
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestServeDeterministicAcrossParallelism(t *testing.T) {
 	if renderings[0] != renderings[1] {
 		t.Error("serving report diverges across runner parallelism")
 	}
-	if tr2, _ := NewTrace(TraceConfig{Kind: TraceBursty, Rate: 0.3, Requests: 24, Seed: 11}); tr2.Horizon() != tr.Horizon() {
+	if tr2, _ := NewTrace(TraceConfig{Kind: TraceBursty, Rate: 0.3, Requests: 24, Seed: 11}); !reflect.DeepEqual(tr2, tr) {
 		t.Error("trace generation not deterministic")
 	}
 }
