@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -214,6 +215,35 @@ func TestPlanNinesSparesBuyAvailability(t *testing.T) {
 
 // TestNinesFrontierAndTarget covers the frontier pruning and the
 // cheapest-meeting-target lookup.
+// TestNinesFrontierPrunesAndKeepsTieOrder pins NinesFrontier's dominance
+// rule and tie order on a synthetic table: an errored point never
+// survives (this one would dominate every other), a pricier point with
+// no more availability drops, the lower of an equal-price pair drops,
+// and a full tie survives in input order.
+func TestNinesFrontierPrunesAndKeepsTieOrder(t *testing.T) {
+	at := func(name string, dollarsPer1k, availability float64) NinesResult {
+		return NinesResult{Design: name, Mesh: "1x1", Replicas: 1, DollarsPer1k: dollarsPer1k, Availability: availability}
+	}
+	results := []NinesResult{
+		at("dear", 5, 0.999),
+		at("tie-first", 4, 0.99),
+		at("tie-second", 4, 0.99),
+		at("pair-lower", 3, 0.95),
+		at("pair-upper", 3, 0.97),
+		at("dominated", 2, 0.9),
+		{Design: "errored", DollarsPer1k: 0.5, Availability: 0.9999, Err: errors.New("point died")},
+		at("base", 1, 0.9),
+	}
+	var got []string
+	for _, r := range NinesFrontier(results) {
+		got = append(got, r.Design)
+	}
+	want := []string{"base", "pair-upper", "tie-first", "tie-second", "dear"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("frontier %v, want %v", got, want)
+	}
+}
+
 func TestNinesFrontierAndTarget(t *testing.T) {
 	results := PlanNines(ninesSpec())
 	frontier := NinesFrontier(results)
