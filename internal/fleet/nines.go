@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 
 	"mugi/internal/faults"
 	"mugi/internal/runner"
@@ -166,33 +165,10 @@ func ninesPoint(spec NinesSpec, cell Cell, k int) NinesResult {
 // ascending availability, then input order), so it reads bottom-up as
 // "the cheapest way to buy each next nine".
 func NinesFrontier(results []NinesResult) []NinesResult {
-	var out []NinesResult
-	for i, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		dominated := false
-		for j, o := range results {
-			if i == j || o.Err != nil {
-				continue
-			}
-			if o.DollarsPer1k <= r.DollarsPer1k && o.Availability >= r.Availability &&
-				(o.DollarsPer1k < r.DollarsPer1k || o.Availability > r.Availability) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, r)
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].DollarsPer1k != out[b].DollarsPer1k {
-			return out[a].DollarsPer1k < out[b].DollarsPer1k
-		}
-		return out[a].Availability < out[b].Availability
-	})
-	return out
+	return pareto(results,
+		func(r *NinesResult) bool { return r.Err == nil },
+		func(r *NinesResult) float64 { return r.DollarsPer1k },
+		func(r *NinesResult) float64 { return r.Availability })
 }
 
 // CheapestAtLeast returns the cheapest planned point whose availability

@@ -326,7 +326,7 @@ func (a FrontierAxis) String() string {
 }
 
 // cost extracts the axis value of one cell.
-func (a FrontierAxis) cost(r CellResult) float64 {
+func (a FrontierAxis) cost(r *CellResult) float64 {
 	if a == ByWatt {
 		return r.TCO.AvgWatts
 	}
@@ -340,33 +340,46 @@ func (a FrontierAxis) cost(r CellResult) float64 {
 // ascending capacity, then by input order), so it reads bottom-up as
 // "the cheapest way to buy each next increment of throughput".
 func Frontier(results []CellResult, axis FrontierAxis) []CellResult {
-	var out []CellResult
-	for i, r := range results {
-		if r.Err != nil || r.Capacity <= 0 {
+	return pareto(results,
+		func(r *CellResult) bool { return r.Err == nil && r.Capacity > 0 },
+		axis.cost,
+		func(r *CellResult) float64 { return r.Capacity })
+}
+
+// pareto keeps the candidates that no other candidate dominates — one
+// dominates another when it costs no more and gains no less, and is
+// strictly better on one of the two — sorted by ascending cost, ties by
+// ascending gain, then input order.
+func pareto[T any](xs []T, candidate func(*T) bool, cost, gain func(*T) float64) []T {
+	var out []T
+	for i := range xs {
+		x := &xs[i]
+		if !candidate(x) {
 			continue
 		}
+		xc, xg := cost(x), gain(x)
 		dominated := false
-		for j, o := range results {
-			if i == j || o.Err != nil || o.Capacity <= 0 {
+		for j := range xs {
+			o := &xs[j]
+			if i == j || !candidate(o) {
 				continue
 			}
-			oc, rc := axis.cost(o), axis.cost(r)
-			if oc <= rc && o.Capacity >= r.Capacity && (oc < rc || o.Capacity > r.Capacity) {
+			oc, og := cost(o), gain(o)
+			if oc <= xc && og >= xg && (oc < xc || og > xg) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			out = append(out, r)
+			out = append(out, *x)
 		}
 	}
 	// Stable sort: full ties keep their input (sweep) order.
 	sort.SliceStable(out, func(a, b int) bool {
-		ca, cb := axis.cost(out[a]), axis.cost(out[b])
-		if ca != cb {
+		if ca, cb := cost(&out[a]), cost(&out[b]); ca != cb {
 			return ca < cb
 		}
-		return out[a].Capacity < out[b].Capacity
+		return gain(&out[a]) < gain(&out[b])
 	})
 	return out
 }
