@@ -52,8 +52,10 @@ func benchExperiment(b *testing.B, id string) {
 // speedup evidence for the concurrent runner.
 func benchRegistry(b *testing.B, parallelism int) {
 	b.Helper()
+	SetParallelism(parallelism)
+	defer SetParallelism(0)
 	for i := 0; i < b.N; i++ {
-		results := RunAll(Parallelism(parallelism))
+		results := RunAll()
 		if len(results) != len(Experiments()) {
 			b.Fatalf("got %d artifacts", len(results))
 		}

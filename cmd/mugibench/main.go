@@ -44,12 +44,12 @@ func main() {
 			{Title: "shared"},
 		})
 	flag.Parse()
+	mugi.SetParallelism(*parallel)
 
 	if *minuteServe {
 		if err := runMinuteServe(minuteServeFlags{
 			entry: *msEntry, report: *msReport, verify: *msVerify,
 			diff: *msDiff, diffB: flag.Arg(0), check: *msCheck,
-			parallel: *parallel,
 		}); err != nil {
 			fatal(err)
 		}
@@ -64,10 +64,10 @@ func main() {
 	}
 	var results []mugi.ExperimentResult
 	if *exp == "all" {
-		results = mugi.RunAll(mugi.Parallelism(*parallel))
+		results = mugi.RunAll()
 	} else {
 		var err error
-		results, err = mugi.RunExperiments([]string{*exp}, mugi.Parallelism(*parallel))
+		results, err = mugi.RunExperiments([]string{*exp})
 		if err != nil {
 			fatal(err)
 		}

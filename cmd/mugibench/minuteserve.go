@@ -10,24 +10,21 @@ import (
 	"os"
 
 	"mugi"
-	"mugi/internal/runner"
 )
 
 // minuteServeFlags carries the -minuteserve mode's flag values.
 type minuteServeFlags struct {
-	entry    string // score one entry ("kind[@rows]:RxC[:replicas][:profile]")
-	report   string // write the signed artifact here
-	verify   string // verify an artifact file
-	diff     string // diff this artifact against the positional second path
-	diffB    string // second -diff path (flag.Arg(0))
-	check    string // regenerate the leaderboard and require byte-equality
-	parallel int
+	entry  string // score one entry ("kind[@rows]:RxC[:replicas][:profile]")
+	report string // write the signed artifact here
+	verify string // verify an artifact file
+	diff   string // diff this artifact against the positional second path
+	diffB  string // second -diff path (flag.Arg(0))
+	check  string // regenerate the leaderboard and require byte-equality
 }
 
 // runMinuteServe dispatches the -minuteserve mode: exactly one of
 // -verify, -diff, -check, -entry, or the default full leaderboard.
 func runMinuteServe(f minuteServeFlags) error {
-	runner.SetParallelism(f.parallel)
 	switch {
 	case f.verify != "":
 		data, err := os.ReadFile(f.verify)

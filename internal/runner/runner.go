@@ -4,9 +4,9 @@
 // two pieces:
 //
 //   - a bounded worker pool (Map) that fans independent work items across
-//     at most Parallelism() goroutines, with the caller always
-//     participating so nested Map calls degrade to serial execution
-//     instead of deadlocking;
+//     at most as many goroutines as SetParallelism allows, with the caller
+//     always participating so nested Map calls degrade to serial
+//     execution instead of deadlocking;
 //   - Simulate, the counted entry to sim.Simulate that experiments and
 //     serving price their passes through. A pass allocates nothing and
 //     costs less than encoding and hashing its inputs for a cache lookup

@@ -707,34 +707,20 @@ type ExperimentResult struct {
 	Text  string
 }
 
-// runConfig collects RunOption settings.
-type runConfig struct {
-	parallelism    int
-	setParallelism bool
-}
-
-// RunOption configures RunAll / RunExperiments.
-type RunOption func(*runConfig)
-
-// Parallelism bounds the experiment runner's worker pool at n (0 selects
-// GOMAXPROCS). The bound covers both the fan-out across experiments and
-// the simulation/sweep points inside each generator. Without this option
-// the pool keeps its current size; with it the new size persists for
-// subsequent runs. Resizing is not safe concurrently with another run.
-func Parallelism(n int) RunOption {
-	return func(c *runConfig) { c.parallelism, c.setParallelism = n, true }
-}
+// SetParallelism bounds the shared worker pool at n (0 selects
+// GOMAXPROCS, the size the pool starts at). The bound covers the fan-out
+// across experiments, the simulation and sweep points inside each
+// generator, and every other facade call that fans work out, such as
+// fleet plans and the MinuteServe leaderboard. The size persists for
+// later runs. Resizing is not safe concurrently with a run.
+func SetParallelism(n int) { runner.SetParallelism(n) }
 
 // RunExperiments regenerates the named artifacts concurrently on the
 // bounded worker pool and returns them in the order requested. Outputs are
 // byte-identical to serial execution at every parallelism level: work is
 // index-addressed and the simulators are pure, so only wall-clock changes.
 // Unknown ids fail up front, before any experiment runs.
-func RunExperiments(ids []string, opts ...RunOption) ([]ExperimentResult, error) {
-	var cfg runConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func RunExperiments(ids []string) ([]ExperimentResult, error) {
 	entries := make([]experiments.Entry, len(ids))
 	for i, id := range ids {
 		e, err := experiments.ByID(id)
@@ -742,9 +728,6 @@ func RunExperiments(ids []string, opts ...RunOption) ([]ExperimentResult, error)
 			return nil, err
 		}
 		entries[i] = e
-	}
-	if cfg.setParallelism {
-		runner.SetParallelism(cfg.parallelism)
 	}
 	results := make([]ExperimentResult, len(entries))
 	runner.Map(len(entries), func(i int) {
@@ -758,12 +741,12 @@ func RunExperiments(ids []string, opts ...RunOption) ([]ExperimentResult, error)
 }
 
 // RunAll regenerates every registered artifact in paper order.
-func RunAll(opts ...RunOption) []ExperimentResult {
+func RunAll() []ExperimentResult {
 	ids := make([]string, 0, len(experiments.Registry()))
 	for _, e := range experiments.Registry() {
 		ids = append(ids, e.ID)
 	}
-	results, err := RunExperiments(ids, opts...)
+	results, err := RunExperiments(ids)
 	if err != nil {
 		// Registry ids resolve by construction.
 		panic(err)

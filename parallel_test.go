@@ -34,7 +34,9 @@ func TestRunExperimentsUnknownID(t *testing.T) {
 
 func TestRunExperimentsPreservesRequestOrder(t *testing.T) {
 	ids := []string{"fig11", "fig4", "tab3"}
-	results, err := RunExperiments(ids, Parallelism(4))
+	SetParallelism(4)
+	defer SetParallelism(0)
+	results, err := RunExperiments(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +55,11 @@ func TestRunAllParallelMatchesSerialFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry in -short mode")
 	}
-	serial := RunAll(Parallelism(1))
-	parallel := RunAll(Parallelism(8))
+	defer SetParallelism(0)
+	SetParallelism(1)
+	serial := RunAll()
+	SetParallelism(8)
+	parallel := RunAll()
 	if len(serial) != len(parallel) || len(serial) != len(Experiments()) {
 		t.Fatalf("result counts: serial %d, parallel %d, registry %d",
 			len(serial), len(parallel), len(Experiments()))

@@ -163,7 +163,7 @@ func TestCheckGoFenceSpellings(t *testing.T) {
 	for _, body := range []string{
 		"package p\n\nfunc F() {}",
 		"func Name() *Report {\n\treturn nil\n}",
-		"results := mugi.RunAll(mugi.Parallelism(8))",
+		"results := mugi.RunAll()",
 	} {
 		checkGoFence("doc.md", fence{lang: "go", body: body}, report)
 	}
