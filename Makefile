@@ -47,8 +47,8 @@ minuteserve:
 minuteserve-json:
 	$(GO) run ./cmd/mugibench -minuteserve -report MINUTESERVE.json
 
-# Godoc coverage gate: every package and every exported facade symbol
-# documented. A prerequisite of both lint and docs-check; make dedupes
+# Godoc coverage gate: every package and every exported symbol of every
+# package documented. A prerequisite of both lint and docs-check; make dedupes
 # it within one invocation, so `make ci` runs it once.
 doccheck:
 	$(GO) run ./tools/doccheck

@@ -4,33 +4,9 @@
 //
 //   - every package in the module (the facade, internal/*, cmd/*,
 //     examples/*, tools/*) carries a package-level doc comment;
-//   - every exported top-level symbol of the root facade package (mugi.go)
-//     carries a doc comment — the facade is the API contributors read
-//     first, so its godoc coverage cannot regress;
-//   - every exported top-level symbol of internal/autoscale carries a doc
-//     comment — the autoscaler is the operator-facing subsystem behind
-//     docs/AUTOSCALING.md, so its godoc coverage is held to the same bar;
-//   - every exported top-level symbol of internal/serve and internal/fleet
-//     carries a doc comment — the serving engine and the fleet planner,
-//     which owns the one capacity search, are the APIs the facade
-//     re-exports;
-//   - every exported top-level symbol of internal/runner and internal/sim
-//     carries a doc comment — the worker pool and the cycle simulator
-//     under every experiment and serving run, where a symbol kept only
-//     for the benchmark harness must say so;
-//   - every exported top-level symbol of internal/model, internal/arch and
-//     internal/noc carries a doc comment — the workloads, hardware
-//     designs and mesh the simulator reads, whose methods the pass calls
-//     on every operator and whose receivers say whether it copies them;
-//   - every exported top-level symbol of internal/core, internal/numerics,
-//     internal/nonlinear and internal/infer carries a doc comment — the
-//     VLP kernels, the number formats and field split they read, the
-//     nonlinear ops they approximate and the decoder that runs them, whose
-//     fast paths must say what they keep bit-identical;
-//   - every exported top-level symbol of tools/mugivet carries a doc
-//     comment — the analyzer framework mirrors x/tools' analysis API
-//     (docs/ANALYSIS.md), and an analyzer suite whose own contracts are
-//     undocumented would be hard to take seriously.
+//   - every exported top-level symbol of every package carries a doc
+//     comment, so a symbol kept only as a test reference or for the
+//     benchmark harness says so where a reader finds it.
 //
 // Vendored fixture modules under testdata/ are skipped, matching the go
 // tool's treatment of those directories.
@@ -74,18 +50,7 @@ func main() {
 		if !packageHasDoc(files) {
 			report("%s: package %s has no package-level doc comment", dir, pkgName)
 		}
-		// The facade, the serving engine, the fleet planner, the
-		// operator-facing autoscaler, the runner, the simulator and its
-		// model, arch and noc inputs, the VLP kernels with their number
-		// formats, nonlinear ops and decoder, and the analyzer suite get
-		// the per-symbol pass.
-		if (dir == root && pkgName == "mugi") || pkgName == "serve" || pkgName == "fleet" ||
-			pkgName == "autoscale" || pkgName == "runner" || pkgName == "sim" ||
-			pkgName == "model" || pkgName == "arch" || pkgName == "noc" ||
-			pkgName == "core" || pkgName == "numerics" || pkgName == "nonlinear" || pkgName == "infer" ||
-			strings.HasSuffix(dir, filepath.Join("tools", "mugivet")) {
-			checkExportedDocs(files, report)
-		}
+		checkExportedDocs(files, report)
 	}
 
 	if len(violations) > 0 {
@@ -96,7 +61,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented declarations\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: %d packages documented; facade, serve, fleet, autoscale, runner, sim, model, arch, noc, core, numerics, nonlinear, infer and mugivet fully covered (godoc only — `make docs-check` also validates docs/*.md fences)\n", len(dirs))
+	fmt.Printf("doccheck: %d packages and their exported symbols documented (godoc only — `make docs-check` also validates docs/*.md fences)\n", len(dirs))
 }
 
 // parsePackage parses every non-test Go file of one directory, keyed by
