@@ -197,3 +197,20 @@ func TestPlanPriority(t *testing.T) {
 		t.Error("PlanPriority without tenants accepted")
 	}
 }
+
+// TestPriorityVerdicts: a class that completed nothing of its requests
+// missed its SLO, while a class the tenant mix leaves out had nothing to
+// miss and renders "-".
+func TestPriorityVerdicts(t *testing.T) {
+	r := PriorityResult{Classes: []ClassPrice{
+		{Class: overload.Interactive, Requests: 2, SLO: overload.DefaultSLO(overload.Interactive)},
+		{Class: overload.Standard, SLO: overload.DefaultSLO(overload.Standard)},
+		{Class: overload.BestEffort, Requests: 2, Completed: 2, SLO: overload.DefaultSLO(overload.BestEffort), SLOMet: true},
+	}}
+	lines := strings.Split(r.String(), "\n")
+	for i, want := range []string{"  MISSED", "  -", "  met"} {
+		if row := lines[1+i]; !strings.HasSuffix(row, want) {
+			t.Errorf("row %q does not end in %q", row, want)
+		}
+	}
+}

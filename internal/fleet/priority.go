@@ -45,7 +45,8 @@ type ClassPrice struct {
 	// TTFTP99 and LatencyP99 are the class's measured tails (seconds).
 	TTFTP99, LatencyP99 float64
 	// SLO is the target the class was judged against; SLOMet reports the
-	// verdict (false when the class completed nothing).
+	// verdict (false when the class completed nothing). A class with no
+	// requests has nothing to miss and renders "-" instead of a verdict.
 	SLO    overload.SLO
 	SLOMet bool
 	// DollarsPer1k attributes the tenanted fleet's cost to this class in
@@ -76,7 +77,10 @@ func (r PriorityResult) String() string {
 	b.WriteString("price of priority: tenanted fleet vs shared best-effort fleet\n")
 	for _, cp := range r.Classes {
 		verdict := "met"
-		if !cp.SLOMet {
+		switch {
+		case cp.Requests == 0:
+			verdict = "-"
+		case !cp.SLOMet:
 			verdict = "MISSED"
 		}
 		fmt.Fprintf(&b, "class %-11s %6d req  %6d done  $%.4f/1k  ttft p99 %s / slo %s  lat p99 %s / slo %s  %s\n",
