@@ -233,7 +233,8 @@ func (o *options) mode() (name string, n int) {
 
 // validate rejects contradictory flag combinations up front, before any
 // mode starts simulating: one mode flag at a time, a non-empty
-// single-pass shape, a replica floor below the ceiling, rates,
+// single-pass shape, a replica floor below the ceiling, a positive
+// request count (0 only under -autoscale, which sizes its trace), rates,
 // probabilities, SLO bounds, the TCO utilization and the KV budget inside
 // their domains, -surge spelled out only with the mode it shapes, a
 // brownout ladder with rungs (and no more than the built-in ladder has),
@@ -259,6 +260,9 @@ func (o *options) validate() error {
 	}
 	if o.requests < 0 {
 		return fmt.Errorf("-requests %d must be non-negative", o.requests)
+	}
+	if o.requests == 0 && !o.autoscale {
+		return fmt.Errorf("-requests 0 sizes a trace from the rate only under -autoscale; give at least 1")
 	}
 	if o.parallel < 0 {
 		return fmt.Errorf("-parallel %d must be non-negative", o.parallel)

@@ -46,6 +46,8 @@ func TestValidateFlags(t *testing.T) {
 		{"negative floor", func(o *options) { o.minReplicas = -1 }, true},
 		{"zero rate", func(o *options) { o.rate = 0 }, true},
 		{"negative requests", func(o *options) { o.requests = -1 }, true},
+		{"zero requests", func(o *options) { o.requests = 0 }, true},
+		{"zero requests sized by autoscale", func(o *options) { o.autoscale, o.requests = true, 0 }, false},
 		{"negative parallel", func(o *options) { o.parallel = -1 }, true},
 		{"negative mtbf", func(o *options) { o.mtbf = -1 }, true},
 		{"negative mttr", func(o *options) { o.mttr = -1 }, true},
