@@ -17,9 +17,8 @@ func main() {
 	ap := mugi.NewApprox(mugi.ApproxConfig{Op: mugi.Exp, LUTEMin: -6, LUTEMax: 5})
 
 	logits := []float64{2.1, -0.3, 0.8, -1.7, 3.0, 0.1, -2.2, 1.4}
-	ap.SelectWindowMax(logits) // the E-proc pins the window per mapping
 	vlp := make([]float64, len(logits))
-	ap.Softmax(vlp, logits)
+	ap.Softmax(vlp, logits) // the E-proc pins the window to the max-subtracted row
 	exact := make([]float64, len(logits))
 	mugi.SoftmaxExact(exact, logits)
 
