@@ -22,9 +22,9 @@ type ArrayGEMMResult struct {
 // weight magnitudes, the per-column accumulators add the BF16 activations
 // every cycle, and each PE captures its product on its row's spike with
 // the sign applied by the SC XOR. No production code calls it: it stays
-// as the reference that this package's tests hold PlanCycles — the walked
-// cycle count must equal the analytic model exactly — and Multiply, whose
-// outputs it must reproduce, to.
+// as the reference this package's tests hold two things to: PlanCycles,
+// whose analytic cycle count the walk must equal exactly, and Multiply,
+// whose outputs it must reproduce.
 //
 // The walk is O(cycles × H × W); use it on test-sized problems only.
 func SimulateArrayGEMM(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) ArrayGEMMResult {

@@ -511,7 +511,8 @@ type Orphan struct {
 	// re-dispatching).
 	Req Request
 	// At is the crash instant in absolute simulated seconds; the fleet
-	// router re-delivers attempt k k×FailoverDelay after it.
+	// router re-delivers a request's k-th re-dispatch k×FailoverDelay
+	// after it.
 	At float64
 }
 
