@@ -89,10 +89,42 @@ func TestTinyUpTimesStillAdvance(t *testing.T) {
 	}
 }
 
-// TestHandOffReturnsOrphans pins the fleet-facing contract and the
-// no-silent-drop invariant: crash-interrupted requests come back in
-// RunStats.Orphans, every arrival ends the run completed, shed or
-// orphaned, and the availability section renders.
+// TestCrashOrphansAreAccounted drives a single replica through crashes
+// and pins the no-silent-drop invariant on the report: every arrival
+// ends the run completed, shed or orphaned, a crash never re-dispatches
+// locally, and the availability section renders.
+func TestCrashOrphansAreAccounted(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Faults = faultySchedule(t, faults.Spec{MTBF: 250, MTTR: 25, Seed: 5})
+	cfg.Retry.MaxRedispatch = 8
+	rep, err := Run(cfg, chatTrace(t, 0.015, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Crashes == 0 {
+		t.Fatal("no crashes at MTBF 250 over a ~20-minute trace — schedule not wired")
+	}
+	if rep.Orphaned == 0 {
+		t.Error("crashes interrupted no work")
+	}
+	if rep.Completed+rep.Shed+rep.Orphaned != rep.Requests {
+		t.Errorf("accounting leak: completed %d + shed %d + orphaned %d != requests %d",
+			rep.Completed, rep.Shed, rep.Orphaned, rep.Requests)
+	}
+	if rep.Redispatched != 0 {
+		t.Errorf("crash-only run redispatched %d requests locally", rep.Redispatched)
+	}
+	if !rep.FaultsOn || rep.Availability <= 0 || rep.Availability > 1 {
+		t.Errorf("availability %g (faultsOn=%v) out of range", rep.Availability, rep.FaultsOn)
+	}
+	if !strings.Contains(rep.String(), "availability:") {
+		t.Error("faulty report is missing its availability section")
+	}
+}
+
+// TestHandOffReturnsOrphans pins the fleet-facing contract:
+// crash-interrupted requests come back in RunStats.Orphans, and the
+// per-replica accounting includes them.
 func TestHandOffReturnsOrphans(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Faults = faultySchedule(t, faults.Spec{MTBF: 250, MTTR: 25, Seed: 5})
@@ -101,9 +133,6 @@ func TestHandOffReturnsOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := st.Report
-	if rep.Crashes == 0 {
-		t.Fatal("no crashes at MTBF 250 over a ~20-minute trace — schedule not wired")
-	}
 	if rep.Orphaned == 0 || len(st.Orphans) != rep.Orphaned {
 		t.Fatalf("orphan accounting: report %d, stats %d", rep.Orphaned, len(st.Orphans))
 	}
@@ -115,12 +144,6 @@ func TestHandOffReturnsOrphans(t *testing.T) {
 		if o.At < 0 || o.Req.Output < 1 {
 			t.Fatalf("orphan %d malformed: %+v", i, o)
 		}
-	}
-	if !rep.FaultsOn || rep.Availability <= 0 || rep.Availability > 1 {
-		t.Errorf("availability %g (faultsOn=%v) out of range", rep.Availability, rep.FaultsOn)
-	}
-	if !strings.Contains(rep.String(), "availability:") {
-		t.Error("faulty report is missing its availability section")
 	}
 }
 
