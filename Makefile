@@ -8,7 +8,7 @@ GO ?= go
 # the same check the workflow runs.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-module minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck ci
+.PHONY: build test race bench bench-module minuteserve minuteserve-json lint fmt doccheck docs-check analyze cross install-staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,13 @@ analyze:
 fmt:
 	gofmt -w .
 
+# Type-check the tree, tests included, for two GOARCHes without the amd64
+# assembly: arm64 builds internal/core's Go GEMM loop alone, and 386 has a
+# 32-bit int, so a constant that only fits 64 bits fails here.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
+
 # Documentation gates: godoc coverage (the doccheck prerequisite) and
 # docs/*.md code-fence validity (go fences parse; make targets, go run
 # paths, CLI flags, and relative links all resolve against the tree).
@@ -90,4 +97,4 @@ docs-check: doccheck
 	$(GO) run ./tools/docscheck
 
 ci: STRICT = 1
-ci: lint build test race bench bench-module minuteserve analyze docs-check
+ci: lint build test race bench bench-module minuteserve analyze docs-check cross

@@ -37,7 +37,6 @@ func SimulateArrayGEMM(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) ArrayGE
 	}
 	m, k, n := a.Rows, a.Cols, wq.Cols
 	window := WindowCycles(wq.Bits - 1)
-	groups := (k + wq.GroupSize - 1) / wq.GroupSize
 
 	res := ArrayGEMMResult{Out: tensor.NewMatrix(m, n)}
 	// acc[i][j] accumulates the unscaled group partial sums per output.
@@ -48,7 +47,7 @@ func SimulateArrayGEMM(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) ArrayGE
 	flushGroup := func(g int) {
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				res.Out.Data[i*n+j] += float32(partial[i][j] * float64(wq.Scales[j*groups+g]))
+				res.Out.Data[i*n+j] += float32(partial[i][j] * float64(wq.Scales[g*n+j]))
 				partial[i][j] = 0
 			}
 		}

@@ -53,8 +53,10 @@ type QuantMatrix struct {
 	Bits       int
 	GroupSize  int // group extent along K
 	Codes      []int8
-	// Scales is indexed [col*groups + g] where g = k/GroupSize, unless
-	// SharedScales selects the per-group layout below.
+	// Scales is indexed [g*Cols + col] where g = k/GroupSize, unless
+	// SharedScales selects the per-group layout below. Group-major, so a
+	// group's scales are one contiguous row that Multiply reads in place;
+	// a one-group matrix holds one scale per column either way.
 	Scales []float32
 	// Stride is the row stride of Codes in elements; zero means Cols.
 	// Views over a larger backing buffer (the KV-cache key planes) set it
@@ -88,7 +90,7 @@ func QuantizeWeights(w *tensor.Matrix, bits, groupSize int) QuantMatrix {
 	q := QuantMatrix{
 		Rows: w.Rows, Cols: w.Cols, Bits: bits, GroupSize: groupSize,
 		Codes:  make([]int8, w.Rows*w.Cols),
-		Scales: make([]float32, w.Cols*groups),
+		Scales: make([]float32, groups*w.Cols),
 	}
 	maxQ := float64(int(1)<<(bits-1) - 1)
 	for n := 0; n < w.Cols; n++ {
@@ -107,7 +109,7 @@ func QuantizeWeights(w *tensor.Matrix, bits, groupSize int) QuantMatrix {
 			if scale == 0 {
 				scale = 1
 			}
-			q.Scales[n*groups+g] = float32(scale)
+			q.Scales[g*w.Cols+n] = float32(scale)
 			for k := lo; k < hi; k++ {
 				c := math.Round(float64(w.At(k, n)) / scale)
 				if c > maxQ {
@@ -133,8 +135,7 @@ func (q QuantMatrix) Scale(k, n int) float32 {
 	if q.SharedScales {
 		return q.Scales[k/q.GroupSize]
 	}
-	groups := (q.Rows + q.GroupSize - 1) / q.GroupSize
-	return q.Scales[n*groups+k/q.GroupSize]
+	return q.Scales[k/q.GroupSize*q.Cols+n]
 }
 
 // Dequantize reconstructs the float weight matrix. No production code
@@ -193,44 +194,29 @@ func (s GEMMStats) EffectiveMACsPerCycle() float64 {
 }
 
 // GEMMScratch holds the reusable buffers of MultiplyInto: the float64
-// group/row accumulators and the per-group dequant-scale rows gathered once
-// per call. Buffers grow on demand and are retained, so a warmed scratch
-// makes MultiplyInto allocation-free. A scratch must not be shared between
-// concurrent calls.
+// group and row accumulators. Buffers grow on demand and are retained, so
+// a warmed scratch makes MultiplyInto allocation-free. A scratch must not
+// be shared between concurrent calls.
 type GEMMScratch struct {
 	acc, gacc []float64
-	scaleT    []float32
 }
 
-// Reserve pre-sizes the scratch for outputs up to n columns and gathered
-// scale tables up to scaleLen (= groups × columns) entries, so subsequent
-// MultiplyInto calls within those bounds never allocate. The functional
-// decoder reserves for its largest projection and the full KV context up
-// front, making every warmed Step allocation-free.
-func (s *GEMMScratch) Reserve(n, scaleLen int) {
+// Reserve pre-sizes the scratch for outputs up to n columns, so subsequent
+// MultiplyInto calls within that bound never allocate. The functional
+// decoder reserves for its widest output, a full-context score row
+// included, making every warmed Step allocation-free.
+func (s *GEMMScratch) Reserve(n int) {
 	if cap(s.acc) < n {
 		s.acc = make([]float64, n)
 		s.gacc = make([]float64, n)
 	}
-	if cap(s.scaleT) < scaleLen {
-		s.scaleT = make([]float32, scaleLen)
-	}
 }
 
-// ensure grows the scratch to cover an n-column output with a gathered
-// scale table of scaleLen entries (zero for SharedScales operands, whose
-// gather is skipped, so a growing value-cache context never resizes it).
-func (s *GEMMScratch) ensure(n, scaleLen int) {
-	if cap(s.acc) < n {
-		s.acc = make([]float64, n)
-		s.gacc = make([]float64, n)
-	}
+// ensure grows the scratch to cover an n-column output.
+func (s *GEMMScratch) ensure(n int) {
+	s.Reserve(n)
 	s.acc = s.acc[:n]
 	s.gacc = s.gacc[:n]
-	if cap(s.scaleT) < scaleLen {
-		s.scaleT = make([]float32, scaleLen)
-	}
-	s.scaleT = s.scaleT[:scaleLen]
 }
 
 // Multiply computes C = A × Wq on the VLP array: A is an M×K BF16
@@ -255,8 +241,8 @@ func Multiply(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) (*tensor.Matrix,
 // warmed scratch makes the call allocation-free. Results are bit-identical
 // to Multiply: the kernel is blocked by quantization group with the same
 // per-element accumulation order, only the loop nest is rearranged so code
-// rows stream contiguously and per-group dequant scales are gathered once
-// per call instead of once per output row.
+// rows stream contiguously and each group's dequant scales are read as one
+// row of the group-major Scales.
 //
 // Two shortcuts keep every bit. A pass streams four code rows and each
 // element adds its four products in row order, as four one-row passes
@@ -268,6 +254,15 @@ func Multiply(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix) (*tensor.Matrix,
 // sum is unchanged. p is computed as c·(a·s), the same float64: a and s
 // are float32, so a·s and c·a are exact and both sides are one rounding
 // of c·a·s.
+//
+// On amd64 CPUs with AVX (CPUID and XGETBV, checked once at package
+// init) the four-row passes run an assembly kernel that handles four
+// columns per step and does in each lane what the Go loop does for one
+// column; elsewhere they run the Go loop. No path fuses a multiply-add:
+// every product and sum rounds once on its own, and the Go loops convert
+// each product with float64(...), which the Go spec makes round, so Go's
+// fused multiply-add on arm64, ppc64le, s390x and riscv64 cannot merge
+// them. Every architecture and both kernels give the same bits.
 //
 //mugi:noalloc
 func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.Matrix, scratch *GEMMScratch) GEMMStats {
@@ -287,25 +282,14 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 	}
 	gs := wq.GroupSize
 	groups := (k + gs - 1) / gs
-	scaleLen := 0
-	if !wq.SharedScales {
-		scaleLen = n * groups
+	if !wq.SharedScales && len(wq.Scales) < groups*n {
+		// Checked once here: the group loop slices Scales rows, which a
+		// short Scales with spare capacity would not catch.
+		panic(fmt.Sprintf("core: %d scales for %d groups × %d columns", len(wq.Scales), groups, n))
 	}
-	scratch.ensure(n, scaleLen) //mugi:coldalloc scratch growth on first use; a warmed scratch never re-makes
+	scratch.ensure(n) //mugi:coldalloc scratch growth on first use; a warmed scratch never re-makes
 	acc, gacc := scratch.acc, scratch.gacc
 	stride := wq.stride()
-	// Gather the dequant scales g-major once per call (they are stored
-	// column-major); the value cache shares one scale per group across
-	// columns and skips the gather entirely.
-	scaleT := scratch.scaleT
-	if !wq.SharedScales {
-		for g := 0; g < groups; g++ {
-			row := scaleT[g*n : (g+1)*n]
-			for j := 0; j < n; j++ {
-				row[j] = wq.Scales[j*groups+g]
-			}
-		}
-	}
 	// Functional compute via subscription arithmetic: product =
 	// sign ⊕ (magnitude-cycle subscription of the BF16 accumulation).
 	// Group partial sums are rescaled by the vector array after the
@@ -345,12 +329,12 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 				if wq.SharedScales {
 					sg := float64(wq.Scales[g])
 					for j := range gacc {
-						acc[j] += gacc[j] * sg
+						acc[j] += float64(gacc[j] * sg)
 					}
 				} else {
-					srow := scaleT[g*n : (g+1)*n]
+					srow := wq.Scales[g*n : (g+1)*n]
 					for j := range gacc {
-						acc[j] += gacc[j] * float64(srow[j])
+						acc[j] += float64(gacc[j] * float64(srow[j]))
 					}
 				}
 			}
@@ -366,8 +350,21 @@ func MultiplyInto(cfg GEMMConfig, a *tensor.Matrix, wq QuantMatrix, out *tensor.
 // addRows4 adds the products of four consecutive code rows, the first at
 // codes[off] and each stride after the last, with the weights w0..w3 into
 // s. Each element adds its four products in row order, exactly as four
-// addRow passes would.
+// addRow passes would. With useAVX it runs the assembly kernel, after
+// checking here the last code that kernel reads, so it never reads past a
+// row's len(s) codes; otherwise it runs addRows4Go.
 func addRows4(s []float64, codes []int8, off, stride int, w0, w1, w2, w3 float64) {
+	if n := len(s); useAVX && n > 0 {
+		_ = codes[off+3*stride+n-1]
+		addRows4AVX(&s[0], n, &codes[off], stride, w0, w1, w2, w3)
+		return
+	}
+	addRows4Go(s, codes, off, stride, w0, w1, w2, w3)
+}
+
+// addRows4Go is addRows4's Go loop: the kernel off amd64 and on CPUs
+// without AVX, and the reference the tests hold the assembly to.
+func addRows4Go(s []float64, codes []int8, off, stride int, w0, w1, w2, w3 float64) {
 	n := len(s)
 	c0 := codes[off:][:n]
 	c1 := codes[off+stride:][:n]
@@ -375,10 +372,10 @@ func addRows4(s []float64, codes []int8, off, stride int, w0, w1, w2, w3 float64
 	c3 := codes[off+3*stride:][:n]
 	for j := range s {
 		v := s[j]
-		v += codeF64[uint8(c0[j])] * w0
-		v += codeF64[uint8(c1[j])] * w1
-		v += codeF64[uint8(c2[j])] * w2
-		v += codeF64[uint8(c3[j])] * w3
+		v += float64(codeF64[uint8(c0[j])] * w0)
+		v += float64(codeF64[uint8(c1[j])] * w1)
+		v += float64(codeF64[uint8(c2[j])] * w2)
+		v += float64(codeF64[uint8(c3[j])] * w3)
 		s[j] = v
 	}
 }
@@ -387,7 +384,7 @@ func addRows4(s []float64, codes []int8, off, stride int, w0, w1, w2, w3 float64
 // into s.
 func addRow(s []float64, codes []int8, w float64) {
 	for j, c := range codes[:len(s)] {
-		s[j] += codeF64[uint8(c)] * w
+		s[j] += float64(codeF64[uint8(c)] * w)
 	}
 }
 

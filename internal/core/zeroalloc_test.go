@@ -10,18 +10,19 @@ import (
 	"mugi/internal/tensor"
 )
 
-// multiplySeedRef is a verbatim copy of the seed Multiply kernel (the
-// (i, j, k) walk with per-output group accumulators). The optimized
-// blocked kernel must reproduce it bit-for-bit.
+// multiplySeedRef is the seed Multiply kernel (the (i, j, k) walk with
+// per-output group accumulators), with two changes that keep its bits:
+// it reads the group-major Scales, and it converts each rescaled group sum
+// with float64(...) so no architecture fuses it into the addition. The
+// optimized blocked kernel must reproduce it bit-for-bit.
 func multiplySeedRef(a *tensor.Matrix, wq QuantMatrix) *tensor.Matrix {
 	m, k, n := a.Rows, a.Cols, wq.Cols
 	out := tensor.NewMatrix(m, n)
-	groups := (k + wq.GroupSize - 1) / wq.GroupSize
 	scale := func(j, g int) float64 {
 		if wq.SharedScales {
 			return float64(wq.Scales[g])
 		}
-		return float64(wq.Scales[j*groups+g])
+		return float64(wq.Scales[g*n+j])
 	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -30,7 +31,7 @@ func multiplySeedRef(a *tensor.Matrix, wq QuantMatrix) *tensor.Matrix {
 			curG := 0
 			for kk := 0; kk < k; kk++ {
 				if g := kk / wq.GroupSize; g != curG {
-					acc += gAcc * scale(j, curG)
+					acc += float64(gAcc * scale(j, curG))
 					gAcc, curG = 0, g
 				}
 				code := int(wq.Code(kk, j))
@@ -44,11 +45,30 @@ func multiplySeedRef(a *tensor.Matrix, wq QuantMatrix) *tensor.Matrix {
 				}
 				gAcc += prod
 			}
-			acc += gAcc * scale(j, curG)
+			acc += float64(gAcc * scale(j, curG))
 			out.Set(i, j, float32(acc))
 		}
 	}
 	return out
+}
+
+// hostAVX records whether package init selected addRows4's AVX kernel.
+var hostAVX = useAVX
+
+// withBothKernels runs body with addRows4's Go loop, then again with its
+// AVX kernel as the subtest "avx". On a host without AVX it logs that and
+// skips the second run.
+func withBothKernels(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	defer func(saved bool) { useAVX = saved }(useAVX)
+	useAVX = false
+	body(t)
+	if !hostAVX {
+		t.Log("no AVX on this host: the assembly kernel was not run")
+		return
+	}
+	useAVX = true
+	t.Run("avx", body)
 }
 
 func requireBitIdentical(t *testing.T, got, want *tensor.Matrix) {
@@ -64,6 +84,10 @@ func requireBitIdentical(t *testing.T, got, want *tensor.Matrix) {
 }
 
 func TestMultiplyMatchesSeedReference(t *testing.T) {
+	withBothKernels(t, testMultiplyMatchesSeedReference)
+}
+
+func testMultiplyMatchesSeedReference(t *testing.T) {
 	// The blocked kernel must be bit-identical to the seed's (i, j, k)
 	// walk across shapes, group sizes, and both functional mappings.
 	rng := rand.New(rand.NewSource(11))
@@ -226,6 +250,10 @@ func randQuant(rng *rand.Rand, k, n, gs int, shared bool, stride int, zeros bool
 }
 
 func TestMultiplyIntoStrideView(t *testing.T) {
+	withBothKernels(t, testMultiplyIntoStrideView)
+}
+
+func testMultiplyIntoStrideView(t *testing.T) {
 	// A strided view over a larger code backing (the KV-cache key plane
 	// layout) must multiply identically to the compact matrix.
 	rng := rand.New(rand.NewSource(12))
@@ -250,6 +278,10 @@ func TestMultiplyIntoStrideView(t *testing.T) {
 }
 
 func TestMultiplySharedScalesView(t *testing.T) {
+	withBothKernels(t, testMultiplySharedScalesView)
+}
+
+func testMultiplySharedScalesView(t *testing.T) {
 	// SharedScales (one scale per K-group for every column — the KVQ
 	// value-cache layout) must match the expanded per-column layout.
 	rng := rand.New(rand.NewSource(13))
@@ -268,10 +300,10 @@ func TestMultiplySharedScalesView(t *testing.T) {
 	}
 	expanded := shared
 	expanded.SharedScales = false
-	expanded.Scales = make([]float32, n*k)
-	for j := 0; j < n; j++ {
-		for g := 0; g < k; g++ {
-			expanded.Scales[j*k+g] = shared.Scales[g]
+	expanded.Scales = make([]float32, k*n)
+	for g := 0; g < k; g++ {
+		for j := 0; j < n; j++ {
+			expanded.Scales[g*n+j] = shared.Scales[g]
 		}
 	}
 	cfg := GEMMConfig{Rows: 16, Cols: 8, Mapping: MappingMugi}
@@ -290,8 +322,12 @@ func TestMultiplySharedScalesView(t *testing.T) {
 
 // TestMultiplyIntoZeroAlloc asserts a warmed MultiplyInto allocates
 // nothing, on a small GEMM and on BenchmarkVLPGEMM's shape (8x512 BF16
-// queries against 512x512 INT4 weights, group 128).
+// queries against 512x512 INT4 weights, group 128), with either kernel.
 func TestMultiplyIntoZeroAlloc(t *testing.T) {
+	withBothKernels(t, testMultiplyIntoZeroAlloc)
+}
+
+func testMultiplyIntoZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		m, k, n, group int
@@ -328,6 +364,19 @@ func TestMultiplyIntoValidatesOut(t *testing.T) {
 		}
 	}()
 	MultiplyInto(GEMMConfig{Rows: 8, Cols: 8}, a, q, tensor.NewMatrix(2, 2), nil)
+}
+
+// TestMultiplyIntoValidatesScales: per-column scales shorter than groups
+// × columns panic even when their backing array is long enough to read.
+func TestMultiplyIntoValidatesScales(t *testing.T) {
+	q := QuantizeWeights(tensor.NewMatrix(8, 3), 4, 4) // 2 groups × 3 columns
+	q.Scales = make([]float32, 5, 6)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on short Scales")
+		}
+	}()
+	MultiplyInto(GEMMConfig{Rows: 8, Cols: 8}, tensor.NewMatrix(1, 8), q, tensor.NewMatrix(1, 3), nil)
 }
 
 // softmaxSeedRef replicates the seed Softmax: materialize the shifted
@@ -411,17 +460,15 @@ func TestVLPSoftmaxZeroAlloc(t *testing.T) {
 }
 
 // TestReserveCoversEnsure pins Reserve's contract: after reserving, any
-// ensure within the bounds keeps the same backing arrays.
+// ensure within the bound keeps the same backing arrays.
 func TestReserveCoversEnsure(t *testing.T) {
 	var s GEMMScratch
-	s.Reserve(100, 400)
-	accBefore, scaleBefore := &s.acc[0], &s.scaleT[0]
-	s.ensure(100, 400)
-	if &s.acc[0] != accBefore || &s.scaleT[0] != scaleBefore {
-		t.Fatal("ensure within reserved bounds reallocated")
-	}
-	s.ensure(80, 0) // SharedScales path: no scale table demanded
-	if &s.acc[0] != accBefore || cap(s.scaleT) < 400 {
-		t.Fatal("shared-scales ensure disturbed the reserved buffers")
+	s.Reserve(100)
+	accBefore, gaccBefore := &s.acc[0], &s.gacc[0]
+	for _, n := range []int{100, 80, 1} {
+		s.ensure(n)
+		if &s.acc[0] != accBefore || &s.gacc[0] != gaccBefore {
+			t.Fatalf("ensure(%d) within the reserved bound reallocated", n)
+		}
 	}
 }

@@ -18,8 +18,9 @@ import (
 // model's one "kv" GEMM of width 2·KVDim.
 //
 // What the model leaves out: the vocab projection after the last layer,
-// RoPE's Sin and Cos, and RMSNorm (tensor.RMSNormRow, which the vector
-// unit runs twice per layer and no op prices).
+// RoPE's Sin and Cos (one of each per dimension pair and Step, shared by
+// every head of every layer), and RMSNorm (tensor.RMSNormRow, which the
+// vector unit runs twice per layer and no op prices).
 func TestStepMatchesDecodeOps(t *testing.T) {
 	for _, geo := range []struct {
 		name                string
@@ -118,7 +119,7 @@ func TestStepMatchesDecodeOps(t *testing.T) {
 					t.Fatalf("the model now prices RoPE (%q); count it here", o.Name)
 				}
 			}
-			rope := cfg.Layers * (cfg.Heads + cfg.KVHeads) * (cfg.HeadDim() / 2)
+			rope := cfg.HeadDim() / 2
 			if sinN != rope || cosN != rope {
 				t.Errorf("RoPE ran %d sin and %d cos, want %d each", sinN, cosN, rope)
 			}

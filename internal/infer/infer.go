@@ -53,7 +53,9 @@ func (c Config) HeadDim() int { return c.Dim / c.Heads }
 // Group is the GQA group size.
 func (c Config) Group() int { return c.Heads / c.KVHeads }
 
-// Ops bundles the pluggable nonlinear implementations.
+// Ops bundles the pluggable nonlinear implementations. Each must be a
+// pure function of its arguments: Step evaluates Sin and Cos once per
+// angle and reuses the results for every head of every layer.
 type Ops struct {
 	Name    string
 	Softmax func(dst, xs []float64)
@@ -146,6 +148,10 @@ type stepScratch struct {
 	scores  []float64
 	probs   []float64
 	logits  []float64
+	// ropeSin and ropeCos hold the sine and cosine of each dimension
+	// pair's RoPE angle at the current position, computed once per Step.
+	ropeSin []float64
+	ropeCos []float64
 	aWrap   tensor.Matrix
 	outWrap tensor.Matrix
 	gemm    core.GEMMScratch
@@ -181,7 +187,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.wout = quant(tensor.RandNormal(rng, cfg.Dim, cfg.Vocab, std))
 	hd := cfg.HeadDim()
-	e.ropeInv = make([]float64, (hd+1)/2)
+	e.ropeInv = make([]float64, hd/2)
 	for i := 0; i+1 < hd; i += 2 {
 		e.ropeInv[i/2] = math.Pow(10000, -float64(i)/float64(hd))
 	}
@@ -205,32 +211,12 @@ func (e *Engine) initScratch() {
 	e.sc.scores = make([]float64, cfg.MaxSeq)
 	e.sc.probs = make([]float64, cfg.MaxSeq)
 	e.sc.logits = make([]float64, cfg.Vocab)
+	e.sc.ropeSin = make([]float64, len(e.ropeInv))
+	e.sc.ropeCos = make([]float64, len(e.ropeInv))
 	// Pre-reserve the GEMM scratch for the widest output any Step GEMM
-	// produces (projections, FFN, logits, or a full-context score row) and
-	// the largest gathered scale table (weight matrices, or the key cache's
-	// single-group row at full context), so the scratch never grows
-	// mid-decode as the KV context lengthens.
-	maxN := cfg.Dim
-	for _, n := range []int{2 * kvDim, cfg.FFN, cfg.Vocab, cfg.MaxSeq} {
-		if n > maxN {
-			maxN = n
-		}
-	}
-	maxScale := cfg.MaxSeq // Keys: one group × ctxLen columns
-	reserve := func(w core.QuantMatrix) {
-		groups := (w.Rows + w.GroupSize - 1) / w.GroupSize
-		if s := groups * w.Cols; s > maxScale {
-			maxScale = s
-		}
-	}
-	for i := range e.layers {
-		l := &e.layers[i]
-		for _, w := range []core.QuantMatrix{l.wq, l.wkv, l.wo, l.w1, l.w2} {
-			reserve(w)
-		}
-	}
-	reserve(e.wout)
-	e.sc.gemm.Reserve(maxN, maxScale)
+	// produces (projections, FFN, logits, or a full-context score row), so
+	// the scratch never grows mid-decode as the KV context lengthens.
+	e.sc.gemm.Reserve(max(cfg.Dim, 2*kvDim, cfg.FFN, cfg.Vocab, cfg.MaxSeq))
 }
 
 // randNormalPair draws the two rows × cols matrices tensor.RandNormal
@@ -281,9 +267,9 @@ func (e *Engine) matmul(dst, x []float32, w core.QuantMatrix) []float32 {
 
 // applyRoPE rotates consecutive dimension pairs of one head vector by the
 // position-dependent angles, using the provided sin/cos implementations.
-// It recomputes the inverse frequencies with math.Pow per pair; Step uses
-// applyRoPEInv with the engine's precomputed table, which a test pins to
-// identical outputs.
+// No production code calls it: it recomputes the inverse frequencies with
+// math.Pow and the sines and cosines per pair, and stays as the reference
+// that tests hold Step's ropeTable and rotateRoPE to, bit for bit.
 func applyRoPE(v []float32, pos int, sin, cos func(float64) float64) {
 	hd := len(v)
 	for i := 0; i+1 < hd; i += 2 {
@@ -295,13 +281,21 @@ func applyRoPE(v []float32, pos int, sin, cos func(float64) float64) {
 	}
 }
 
-// applyRoPEInv is applyRoPE with the inverse-frequency table precomputed:
-// inv[i/2] must hold 10000^(-i/len(v)).
-func applyRoPEInv(v []float32, pos int, inv []float64, sin, cos func(float64) float64) {
-	hd := len(v)
-	for i := 0; i+1 < hd; i += 2 {
-		theta := float64(pos) * inv[i/2]
-		s, c := sin(theta), cos(theta)
+// ropeTable fills sin[i] and cos[i] with the sine and cosine of pos·inv[i],
+// the RoPE angle of dimension pair i at position pos. The angles depend
+// only on the position and the pair, so one table serves every head.
+func ropeTable(sin, cos []float64, pos int, inv []float64, sinF, cosF func(float64) float64) {
+	for i, f := range inv {
+		theta := float64(pos) * f
+		sin[i], cos[i] = sinF(theta), cosF(theta)
+	}
+}
+
+// rotateRoPE rotates consecutive dimension pairs of one head vector by the
+// angles whose sines and cosines ropeTable computed.
+func rotateRoPE(v []float32, sin, cos []float64) {
+	for i := 0; i+1 < len(v); i += 2 {
+		s, c := sin[i/2], cos[i/2]
 		a, b := float64(v[i]), float64(v[i+1])
 		v[i] = float32(a*c - b*s)
 		v[i+1] = float32(a*s + b*c)
@@ -328,6 +322,10 @@ func (e *Engine) Step(token int, ops Ops) ([]float64, error) {
 
 	x := e.sc.x
 	copy(x, e.embed.Row(token))
+	sin, cos := e.sc.ropeSin, e.sc.ropeCos
+	if cfg.RoPE {
+		ropeTable(sin, cos, e.pos, e.ropeInv, ops.Sin, ops.Cos)
+	}
 
 	for li := range e.layers {
 		l := &e.layers[li]
@@ -336,10 +334,10 @@ func (e *Engine) Step(token int, ops Ops) ([]float64, error) {
 		k, v := kv[:kvDim], kv[kvDim:]
 		if cfg.RoPE {
 			for h := 0; h < cfg.Heads; h++ {
-				applyRoPEInv(q[h*hd:(h+1)*hd], e.pos, e.ropeInv, ops.Sin, ops.Cos)
+				rotateRoPE(q[h*hd:(h+1)*hd], sin, cos)
 			}
 			for h := 0; h < cfg.KVHeads; h++ {
-				applyRoPEInv(k[h*hd:(h+1)*hd], e.pos, e.ropeInv, ops.Sin, ops.Cos)
+				rotateRoPE(k[h*hd:(h+1)*hd], sin, cos)
 			}
 		}
 		e.cache.Append(li, k, v)

@@ -222,21 +222,27 @@ func TestKVCacheMatrixLayouts(t *testing.T) {
 
 func TestRoPERotationExact(t *testing.T) {
 	// Rotating by position 0 is the identity; rotation preserves pair
-	// norms at any position.
-	v := []float32{1, 2, 3, 4}
-	orig := append([]float32(nil), v...)
-	applyRoPE(v, 0, math.Sin, math.Cos)
-	for i := range v {
-		if math.Abs(float64(v[i]-orig[i])) > 1e-6 {
-			t.Fatalf("pos 0 not identity: %v", v)
+	// norms at any position. Step's table path gives applyRoPE's bits.
+	orig := []float32{1, 2, 3, 4}
+	for _, pos := range []int{0, 9} {
+		v := append([]float32(nil), orig...)
+		applyRoPE(v, pos, math.Sin, math.Cos)
+		table := append([]float32(nil), orig...)
+		ropeByTable(table, 1, pos, math.Sin, math.Cos)
+		for i := range v {
+			if math.Float32bits(v[i]) != math.Float32bits(table[i]) {
+				t.Fatalf("pos %d: table path %v, applyRoPE %v", pos, table, v)
+			}
+			if pos == 0 && v[i] != orig[i] {
+				t.Fatalf("pos 0 not identity: %v", v)
+			}
 		}
-	}
-	applyRoPE(v, 9, math.Sin, math.Cos)
-	for i := 0; i+1 < len(v); i += 2 {
-		n0 := float64(orig[i])*float64(orig[i]) + float64(orig[i+1])*float64(orig[i+1])
-		n1 := float64(v[i])*float64(v[i]) + float64(v[i+1])*float64(v[i+1])
-		if math.Abs(n0-n1) > 1e-4 {
-			t.Errorf("pair %d: norm %v -> %v", i, n0, n1)
+		for i := 0; i+1 < len(v); i += 2 {
+			n0 := float64(orig[i])*float64(orig[i]) + float64(orig[i+1])*float64(orig[i+1])
+			n1 := float64(v[i])*float64(v[i]) + float64(v[i+1])*float64(v[i+1])
+			if math.Abs(n0-n1) > 1e-4 {
+				t.Errorf("pos %d pair %d: norm %v -> %v", pos, i, n0, n1)
+			}
 		}
 	}
 }

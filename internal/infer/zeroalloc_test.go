@@ -148,26 +148,47 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestApplyRoPEInvMatchesPow pins the precomputed inverse-frequency path
-// to the seed's per-pair math.Pow formulation, bit for bit.
+// ropeByTable rotates each len(v)/heads-wide head of v at pos the way
+// Step does: one ropeTable of the heads' dimension pairs from the
+// precomputed inverse frequencies, then rotateRoPE per head.
+func ropeByTable(v []float32, heads, pos int, sinF, cosF func(float64) float64) {
+	hd := len(v) / heads
+	inv := make([]float64, hd/2)
+	for i := 0; i+1 < hd; i += 2 {
+		inv[i/2] = math.Pow(10000, -float64(i)/float64(hd))
+	}
+	sin, cos := make([]float64, len(inv)), make([]float64, len(inv))
+	ropeTable(sin, cos, pos, inv, sinF, cosF)
+	for h := 0; h < heads; h++ {
+		rotateRoPE(v[h*hd:(h+1)*hd], sin, cos)
+	}
+}
+
+// TestApplyRoPEInvMatchesPow pins Step's RoPE path (ropeByTable: one
+// sin/cos table from the precomputed inverse frequencies, shared by every
+// head) to the seed's per-head, per-pair math.Pow formulation, applyRoPE,
+// bit for bit, under the exact and the VLP sine and cosine, at even and
+// odd head widths.
 func TestApplyRoPEInvMatchesPow(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, hd := range []int{2, 4, 8, 16, 30} {
-		inv := make([]float64, (hd+1)/2)
-		for i := 0; i+1 < hd; i += 2 {
-			inv[i/2] = math.Pow(10000, -float64(i)/float64(hd))
-		}
-		for pos := 0; pos < 40; pos += 7 {
-			a := make([]float32, hd)
-			for i := range a {
-				a[i] = float32(rng.NormFloat64())
-			}
-			b := append([]float32(nil), a...)
-			applyRoPE(a, pos, math.Sin, math.Cos)
-			applyRoPEInv(b, pos, inv, math.Sin, math.Cos)
-			for i := range a {
-				if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-					t.Fatalf("hd=%d pos=%d dim %d: %v != %v", hd, pos, i, a[i], b[i])
+	vlp := VLPOps(nonlinear.SiLU)
+	for _, ops := range []Ops{ExactOps(nonlinear.SiLU), vlp} {
+		for _, hd := range []int{2, 4, 5, 8, 16, 30} {
+			for pos := 0; pos < 40; pos += 7 {
+				const heads = 3
+				a := make([]float32, heads*hd)
+				for i := range a {
+					a[i] = float32(rng.NormFloat64())
+				}
+				b := append([]float32(nil), a...)
+				for h := 0; h < heads; h++ {
+					applyRoPE(a[h*hd:(h+1)*hd], pos, ops.Sin, ops.Cos)
+				}
+				ropeByTable(b, heads, pos, ops.Sin, ops.Cos)
+				for i := range a {
+					if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+						t.Fatalf("%s hd=%d pos=%d element %d: %v != %v", ops.Name, hd, pos, i, a[i], b[i])
+					}
 				}
 			}
 		}

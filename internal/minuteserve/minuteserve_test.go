@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -261,15 +262,21 @@ func TestValidateRequiresCanonicalEntries(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []func(*Entry){
+	bads := []func(*Entry){
 		func(e *Entry) { e.Kind = "MUGI" },
 		func(e *Entry) { e.Kind = "mugi-l" },
 		func(e *Entry) { e.Profile = "RAG" },
 		func(e *Entry) { e.Kind, e.Rows = "tensor", -5 },
 		func(e *Entry) { e.Kind, e.Rows = "tensor", 7 },
 		func(e *Entry) { e.Rows = -256 },
-		func(e *Entry) { e.MeshRows, e.MeshCols = 3037000500, 3037000500 },
-	} {
+	}
+	if strconv.IntSize == 64 {
+		// A mesh whose node count overflows a 64-bit int; its side is
+		// not a 32-bit int.
+		side := int64(3037000500)
+		bads = append(bads, func(e *Entry) { e.MeshRows, e.MeshCols = int(side), int(side) })
+	}
+	for _, bad := range bads {
 		e := ok
 		bad(&e)
 		if err := e.Validate(); err == nil {

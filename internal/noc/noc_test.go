@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strconv"
 	"testing"
 
 	"mugi/internal/arch"
@@ -44,10 +45,16 @@ func TestParseMesh(t *testing.T) {
 
 // TestMeshValidates: NewMesh panics and Validate errs on the meshes
 // ParseMesh rejects, whose node count may overflow int (a 32-bit int
-// wraps MaxNodes×MaxNodes to 0 and 65537×65536 to 65536).
+// wraps MaxNodes×MaxNodes to 0 and 65537×65536 to 65536; a 64-bit int
+// overflows at 3037000500×3037000500, dimensions that are not 32-bit
+// ints, so those cases run on 64-bit GOARCHes only).
 func TestMeshValidates(t *testing.T) {
-	for _, m := range []Mesh{{0, 4}, {4, -1}, {1025, 1024}, {1, MaxNodes + 1}, {MaxNodes, MaxNodes}, {65537, 65536},
-		{3037000500, 3037000500}, {1 << 32, 1 << 32}} {
+	meshes := []Mesh{{0, 4}, {4, -1}, {1025, 1024}, {1, MaxNodes + 1}, {MaxNodes, MaxNodes}, {65537, 65536}}
+	if strconv.IntSize == 64 {
+		side, big := int64(3037000500), int64(1)<<32
+		meshes = append(meshes, Mesh{int(side), int(side)}, Mesh{int(big), int(big)})
+	}
+	for _, m := range meshes {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%v: Validate accepted it", m)
 		}
