@@ -158,8 +158,8 @@ func BenchmarkAblationMapping(b *testing.B) {
 func BenchmarkAblationBuffers(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		m := NewMugi(256).Area(Cost45nm)
-		c := NewCarat(256).Area(Cost45nm)
+		m := NewMugi(256).Area(&Cost45nm)
+		c := NewCarat(256).Area(&Cost45nm)
 		ratio = c.FIFO / m.FIFO
 	}
 	b.ReportMetric(ratio, "carat/mugi-buffer-area")

@@ -410,7 +410,7 @@ func runPoint(w io.Writer, o *options) error {
 	fmt.Fprintf(w, "power         %.3f W (leakage %.3f W)\n", res.PowerWatts, res.LeakageWatts)
 	fmt.Fprintf(w, "efficiency    %.2f tokens/J  %.3f tokens/s/W\n", res.TokensPerJoule(tokens), res.TokensPerSecondPerWatt())
 	fmt.Fprintf(w, "DRAM traffic  %.2f GB/pass\n", float64(res.DRAMBytes)/1e9)
-	area := d.Area(arch.Cost45nm)
+	area := d.Area(&arch.Cost45nm)
 	fmt.Fprintf(w, "area          %.2f mm2 (array %.2f, SRAM %.2f)\n", area.Total(), area.ArrayTotal(), area.SRAM)
 	fmt.Fprintln(w, "latency breakdown (array cycles):")
 	for _, cls := range []model.OpClass{model.Projection, model.Attention, model.FFN, model.Nonlinear} {

@@ -33,7 +33,7 @@ func main() {
 		for _, d := range designs {
 			r := mugi.Simulate(mugi.SimParams{Design: d}, w)
 			energy := r.DynamicEnergy + r.LeakageWatts*r.Seconds
-			f := mugi.AssessCarbon(energy, d.Area(mugi.Cost45nm).Total(), r.Seconds).
+			f := mugi.AssessCarbon(energy, d.Area(&mugi.Cost45nm).Total(), r.Seconds).
 				PerToken(w.TokensPerPass())
 			rows = append(rows, row{d.Name, f, f.Total()})
 			if d.Name == "SA (16)" {

@@ -27,7 +27,7 @@ func main() {
 		"design", "tokens/s", "area mm2", "tokens/J", "tok/s/W", "util")
 	for _, d := range designs {
 		r := mugi.Simulate(mugi.SimParams{Design: d}, workload)
-		area := d.Area(mugi.Cost45nm).Total()
+		area := d.Area(&mugi.Cost45nm).Total()
 		fmt.Printf("%-16s %10.3f %10.2f %12.2f %12.3f %9.1f%%\n",
 			d.Name, r.TokensPerSecond, area,
 			r.TokensPerJoule(workload.TokensPerPass()),

@@ -22,33 +22,33 @@ func within(t *testing.T, name string, x, want, tol float64) {
 
 func TestMugiAreasMatchTable3(t *testing.T) {
 	// Paper Table 3 on-chip areas: Mugi(128) 2.16 mm², Mugi(256) 3.10 mm².
-	within(t, "Mugi(128)", Mugi(128).Area(Cost45nm).Total(), 2.16, 0.15)
-	within(t, "Mugi(256)", Mugi(256).Area(Cost45nm).Total(), 3.10, 0.15)
+	within(t, "Mugi(128)", Mugi(128).Area(&Cost45nm).Total(), 2.16, 0.15)
+	within(t, "Mugi(256)", Mugi(256).Area(&Cost45nm).Total(), 3.10, 0.15)
 }
 
 func TestCaratAreasMatchTable3(t *testing.T) {
 	// Carat(128) 2.42 mm², Carat(256) 3.84 mm².
-	within(t, "Carat(128)", Carat(128).Area(Cost45nm).Total(), 2.42, 0.20)
-	within(t, "Carat(256)", Carat(256).Area(Cost45nm).Total(), 3.84, 0.20)
+	within(t, "Carat(128)", Carat(128).Area(&Cost45nm).Total(), 2.42, 0.20)
+	within(t, "Carat(256)", Carat(256).Area(&Cost45nm).Total(), 3.84, 0.20)
 }
 
 func TestBaselineAreasMatchTable3(t *testing.T) {
-	within(t, "SA(16)", SystolicArray(16, false).Area(Cost45nm).Total(), 2.58, 0.20)
-	within(t, "SA-F(16)", SystolicArray(16, true).Area(Cost45nm).Total(), 2.81, 0.20)
-	within(t, "SD(16)", SIMDArray(16, false).Area(Cost45nm).Total(), 2.54, 0.20)
-	within(t, "Tensor", TensorCore().Area(Cost45nm).Total(), 38.75, 0.20)
+	within(t, "SA(16)", SystolicArray(16, false).Area(&Cost45nm).Total(), 2.58, 0.20)
+	within(t, "SA-F(16)", SystolicArray(16, true).Area(&Cost45nm).Total(), 2.81, 0.20)
+	within(t, "SD(16)", SIMDArray(16, false).Area(&Cost45nm).Total(), 2.54, 0.20)
+	within(t, "Tensor", TensorCore().Area(&Cost45nm).Total(), 38.75, 0.20)
 }
 
 func TestMugiArrayLevelAreaMatchesFig13(t *testing.T) {
 	// Fig. 13 array-level (no SRAM): Mugi(128) ~0.5 mm², Mugi(256) ~0.9.
-	within(t, "Mugi(128) array", Mugi(128).Area(Cost45nm).ArrayTotal()-Mugi(128).Area(Cost45nm).Vector, 0.5, 0.25)
+	within(t, "Mugi(128) array", Mugi(128).Area(&Cost45nm).ArrayTotal()-Mugi(128).Area(&Cost45nm).Vector, 0.5, 0.25)
 }
 
 func TestPlacedAndRoutedNode(t *testing.T) {
 	// The paper P&Rs a single 8×8 Mugi node at 0.056 mm² (§5.4): the PE +
 	// TC + FIFO + accumulator cluster at that size should be in range.
 	d := Mugi(8)
-	b := d.Area(Cost45nm)
+	b := d.Area(&Cost45nm)
 	arrayOnly := b.PE + b.Acc + b.TC + b.FIFO
 	within(t, "8x8 node", arrayOnly, 0.056, 0.6)
 }
@@ -56,8 +56,8 @@ func TestPlacedAndRoutedNode(t *testing.T) {
 func TestCaratBufferOverheadRatio(t *testing.T) {
 	// Paper §4.2: Mugi's broadcast + output-buffer leaning lowers total
 	// buffer area by ~4.5× vs Carat at the evaluated sizes.
-	m := Mugi(256).Area(Cost45nm)
-	c := Carat(256).Area(Cost45nm)
+	m := Mugi(256).Area(&Cost45nm)
+	c := Carat(256).Area(&Cost45nm)
 	ratio := c.FIFO / m.FIFO
 	if ratio < 3.5 || ratio > 6.5 {
 		t.Errorf("buffer ratio %.2f, want ~4.5", ratio)
@@ -65,7 +65,7 @@ func TestCaratBufferOverheadRatio(t *testing.T) {
 }
 
 func TestAreaOrderings(t *testing.T) {
-	c := Cost45nm
+	c := &Cost45nm
 	// FIGNA PEs are larger than plain MAC PEs.
 	if SystolicArray(16, true).Area(c).Total() <= SystolicArray(16, false).Area(c).Total() {
 		t.Error("FIGNA should be larger")
@@ -135,7 +135,7 @@ func TestCaratNLSlower(t *testing.T) {
 }
 
 func TestEnergyOrdering(t *testing.T) {
-	c := Cost45nm
+	c := &Cost45nm
 	if Mugi(128).EnergyPerMAC(c) >= SystolicArray(16, false).EnergyPerMAC(c) {
 		t.Error("VLP MAC should be cheaper than multiplier MAC")
 	}
@@ -148,7 +148,7 @@ func TestEnergyOrdering(t *testing.T) {
 }
 
 func TestLeakageProportionalToArea(t *testing.T) {
-	c := Cost45nm
+	c := &Cost45nm
 	l1 := Mugi(128).LeakageWatts(c)
 	l2 := Mugi(256).LeakageWatts(c)
 	a1 := Mugi(128).Area(c).Total()

@@ -112,7 +112,7 @@ func (b Breakdown) ArrayTotal() float64 {
 func (b Breakdown) Total() float64 { return b.ArrayTotal() + b.SRAM }
 
 // Area computes the design's component-level area under the cost table.
-func (d Design) Area(c CostTable) Breakdown {
+func (d Design) Area(c *CostTable) Breakdown {
 	var b Breakdown
 	pes := float64(d.PEs())
 	switch d.Kind {
@@ -127,7 +127,7 @@ func (d Design) Area(c CostTable) Breakdown {
 		b.TC = float64(d.Rows) * c.AreaTC
 		// Pipelined input FIFOs plus double-buffered OR trees: the cost
 		// the paper reports scaling super-linearly (§4.2, Fig. 13).
-		b.FIFO = float64(d.Rows)*c.AreaLeanFIFO + c.AreaCaratFIFO*math.Pow(float64(d.Rows), 1.5)
+		b.FIFO = float64(float64(d.Rows)*c.AreaLeanFIFO) + float64(c.AreaCaratFIFO*math.Pow(float64(d.Rows), 1.5))
 	case KindSA, KindSD:
 		per := c.AreaMACPE
 		if d.FIGNA {
@@ -155,12 +155,12 @@ func (d Design) Area(c CostTable) Breakdown {
 }
 
 // LeakageWatts is the design's static power.
-func (d Design) LeakageWatts(c CostTable) float64 {
+func (d Design) LeakageWatts(c *CostTable) float64 {
 	return d.Area(c).Total() * c.LeakagePerMM2
 }
 
 // EnergyPerMAC is the active energy of one effective MAC on the GEMM array.
-func (d Design) EnergyPerMAC(c CostTable) float64 {
+func (d Design) EnergyPerMAC(c *CostTable) float64 {
 	switch d.Kind {
 	case KindMugi, KindMugiL:
 		return c.EnergyVLPMAC
@@ -179,7 +179,7 @@ func (d Design) EnergyPerMAC(c CostTable) float64 {
 
 // EnergyPerNLElement is the energy of one nonlinear element on the
 // design's nonlinear unit.
-func (d Design) EnergyPerNLElement(c CostTable) float64 {
+func (d Design) EnergyPerNLElement(c *CostTable) float64 {
 	switch d.NL {
 	case NLShared:
 		return c.EnergyNLVLP

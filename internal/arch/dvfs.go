@@ -74,7 +74,7 @@ func (p DVFSPoint) String() string {
 // fit the DVS exploration literature uses; points built by hand can pick
 // any (FScale, VScale) pair.
 func DVFSStep(name string, fscale float64) DVFSPoint {
-	return DVFSPoint{Name: name, FScale: fscale, VScale: 0.6 + 0.4*fscale}
+	return DVFSPoint{Name: name, FScale: fscale, VScale: 0.6 + float64(0.4*fscale)}
 }
 
 // DVFSLadder is the default three-point ladder the autoscaler walks,
@@ -88,33 +88,33 @@ func DVFSLadder() []DVFSPoint {
 	}
 }
 
-// AtDVFS returns the cost table re-derived at an operating point:
+// AtDVFS writes the cost table re-derived at an operating point to *out:
 // frequency × f, every on-chip per-op switching energy × v², leakage
 // density × v. Areas are silicon and do not change; EnergyDRAMByte stays
 // nominal because HBM is not on the node's DVFS rail (see DVFSPoint).
-// A nominal point returns the table unchanged.
-func (c CostTable) AtDVFS(p DVFSPoint) CostTable {
+// A nominal point copies the table unchanged. out may be c.
+func (c *CostTable) AtDVFS(p DVFSPoint, out *CostTable) {
+	*out = *c
 	f, v := p.scales()
 	if f == 1 && v == 1 {
-		return c
+		return
 	}
 	e := v * v
-	c.Frequency *= f
+	out.Frequency *= f
 
-	c.EnergyVLPMAC *= e
-	c.EnergyCaratMAC *= e
-	c.EnergyMAC *= e
-	c.EnergyFIGNAMAC *= e
-	c.EnergyTensorMAC *= e
-	c.EnergyIdlePE *= e
-	c.EnergyNLPrecise *= e
-	c.EnergyNLPWL *= e
-	c.EnergyNLTaylor *= e
-	c.EnergyNLLUT *= e
-	c.EnergyNLVLP *= e
-	c.EnergyVecOp *= e
-	c.EnergySRAMByte *= e
+	out.EnergyVLPMAC *= e
+	out.EnergyCaratMAC *= e
+	out.EnergyMAC *= e
+	out.EnergyFIGNAMAC *= e
+	out.EnergyTensorMAC *= e
+	out.EnergyIdlePE *= e
+	out.EnergyNLPrecise *= e
+	out.EnergyNLPWL *= e
+	out.EnergyNLTaylor *= e
+	out.EnergyNLLUT *= e
+	out.EnergyNLVLP *= e
+	out.EnergyVecOp *= e
+	out.EnergySRAMByte *= e
 
-	c.LeakagePerMM2 *= v
-	return c
+	out.LeakagePerMM2 *= v
 }

@@ -11,12 +11,22 @@ import (
 // future per-op energy constant cannot be added without deciding its
 // DVFS behavior: every Energy* field must scale by v² except the
 // off-chip EnergyDRAMByte, Frequency must scale by f, LeakagePerMM2 by
-// v, and every Area* field must be untouched.
+// v, and every Area* field must be untouched. Re-deriving a table in
+// place, with out the receiver, must give the same table.
 func TestAtDVFSCoversEveryEnergyField(t *testing.T) {
 	p := DVFSPoint{Name: "test", FScale: 0.5, VScale: 0.8}
 	f, v := 0.5, 0.8
 	base := Cost45nm
-	scaled := base.AtDVFS(p)
+	var scaled CostTable
+	base.AtDVFS(p, &scaled)
+	if base != Cost45nm {
+		t.Fatal("AtDVFS wrote its receiver")
+	}
+	inPlace := base
+	inPlace.AtDVFS(p, &inPlace)
+	if inPlace != scaled {
+		t.Fatalf("AtDVFS in place %+v, into another table %+v", inPlace, scaled)
+	}
 
 	bv := reflect.ValueOf(base)
 	sv := reflect.ValueOf(scaled)
@@ -52,8 +62,9 @@ func TestDVFSPointNominal(t *testing.T) {
 	if !zero.IsNominal() {
 		t.Fatal("zero DVFSPoint must be nominal")
 	}
-	if got := Cost45nm.AtDVFS(zero); got != Cost45nm {
-		t.Fatal("nominal AtDVFS must return the table unchanged")
+	var got CostTable
+	if Cost45nm.AtDVFS(zero, &got); got != Cost45nm {
+		t.Fatal("nominal AtDVFS must copy the table unchanged")
 	}
 	if zero.String() != "full" {
 		t.Fatalf("zero point renders %q, want full", zero.String())
@@ -76,7 +87,8 @@ func TestDVFSLadderOrdering(t *testing.T) {
 	}
 	prev := math.Inf(1)
 	for i, p := range ladder {
-		c := Cost45nm.AtDVFS(p)
+		var c CostTable
+		Cost45nm.AtDVFS(p, &c)
 		if c.Frequency >= prev {
 			t.Fatalf("ladder[%d] %s frequency %g not strictly below predecessor", i, p, c.Frequency)
 		}

@@ -51,7 +51,7 @@ func (u NLUnit) ElementsPerCycle() float64 {
 // EnergyPerElement is the dynamic energy per evaluated element.
 func (u NLUnit) EnergyPerElement(c CostTable) float64 {
 	d := Design{NL: u.Scheme}
-	return d.EnergyPerNLElement(c)
+	return d.EnergyPerNLElement(&c)
 }
 
 // AreaMM2 is the silicon the unit occupies. For NLShared it is the VLP
@@ -60,8 +60,8 @@ func (u NLUnit) EnergyPerElement(c CostTable) float64 {
 func (u NLUnit) AreaMM2(c CostTable) float64 {
 	switch u.Scheme {
 	case NLShared:
-		pe := float64(u.Lanes*8) * (c.AreaVLPPE + c.AreaVLPAccPE)
-		return pe + float64(u.Lanes)*(c.AreaTC+c.AreaLeanFIFO)
+		pe := float64(float64(u.Lanes*8) * (c.AreaVLPPE + c.AreaVLPAccPE))
+		return pe + float64(float64(u.Lanes)*(c.AreaTC+c.AreaLeanFIFO))
 	case NLLUT:
 		return float64(u.Lanes) * c.AreaLUTLane
 	case NLPrecise:
@@ -81,8 +81,8 @@ func (u NLUnit) ThroughputPerSecond(c CostTable) float64 {
 
 // PowerWatts is leakage plus dynamic power at full occupancy.
 func (u NLUnit) PowerWatts(c CostTable) float64 {
-	leak := u.AreaMM2(c) * c.LeakagePerMM2
-	dyn := u.ThroughputPerSecond(c) * u.EnergyPerElement(c)
+	leak := float64(u.AreaMM2(c) * c.LeakagePerMM2)
+	dyn := float64(u.ThroughputPerSecond(c) * u.EnergyPerElement(c))
 	return leak + dyn
 }
 

@@ -460,10 +460,11 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// i leaks idleLeak[i]; a booting replica leaks at the nominal point
 	// (index 0) — it is powering up the full rail.
 	nodes := cfg.Replica.Mesh.SpeedupFactor()
+	var cost arch.CostTable
 	for _, p := range cfg.Ladder {
-		cost := arch.Cost45nm.AtDVFS(p)
+		arch.Cost45nm.AtDVFS(p, &cost)
 		c.idleLeak = append(c.idleLeak,
-			cfg.Replica.Design.LeakageWatts(cost)*nodes+cfg.Replica.Mesh.LeakageWatts(cost))
+			cfg.Replica.Design.LeakageWatts(&cost)*nodes+cfg.Replica.Mesh.LeakageWatts(&cost))
 	}
 
 	// Per-replica fault schedules: replica i's crash timeline, straggler

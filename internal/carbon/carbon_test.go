@@ -70,7 +70,7 @@ func TestMugiReducesCarbon(t *testing.T) {
 	assess := func(d arch.Design) Footprint {
 		r := sim.Simulate(sim.Params{Design: d}, w)
 		total := r.DynamicEnergy + r.LeakageWatts*r.Seconds
-		return Assess(total, d.Area(arch.Cost45nm).Total(), r.Seconds).PerToken(8)
+		return Assess(total, d.Area(&arch.Cost45nm).Total(), r.Seconds).PerToken(8)
 	}
 	mugi := assess(arch.Mugi(256))
 	sa := assess(arch.SystolicArray(16, false))
@@ -91,7 +91,7 @@ func TestOperationalMajorAt45nm(t *testing.T) {
 	w := model.Llama2_70B_GQA.DecodeOps(8, 4096)
 	r := sim.Simulate(sim.Params{Design: arch.Mugi(256), Mesh: noc.Single}, w)
 	total := r.DynamicEnergy + r.LeakageWatts*r.Seconds
-	f := Assess(total, arch.Mugi(256).Area(arch.Cost45nm).Total(), r.Seconds)
+	f := Assess(total, arch.Mugi(256).Area(&arch.Cost45nm).Total(), r.Seconds)
 	if f.OperationalG <= f.EmbodiedG {
 		t.Errorf("operational %v should exceed embodied %v at 45nm", f.OperationalG, f.EmbodiedG)
 	}

@@ -34,8 +34,8 @@ func Ablations() *Report {
 		float64(caratMap.Cycles)/float64(mugiMap.Cycles))
 
 	// 2. Buffer ablation.
-	m := arch.Mugi(256).Area(arch.Cost45nm)
-	c := arch.Carat(256).Area(arch.Cost45nm)
+	m := arch.Mugi(256).Area(&arch.Cost45nm)
+	c := arch.Carat(256).Area(&arch.Cost45nm)
 	r.Printf("buffers: mugi %.3f mm2 vs carat %.3f mm2: %.2fx reduction (paper 4.5x)",
 		m.FIFO, c.FIFO, c.FIFO/m.FIFO)
 
@@ -78,8 +78,8 @@ func Ablations() *Report {
 	r.Printf("double buffering: SRAM widths hide tile loads for all designs: %v", allHidden)
 
 	// 5. Shared array vs dedicated nonlinear hardware.
-	shared := arch.Mugi(256).Area(arch.Cost45nm).Total()
-	dedicated := arch.MugiL(256).Area(arch.Cost45nm).Total()
+	shared := arch.Mugi(256).Area(&arch.Cost45nm).Total()
+	dedicated := arch.MugiL(256).Area(&arch.Cost45nm).Total()
 	r.Printf("shared array: mugi %.2f mm2 vs mugi-L %.2f mm2: %.2f mm2 saved",
 		shared, dedicated, dedicated-shared)
 	return r

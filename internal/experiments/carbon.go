@@ -39,7 +39,7 @@ func Fig15() *Report {
 		for _, d := range fig15Designs() {
 			res := simulate(d, noc.Single, w)
 			total := res.DynamicEnergy + res.LeakageWatts*res.Seconds
-			f := carbon.Assess(total, d.Area(arch.Cost45nm).Total(), res.Seconds).PerToken(w.TokensPerPass())
+			f := carbon.Assess(total, d.Area(&arch.Cost45nm).Total(), res.Seconds).PerToken(w.TokensPerPass())
 			rows = append(rows, row{d.Name, f})
 			if d.Kind == arch.KindSA && d.NL == arch.NLPrecise {
 				base = f.Total()

@@ -135,7 +135,7 @@ func Table3() *Report {
 		"group", "design", "mesh", "tokens/s", "area mm2", "tokens/J(dyn)", "tokens/s/W")
 	for _, row := range rows {
 		res := simulate(row.d, row.mesh, w)
-		area := row.d.Area(arch.Cost45nm).Total()*row.mesh.SpeedupFactor() + row.mesh.AreaMM2()
+		area := row.d.Area(&arch.Cost45nm).Total()*row.mesh.SpeedupFactor() + row.mesh.AreaMM2()
 		r.Printf("%-5s %-16s %6s %12.3f %10.2f %14.2f %14.3f",
 			row.group, row.d.Name, row.mesh, res.TokensPerSecond, area,
 			res.TokensPerJoule(w.TokensPerPass()), res.TokensPerSecondPerWatt())
@@ -158,7 +158,7 @@ func Fig13() *Report {
 	r.Printf("%-12s %8s %8s %8s %8s %8s %8s | %9s %9s %9s",
 		"design", "PE", "Acc", "FIFO", "TC", "NL", "Vec", "array", "SRAM", "power W")
 	for _, d := range designs {
-		b := d.Area(arch.Cost45nm)
+		b := d.Area(&arch.Cost45nm)
 		res := simulate(d, noc.Single, w)
 		r.Printf("%-12s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f | %9.3f %9.3f %9.3f",
 			d.Name, b.PE, b.Acc, b.FIFO, b.TC, b.Nonlinear, b.Vector,
@@ -168,7 +168,7 @@ func Fig13() *Report {
 	for _, d := range nocDesigns {
 		mesh := noc.NewMesh(4, 4)
 		res := simulate(d, mesh, w)
-		area := d.Area(arch.Cost45nm).Total()*16 + mesh.AreaMM2()
+		area := d.Area(&arch.Cost45nm).Total()*16 + mesh.AreaMM2()
 		r.Printf("%-12s total %8.1f mm2  %8.2f W", d.Name, area, res.PowerWatts)
 	}
 	return r

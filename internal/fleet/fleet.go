@@ -558,5 +558,5 @@ func ReplicaAreaMM2(d arch.Design, mesh noc.Mesh) float64 {
 	if mesh.Nodes() == 0 {
 		mesh = noc.Single
 	}
-	return d.Area(arch.Cost45nm).Total()*float64(mesh.Nodes()) + mesh.AreaMM2()
+	return d.Area(&arch.Cost45nm).Total()*float64(mesh.Nodes()) + mesh.AreaMM2()
 }

@@ -111,7 +111,7 @@ func (m Mesh) AreaMM2() float64 {
 }
 
 // LeakageWatts is the NoC static power.
-func (m Mesh) LeakageWatts(c arch.CostTable) float64 {
+func (m Mesh) LeakageWatts(c *arch.CostTable) float64 {
 	return m.AreaMM2() * c.LeakagePerMM2
 }
 

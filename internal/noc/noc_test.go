@@ -76,7 +76,7 @@ func TestSingleNodeHasNoNoCOverhead(t *testing.T) {
 	if Single.TransferEnergy(1e9) != 0 {
 		t.Error("single node should have no transfer energy")
 	}
-	if Single.LeakageWatts(arch.Cost45nm) != 0 {
+	if Single.LeakageWatts(&arch.Cost45nm) != 0 {
 		t.Error("single node should have no NoC leakage")
 	}
 }

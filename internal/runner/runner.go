@@ -157,10 +157,15 @@ func Simulate(p sim.Params, w model.Workload) sim.Result {
 	return sim.Simulate(p, w)
 }
 
-// Prefetch simulates every point across the default pool and keeps no
-// result. It stays only because benchmark/ times it.
+// Prefetch simulates every point across the default pool, in place, and
+// keeps no result; it counts each point as Simulate does. It stays only
+// because benchmark/ times it.
 func Prefetch(pts []Point) {
-	Map(len(pts), func(i int) { Simulate(pts[i].Params, pts[i].Workload) })
+	Map(len(pts), func(i int) {
+		calls.Add(1)
+		var r sim.Result
+		sim.SimulateInto(&pts[i].Params, &pts[i].Workload, &r)
+	})
 }
 
 // Stats is the call accounting CacheStats returns: Misses counts every

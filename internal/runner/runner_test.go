@@ -72,10 +72,24 @@ func TestSetParallelism(t *testing.T) {
 	}
 }
 
+// TestResetCache: Simulate counts one call and Prefetch of n points n
+// calls, and ResetCache zeroes the count.
 func TestResetCache(t *testing.T) {
+	ResetCache()
 	Simulate(sim.Params{Design: arch.Mugi(128)}, model.Llama2_7B.DecodeOps(8, 128))
-	if st := CacheStats(); st.Misses == 0 {
-		t.Fatalf("Simulate went uncounted: %+v", st)
+	if st := CacheStats(); st != (Stats{Misses: 1}) {
+		t.Fatalf("one Simulate call counted as %+v", st)
+	}
+	pts := make([]Point, 37)
+	for i := range pts {
+		pts[i] = Point{
+			Params:   sim.Params{Design: arch.Mugi(64 * (1 + i%4)), DVFS: arch.DVFSLadder()[i%3]},
+			Workload: model.Llama2_7B.DecodeOps(1+i%8, 128),
+		}
+	}
+	Prefetch(pts)
+	if st := CacheStats(); st != (Stats{Misses: 1 + uint64(len(pts))}) {
+		t.Fatalf("Prefetch of %d points after one Simulate counted as %+v", len(pts), st)
 	}
 	ResetCache()
 	if st := CacheStats(); st != (Stats{}) {

@@ -33,40 +33,11 @@ type Params struct {
 	// mesh's provisioned bandwidth at the cost table's clock). Ignored on
 	// a single node.
 	NoCBandwidth float64
-	// DVFS is the node's voltage–frequency operating point. Simulate
-	// folds it into Cost (clock × f, per-op switching energy × v², leakage
-	// × v — see arch.DVFSPoint) and clears the field, so downstream
-	// consumers see only the re-derived cost table. The zero value is the
-	// nominal point.
+	// DVFS is the node's voltage–frequency operating point. The pass
+	// prices at Cost re-derived at this point (clock × f, per-op
+	// switching energy × v², leakage × v — see arch.DVFSPoint). The zero
+	// value is the nominal point.
 	DVFS arch.DVFSPoint
-}
-
-// applyDefaults materializes the zero-value defaults (HBM bandwidth,
-// single node, 45 nm cost table) in place and folds the DVFS operating
-// point into the cost table, so an implicit default and its explicit
-// spelling price alike, and a DVFS-scaled Params prices like the
-// equivalent hand-scaled cost table. Simulate defaults its own copy of
-// the Params without copying it again.
-// Note the off-chip Bandwidth is defaulted before the fold and the NoC's
-// provisioned bandwidth after it: HBM is not on the DVFS rail, while the
-// mesh links clock with the node.
-func (p *Params) applyDefaults() {
-	if p.Bandwidth == 0 {
-		p.Bandwidth = HBMBandwidth
-	}
-	if p.Mesh.Nodes() == 0 {
-		p.Mesh = noc.Single
-	}
-	if p.Cost.Frequency == 0 {
-		p.Cost = arch.Cost45nm
-	}
-	if !p.DVFS.IsNominal() {
-		p.Cost = p.Cost.AtDVFS(p.DVFS)
-	}
-	p.DVFS = arch.DVFSPoint{}
-	if p.NoCBandwidth == 0 {
-		p.NoCBandwidth = p.Mesh.ProvisionedBandwidth(p.Cost.Frequency)
-	}
 }
 
 // Result is one simulated pass.
@@ -184,31 +155,77 @@ func nlCycles(d *arch.Design, op *model.Op, nlPerCycle float64) float64 {
 // sramBytes estimates on-chip buffer traffic for one GEMM repetition:
 // activations in BF16, weights at their quantized width, outputs in BF16.
 func sramBytes(op *model.Op) float64 {
-	return float64(op.M*op.K)*2 + float64(op.K*op.N)*float64(op.WeightBits)/8 + float64(op.M*op.N)*2
+	return float64(float64(op.M*op.K)*2) + float64(float64(op.K*op.N)*float64(op.WeightBits)/8) + float64(float64(op.M*op.N)*2)
 }
 
-// Simulate runs one workload pass through the performance and cost
-// models. It allocates nothing.
-//
-// It reads the design, cost table and operators in place, and computes
-// the rates and energies that depend only on the design and cost table
-// once, before the operator loop. Every floating-point expression keeps
-// a fixed operand order, which TestSimulatePinned holds to the bit. The
-// by-value signature stays because the benchmark module, outside this
-// one, compiles against it.
+// Simulate is SimulateInto on copies of its inputs. It stays because the
+// benchmark module, outside this one, and mugi.Simulate call it by value.
 //
 //mugi:noalloc
 func Simulate(p Params, w model.Workload) Result {
-	p.applyDefaults()
+	var res Result
+	SimulateInto(&p, &w, &res)
+	return res
+}
+
+// SimulateInto runs one workload pass through the performance and cost
+// models and writes it to *res, overwriting every field. It allocates
+// nothing, and it reads *p and *w in place without writing them.
+//
+// The zero-value defaults resolve into locals: the HBM bandwidth, a
+// single node, the 45 nm cost table, and the mesh's provisioned NoC
+// bandwidth. An off-nominal DVFS point is folded into a copy of the cost
+// table on the stack. So an implicit default prices like its explicit
+// spelling, and a DVFS point like the equivalent hand-scaled cost table
+// at the nominal point. The off-chip bandwidth is defaulted before the
+// fold and the NoC's after it: HBM is not on the DVFS rail, while the
+// mesh links clock with the node.
+//
+// The rates and energies that depend only on the design and cost table
+// are computed once, before the operator loop. Every floating-point
+// expression keeps a fixed operand order, which TestSimulatePinned holds
+// to the bit, and every product that meets an addition is rounded with
+// float64(...) first, so no GOARCH fuses it into a multiply-add. One
+// difference across GOARCHes may remain: Carat's FIFO area takes
+// math.Pow, whose Log and Exp are assembly on amd64 and Go elsewhere, so
+// a Carat design's area, leakage and power may round differently off
+// amd64.
+//
+//mugi:noalloc
+func SimulateInto(p *Params, w *model.Workload, res *Result) {
+	bandwidth := p.Bandwidth
+	if bandwidth == 0 {
+		bandwidth = HBMBandwidth
+	}
+	mesh := p.Mesh
+	if mesh.Nodes() == 0 {
+		mesh = noc.Single
+	}
+	cost := &p.Cost
+	if cost.Frequency == 0 {
+		cost = &arch.Cost45nm
+	}
+	if !p.DVFS.IsNominal() {
+		var scaled arch.CostTable
+		cost.AtDVFS(p.DVFS, &scaled)
+		cost = &scaled
+	}
+	nocBandwidth := p.NoCBandwidth
+	if nocBandwidth == 0 {
+		nocBandwidth = mesh.ProvisionedBandwidth(cost.Frequency)
+	}
+
 	d := &p.Design
-	nodes := p.Mesh.SpeedupFactor()
+	nodes := mesh.SpeedupFactor()
 	layers := float64(w.Model.Layers)
 	peakMACs := d.PeakMACsPerCycle()
-	nlPerCycle := d.NLElementsPerCycle()                          //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
-	energyMAC := d.EnergyPerMAC(p.Cost)                           //mugi:coldalloc inlined unknown-kind panic arg; a built design never takes it
-	energyNL := d.EnergyPerNLElement(p.Cost) + p.Cost.EnergyVecOp //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
+	nlPerCycle := d.NLElementsPerCycle()                      //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
+	energyMAC := d.EnergyPerMAC(cost)                         //mugi:coldalloc inlined unknown-kind panic arg; a built design never takes it
+	energyNL := d.EnergyPerNLElement(cost) + cost.EnergyVecOp //mugi:coldalloc inlined unknown-scheme panic arg; a built design never takes it
 
-	res := Result{Design: p.Design, Mesh: p.Mesh}
+	*res = Result{}
+	res.Design = p.Design
+	res.Mesh = mesh
 	var usefulMACs, capacityMACs float64
 	for i := range w.Ops {
 		op := &w.Ops[i]
@@ -216,19 +233,19 @@ func Simulate(p Params, w model.Workload) Result {
 		if op.Class == model.Nonlinear {
 			cyc := nlCycles(d, op, nlPerCycle) * rep * layers / nodes
 			res.CyclesByClass[model.Nonlinear] += cyc
-			res.EnergyByClass[model.Nonlinear] += float64(op.Elements) * rep * layers * energyNL
+			res.EnergyByClass[model.Nonlinear] += float64(float64(op.Elements) * rep * layers * energyNL)
 			continue
 		}
 		cyc, useful, capacity := gemmCycles(d, op, peakMACs)
 		totalCyc := cyc * rep * layers / nodes
 		res.CyclesByClass[op.Class] += totalCyc
-		usefulMACs += useful * rep * layers
-		capacityMACs += capacity * rep * layers
+		usefulMACs += float64(useful * rep * layers)
+		capacityMACs += float64(capacity * rep * layers)
 		idle := (capacity - useful) * rep * layers
-		energy := useful*rep*layers*energyMAC +
-			idle*p.Cost.EnergyIdlePE +
-			sramBytes(op)*rep*layers*p.Cost.EnergySRAMByte +
-			float64(op.M*op.N)*rep*layers*p.Cost.EnergyVecOp // dequant rescale
+		energy := float64(useful*rep*layers*energyMAC) +
+			float64(idle*cost.EnergyIdlePE) +
+			float64(sramBytes(op)*rep*layers*cost.EnergySRAMByte) +
+			float64(float64(op.M*op.N)*rep*layers*cost.EnergyVecOp) // dequant rescale
 		res.EnergyByClass[op.Class] += energy
 	}
 	// Sum in model.OpClass order, the arrays' index order, so
@@ -241,22 +258,22 @@ func Simulate(p Params, w model.Workload) Result {
 	}
 
 	res.DRAMBytes = w.DRAMBytesPerPass()
-	res.DRAMEnergy = float64(res.DRAMBytes) * p.Cost.EnergyDRAMByte
-	res.ComputeSeconds = res.TotalCycles / p.Cost.Frequency
-	res.MemorySeconds = float64(res.DRAMBytes) / p.Bandwidth
+	res.DRAMEnergy = float64(res.DRAMBytes) * cost.EnergyDRAMByte
+	res.ComputeSeconds = res.TotalCycles / cost.Frequency
+	res.MemorySeconds = float64(res.DRAMBytes) / bandwidth
 	res.Seconds = res.ComputeSeconds
 	if res.MemorySeconds > res.Seconds {
 		res.Seconds = res.MemorySeconds
 	}
-	if p.Mesh.Nodes() > 1 {
-		res.NoCRequiredBandwidth = p.Mesh.RequiredBandwidth(res.DRAMBytes, res.Seconds)
-		res.NoCBandwidth = p.NoCBandwidth
-		if p.NoCBandwidth > 0 && res.NoCRequiredBandwidth > p.NoCBandwidth {
+	if mesh.Nodes() > 1 {
+		res.NoCRequiredBandwidth = mesh.RequiredBandwidth(res.DRAMBytes, res.Seconds)
+		res.NoCBandwidth = nocBandwidth
+		if nocBandwidth > 0 && res.NoCRequiredBandwidth > nocBandwidth {
 			// Fail-safe: an under-provisioned network throttles the pass
 			// to its streaming time instead of silently overreporting
 			// throughput.
 			res.NoCLimited = true
-			res.Seconds = float64(res.DRAMBytes) / p.NoCBandwidth
+			res.Seconds = float64(res.DRAMBytes) / nocBandwidth
 		}
 	}
 
@@ -264,14 +281,13 @@ func Simulate(p Params, w model.Workload) Result {
 		res.DynamicEnergy += e
 	}
 	res.DynamicEnergy += res.DRAMEnergy
-	res.DynamicEnergy += p.Mesh.TransferEnergy(res.DRAMBytes)
+	res.DynamicEnergy += mesh.TransferEnergy(res.DRAMBytes)
 
-	res.LeakageWatts = d.LeakageWatts(p.Cost)*nodes + p.Mesh.LeakageWatts(p.Cost)
+	res.LeakageWatts = float64(d.LeakageWatts(cost)*nodes) + float64(mesh.LeakageWatts(cost))
 	if res.Seconds > 0 {
 		res.PowerWatts = res.LeakageWatts + res.DynamicEnergy/res.Seconds
 		res.TokensPerSecond = float64(w.TokensPerPass()) / res.Seconds
 	}
-	return res
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -295,7 +295,6 @@ func TestNoCBandwidthFailSafe(t *testing.T) {
 // model.OpClass order, bit for bit, on every run.
 func TestClassSumsFixedOrder(t *testing.T) {
 	p := Params{Design: arch.Mugi(256), Mesh: noc.NewMesh(2, 2)}
-	p.applyDefaults()
 	res := Simulate(p, decode70B())
 	cycles := 0.0
 	for c := range model.OpClass(model.NumOpClasses) {

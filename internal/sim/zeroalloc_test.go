@@ -10,7 +10,8 @@ import (
 
 // TestSimulateZeroAlloc: a pass allocates nothing, for every design kind,
 // on one node and on a mesh, for decode and prefill, at the nominal and
-// at an off-nominal DVFS point.
+// at an off-nominal DVFS point, through Simulate and through
+// SimulateInto.
 func TestSimulateZeroAlloc(t *testing.T) {
 	designs := []arch.Design{
 		arch.Mugi(256), arch.MugiL(256), arch.Carat(128),
@@ -27,6 +28,11 @@ func TestSimulateZeroAlloc(t *testing.T) {
 				for _, w := range workloads {
 					if allocs := testing.AllocsPerRun(20, func() { Simulate(p, w) }); allocs != 0 {
 						t.Errorf("%s on %s at %s, decode %v: %v allocs per pass, want 0",
+							d.Name, mesh, dvfs, w.Decode, allocs)
+					}
+					var r Result
+					if allocs := testing.AllocsPerRun(20, func() { SimulateInto(&p, &w, &r) }); allocs != 0 {
+						t.Errorf("SimulateInto: %s on %s at %s, decode %v: %v allocs per pass, want 0",
 							d.Name, mesh, dvfs, w.Decode, allocs)
 					}
 				}
