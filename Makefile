@@ -85,10 +85,23 @@ fmt:
 
 # Type-check the tree, tests included, for two GOARCHes without the amd64
 # assembly: arm64 builds internal/core's Go GEMM loop alone, and 386 has a
-# 32-bit int, so a constant that only fits 64 bits fails here.
+# 32-bit int, so a constant that only fits 64 bits fails here. Then build
+# the GEMM's and the simulator's packages for arm64 and fail on any fused
+# multiply-add in them: Go fuses x*y + z there unless the product is
+# rounded with float64(...), and a fused op gives arm64 other bits.
+FUSED_CHECK_PKGS = ./internal/core ./internal/sim ./internal/arch ./internal/noc
+
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	for p in $(FUSED_CHECK_PKGS); do \
+		GOARCH=arm64 $(GO) build -o "$$dir/$$(basename $$p).a" $$p || exit 1; \
+	done; \
+	out="$$(for a in "$$dir"/*.a; do $(GO) tool objdump "$$a"; done | grep -E 'FN?M(ADD|SUB)')"; \
+	if [ -n "$$out" ]; then \
+		echo "fused multiply-adds in the arm64 builds of $(FUSED_CHECK_PKGS):"; echo "$$out"; exit 1; \
+	fi
 
 # Documentation gates: godoc coverage (the doccheck prerequisite) and
 # docs/*.md code-fence validity (go fences parse; make targets, go run
