@@ -169,17 +169,17 @@ func Simulate(p Params, w model.Workload) Result {
 }
 
 // SimulateInto runs one workload pass through the performance and cost
-// models and writes it to *res, overwriting every field. It allocates
-// nothing, and it reads *p and *w in place without writing them.
+// models and writes it to *res, overwriting every field. It reads *p and
+// *w in place, writes neither, and allocates nothing.
 //
 // The zero-value defaults resolve into locals: the HBM bandwidth, a
-// single node, the 45 nm cost table, and the mesh's provisioned NoC
+// single node, the 45 nm cost table and the mesh's provisioned NoC
 // bandwidth. An off-nominal DVFS point is folded into a copy of the cost
 // table on the stack. So an implicit default prices like its explicit
-// spelling, and a DVFS point like the equivalent hand-scaled cost table
-// at the nominal point. The off-chip bandwidth is defaulted before the
-// fold and the NoC's after it: HBM is not on the DVFS rail, while the
-// mesh links clock with the node.
+// spelling, and a DVFS point like its hand-scaled cost table with a zero
+// DVFS. The off-chip bandwidth is defaulted before the fold and the
+// NoC's after it: HBM is not on the DVFS rail, while the mesh links
+// clock with the node.
 //
 // The rates and energies that depend only on the design and cost table
 // are computed once, before the operator loop. Every floating-point
